@@ -17,6 +17,7 @@ from . import evolution, exact, horizons, lattice, metrics, observables
 
 USAGE_ERROR = 2
 DOMAIN_ERROR = 1
+TOLERANCE_NAMES = ("criterion",)
 
 
 class DomainError(Exception):
@@ -32,6 +33,11 @@ def _dump_json(obj, stream) -> None:
     stream.write("\n")
 
 
+def _usage_error(message: str):
+    print(f"usage error: {message}", file=sys.stderr)
+    raise SystemExit(USAGE_ERROR)
+
+
 def _parse_tolerances(argv: list[str]) -> tuple[list[str], dict[str, float]]:
     """Strip --tol-NAME VALUE pairs before argparse sees them."""
     remaining: list[str] = []
@@ -41,12 +47,14 @@ def _parse_tolerances(argv: list[str]) -> tuple[list[str], dict[str, float]]:
         token = argv[i]
         if token.startswith("--tol-"):
             name = token[len("--tol-") :]
-            if i + 1 >= len(argv):
-                raise SystemExit(USAGE_ERROR)
-            value = float(argv[i + 1])
-            if value <= 0:
-                print(f"tolerance {name} must be positive", file=sys.stderr)
-                raise SystemExit(USAGE_ERROR)
+            if name not in TOLERANCE_NAMES:
+                _usage_error(f"unknown tolerance {token}")
+            try:
+                value = float(argv[i + 1])
+            except (IndexError, ValueError):
+                _usage_error(f"{token} needs a numeric value")
+            if not 0.0 < value < np.inf:
+                _usage_error(f"tolerance {name} must be positive and finite")
             tolerances[name] = value
             i += 2
         else:
@@ -115,6 +123,8 @@ def _load_matrix(path: str, N: int) -> np.ndarray:
     matrix = np.asarray(payload["matrix"], dtype=float)
     if payload.get("dimension") != N or matrix.shape != (N, N):
         raise DomainError(f"matrix in {path} does not have dimension {N}")
+    if not np.isfinite(matrix).all():
+        raise DomainError(f"matrix in {path} has non-finite entries")
     return matrix
 
 
@@ -142,7 +152,7 @@ def _cmd_spectrum(args, out):
     if args.format == "csv":
         out.write("eigenvalue\n")
         for value in result.roots:
-            out.write(f"{value!r}\n")
+            out.write(f"{float(value)!r}\n")
     else:
         _dump_json(result.to_json(), out)
 
@@ -167,6 +177,8 @@ def _cmd_horizon(args, out):
 def _cmd_scan(args, out):
     if args.alpha_steps < 2:
         raise DomainError("--alpha-steps must be at least 2")
+    if not np.isfinite([args.alpha_min, args.alpha_max]).all():
+        raise DomainError("--alpha-min and --alpha-max must be finite")
     grid = np.linspace(args.alpha_min, args.alpha_max, args.alpha_steps)
     K = (
         _load_matrix(args.k_matrix, args.n)
@@ -177,7 +189,7 @@ def _cmd_scan(args, out):
     out.write("alpha,max_imag,definiteness\n")
     for alpha, imag, label in zip(scan.alpha_grid, scan.max_imag, scan.definiteness):
         imag_text = "" if np.isnan(imag) else repr(float(imag))
-        out.write(f"{alpha!r},{imag_text},{label}\n")
+        out.write(f"{float(alpha)!r},{imag_text},{label}\n")
 
 
 def _cmd_check_observability(args, out):
@@ -220,7 +232,7 @@ def _cmd_evolve(args, out):
         v = system.kets @ (phases * coefficients)
         theta_norm = float(np.real(v.conj() @ theta.matrix @ v))
         dirac_norm = float(np.real(v.conj() @ v))
-        out.write(f"{t!r},{theta_norm!r},{dirac_norm!r}\n")
+        out.write(f"{float(t)!r},{theta_norm!r},{dirac_norm!r}\n")
 
 
 def _cmd_verify(args, out):

@@ -2,11 +2,19 @@
 
 The tridiagonal metric Theta(alpha) = Q + alpha T stays positive-definite
 only on a finite interval (-gamma, gamma).  gamma is found two independent
-ways: spectrally (1/spectral-radius of Q^{-1/2} T Q^{-1/2}) and by bisecting
-the definiteness classification; the two must agree tightly.  Beyond gamma
-the metric is inadmissible, and companion observables Lambda(alpha) =
-Theta(alpha)^{-1} K lose spectral reality at their own, generally larger,
-"hidden" horizon.
+ways: spectrally (1/spectral-radius of Q^{-1/2} T Q^{-1/2}, one eigenvalue
+of a tridiagonal matrix) and by bisecting on one O(N) Sturm count of
+Theta(alpha) per step, O(N log 1/eps) in all; the two must agree tightly.
+
+The bisection finds where the smallest eigenvalue of Theta(alpha) crosses
+thr = 1e-12 max|Theta| (see `metrics`), not zero.  That moves its result
+below gamma by thr / |d lambda_min / d alpha|: the cross-check residual is
+about 2e-12 for every N from 2 to 4096, fifty times inside the tolerance
+1e-10.
+
+Beyond gamma the metric is inadmissible, and companion observables
+Lambda(alpha) = Theta(alpha)^{-1} K lose spectral reality at their own,
+generally larger, "hidden" horizon.
 """
 
 from __future__ import annotations
@@ -17,7 +25,7 @@ import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
 
 from .lattice import build_metric_Q
-from .metrics import classify_definiteness, tridiagonal_family
+from .metrics import sturm_count, tridiagonal_family
 
 __all__ = [
     "HorizonReport",
@@ -31,6 +39,8 @@ CROSS_CHECK_TOL = 1e-10
 BISECTION_WIDTH = 1e-12
 REALITY_THRESHOLD = 1e-8
 SINGULAR_RCOND = 1e-12
+# Bytes of Theta(alpha) matrices the scan solves and diagonalizes per stack.
+_SCAN_CHUNK_BYTES = 4 * 2**20
 
 
 @dataclass(frozen=True)
@@ -73,25 +83,31 @@ def _gamma_spectral(N: int) -> float:
 
     Theta(alpha) = Q^{1/2} (I + alpha S) Q^{1/2} with S symmetric
     tridiagonal; positivity is lost exactly when alpha * rho(S) reaches 1.
+    S has a zero diagonal, so its spectrum is symmetric about zero and
+    rho(S) is its largest eigenvalue, the only one computed.
     """
     q = build_metric_Q(N).entries
     t = np.arange(1, N, dtype=float)
     couplings = t / np.sqrt(q[:-1] * q[1:])
-    eigenvalues = eigvalsh_tridiagonal(np.zeros(N), couplings)
-    return 1.0 / np.max(np.abs(eigenvalues))
+    largest = eigvalsh_tridiagonal(np.zeros(N), couplings, select="i", select_range=(N - 1, N - 1))
+    return 1.0 / largest[0]
 
 
 def _gamma_bisection(N: int) -> tuple[float, int]:
-    """Bisection on the definiteness classification of Theta(alpha)."""
+    """Bisection on the positive-definiteness of Theta(alpha).
+
+    Each step runs the O(N) pivot recurrence once, up to its first negative
+    pivot; near gamma that is the last pivot, far above gamma an early one.
+    """
     family = tridiagonal_family(N)
     iterations = 0
     lo, hi = 0.0, 1.0
-    while classify_definiteness(family.realize(hi).matrix) == "positive-definite":
+    while family.positive_definite(hi):
         lo, hi = hi, 2.0 * hi
         iterations += 1
     while hi - lo > BISECTION_WIDTH:
         mid = 0.5 * (lo + hi)
-        if classify_definiteness(family.realize(mid).matrix) == "positive-definite":
+        if family.positive_definite(mid):
             lo = mid
         else:
             hi = mid
@@ -143,36 +159,51 @@ def hidden_horizon_scan(
     construction for every alpha, so its spectrum is guaranteed real while
     Theta(alpha) is positive-definite; the first grid point where a complex
     eigenvalue appears is the observable's hidden horizon.
+
+    Labels and the singular skip come from Sturm counts over the whole grid.
+    A point is skipped when Theta(alpha) has an eigenvalue in [-tau, tau],
+    tau = 1e-12 (max q + |alpha| max_n (t_{n-1} + t_n)).  tau bounds
+    1e-12 ||Theta||_inf >= 1e-12 ||Theta||_2 from above, so every point with
+    reciprocal condition number below 1e-12 is skipped, and tau >= thr of
+    the labels (max q >= 1.5), so every singular point is too.  The counts
+    err by at most about 1.1e-15 max|Theta| (see `metrics`).  The remaining
+    points are solved and diagonalized in stacks of about 4 MB, with the
+    same LAPACK calls on the same Theta(alpha) entries as one point at a time.
     """
     K = np.asarray(K, dtype=float)
+    alpha_grid = np.asarray(alpha_grid, dtype=float)
+    if not (np.all(np.isfinite(K)) and np.all(np.isfinite(alpha_grid))):
+        raise ValueError("K and the alpha grid must be finite")
     scale = max(1.0, np.max(np.abs(K)))
     if np.max(np.abs(K - K.T)) > 1e-12 * scale:
         raise ValueError("K must be symmetric")
     if K.shape != (N, N):
         raise ValueError("K has wrong shape")
     family = tridiagonal_family(N)
-    alpha_grid = np.asarray(alpha_grid, dtype=float)
-    threshold = REALITY_THRESHOLD * scale
+    definiteness = family.definiteness(alpha_grid).tolist()
+    couplings = family.coupling_base
+    row_couplings = np.max(np.r_[couplings, 0.0] + np.r_[0.0, couplings])
+    tau = SINGULAR_RCOND * (np.max(family.diagonal) + np.abs(alpha_grid) * row_couplings)
+    offdiagonal = family.offdiagonal(alpha_grid)
+    skip = sturm_count(family.diagonal, offdiagonal, tau) > sturm_count(
+        family.diagonal, offdiagonal, -tau
+    )
     max_imag = np.full(len(alpha_grid), np.nan)
-    definiteness: list[str] = []
-    skipped: list[float] = []
-    first_crossing = None
-    for i, alpha in enumerate(alpha_grid):
-        theta = family.realize(alpha)
-        definiteness.append(theta.definiteness)
-        if theta.definiteness == "singular" or 1.0 / np.linalg.cond(theta.matrix) < SINGULAR_RCOND:
-            skipped.append(float(alpha))
-            continue
-        eigenvalues = np.linalg.eigvals(np.linalg.solve(theta.matrix, K))
-        max_imag[i] = np.max(np.abs(eigenvalues.imag))
-        if first_crossing is None and max_imag[i] > threshold:
-            first_crossing = float(alpha)
+    solved = np.flatnonzero(~skip)
+    diagonal, coupling = np.diag(family.diagonal), family.coupling_matrix()
+    chunk = max(1, _SCAN_CHUNK_BYTES // (8 * N * N))
+    for start in range(0, len(solved), chunk):
+        points = solved[start : start + chunk]
+        thetas = diagonal + alpha_grid[points, None, None] * coupling
+        eigenvalues = np.linalg.eigvals(np.linalg.solve(thetas, K))
+        max_imag[points] = np.max(np.abs(eigenvalues.imag), axis=-1)
+    crossings = np.flatnonzero(max_imag > REALITY_THRESHOLD * scale)
     return RealityScan(
         dimension=N,
         observable_label=label,
         alpha_grid=alpha_grid,
         max_imag=max_imag,
         definiteness=definiteness,
-        first_crossing=first_crossing,
-        skipped_singular=skipped,
+        first_crossing=float(alpha_grid[crossings[0]]) if len(crossings) else None,
+        skipped_singular=alpha_grid[skip].tolist(),
     )

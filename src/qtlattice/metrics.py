@@ -8,10 +8,27 @@ tridiagonal slice of the family, Theta(alpha) = Q + alpha T with couplings
 t_n = n + 1, is the unique tridiagonal solution of the intertwining
 relation with diagonal part Q and t_0 = 1 (verified exactly in the
 exact_oracle module).
+
+Definiteness comes from one of two paths.  The tridiagonal family is
+classified in O(N) by Sturm counts (`sturm_count`): by Sylvester's law of
+inertia the number of negative LDL^T pivots of Theta - sigma I is the number
+of eigenvalues below sigma, and counts at sigma = +thr and -thr give the
+three labels.  Dense metrics (kappa-family and external) are classified by
+one Cholesky factorization of Theta - thr I with an eigenvalue tie-break.
+
+Error model of the threshold thr = 1e-12 max(1, max|Theta|): the computed
+pivots are the exact pivots of a matrix with the same diagonal and
+off-diagonal entries perturbed by relative errors of at most 2.5 eps
+(Kahan; Demmel, Applied Numerical Linear Algebra, lemma 5.4).  Each count is
+thus exact for eigenvalues moved by at most 5 eps max|Theta| (about
+1.1e-15 max|Theta|), three orders of magnitude inside thr, and a label can
+differ from exact arithmetic only for an eigenvalue that close to +thr or
+-thr.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,11 +48,15 @@ __all__ = [
     "tridiagonal_family",
     "is_positive_definite",
     "classify_definiteness",
+    "sturm_count",
+    "tridiagonal_definiteness",
 ]
 
 SYMMETRY_TOL = 1e-12
 PIVOT_TOL = 1e-12
 MEMBERSHIP_TOL = 1e-9
+_TINY = float(np.finfo(float).tiny)
+_SCALE_ABOVE = 2.0**500
 
 
 @dataclass(frozen=True)
@@ -95,11 +116,30 @@ class TridiagonalMetricFamily:
     def coupling_matrix(self) -> np.ndarray:
         return np.diag(self.coupling_base, 1) + np.diag(self.coupling_base, -1)
 
+    def offdiagonal(self, alpha) -> np.ndarray:
+        """alpha t: the couplings on axis 0, followed by the axes of alpha."""
+        alpha = np.asarray(alpha, dtype=float)
+        if not np.all(np.isfinite(alpha)):
+            raise ValueError("alpha must be finite")
+        return np.multiply.outer(self.coupling_base, alpha)
+
+    def definiteness(self, alpha) -> np.ndarray:
+        """Labels of Theta(alpha), shaped like alpha, in O(N) per alpha."""
+        return tridiagonal_definiteness(self.diagonal, self.offdiagonal(alpha))
+
+    def positive_definite(self, alpha: float) -> bool:
+        """Whether Theta(alpha) is positive-definite: no negative pivot at +thr.
+
+        The pivot recurrence of `sturm_count`, stopped at the first negative pivot.
+        """
+        offdiagonal = self.offdiagonal(alpha)
+        threshold = _pivot_threshold(self.diagonal, offdiagonal)
+        return _negative_pivots(self.diagonal, offdiagonal, threshold, first_only=True) == 0
+
     def realize(self, alpha: float) -> MetricOperator:
+        definiteness = str(self.definiteness(alpha))
         matrix = np.diag(self.diagonal) + alpha * self.coupling_matrix()
-        return MetricOperator(
-            self.dimension, matrix, classify_definiteness(matrix), "tridiagonal-family"
-        )
+        return MetricOperator(self.dimension, matrix, definiteness, "tridiagonal-family")
 
 
 def _require_symmetric(matrix: np.ndarray, tol: float = SYMMETRY_TOL) -> None:
@@ -108,26 +148,103 @@ def _require_symmetric(matrix: np.ndarray, tol: float = SYMMETRY_TOL) -> None:
         raise ValueError("matrix is not symmetric within tolerance")
 
 
-def classify_definiteness(matrix: np.ndarray) -> str:
-    """Classify a symmetric matrix as positive-definite, singular or indefinite.
+def sturm_count(diagonal, offdiagonal, shift):
+    """Number of eigenvalues below `shift` of a symmetric tridiagonal matrix.
 
-    Symmetric elimination with pivot threshold 1e-12 * max|Theta|; a pivot
-    inside the threshold band falls back to an eigenvalue tie-breaker.
+    The LDL^T pivots of T - shift I follow d_k = (a_k - shift) - b_{k-1}^2 /
+    d_{k-1}; by Sylvester's law of inertia the number of negative pivots is
+    the number of eigenvalues below the shift (Parlett, The Symmetric
+    Eigenvalue Problem, ch. 3).  As in LAPACK's dstebz, a zero pivot counts
+    as negative and continues as -pivmin, so an eigenvalue at the shift
+    itself may count as below it.  Inputs beyond 2^500 are first scaled by a
+    power of two, which is exact and keeps the squared off-diagonal entries
+    finite.  O(N) per shift.
+
+    `offdiagonal` has N - 1 entries along axis 0; any further axes, and the
+    shape of `shift`, broadcast to a batch of matrices, whose counts come
+    back as an integer array of the batch shape.  Without a batch the count
+    runs on Python floats, which is faster than numpy for one matrix.
+    """
+    return _negative_pivots(diagonal, offdiagonal, shift, first_only=False)
+
+
+def _negative_pivots(diagonal, offdiagonal, shift, first_only: bool):
+    """`sturm_count`; with `first_only`, one matrix stops at its first negative pivot."""
+    diagonal = np.asarray(diagonal, dtype=float)
+    offdiagonal = np.asarray(offdiagonal, dtype=float)
+    shift = np.asarray(shift, dtype=float)
+    if diagonal.ndim != 1 or len(diagonal) < 1 or offdiagonal.shape[:1] != (len(diagonal) - 1,):
+        raise ValueError("need N >= 1 diagonal entries and N - 1 off-diagonal entries")
+    extents = [float(np.abs(x).max(initial=0.0)) for x in (diagonal, offdiagonal, shift)]
+    if not all(map(math.isfinite, extents)):
+        raise ValueError("input has non-finite (NaN or inf) entries")
+    if max(extents) > _SCALE_ABOVE:
+        scale = math.ldexp(1.0, -math.frexp(max(extents))[1])
+        diagonal, offdiagonal, shift = diagonal * scale, offdiagonal * scale, shift * scale
+    squared = offdiagonal**2
+    zero_pivot = -_TINY * float(squared.max(initial=1.0))  # b^2 / zero_pivot stays finite
+    if offdiagonal.ndim == 1 and shift.ndim == 0:
+        pivot, count = 1.0, 0
+        for a, b2 in zip((diagonal - shift).tolist(), [0.0] + squared.tolist()):
+            pivot = a - b2 / (pivot or zero_pivot)
+            if pivot <= 0:
+                count += 1
+                if first_only:
+                    break
+        return count
+    batch = np.broadcast_shapes(offdiagonal.shape[1:], shift.shape)
+    shifted = diagonal.reshape((-1,) + (1,) * len(batch)) - shift
+    pivot, count = np.ones(batch), np.zeros(batch, dtype=int)
+    # After a pivot tinier than |zero_pivot| the next one may overflow to an
+    # infinity of the right sign, which the next step turns back into a_k.
+    with np.errstate(over="ignore"):
+        for a, b2 in zip(shifted, [0.0, *squared]):
+            pivot = a - b2 / np.where(pivot == 0, zero_pivot, pivot)
+            count += pivot <= 0
+    return count
+
+
+def _pivot_threshold(diagonal: np.ndarray, offdiagonal: np.ndarray) -> np.ndarray:
+    """thr = 1e-12 max(1, max|Theta|), per matrix of a tridiagonal batch."""
+    largest = np.abs(offdiagonal).max(axis=0, initial=np.abs(diagonal).max())
+    return PIVOT_TOL * np.maximum(1.0, largest)
+
+
+def tridiagonal_definiteness(diagonal, offdiagonal) -> np.ndarray:
+    """Definiteness labels of symmetric tridiagonal matrices from Sturm counts.
+
+    No eigenvalue below +thr: positive-definite; none below -thr: singular;
+    otherwise indefinite (thr as in `classify_definiteness`).  Batched like
+    `sturm_count`; returns a string array of the batch shape.
+    """
+    threshold = _pivot_threshold(diagonal, offdiagonal)
+    return np.where(
+        sturm_count(diagonal, offdiagonal, threshold) == 0,
+        "positive-definite",
+        np.where(sturm_count(diagonal, offdiagonal, -threshold) == 0, "singular", "indefinite"),
+    )
+
+
+def classify_definiteness(matrix: np.ndarray) -> str:
+    """Classify a dense symmetric matrix as positive-definite, singular or indefinite.
+
+    The path for kappa-family and external metrics; the tridiagonal family
+    uses `tridiagonal_definiteness`.  Positive-definite when the Cholesky
+    factorization of Theta - thr I succeeds, thr = 1e-12 max(1, max|Theta|);
+    otherwise the smallest eigenvalue breaks the tie: within thr of zero is
+    singular, below it indefinite.
     """
     matrix = np.asarray(matrix, dtype=float)
+    if not np.isfinite(matrix).all():
+        raise ValueError("matrix has non-finite (NaN or inf) entries")
     _require_symmetric(matrix)
     threshold = PIVOT_TOL * max(1.0, np.max(np.abs(matrix)))
-    a = matrix.copy()
-    n = a.shape[0]
-    for k in range(n):
-        pivot = a[k, k]
-        if pivot <= threshold:
-            break
-        a[k + 1 :, k + 1 :] -= np.outer(a[k + 1 :, k], a[k + 1 :, k]) / pivot
-    else:
+    try:
+        np.linalg.cholesky(matrix - threshold * np.eye(len(matrix)))
         return "positive-definite"
-    eigenvalues = np.linalg.eigvalsh(matrix)
-    smallest = eigenvalues[0]
+    except np.linalg.LinAlgError:
+        pass
+    smallest = np.linalg.eigvalsh(matrix)[0]
     if abs(smallest) <= threshold:
         return "singular"
     return "positive-definite" if smallest > 0 else "indefinite"
@@ -149,6 +266,8 @@ def metric_from_kappa(
     """
     if kappa.dimension != system.dimension:
         raise ValueError("kappa dimension does not match system")
+    if not np.all(np.isfinite(kappa.values)):
+        raise ValueError("kappa must be finite")
     if strict and np.any(kappa.values <= 0):
         raise ValueError("kappa must be strictly positive in strict mode")
     matrix = (system.ketkets * kappa.values[None, :]) @ system.ketkets.T

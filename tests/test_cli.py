@@ -183,3 +183,60 @@ def test_metric_serialization_full_precision(capsys, tmp_path):
     np.testing.assert_array_equal(
         np.asarray(payload["matrix"]), tridiagonal_metric(4, 0.123456789).matrix
     )
+
+
+def test_non_finite_alpha_is_a_domain_error(capsys):
+    status, out, err = invoke(
+        ["metric", "--n", "2", "--alpha", "nan", "--require-positive"], capsys
+    )
+    assert (status, out) == (1, "")
+    assert "finite" in err
+    status, out, err = invoke(
+        ["scan", "--n", "2", "--alpha-min", "0", "--alpha-max", "inf", "--alpha-steps", "5"],
+        capsys,
+    )
+    assert (status, out) == (1, "")
+    assert "finite" in err
+
+
+def test_non_finite_matrix_file_is_a_domain_error(capsys, tmp_path):
+    matrix_file = tmp_path / "nan.json"
+    matrix_file.write_text('{"dimension": 2, "matrix": [[1.0, NaN], [NaN, 1.0]]}')
+    for argv in (
+        ["check-observability", "--n", "2", "--k-matrix", str(matrix_file)],
+        ["scan", "--n", "2", "--alpha-min", "0", "--alpha-max", "1", "--alpha-steps", "3",
+         "--k-matrix", str(matrix_file)],
+    ):
+        status, out, err = invoke(argv, capsys)
+        assert (status, out) == (1, "")
+        assert "non-finite" in err
+
+
+def test_csv_fields_are_numbers(capsys):
+    outputs = [
+        invoke(["spectrum", "--n", "4", "--format", "csv"], capsys),
+        invoke(
+            ["scan", "--n", "3", "--alpha-min", "0", "--alpha-max", "1.5", "--alpha-steps", "7"],
+            capsys,
+        ),
+        invoke(["evolve", "--n", "3", "--t-max", "1", "--t-steps", "4"], capsys),
+    ]
+    for status, out, _ in outputs:
+        assert status == 0
+        header, *rows = out.strip().split("\n")
+        numeric = [name for name in header.split(",") if name != "definiteness"]
+        assert rows
+        for row in rows:
+            for field in row.split(",")[: len(numeric)]:
+                float(field)
+
+
+@pytest.mark.parametrize(
+    "tolerance",
+    [["--tol-x", "abc"], ["--tol-criterion", "abc"], ["--tol-criterion", "nan"],
+     ["--tol-criterion"], ["--tol-bogus", "1e-3"]],
+)
+def test_tolerance_usage_errors(tolerance, capsys):
+    status, out, err = invoke(["spectrum", "--n", "3", *tolerance], capsys)
+    assert (status, out) == (2, "")
+    assert "usage error" in err

@@ -112,3 +112,72 @@ def test_hamiltonian_spectrum_is_alpha_independent():
     reference = spectrum(H).roots
     for _ in range(3):
         np.testing.assert_array_equal(spectrum(H).roots, reference)
+
+
+def test_gamma_1024_matches_dense_eigvalsh():
+    N = 1024
+    q = np.arange(N) + 0.5
+    couplings = np.arange(1, N) / np.sqrt(q[:-1] * q[1:])
+    S = np.diag(couplings, 1) + np.diag(couplings, -1)
+    gamma = 1.0 / np.linalg.eigvalsh(S)[-1]
+    assert abs(horizon_gamma(N).gamma - gamma) <= 64 * N * np.finfo(float).eps
+
+
+def test_gamma_4096_cross_check():
+    report = horizon_gamma(4096)
+    assert report.cross_check_residual <= 1e-10
+    assert 0.5 < report.gamma < horizon_gamma(1024).gamma
+
+
+@pytest.mark.parametrize("N", [2, 64])
+def test_label_at_gamma_is_singular(N):
+    # the dense elimination said positive-definite here; the scan skips it either way
+    gamma = horizon_gamma(N).gamma
+    assert tridiagonal_metric(N, gamma).definiteness == "singular"
+    scan = hidden_horizon_scan(N, np.eye(N), np.array([gamma]))
+    assert scan.definiteness == ["singular"]
+    assert scan.skipped_singular == [gamma]
+
+
+def _point_loop_scan(N, K, grid):
+    """One point at a time: dense Theta(alpha), rcond skip, solve, eigvals."""
+    q = np.arange(N) + 0.5
+    T = np.diag(np.arange(1.0, N), 1) + np.diag(np.arange(1.0, N), -1)
+    max_imag = np.full(len(grid), np.nan)
+    skipped = []
+    for i, alpha in enumerate(grid):
+        theta = np.diag(q) + alpha * T
+        if 1.0 / np.linalg.cond(theta) < 1e-12:
+            skipped.append(float(alpha))
+            continue
+        max_imag[i] = np.max(np.abs(np.linalg.eigvals(np.linalg.solve(theta, K)).imag))
+    return max_imag, skipped
+
+
+@pytest.mark.parametrize("N", [2, 8])
+def test_batched_scan_matches_point_loop(N, rng, monkeypatch):
+    import qtlattice.horizons as horizons
+
+    # stacks of three matrices, so the grid spans several stacks
+    monkeypatch.setattr(horizons, "_SCAN_CHUNK_BYTES", 3 * 8 * N * N)
+    gamma = horizon_gamma(N).gamma
+    grid = np.sort(np.r_[np.linspace(-0.5, 1.2, 35), gamma, 1.0, -gamma])
+    K = np.diag([1.0, -1.0]) if N == 2 else rng.normal(size=(N, N))
+    K = 0.5 * (K + K.T)
+    scan = hidden_horizon_scan(N, K, grid)
+    max_imag, skipped = _point_loop_scan(N, K, grid)
+    np.testing.assert_array_equal(scan.max_imag, max_imag)
+    assert scan.skipped_singular == skipped == [-gamma, gamma]
+    threshold = 1e-8 * max(1.0, np.max(np.abs(K)))
+    crossings = grid[max_imag > threshold]
+    assert scan.first_crossing == (float(crossings[0]) if len(crossings) else None)
+    if N == 2:
+        assert scan.first_crossing > 1.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_scan_rejects_non_finite_input(bad):
+    with pytest.raises(ValueError):
+        hidden_horizon_scan(2, np.eye(2), np.array([0.1, bad]))
+    with pytest.raises(ValueError):
+        hidden_horizon_scan(2, np.array([[1.0, 0.0], [0.0, bad]]), np.array([0.1]))

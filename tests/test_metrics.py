@@ -15,7 +15,12 @@ from qtlattice import (
     metric_from_kappa,
     tridiagonal_metric,
 )
-from qtlattice.metrics import classify_definiteness, tridiagonal_family
+from qtlattice.metrics import (
+    classify_definiteness,
+    sturm_count,
+    tridiagonal_definiteness,
+    tridiagonal_family,
+)
 
 
 def dieudonne_max_residual(matrix, N):
@@ -184,3 +189,94 @@ def test_positive_kappa_always_positive_definite(values):
     system = biorthogonal_system(N)
     theta = metric_from_kappa(system, KappaVector(N, np.array(values)))
     assert theta.definiteness == "positive-definite"
+
+
+def _dense_tridiagonal(diagonal, offdiagonal):
+    return np.diag(diagonal) + np.diag(offdiagonal, 1) + np.diag(offdiagonal, -1)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 17, 64, 1024])
+def test_sturm_labels_match_dense_eigvalsh(N, rng):
+    q = np.arange(N) + 0.5
+    t = np.arange(1, N, dtype=float)
+    alphas = [float(rng.uniform(0.1, 2.0)), -float(rng.uniform(0.1, 2.0))]
+    if N >= 2:
+        S = _dense_tridiagonal(np.zeros(N), t / np.sqrt(q[:-1] * q[1:]))
+        gamma = 1.0 / np.linalg.eigvalsh(S)[-1]
+        alphas = [gamma * rng.uniform(0.2, 1.8), -gamma * rng.uniform(0.2, 1.8)]
+        alphas += [gamma * (1 - 1e-9), gamma * (1 + 1e-9)]
+    expected = []
+    for alpha in alphas:
+        theta = _dense_tridiagonal(q, alpha * t)
+        threshold = 1e-12 * max(1.0, np.max(np.abs(theta)))
+        smallest = np.linalg.eigvalsh(theta)[0]
+        # eigvalsh error bound; the cases are chosen clear of the +-thr ties
+        slack = 64 * N * np.finfo(float).eps * np.max(np.sum(np.abs(theta), axis=1))
+        assert min(abs(smallest - threshold), abs(smallest + threshold)) > slack
+        if smallest > threshold:
+            expected.append("positive-definite")
+        else:
+            expected.append("singular" if smallest >= -threshold else "indefinite")
+    scalar = [str(tridiagonal_definiteness(q, alpha * t)) for alpha in alphas]
+    batched = tridiagonal_definiteness(q, np.multiply.outer(t, alphas)).tolist()
+    assert scalar == batched == expected
+    if N >= 2:
+        assert expected[2:] == ["positive-definite", "indefinite"]
+
+
+_entries = st.one_of(st.integers(-3, 3).map(float), st.floats(-4.0, 4.0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    diagonal=st.lists(_entries, min_size=1, max_size=8),
+    offdiagonal=st.lists(_entries, min_size=7, max_size=7),
+    shifts=st.lists(_entries, min_size=1, max_size=4),
+)
+def test_sturm_count_matches_eigvalsh(diagonal, offdiagonal, shifts):
+    N = len(diagonal)
+    offdiagonal = offdiagonal[: N - 1]
+    eigenvalues = np.linalg.eigvalsh(_dense_tridiagonal(diagonal, offdiagonal))
+    shifts = [s for s in shifts if np.min(np.abs(eigenvalues - s)) > 1e-9]
+    expected = [int(np.sum(eigenvalues < s)) for s in shifts]
+    assert [sturm_count(diagonal, offdiagonal, s) for s in shifts] == expected
+    assert sturm_count(diagonal, offdiagonal, np.array(shifts)).tolist() == expected
+
+
+@pytest.mark.parametrize("batched", [False, True])
+def test_sturm_count_zero_pivots(batched):
+    def count(diagonal, offdiagonal):
+        shift = np.zeros(1) if batched else 0.0
+        return int(np.squeeze(sturm_count(diagonal, offdiagonal, shift)))
+
+    # d_0 = 0 continues as -pivmin; eigenvalues (1 -+ sqrt 5)/2
+    assert count([0.0, 1.0], [1.0]) == 1
+    # d_1 = 0 then a huge d_2; eigenvalues in (-1, 0), (0, 1), (2, 3)
+    assert count([1.0, 1.0, 0.0], [1.0, 1.0]) == 1
+    # d_1 = 0 before a zero coupling: eigenvalues 0, 2, 2, and the one
+    # at the shift counts as below it
+    assert count([1.0, 1.0, 2.0], [1.0, 0.0]) == 1
+
+
+def test_sturm_count_huge_entries_exact():
+    # squares of 1e200 overflow; the power-of-two scaling keeps the count exact
+    assert sturm_count([1e200, 3e200], [1e200], 0.0) == 0
+    assert sturm_count([1e200, 3e200], [2e200], 0.0) == 1
+    assert tridiagonal_metric(3, 1e200).definiteness == "indefinite"
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_input_is_a_domain_error(bad, system_cache):
+    with pytest.raises(ValueError):
+        sturm_count([1.0, bad], [0.5], 0.0)
+    with pytest.raises(ValueError):
+        sturm_count([1.0, 2.0], [bad], 0.0)
+    with pytest.raises(ValueError):
+        sturm_count([1.0, 2.0], [0.5], np.array([0.0, bad]))
+    with pytest.raises(ValueError):
+        classify_definiteness(np.array([[1.0, bad], [bad, 1.0]]))
+    with pytest.raises(ValueError):
+        tridiagonal_metric(3, bad)
+    for strict in (True, False):
+        with pytest.raises(ValueError):
+            metric_from_kappa(system_cache(2), KappaVector(2, np.array([1.0, bad])), strict)
