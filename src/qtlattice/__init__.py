@@ -8,7 +8,7 @@ tridiagonal metric slice, and metric-unitary time evolution.  An
 exact-rational oracle pins down the closed forms at small sizes.
 """
 
-from .legendre import PolynomialValueTable, RootSet, eval_P, eval_P_derivative, roots_P
+from .legendre import RootSet, eval_P, eval_P_derivative, roots_P
 from .lattice import (
     BiorthogonalSystem,
     DiagonalMetric,
@@ -47,7 +47,7 @@ from .observables import (
     overlap_matrices,
     spectral_data,
 )
-from .evolution import EvolutionState, norm_drift, propagator, theta_norm
+from .evolution import EvolutionState, norm_drift, norm_trajectory, propagator, theta_norm
 from .exact import (
     exact_exceptional_identity,
     exact_intertwining_check,

@@ -24,12 +24,8 @@ class DomainError(Exception):
     pass
 
 
-def _float_repr(x) -> float:
-    return float(x)
-
-
 def _dump_json(obj, stream) -> None:
-    json.dump(obj, stream, indent=2, default=_float_repr)
+    json.dump(obj, stream, indent=2, default=float)
     stream.write("\n")
 
 
@@ -72,12 +68,11 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p, needs_n=True):
         if needs_n:
             p.add_argument("--n", type=int, required=True, help="lattice size N")
-        p.add_argument("--format", choices=("json", "csv"), default=None)
         p.add_argument("--out", default=None, help="output file (default stdout)")
-        p.add_argument("--seed", type=int, default=None)
 
     p = sub.add_parser("spectrum", help="eigenvalues of the lattice Hamiltonian")
     common(p)
+    p.add_argument("--format", choices=("json", "csv"), default="json")
 
     p = sub.add_parser("metric", help="a metric operator (diagonal, kappa or tridiagonal)")
     common(p)
@@ -120,7 +115,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load_matrix(path: str, N: int) -> np.ndarray:
     with open(path) as fh:
         payload = json.load(fh)
-    matrix = np.asarray(payload["matrix"], dtype=float)
+    if not isinstance(payload, dict) or "matrix" not in payload:
+        raise DomainError(f'{path} is not a JSON object with a "matrix" key')
+    try:
+        matrix = np.asarray(payload["matrix"], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"matrix in {path} is not numeric: {exc}") from exc
     if payload.get("dimension") != N or matrix.shape != (N, N):
         raise DomainError(f"matrix in {path} does not have dimension {N}")
     if not np.isfinite(matrix).all():
@@ -143,6 +143,10 @@ def _resolve_metric(args, N: int) -> metrics.MetricOperator:
     if args.kappa is not None:
         system = lattice.biorthogonal_system(N)
         return metrics.metric_from_kappa(system, _parse_kappa(args.kappa, system))
+    return _diagonal_metric(N)
+
+
+def _diagonal_metric(N: int) -> metrics.MetricOperator:
     Q = lattice.build_metric_Q(N)
     return metrics.MetricOperator(N, Q.to_dense(), "positive-definite", "diagonal-Q")
 
@@ -220,19 +224,15 @@ def _cmd_evolve(args, out):
     if args.kappa:
         theta = metrics.metric_from_kappa(system, _parse_kappa(args.kappa, system))
     else:
-        Q = lattice.build_metric_Q(args.n)
-        theta = metrics.MetricOperator(args.n, Q.to_dense(), "positive-definite", "diagonal-Q")
+        theta = _diagonal_metric(args.n)
     if theta.definiteness != "positive-definite":
         raise DomainError("evolution norms need a positive-definite metric")
-    psi0 = np.ones(args.n) / np.sqrt(args.n)
-    coefficients = (system.ketkets.T @ psi0.astype(complex)) / system.q_norms
+    psi0 = evolution.EvolutionState(args.n, np.ones(args.n) / np.sqrt(args.n))
+    t_grid = np.linspace(0.0, args.t_max, args.t_steps)
+    theta_norms, dirac_norms = evolution.norm_trajectory(system, theta, psi0, t_grid)
     out.write("t,theta_norm,dirac_norm\n")
-    for t in np.linspace(0.0, args.t_max, args.t_steps):
-        phases = np.exp(-1j * system.eigenvalues.roots * t)
-        v = system.kets @ (phases * coefficients)
-        theta_norm = float(np.real(v.conj() @ theta.matrix @ v))
-        dirac_norm = float(np.real(v.conj() @ v))
-        out.write(f"{float(t)!r},{theta_norm!r},{dirac_norm!r}\n")
+    for row in zip(t_grid.tolist(), theta_norms.tolist(), dirac_norms.tolist()):
+        out.write("%r,%r,%r\n" % row)
 
 
 def _cmd_verify(args, out):
@@ -244,7 +244,7 @@ def _cmd_verify(args, out):
         )
     for N in range(2, min(args.n_max, exact.INTERTWINING_N_MAX) + 1):
         couplings = exact.exact_tridiagonal_solve(N)
-        ok = couplings == [exact.Fraction(k) for k in range(1, N)]
+        ok = couplings == list(range(1, N))
         certificates.append(
             {
                 "check": "tridiagonal-couplings",

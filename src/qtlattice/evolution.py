@@ -12,22 +12,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import LatticeHamiltonian, biorthogonal_system
-from .metrics import MetricOperator
-from .observables import dieudonne_residual
+from .lattice import BiorthogonalSystem, LatticeHamiltonian, biorthogonal_system
+from .metrics import MetricOperator, dieudonne_residual
 
-__all__ = ["EvolutionState", "propagator", "theta_norm", "norm_drift"]
+__all__ = ["EvolutionState", "propagator", "theta_norm", "norm_trajectory", "norm_drift"]
 
 COMPATIBILITY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
 class EvolutionState:
-    """A state vector at a given time."""
+    """A state vector."""
 
     dimension: int
     amplitudes: np.ndarray
-    time: float = 0.0
 
     def __post_init__(self):
         if not np.any(self.amplitudes):
@@ -46,12 +44,38 @@ def propagator(H: LatticeHamiltonian, t: float) -> np.ndarray:
     return (system.kets * phases[None, :]) @ S_inv
 
 
+def _norms(theta: MetricOperator, v: np.ndarray) -> tuple[float, float]:
+    """(Re v^H Theta v, Re v^H v): the squared Theta-norm and Dirac norm of v."""
+    return float(np.real(v.conj() @ theta.matrix @ v)), float(np.real(v.conj() @ v))
+
+
 def theta_norm(theta: MetricOperator, psi: EvolutionState) -> float:
     """The squared metric norm psi^H Theta psi (real for symmetric Theta)."""
     if theta.definiteness != "positive-definite":
         raise ValueError("theta must be positive-definite to define a norm")
-    v = psi.amplitudes
-    return float(np.real(v.conj() @ theta.matrix @ v))
+    return _norms(theta, psi.amplitudes)[0]
+
+
+def norm_trajectory(
+    system: BiorthogonalSystem,
+    theta: MetricOperator,
+    psi0: EvolutionState,
+    t_grid: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Theta-norm and Dirac norm of exp(-i H t) psi0 at each t of t_grid.
+
+    psi0 is expanded once in the eigenbasis of `system`; each time step is
+    then a phase twist of the coefficients.  A non-finite t raises ValueError.
+    """
+    t_grid = np.asarray(t_grid, dtype=float)
+    if not np.all(np.isfinite(t_grid)):
+        raise ValueError("the time grid must be finite")
+    coefficients = (system.ketkets.T @ np.asarray(psi0.amplitudes, dtype=complex)) / system.q_norms
+    norms = np.empty((2, len(t_grid)))
+    for i, t in enumerate(t_grid):
+        v = system.kets @ (np.exp(-1j * system.eigenvalues.roots * t) * coefficients)
+        norms[:, i] = _norms(theta, v)
+    return norms[0], norms[1]
 
 
 def norm_drift(
@@ -68,19 +92,9 @@ def norm_drift(
     """
     if dieudonne_residual(H.to_dense(), theta) > COMPATIBILITY_TOL:
         raise ValueError("theta does not intertwine with H; norm is not conserved")
-    system = biorthogonal_system(H.dimension)
-    # expand psi0 once in the eigenbasis; each time step is then a phase twist
-    coefficients = (system.ketkets.T @ np.asarray(psi0.amplitudes, dtype=complex)) / system.q_norms
-    v0 = np.asarray(psi0.amplitudes, dtype=complex)
-    theta0 = float(np.real(v0.conj() @ theta.matrix @ v0))
-    dirac0 = float(np.real(v0.conj() @ v0))
-    max_theta = 0.0
-    max_dirac = 0.0
-    for t in np.asarray(t_grid, dtype=float):
-        phases = np.exp(-1j * system.eigenvalues.roots * t)
-        v = system.kets @ (phases * coefficients)
-        theta_t = float(np.real(v.conj() @ theta.matrix @ v))
-        dirac_t = float(np.real(v.conj() @ v))
-        max_theta = max(max_theta, abs(theta_t / theta0 - 1.0))
-        max_dirac = max(max_dirac, abs(dirac_t / dirac0 - 1.0))
-    return max_theta, max_dirac
+    theta_t, dirac_t = norm_trajectory(biorthogonal_system(H.dimension), theta, psi0, t_grid)
+    theta0, dirac0 = _norms(theta, np.asarray(psi0.amplitudes, dtype=complex))
+    return (
+        float(np.max(np.abs(theta_t / theta0 - 1.0), initial=0.0)),
+        float(np.max(np.abs(dirac_t / dirac0 - 1.0), initial=0.0)),
+    )

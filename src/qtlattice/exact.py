@@ -1,24 +1,17 @@
 """Exact-arithmetic verification of the model's algebraic identities.
 
-Small-N ground truth computed over the rationals (and, where roots enter,
-over the quotient ring modulo the Legendre polynomial): the intertwining
-relation for the diagonal metric, the unique tridiagonal metric couplings,
-and the exceptional-weights identity.  The published closed form for the
-diagonal metric entries (factorial denominators) fails the intertwining
-relation from the third site on; the checks here document that the
-recursion-derived entries n + 1/2 are the consistent ones.
+Small-N ground truth computed with sympy over the rationals (and, where
+roots enter, over the quotient ring modulo the Legendre polynomial): the
+intertwining relation for the diagonal metric, the unique tridiagonal
+metric couplings, and the exceptional-weights identity.  The published
+closed form for the diagonal metric entries (factorial denominators) fails
+the intertwining relation from the third site on; the checks here document
+that the recursion-derived entries n + 1/2 are the consistent ones.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-
-import mpmath
-import sympy as sp
-
 __all__ = [
-    "RationalMatrix",
     "rational_hamiltonian",
     "rational_metric_Q",
     "factorial_diagonal",
@@ -28,191 +21,94 @@ __all__ = [
     "exact_exceptional_identity",
 ]
 
+# sympy and mpmath are imported inside the functions that use them, so that
+# importing the package does not pay for them unless an exact check runs.
+
 INTERTWINING_N_MAX = 12
 IDENTITY_N_MAX_SYMBOLIC = 8
 FALLBACK_DPS = 200
-FALLBACK_THRESHOLD = mpmath.mpf("1e-150")
 
 
-@dataclass(frozen=True)
-class RationalMatrix:
-    """Dense matrix of exact rationals."""
+def rational_hamiltonian(N: int):
+    """H as a sympy Matrix of rationals: superdiag (n+1)/(2n+1), subdiag (n+1)/(2n+3)."""
+    import sympy as sp
 
-    dimension: int
-    entries: tuple[tuple[Fraction, ...], ...]
-
-    def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
-        n = self.dimension
-        a, b = self.entries, other.entries
-        return RationalMatrix(
-            n,
-            tuple(
-                tuple(sum((a[i][k] * b[k][j] for k in range(n)), Fraction(0)) for j in range(n))
-                for i in range(n)
-            ),
-        )
-
-    def transpose(self) -> "RationalMatrix":
-        n = self.dimension
-        return RationalMatrix(
-            n, tuple(tuple(self.entries[j][i] for j in range(n)) for i in range(n))
-        )
-
-    def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
-        n = self.dimension
-        return RationalMatrix(
-            n,
-            tuple(
-                tuple(self.entries[i][j] - other.entries[i][j] for j in range(n))
-                for i in range(n)
-            ),
-        )
-
-    def max_abs_entry(self) -> Fraction:
-        return max((abs(e) for row in self.entries for e in row), default=Fraction(0))
-
-
-def _diag(values: list[Fraction]) -> RationalMatrix:
-    n = len(values)
-    return RationalMatrix(
-        n,
-        tuple(
-            tuple(values[i] if i == j else Fraction(0) for j in range(n)) for i in range(n)
-        ),
-    )
-
-
-def rational_hamiltonian(N: int) -> RationalMatrix:
-    """H as exact rationals: superdiag (n+1)/(2n+1), subdiag (n+1)/(2n+3)."""
-    rows = [[Fraction(0)] * N for _ in range(N)]
+    H = sp.zeros(N, N)
     for n in range(N - 1):
-        rows[n][n + 1] = Fraction(n + 1, 2 * n + 1)
-        rows[n + 1][n] = Fraction(n + 1, 2 * n + 3)
-    return RationalMatrix(N, tuple(tuple(r) for r in rows))
+        H[n, n + 1] = sp.Rational(n + 1, 2 * n + 1)
+        H[n + 1, n] = sp.Rational(n + 1, 2 * n + 3)
+    return H
 
 
-def rational_metric_Q(N: int) -> RationalMatrix:
-    """diag(n + 1/2) as exact rationals."""
-    return _diag([Fraction(2 * n + 1, 2) for n in range(N)])
+def rational_metric_Q(N: int):
+    """diag(n + 1/2) as a sympy Matrix of rationals."""
+    import sympy as sp
+
+    return sp.diag(*[sp.Rational(2 * n + 1, 2) for n in range(N)])
 
 
-def factorial_diagonal(N: int) -> RationalMatrix:
+def factorial_diagonal(N: int):
     """The published closed-form diagonal, entries (n + 1/2)/n!.
 
     Matches the recursion-derived metric at the first two sites only; kept
     so the discrepancy is documented by an explicit failing check.
     """
-    values = []
-    fact = 1
-    for n in range(N):
-        if n > 0:
-            fact *= n
-        values.append(Fraction(2 * n + 1, 2 * fact))
-    return _diag(values)
+    import sympy as sp
+
+    return sp.diag(*[sp.Rational(2 * n + 1, 2) / sp.factorial(n) for n in range(N)])
 
 
-def _intertwining_residual(N: int, Q: RationalMatrix) -> tuple[bool, Fraction]:
-    H = rational_hamiltonian(N)
-    residual = H.transpose() @ Q - Q @ H
-    witness = residual.max_abs_entry()
+def _intertwining_residual(N: int, diagonal_metric):
+    if not 1 <= N <= INTERTWINING_N_MAX:
+        raise ValueError(f"N must be in [1, {INTERTWINING_N_MAX}]")
+    H, Q = rational_hamiltonian(N), diagonal_metric(N)
+    witness = max(abs(e) for e in H.T * Q - Q * H)
     return witness == 0, witness
 
 
-def exact_intertwining_check(N: int) -> tuple[bool, Fraction]:
+def exact_intertwining_check(N: int):
     """Exact check of H^T Q = Q H with Q = diag(n + 1/2).
 
-    Returns (passes, witness) where witness is the largest residual entry
-    (exactly 0 on success).
+    Returns (passes, witness) where witness is the largest residual entry,
+    a sympy Rational (exactly 0 on success).
     """
-    if not 1 <= N <= INTERTWINING_N_MAX:
-        raise ValueError(f"N must be in [1, {INTERTWINING_N_MAX}]")
-    return _intertwining_residual(N, rational_metric_Q(N))
+    return _intertwining_residual(N, rational_metric_Q)
 
 
-def exact_intertwining_check_factorial(N: int) -> tuple[bool, Fraction]:
+def exact_intertwining_check_factorial(N: int):
     """Same check against the published factorial diagonal (fails for N >= 3)."""
-    if not 1 <= N <= INTERTWINING_N_MAX:
-        raise ValueError(f"N must be in [1, {INTERTWINING_N_MAX}]")
-    return _intertwining_residual(N, factorial_diagonal(N))
+    return _intertwining_residual(N, factorial_diagonal)
 
 
-def _solve_rational(A: list[list[Fraction]], b: list[Fraction]) -> list[Fraction]:
-    """Exact Gaussian elimination for a consistent (possibly tall) system."""
-    rows = [row + [rhs] for row, rhs in zip(A, b)]
-    n_cols = len(A[0])
-    pivot_row = 0
-    pivots = []
-    for col in range(n_cols):
-        pivot = next(
-            (r for r in range(pivot_row, len(rows)) if rows[r][col] != 0), None
-        )
-        if pivot is None:
-            raise ValueError("underdetermined system")
-        rows[pivot_row], rows[pivot] = rows[pivot], rows[pivot_row]
-        lead = rows[pivot_row][col]
-        rows[pivot_row] = [e / lead for e in rows[pivot_row]]
-        for r in range(len(rows)):
-            if r != pivot_row and rows[r][col] != 0:
-                factor = rows[r][col]
-                rows[r] = [e - factor * p for e, p in zip(rows[r], rows[pivot_row])]
-        pivots.append(col)
-        pivot_row += 1
-        if pivot_row == n_cols:
-            break
-    for r in range(pivot_row, len(rows)):
-        if rows[r][-1] != 0:
-            raise ValueError("inconsistent system")
-    return [rows[i][-1] for i in range(n_cols)]
-
-
-def exact_tridiagonal_solve(N: int) -> list[Fraction]:
+def exact_tridiagonal_solve(N: int) -> list:
     """Couplings of the unique tridiagonal metric with diagonal Q and t_0 = 1.
 
     Solves H^T Theta = Theta H over the rationals for symmetric tridiagonal
-    Theta; the solution is t = (1, 2, ..., N-1).
+    Theta with symbols t_0..t_{N-2} on its off-diagonals; the solution is
+    t = (1, 2, ..., N-1) as sympy Integers.
     """
+    import sympy as sp
+
     if not 2 <= N <= INTERTWINING_N_MAX:
         raise ValueError(f"N must be in [2, {INTERTWINING_N_MAX}]")
-    H = rational_hamiltonian(N).entries
-    Q = [Fraction(2 * n + 1, 2) for n in range(N)]
-    # unknowns t_0..t_{N-2}; equations: all entries of H^T Theta - Theta H
-    # with Theta = diag(Q) + sum_k t_k (E_{k,k+1} + E_{k+1,k}),
-    # plus the normalization t_0 = 1.
-    n_unknowns = N - 1
-
-    def theta_entry_coeffs(i: int, j: int) -> tuple[list[Fraction], Fraction]:
-        coeffs = [Fraction(0)] * n_unknowns
-        constant = Fraction(0)
-        if i == j:
-            constant = Q[i]
-        elif abs(i - j) == 1:
-            coeffs[min(i, j)] = Fraction(1)
-        return coeffs, constant
-
-    A: list[list[Fraction]] = []
-    b: list[Fraction] = []
-    for i in range(N):
-        for j in range(N):
-            row = [Fraction(0)] * n_unknowns
-            rhs = Fraction(0)
-            for k in range(N):
-                c1, d1 = theta_entry_coeffs(k, j)
-                c2, d2 = theta_entry_coeffs(i, k)
-                for m in range(n_unknowns):
-                    row[m] += H[k][i] * c1[m] - c2[m] * H[k][j]
-                rhs -= H[k][i] * d1 - d2 * H[k][j]
-            if any(row) or rhs != 0:
-                A.append(row)
-                b.append(rhs)
-    norm_row = [Fraction(0)] * n_unknowns
-    norm_row[0] = Fraction(1)
-    A.append(norm_row)
-    b.append(Fraction(1))
-    return _solve_rational(A, b)
+    H = rational_hamiltonian(N)
+    t = sp.symbols(f"t0:{N - 1}")
+    theta = rational_metric_Q(N)
+    for k in range(N - 1):
+        theta[k, k + 1] = theta[k + 1, k] = t[k]
+    solutions = sp.linsolve([*(H.T * theta - theta * H), t[0] - 1], t)
+    if solutions is sp.S.EmptySet:
+        raise ValueError("inconsistent system")
+    (solution,) = solutions
+    if any(value.free_symbols for value in solution):
+        raise ValueError("underdetermined system")
+    return list(solution)
 
 
-def _power_sums(poly: sp.Poly, k_max: int) -> list[sp.Rational]:
+def _power_sums(poly, k_max: int) -> list:
     """Newton's identities: sums of k-th powers of the roots of poly."""
+    import sympy as sp
+
     coeffs = poly.monic().all_coeffs()
     n = len(coeffs) - 1
     sums = [sp.Rational(n)]
@@ -233,8 +129,9 @@ def _exceptional_identity_symbolic(N: int) -> bool:
     summand is reduced modulo P_N (via the modular inverse of n), after
     which the sum over roots is a combination of exact power sums.
     """
-    x = sp.Symbol("x")
-    P = [sp.Poly(sp.legendre_poly(k, x), x, domain=sp.QQ) for k in range(N + 1)]
+    import sympy as sp
+
+    P = [sp.legendre_poly(k, polys=True) for k in range(N + 1)]
     q = [sp.Rational(2 * c + 1, 2) for c in range(N)]
     norm_poly = sum((P[c] * P[c]) * q[c] for c in range(N))
     p_N = P[N]
@@ -255,12 +152,13 @@ def _exceptional_identity_symbolic(N: int) -> bool:
 
 def _exceptional_identity_highprec(N: int) -> bool:
     """200-digit fallback for the same identity."""
+    import mpmath
+    import sympy as sp
+
+    threshold = mpmath.mpf("1e-150")
     with mpmath.workdps(FALLBACK_DPS):
         coefficients = [
-            mpmath.mpf(c.p) / mpmath.mpf(c.q)
-            for c in sp.Poly(
-                sp.legendre_poly(N, sp.Symbol("x")), sp.Symbol("x")
-            ).all_coeffs()
+            mpmath.mpf(c.p) / mpmath.mpf(c.q) for c in sp.legendre_poly(N, polys=True).all_coeffs()
         ]
         roots = mpmath.polyroots(coefficients, maxsteps=200, extraprec=400)
         q = [mpmath.mpf(2 * c + 1) / 2 for c in range(N)]
@@ -278,7 +176,7 @@ def _exceptional_identity_highprec(N: int) -> bool:
                     norm = sum(q[c] * ket[c] ** 2 for c in range(N))
                     total += ket[a] * ket[b] * q[b] / norm
                 worst = max(worst, abs(total - (1 if a == b else 0)))
-        return worst < FALLBACK_THRESHOLD
+        return worst < threshold
 
 
 def exact_exceptional_identity(N: int) -> bool:

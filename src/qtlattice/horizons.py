@@ -25,7 +25,7 @@ import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
 
 from .lattice import build_metric_Q
-from .metrics import sturm_count, tridiagonal_family
+from .metrics import _require_symmetric, sturm_count, tridiagonal_family
 
 __all__ = [
     "HorizonReport",
@@ -174,11 +174,10 @@ def hidden_horizon_scan(
     alpha_grid = np.asarray(alpha_grid, dtype=float)
     if not (np.all(np.isfinite(K)) and np.all(np.isfinite(alpha_grid))):
         raise ValueError("K and the alpha grid must be finite")
-    scale = max(1.0, np.max(np.abs(K)))
-    if np.max(np.abs(K - K.T)) > 1e-12 * scale:
-        raise ValueError("K must be symmetric")
     if K.shape != (N, N):
         raise ValueError("K has wrong shape")
+    _require_symmetric(K)
+    scale = max(1.0, np.max(np.abs(K)))
     family = tridiagonal_family(N)
     definiteness = family.definiteness(alpha_grid).tolist()
     couplings = family.coupling_base

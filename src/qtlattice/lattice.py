@@ -125,7 +125,7 @@ def ket(N: int, E: float) -> np.ndarray:
     """The length-N Legendre column (P_0(E), ..., P_{N-1}(E))."""
     if N < 1:
         raise ValueError("N must be positive")
-    return eval_P_table(N - 1, E).values.copy()
+    return eval_P_table(N - 1, E)
 
 
 def biorthogonal_system(N: int) -> BiorthogonalSystem:

@@ -15,7 +15,6 @@ import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
 
 __all__ = [
-    "PolynomialValueTable",
     "RootSet",
     "eval_P",
     "eval_P_derivative",
@@ -26,15 +25,6 @@ __all__ = [
 
 ROOT_TOL = 1e-14
 CROSS_CHECK_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class PolynomialValueTable:
-    """Values P_0(x), ..., P_degree_max(x) at a single argument."""
-
-    degree_max: int
-    argument: float
-    values: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -54,8 +44,8 @@ class RootSet:
         return [float(r) for r in self.roots]
 
 
-def eval_P_table(degree_max: int, x: float) -> PolynomialValueTable:
-    """Evaluate P_0..P_degree_max at x by upward recurrence."""
+def eval_P_table(degree_max: int, x: float) -> np.ndarray:
+    """Values P_0(x), ..., P_degree_max(x) by upward recurrence."""
     if degree_max < 0:
         raise ValueError("degree_max must be nonnegative")
     values = np.empty(degree_max + 1)
@@ -64,12 +54,12 @@ def eval_P_table(degree_max: int, x: float) -> PolynomialValueTable:
         values[1] = x
     for n in range(1, degree_max):
         values[n + 1] = ((2 * n + 1) * x * values[n] - n * values[n - 1]) / (n + 1)
-    return PolynomialValueTable(degree_max, x, values)
+    return values
 
 
 def eval_P(n: int, x: float) -> float:
     """Legendre polynomial P_n(x), upward three-term recurrence."""
-    return float(eval_P_table(n, x).values[n])
+    return float(eval_P_table(n, x)[n])
 
 
 def eval_P_derivative(n: int, x: float) -> float:
@@ -82,7 +72,7 @@ def eval_P_derivative(n: int, x: float) -> float:
         return 0.0
     if x == 1.0 or x == -1.0:
         return n * (n + 1) / 2 * x ** (n + 1)
-    table = eval_P_table(n, x).values
+    table = eval_P_table(n, x)
     return float(n * (x * table[n] - table[n - 1]) / (x * x - 1.0))
 
 

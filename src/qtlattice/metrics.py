@@ -44,6 +44,7 @@ __all__ = [
     "exceptional_kappa",
     "charge_operator",
     "kappa_from_metric",
+    "dieudonne_residual",
     "tridiagonal_metric",
     "tridiagonal_family",
     "is_positive_definite",
@@ -142,9 +143,10 @@ class TridiagonalMetricFamily:
         return MetricOperator(self.dimension, matrix, definiteness, "tridiagonal-family")
 
 
-def _require_symmetric(matrix: np.ndarray, tol: float = SYMMETRY_TOL) -> None:
+def _require_symmetric(matrix: np.ndarray) -> None:
+    """Raise unless max|M - M^T| <= 1e-12 max(1, max|M|)."""
     scale = max(1.0, np.max(np.abs(matrix)))
-    if np.max(np.abs(matrix - matrix.T)) > tol * scale:
+    if np.max(np.abs(matrix - matrix.T)) > SYMMETRY_TOL * scale:
         raise ValueError("matrix is not symmetric within tolerance")
 
 
@@ -289,21 +291,27 @@ def charge_operator(Q: DiagonalMetric, theta: MetricOperator) -> ChargeOperator:
     return ChargeOperator(theta.dimension, theta.matrix / Q.entries[:, None])
 
 
-def _dieudonne_residual(matrix: np.ndarray, N: int) -> float:
-    H = build_hamiltonian(N).to_dense()
-    return float(np.max(np.abs(H.T @ matrix - matrix @ H)))
+def dieudonne_residual(Lambda: np.ndarray, theta: MetricOperator) -> float:
+    """Normalized max-norm of Lambda^dagger Theta - Theta Lambda."""
+    Lambda = np.asarray(Lambda)
+    if Lambda.shape != theta.matrix.shape:
+        raise ValueError("dimension mismatch between Lambda and theta")
+    residual = Lambda.conj().T @ theta.matrix - theta.matrix @ Lambda
+    scale = max(1.0, np.max(np.abs(theta.matrix)) * np.max(np.abs(Lambda)))
+    return float(np.max(np.abs(residual)) / scale)
 
 
 def kappa_from_metric(system: BiorthogonalSystem, theta: MetricOperator) -> KappaVector:
     """Recover the weights of a family member: kappa_j = psi_j^T Theta psi_j / n_j^2.
 
-    Rejects matrices outside the family (intertwining residual too large),
-    for which the projection would be meaningless.
+    Rejects matrices outside the family, for which the projection would be
+    meaningless: dieudonne_residual(H, theta) > 1e-9, which is
+    max|H^T Theta - Theta H| > 1e-9 max(1, max|Theta|) because
+    max|H| = H[0, 1] = 1 for N >= 2 (at N = 1 both residuals are 0).
     """
     if theta.dimension != system.dimension:
         raise ValueError("dimension mismatch")
-    scale = max(1.0, float(np.max(np.abs(theta.matrix))))
-    if _dieudonne_residual(theta.matrix, system.dimension) > MEMBERSHIP_TOL * scale:
+    if dieudonne_residual(build_hamiltonian(system.dimension).to_dense(), theta) > MEMBERSHIP_TOL:
         raise ValueError("matrix does not intertwine with H: not in the metric family")
     quad = np.einsum("ij,ik,kj->j", system.kets, theta.matrix, system.kets)
     return KappaVector(system.dimension, quad / system.q_norms**2)

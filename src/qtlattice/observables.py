@@ -2,10 +2,11 @@
 
 An operator Lambda is an observable with respect to a metric Theta when
 Lambda^dagger Theta = Theta Lambda.  This module provides the direct
-residual test, a constructor of certified observables (Theta^{-1} K for
-symmetric K), and the overlap-matrix reformulation: with kets renormalized
-to unit Q-norm, the product M = U V of the two overlap matrices is
-Hermitian exactly when the residual test passes.
+residual test (`dieudonne_residual`, defined in `metrics`), a constructor
+of certified observables (Theta^{-1} K for symmetric K), and the
+overlap-matrix reformulation: with kets renormalized to unit Q-norm, the
+product M = U V of the two overlap matrices is Hermitian exactly when the
+residual test passes.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import BiorthogonalSystem
-from .metrics import KappaVector, MetricOperator
+from .metrics import KappaVector, MetricOperator, _require_symmetric, dieudonne_residual
 
 __all__ = [
     "ObservableSpectralData",
@@ -60,22 +61,10 @@ class OverlapPair:
     hermiticity_residual: float
 
 
-def dieudonne_residual(Lambda: np.ndarray, theta: MetricOperator) -> float:
-    """Normalized max-norm of Lambda^dagger Theta - Theta Lambda."""
-    Lambda = np.asarray(Lambda)
-    if Lambda.shape != theta.matrix.shape:
-        raise ValueError("dimension mismatch between Lambda and theta")
-    residual = Lambda.conj().T @ theta.matrix - theta.matrix @ Lambda
-    scale = max(1.0, np.max(np.abs(theta.matrix)) * np.max(np.abs(Lambda)))
-    return float(np.max(np.abs(residual)) / scale)
-
-
 def observable_from_hermitian(K: np.ndarray, theta: MetricOperator) -> np.ndarray:
     """Lambda = Theta^{-1} K, an observable for Theta by construction."""
     K = np.asarray(K, dtype=float)
-    scale = max(1.0, np.max(np.abs(K)))
-    if np.max(np.abs(K - K.T)) > 1e-12 * scale:
-        raise ValueError("K must be symmetric")
+    _require_symmetric(K)
     if 1.0 / np.linalg.cond(theta.matrix) < 1e-13:
         raise ValueError("theta is numerically singular")
     return np.linalg.solve(theta.matrix, K)

@@ -1,8 +1,17 @@
+import io
 import json
+import os
+import subprocess
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import qtlattice
 from qtlattice.cli import run
 
 
@@ -210,6 +219,121 @@ def test_non_finite_matrix_file_is_a_domain_error(capsys, tmp_path):
         status, out, err = invoke(argv, capsys)
         assert (status, out) == (1, "")
         assert "non-finite" in err
+
+
+@pytest.mark.parametrize(
+    "content",
+    ['{"dimension": 2}', "[[1.0, 0.0], [0.0, 1.0]]",
+     '{"dimension": 2, "matrix": [[1, "a"], [0, 1]]}', '{"dimension": 2, "matrix": {"a": 1}}',
+     "not json"],
+)
+def test_malformed_matrix_file_is_a_domain_error(content, capsys, tmp_path):
+    matrix_file = tmp_path / "bad.json"
+    matrix_file.write_text(content)
+    for argv in (
+        ["check-observability", "--n", "2", "--k-matrix", str(matrix_file)],
+        ["scan", "--n", "2", "--alpha-min", "0", "--alpha-max", "1", "--alpha-steps", "3",
+         "--k-matrix", str(matrix_file)],
+    ):
+        status, out, err = invoke(argv, capsys)
+        assert (status, out) == (1, "")
+        assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--t-max", "nan"], ["--t-max", "inf"], ["--t-steps", "-1"]],
+)
+def test_evolve_bad_time_grid_is_a_domain_error_without_output(argv, capsys):
+    status, out, err = invoke(["evolve", "--n", "3", *argv], capsys)
+    assert (status, out) == (1, "")
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["horizon", "--n", "2", "--format", "csv"], ["metric", "--n", "2", "--format", "json"],
+     ["spectrum", "--n", "2", "--seed", "1"], ["verify", "--seed", "3"]],
+)
+def test_removed_flags_are_usage_errors(argv, capsys):
+    status, out, _ = invoke(argv, capsys)
+    assert (status, out) == (2, "")
+
+
+def test_import_loads_neither_sympy_nor_mpmath():
+    code = (
+        "import sys, qtlattice, qtlattice.cli; "
+        "print([m for m in ('sympy', 'mpmath') if m in sys.modules])"
+    )
+    source_root = str(Path(qtlattice.__file__).resolve().parents[1])
+    path = os.pathsep.join([source_root, os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path)
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert result.stdout.strip() == "[]"
+
+
+# subcommand -> (required flags, optional flags)
+FUZZ_FLAGS = {
+    "spectrum": ([], ["--format"]),
+    "metric": ([], ["--alpha", "--kappa", "--require-positive"]),
+    "charge": ([], ["--alpha", "--kappa"]),
+    "horizon": ([], []),
+    "scan": (["--alpha-min", "--alpha-max", "--alpha-steps"], ["--k-matrix"]),
+    "check-observability": (["--k-matrix"], ["--kappa", "--tol-criterion"]),
+    "evolve": ([], ["--t-max", "--t-steps", "--kappa"]),
+    "verify": ([], ["--n-max"]),
+}
+FUZZ_VALUES = ["0", "1", "-1", "0.5", "1e300", "nan", "inf", "-inf", "abc", "", "1,-1",
+               "exceptional"]
+# counts stay <= 2000 so that no draw allocates a large grid
+FUZZ_COUNTS = ["-1", "0", "1", "2", "7", "2000", "nan", "abc"]
+
+
+@pytest.fixture(scope="module")
+def fuzz_matrix_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    contents = {
+        "eye2.json": json.dumps({"dimension": 2, "matrix": np.eye(2).tolist()}),
+        "diag3.json": json.dumps({"dimension": 3, "matrix": np.diag([1.0, -1.0, 2.0]).tolist()}),
+        "nan2.json": '{"dimension": 2, "matrix": [[1.0, NaN], [NaN, 1.0]]}',
+        "list.json": "[[1.0, 0.0], [0.0, 1.0]]",
+        "nokey.json": '{"dimension": 2}',
+        "garbage.json": "{matrix",
+    }
+    for name, text in contents.items():
+        (root / name).write_text(text)
+    return [str(root / name) for name in contents] + [str(root / "missing.json")]
+
+
+def _fuzz_value(draw, flag, matrix_files):
+    if flag == "--k-matrix":
+        return draw(st.sampled_from(matrix_files))
+    if flag in ("--alpha-steps", "--t-steps", "--n-max"):
+        return draw(st.sampled_from(FUZZ_COUNTS))
+    return draw(st.sampled_from(FUZZ_VALUES))
+
+
+@pytest.mark.parametrize("subcommand", sorted(FUZZ_FLAGS))
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_cli_fuzz_exit_status_and_clean_stdout(subcommand, fuzz_matrix_files, data):
+    """Any argv: status 0, 1 or 2, no escaping exception, no stdout on failure."""
+    required, optional = FUZZ_FLAGS[subcommand]
+    argv = [subcommand]
+    if subcommand != "verify":
+        argv += ["--n", data.draw(st.sampled_from(["1", "2", "3", "64"]))]
+    for flag in required + [f for f in optional if data.draw(st.booleans())]:
+        argv.append(flag)
+        if flag != "--require-positive":
+            argv.append(_fuzz_value(data.draw, flag, fuzz_matrix_files))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        status = run(argv)
+    assert status in (0, 1, 2), (argv, status)
+    if status != 0:
+        assert out.getvalue() == "", argv
 
 
 def test_csv_fields_are_numbers(capsys):

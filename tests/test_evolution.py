@@ -8,7 +8,9 @@ from qtlattice import (
     build_hamiltonian,
     build_metric_Q,
     metric_from_kappa,
+    biorthogonal_system,
     norm_drift,
+    norm_trajectory,
     propagator,
     theta_norm,
 )
@@ -103,3 +105,22 @@ def test_theta_norm_conserved_for_family_metrics(N, system_cache, rng):
         build_hamiltonian(N), theta, psi0, np.linspace(0, 10, 31)
     )
     assert drift_theta <= 1e-10
+
+
+def test_norm_trajectory_starts_at_the_state_norms():
+    theta = Q_metric(3)
+    psi0 = EvolutionState(3, np.array([1.0, -2.0, 0.5]))
+    theta_norms, dirac_norms = norm_trajectory(
+        biorthogonal_system(3), theta, psi0, np.linspace(0, 5, 6)
+    )
+    assert theta_norms.shape == dirac_norms.shape == (6,)
+    assert theta_norms[0] == pytest.approx(theta_norm(theta, psi0), rel=1e-13)
+    assert dirac_norms[0] == pytest.approx(5.25, rel=1e-13)
+    np.testing.assert_allclose(theta_norms, theta_norms[0], rtol=1e-12)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_time_grid_rejected(bad):
+    psi0 = EvolutionState(2, np.array([1.0, 1.0]))
+    with pytest.raises(ValueError, match="finite"):
+        norm_drift(build_hamiltonian(2), Q_metric(2), psi0, np.array([0.0, bad]))

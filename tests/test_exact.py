@@ -30,9 +30,9 @@ def test_intertwining_witness_nonzero_for_wrong_metric():
 def test_factorial_diagonal_matches_published_first_values():
     # the published closed form agrees with the recursion-derived metric at
     # the first two sites (1/2, 3/2) and departs at the third (5/4 vs 5/2)
-    entries = [factorial_diagonal(3).entries[i][i] for i in range(3)]
+    entries = [factorial_diagonal(3)[i, i] for i in range(3)]
     assert entries == [Fraction(1, 2), Fraction(3, 2), Fraction(5, 4)]
-    derived = [rational_metric_Q(3).entries[i][i] for i in range(3)]
+    derived = [rational_metric_Q(3)[i, i] for i in range(3)]
     assert derived == [Fraction(1, 2), Fraction(3, 2), Fraction(5, 2)]
 
 
@@ -76,14 +76,14 @@ def test_rational_hamiltonian_matches_float():
     dense = build_hamiltonian(4).to_dense()
     for i in range(4):
         for j in range(4):
-            assert dense[i, j] == float(exact_H.entries[i][j])
+            assert dense[i, j] == float(exact_H[i, j])
 
 
 def test_rational_Q_matches_float():
     exact_Q = rational_metric_Q(5)
     entries = build_metric_Q(5).entries
     for i in range(5):
-        assert entries[i] == float(exact_Q.entries[i][i])
+        assert entries[i] == float(exact_Q[i, i])
 
 
 def test_cost_guards():

@@ -20,8 +20,8 @@ def test_low_degree_values():
 
 def test_table_invariants():
     table = eval_P_table(6, 0.3)
-    assert table.values[0] == 1.0
-    assert table.values[1] == 0.3
+    assert table[0] == 1.0
+    assert table[1] == 0.3
 
 
 def test_derivative_small_cases():
@@ -54,7 +54,7 @@ def test_derivative_matches_finite_differences(rng):
     x=st.floats(min_value=-2.0, max_value=2.0, allow_nan=False),
 )
 def test_recurrence_residual(n, x):
-    table = eval_P_table(n + 1, x).values
+    table = eval_P_table(n + 1, x)
     residual = abs((n + 1) * table[n + 1] - (2 * n + 1) * x * table[n] + n * table[n - 1])
     assert residual <= 1e-12 * max(1.0, abs(table[n + 1]))
 
