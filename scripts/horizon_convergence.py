@@ -10,16 +10,19 @@ Usage: python scripts/horizon_convergence.py [N_max]
 
 import sys
 
-from qtlattice import horizon_convergence_scan
+from qtlattice import horizon_gamma
 
 
 def main():
     n_max = int(sys.argv[1]) if len(sys.argv) > 1 else 4096
     sizes = [2**k for k in range(1, 13) if 2**k <= n_max]
     print(f"{'N':>4}  {'gamma':>20}  {'|diff|':>12}")
-    for N, gamma, diff in horizon_convergence_scan(sizes):
-        diff_text = f"{diff:.6e}" if diff is not None else "-"
+    previous = None
+    for N in sizes:
+        gamma = horizon_gamma(N).gamma
+        diff_text = "-" if previous is None else f"{abs(gamma - previous):.6e}"
         print(f"{N:>4}  {gamma:.17f}  {diff_text:>12}")
+        previous = gamma
 
 
 if __name__ == "__main__":

@@ -35,7 +35,6 @@ from .horizons import (
     HorizonReport,
     RealityScan,
     hidden_horizon_scan,
-    horizon_convergence_scan,
     horizon_gamma,
 )
 from .observables import (

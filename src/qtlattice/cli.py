@@ -8,6 +8,7 @@ go to stderr.  Exit codes: 0 success, 1 domain error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 
@@ -220,6 +221,8 @@ def _cmd_check_observability(args, out):
 
 
 def _cmd_evolve(args, out):
+    if not np.isfinite(args.t_max):
+        raise DomainError("--t-max must be finite")
     system = lattice.biorthogonal_system(args.n)
     if args.kappa:
         theta = metrics.metric_from_kappa(system, _parse_kappa(args.kappa, system))
@@ -297,15 +300,18 @@ def run(argv: list[str]) -> int:
     if getattr(args, "n", 1) < 1:
         print("dimension must be at least 1", file=sys.stderr)
         return USAGE_ERROR
-    out = open(args.out, "w") if args.out else sys.stdout
+    # Buffered, so that a failed command writes nothing and leaves --out untouched.
+    out = io.StringIO()
     try:
         _COMMANDS[args.subcommand](args, out)
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(out.getvalue())
+        else:
+            sys.stdout.write(out.getvalue())
     except (DomainError, ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DOMAIN_ERROR
-    finally:
-        if args.out:
-            out.close()
     return 0
 
 

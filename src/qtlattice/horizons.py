@@ -14,7 +14,10 @@ about 2e-12 for every N from 2 to 4096, fifty times inside the tolerance
 
 Beyond gamma the metric is inadmissible, and companion observables
 Lambda(alpha) = Theta(alpha)^{-1} K lose spectral reality at their own,
-generally larger, "hidden" horizon.
+generally larger, "hidden" horizon.  A reality scan diagonalizes Lambda only
+where Theta(alpha) is indefinite: where the Sturm count labels it
+positive-definite, Lambda is quasi-Hermitian and its spectrum is real, so
+the largest imaginary part there is exactly zero.
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ __all__ = [
     "HorizonReport",
     "RealityScan",
     "horizon_gamma",
-    "horizon_convergence_scan",
     "hidden_horizon_scan",
 ]
 
@@ -136,39 +138,32 @@ def horizon_gamma(N: int) -> HorizonReport:
     )
 
 
-def horizon_convergence_scan(N_values: list[int]) -> list[tuple[int, float, float | None]]:
-    """gamma per N plus the successive absolute differences.
-
-    Returns (N, gamma, diff_from_previous); the first diff is None.
-    """
-    rows: list[tuple[int, float, float | None]] = []
-    previous = None
-    for N in N_values:
-        gamma = horizon_gamma(N).gamma
-        rows.append((N, gamma, None if previous is None else abs(gamma - previous)))
-        previous = gamma
-    return rows
-
-
 def hidden_horizon_scan(
     N: int, K: np.ndarray, alpha_grid: np.ndarray, label: str = "theta-inverse-K"
 ) -> RealityScan:
     """Scan the spectrum of Lambda(alpha) = Theta(alpha)^{-1} K for reality loss.
 
     Lambda(alpha) satisfies the intertwining condition with Theta(alpha) by
-    construction for every alpha, so its spectrum is guaranteed real while
-    Theta(alpha) is positive-definite; the first grid point where a complex
+    construction for every alpha; the first grid point where a complex
     eigenvalue appears is the observable's hidden horizon.
 
     Labels and the singular skip come from Sturm counts over the whole grid.
-    A point is skipped when Theta(alpha) has an eigenvalue in [-tau, tau],
-    tau = 1e-12 (max q + |alpha| max_n (t_{n-1} + t_n)).  tau bounds
-    1e-12 ||Theta||_inf >= 1e-12 ||Theta||_2 from above, so every point with
-    reciprocal condition number below 1e-12 is skipped, and tau >= thr of
-    the labels (max q >= 1.5), so every singular point is too.  The counts
-    err by at most about 1.1e-15 max|Theta| (see `metrics`).  The remaining
-    points are solved and diagonalized in stacks of about 4 MB, with the
-    same LAPACK calls on the same Theta(alpha) entries as one point at a time.
+    A point is skipped (max_imag NaN) when Theta(alpha) has an eigenvalue in
+    [-tau, tau], tau = 1e-12 (max q + |alpha| max_n (t_{n-1} + t_n)).  tau
+    bounds 1e-12 ||Theta||_inf >= 1e-12 ||Theta||_2 from above, so every
+    point with reciprocal condition number below 1e-12 is skipped, and
+    tau >= thr of the labels (max q >= 1.5), so every singular point is too;
+    a point labelled positive-definite with an eigenvalue in (thr, tau] is
+    skipped as well.
+
+    Only the indefinite points that are not skipped are solved and
+    diagonalized, in stacks of about 4 MB, with the same LAPACK calls on the
+    same Theta(alpha) entries as one point at a time.  The positive-definite
+    ones get max_imag = 0 exactly, without an eigensolve: with Theta > 0,
+    Lambda is similar to the symmetric Theta^{-1/2} K Theta^{-1/2}, so its
+    spectrum is real.  The label is exact here: it means no eigenvalue below
+    thr = 1e-12 max(1, max|Theta|) by a count that errs by at most about
+    1.1e-15 max|Theta| (see `metrics`), so lambda_min(Theta) > 0.
     """
     K = np.asarray(K, dtype=float)
     alpha_grid = np.asarray(alpha_grid, dtype=float)
@@ -179,7 +174,7 @@ def hidden_horizon_scan(
     _require_symmetric(K)
     scale = max(1.0, np.max(np.abs(K)))
     family = tridiagonal_family(N)
-    definiteness = family.definiteness(alpha_grid).tolist()
+    definiteness = family.definiteness(alpha_grid)
     couplings = family.coupling_base
     row_couplings = np.max(np.r_[couplings, 0.0] + np.r_[0.0, couplings])
     tau = SINGULAR_RCOND * (np.max(family.diagonal) + np.abs(alpha_grid) * row_couplings)
@@ -187,8 +182,9 @@ def hidden_horizon_scan(
     skip = sturm_count(family.diagonal, offdiagonal, tau) > sturm_count(
         family.diagonal, offdiagonal, -tau
     )
-    max_imag = np.full(len(alpha_grid), np.nan)
-    solved = np.flatnonzero(~skip)
+    positive = definiteness == "positive-definite"
+    max_imag = np.where(positive & ~skip, 0.0, np.nan)
+    solved = np.flatnonzero(~positive & ~skip)
     diagonal, coupling = np.diag(family.diagonal), family.coupling_matrix()
     chunk = max(1, _SCAN_CHUNK_BYTES // (8 * N * N))
     for start in range(0, len(solved), chunk):
@@ -202,7 +198,7 @@ def hidden_horizon_scan(
         observable_label=label,
         alpha_grid=alpha_grid,
         max_imag=max_imag,
-        definiteness=definiteness,
+        definiteness=definiteness.tolist(),
         first_crossing=float(alpha_grid[crossings[0]]) if len(crossings) else None,
         skipped_singular=alpha_grid[skip].tolist(),
     )

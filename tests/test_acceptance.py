@@ -101,8 +101,8 @@ def test_criterion_06_horizon():
         report = qt.horizon_gamma(N)
         assert report.cross_check_residual <= 1e-10
         assert report.gamma > 0
-    rows = qt.horizon_convergence_scan([2, 4, 8, 16, 32, 64])
-    diffs = [d for _, _, d in rows[1:]]
+    gammas = [qt.horizon_gamma(N).gamma for N in (2, 4, 8, 16, 32, 64)]
+    diffs = [abs(b - a) for a, b in zip(gammas, gammas[1:])]
     assert all(a > b for a, b in zip(diffs, diffs[1:]))
     _report(6, "gamma closed forms, method agreement N<=64, decreasing differences")
 

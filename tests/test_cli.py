@@ -260,18 +260,49 @@ def test_removed_flags_are_usage_errors(argv, capsys):
     assert (status, out) == (2, "")
 
 
+def _python(*args, check=True):
+    """Run a fresh interpreter that imports this qtlattice."""
+    source_root = str(Path(qtlattice.__file__).resolve().parents[1])
+    path = os.pathsep.join([source_root, os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, check=check
+    )
+
+
+def test_evolve_infinite_t_max_prints_only_the_error():
+    # numpy's linspace warns on an infinite endpoint, so the check must come first
+    result = _python("-m", "qtlattice.cli", "evolve", "--n", "3", "--t-max", "inf", check=False)
+    assert (result.returncode, result.stdout) == (1, "")
+    assert result.stderr.splitlines() == ["error: --t-max must be finite"]
+
+
+def test_failed_command_leaves_out_file_untouched(capsys, tmp_path):
+    out_file = tmp_path / "theta.json"
+    out_file.write_text('{"kept": true}\n')
+    status, out, err = invoke(
+        ["metric", "--n", "2", "--alpha", "2.0", "--require-positive", "--out", str(out_file)],
+        capsys,
+    )
+    assert (status, out) == (1, "")
+    assert err.startswith("error: ")
+    assert out_file.read_text() == '{"kept": true}\n'
+
+
+def test_unopenable_out_file_is_a_domain_error(capsys, tmp_path):
+    status, out, err = invoke(
+        ["spectrum", "--n", "2", "--out", str(tmp_path / "missing" / "x")], capsys
+    )
+    assert (status, out) == (1, "")
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
 def test_import_loads_neither_sympy_nor_mpmath():
     code = (
         "import sys, qtlattice, qtlattice.cli; "
         "print([m for m in ('sympy', 'mpmath') if m in sys.modules])"
     )
-    source_root = str(Path(qtlattice.__file__).resolve().parents[1])
-    path = os.pathsep.join([source_root, os.environ.get("PYTHONPATH", "")])
-    env = dict(os.environ, PYTHONPATH=path)
-    result = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
-    )
-    assert result.stdout.strip() == "[]"
+    assert _python("-c", code).stdout.strip() == "[]"
 
 
 # subcommand -> (required flags, optional flags)

@@ -4,11 +4,11 @@ import pytest
 from qtlattice import (
     build_hamiltonian,
     hidden_horizon_scan,
-    horizon_convergence_scan,
     horizon_gamma,
     spectrum,
     tridiagonal_metric,
 )
+from qtlattice.metrics import sturm_count
 
 
 def test_gamma_closed_forms():
@@ -45,8 +45,15 @@ def test_gamma_decreasing_in_N():
         pytest.fail("gamma(N) monotonicity broke; investigate before relying on it")
 
 
+def _convergence_rows(N_values):
+    """(N, gamma, |gamma - previous gamma|) per N; the first difference is None."""
+    gammas = [horizon_gamma(N).gamma for N in N_values]
+    diffs = [None] + [abs(b - a) for a, b in zip(gammas, gammas[1:])]
+    return list(zip(N_values, gammas, diffs))
+
+
 def test_convergence_scan():
-    rows = horizon_convergence_scan([2, 3])
+    rows = _convergence_rows([2, 3])
     assert rows[0][0] == 2 and rows[0][1] == pytest.approx(np.sqrt(3) / 2, abs=1e-10)
     assert rows[1][1] == pytest.approx(np.sqrt(5 / 12), abs=1e-10)
     assert rows[0][2] is None
@@ -54,7 +61,7 @@ def test_convergence_scan():
 
 
 def test_convergence_scan_differences_decrease():
-    rows = horizon_convergence_scan([2, 4, 8, 16, 32, 64])
+    rows = _convergence_rows([2, 4, 8, 16, 32, 64])
     assert all(gamma > 0 for _, gamma, _ in rows)
     diffs = [d for _, _, d in rows[1:]]
     assert all(a > b for a, b in zip(diffs, diffs[1:]))
@@ -181,3 +188,78 @@ def test_scan_rejects_non_finite_input(bad):
         hidden_horizon_scan(2, np.eye(2), np.array([0.1, bad]))
     with pytest.raises(ValueError):
         hidden_horizon_scan(2, np.array([[1.0, 0.0], [0.0, bad]]), np.array([0.1]))
+
+
+def test_scan_diagonalizes_only_indefinite_points(rng, monkeypatch):
+    import qtlattice.horizons as horizons
+
+    solved, eigensolved = [], []
+    solve, eigvals = np.linalg.solve, np.linalg.eigvals
+
+    def counting_solve(thetas, K):
+        solved.extend(np.atleast_3d(thetas)[:, 0, 1])  # Theta(alpha)_{01} = alpha t_0 = alpha
+        return solve(thetas, K)
+
+    def counting_eigvals(matrices):
+        eigensolved.append(len(matrices))
+        return eigvals(matrices)
+
+    N = 8
+    gamma = horizon_gamma(N).gamma
+    grid = np.linspace(-2.0 * gamma, 2.0 * gamma, 201)
+    monkeypatch.setattr(horizons.np.linalg, "solve", counting_solve)
+    monkeypatch.setattr(horizons.np.linalg, "eigvals", counting_eigvals)
+    K = rng.normal(size=(N, N))
+    scan = hidden_horizon_scan(N, K + K.T, grid)
+    labels = np.array(scan.definiteness)
+    skipped = np.isin(grid, scan.skipped_singular)
+    indefinite = (labels == "indefinite") & ~skipped
+    assert 0 < indefinite.sum() < len(grid) and (labels == "positive-definite").sum() > 0
+    np.testing.assert_array_equal(solved, grid[indefinite])
+    assert sum(eigensolved) == indefinite.sum()
+    positive = scan.max_imag[labels == "positive-definite"]
+    assert np.all(positive == 0.0) and not np.any(np.signbit(positive))
+
+
+@pytest.mark.parametrize("N", [2, 64])
+def test_positive_definite_point_near_singular_is_skipped(N):
+    # an alpha just below gamma with lambda_min(Theta) in (thr, tau]: labelled
+    # positive-definite, yet skipped as numerically singular
+    q, t = np.arange(N) + 0.5, np.arange(1.0, N)
+
+    def thr_and_tau(alpha):
+        thr = 1e-12 * max(1.0, q.max(), alpha * t.max())
+        return thr, 1e-12 * (q.max() + alpha * np.max(np.r_[t, 0.0] + np.r_[0.0, t]))
+
+    lo, hi = 0.0, horizon_gamma(N).gamma
+    shift = np.mean(thr_and_tau(hi))
+    for _ in range(200):  # lambda_min(Theta(lo)) stays above the shift
+        mid = 0.5 * (lo + hi)
+        if sturm_count(q, mid * t, shift) == 0:
+            lo = mid
+        else:
+            hi = mid
+    alpha = lo
+    thr, tau = thr_and_tau(alpha)
+    assert sturm_count(q, alpha * t, thr) == 0 and sturm_count(q, alpha * t, tau) == 1
+    scan = hidden_horizon_scan(N, np.eye(N), np.array([alpha]))
+    assert scan.definiteness == ["positive-definite"]
+    assert scan.skipped_singular == [alpha]
+    assert np.isnan(scan.max_imag[0])
+
+
+@pytest.mark.parametrize("N", [2, 8, 64])
+def test_positive_metric_makes_theta_inverse_K_real(N, rng):
+    """The theorem the scan uses in place of an eigensolve inside gamma, checked densely."""
+    q = np.arange(N) + 0.5
+    couplings = np.arange(1.0, N)
+    T = np.diag(couplings, 1) + np.diag(couplings, -1)
+    S = T / np.sqrt(np.outer(q, q))
+    gamma = 1.0 / np.max(np.abs(np.linalg.eigvalsh(S)))
+    for alpha in rng.uniform(-gamma, gamma, 10):
+        theta = np.diag(q) + alpha * T
+        for _ in range(5):
+            K = rng.normal(size=(N, N))
+            K = K + K.T
+            imag = np.abs(np.linalg.eigvals(np.linalg.solve(theta, K)).imag)
+            assert imag.max() <= 1e-9 * max(1.0, np.max(np.abs(K)))
