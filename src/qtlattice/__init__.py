@@ -26,7 +26,6 @@ from .metrics import (
     TridiagonalMetricFamily,
     charge_operator,
     exceptional_kappa,
-    is_positive_definite,
     kappa_from_metric,
     metric_from_kappa,
     tridiagonal_metric,

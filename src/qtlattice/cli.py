@@ -18,7 +18,6 @@ from . import evolution, exact, horizons, lattice, metrics, observables
 
 USAGE_ERROR = 2
 DOMAIN_ERROR = 1
-TOLERANCE_NAMES = ("criterion",)
 
 
 class DomainError(Exception):
@@ -30,34 +29,12 @@ def _dump_json(obj, stream) -> None:
     stream.write("\n")
 
 
-def _usage_error(message: str):
-    print(f"usage error: {message}", file=sys.stderr)
-    raise SystemExit(USAGE_ERROR)
-
-
-def _parse_tolerances(argv: list[str]) -> tuple[list[str], dict[str, float]]:
-    """Strip --tol-NAME VALUE pairs before argparse sees them."""
-    remaining: list[str] = []
-    tolerances: dict[str, float] = {}
-    i = 0
-    while i < len(argv):
-        token = argv[i]
-        if token.startswith("--tol-"):
-            name = token[len("--tol-") :]
-            if name not in TOLERANCE_NAMES:
-                _usage_error(f"unknown tolerance {token}")
-            try:
-                value = float(argv[i + 1])
-            except (IndexError, ValueError):
-                _usage_error(f"{token} needs a numeric value")
-            if not 0.0 < value < np.inf:
-                _usage_error(f"tolerance {name} must be positive and finite")
-            tolerances[name] = value
-            i += 2
-        else:
-            remaining.append(token)
-            i += 1
-    return remaining, tolerances
+def _positive_finite(text: str) -> float:
+    """argparse type of a tolerance; argparse reports float's ValueError itself."""
+    value = float(text)
+    if not 0.0 < value < np.inf:
+        raise argparse.ArgumentTypeError(f"{text!r} is not positive and finite")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -100,6 +77,12 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--k-matrix", required=True, help="JSON file with the candidate matrix")
     p.add_argument("--kappa", default="exceptional")
+    p.add_argument(
+        "--tol-criterion",
+        type=_positive_finite,
+        default=observables.DEFAULT_CRITERION_TOL,
+        help="tolerance of both observability tests",
+    )
 
     p = sub.add_parser("evolve", help="Theta-norm and Dirac-norm along the evolution")
     common(p)
@@ -203,7 +186,7 @@ def _cmd_check_observability(args, out):
     kappa = _parse_kappa(args.kappa, system)
     theta = metrics.metric_from_kappa(system, kappa)
     residual = observables.dieudonne_residual(Lambda, theta)
-    tol = args.tolerances.get("criterion", observables.DEFAULT_CRITERION_TOL)
+    tol = args.tol_criterion
     report = {
         "dimension": args.n,
         "dieudonne_residual": residual,
@@ -287,16 +270,11 @@ _COMMANDS = {
 
 def run(argv: list[str]) -> int:
     """Dispatch a CLI invocation; returns the process exit status."""
-    try:
-        argv, tolerances = _parse_tolerances(argv)
-    except SystemExit as exc:
-        return exc.code
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return USAGE_ERROR if exc.code else 0
-    args.tolerances = tolerances
     if getattr(args, "n", 1) < 1:
         print("dimension must be at least 1", file=sys.stderr)
         return USAGE_ERROR

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .legendre import RootSet, eval_P_table, jacobi_eigenvalues, roots_P
+from .legendre import RootSet, eval_P_table, roots_P
 
 __all__ = [
     "LatticeHamiltonian",
@@ -27,7 +27,6 @@ __all__ = [
     "biorthogonal_system",
 ]
 
-SPECTRUM_CHECK_TOL = 1e-10
 EIGEN_RESIDUAL_TOL = 1e-12
 
 
@@ -100,45 +99,44 @@ def build_metric_Q(N: int) -> DiagonalMetric:
 
 
 def spectrum(H: LatticeHamiltonian) -> RootSet:
-    """Eigenvalues of H via the symmetric similarity transform.
+    """Eigenvalues of H: the roots of P_N, as returned by `roots_P`.
 
-    h = Q^(1/2) H Q^(-1/2) is symmetric tridiagonal with couplings
-    sqrt(superdiag * subdiag); its eigenvalues are cross-checked against the
-    independently computed roots of P_N.
+    H is the N x N truncation of the Legendre recurrence, so its
+    characteristic polynomial is proportional to P_N.  `roots_P` already
+    cross-checks its Newton roots against the Jacobi-matrix eigenvalues
+    (the symmetrized H), so no second eigensolve is made here.
     """
-    N = H.dimension
-    values = jacobi_eigenvalues(N)
-    # enforce the exact antisymmetry of the spectrum (shared RootSet invariant)
-    values = 0.5 * (values - values[::-1])
-    if N % 2 == 1:
-        values[N // 2] = 0.0
-    reference = roots_P(N).roots
-    disagreement = np.max(np.abs(values - reference))
-    if disagreement > SPECTRUM_CHECK_TOL:
-        raise RuntimeError(
-            f"eigensolve and polynomial roots disagree by {disagreement:.3e}"
-        )
-    return RootSet(N, values)
+    return roots_P(H.dimension)
 
 
-def ket(N: int, E: float) -> np.ndarray:
-    """The length-N Legendre column (P_0(E), ..., P_{N-1}(E))."""
+def ket(N: int, E) -> np.ndarray:
+    """The length-N Legendre column (P_0(E), ..., P_{N-1}(E)).
+
+    For an array of energies, ket(N, E)[:, j] is the column of E[j].
+    """
     if N < 1:
         raise ValueError("N must be positive")
     return eval_P_table(N - 1, E)
 
 
 def biorthogonal_system(N: int) -> BiorthogonalSystem:
-    """Assemble and validate the full biorthogonal eigensystem at size N."""
+    """Assemble and validate the full biorthogonal eigensystem at size N.
+
+    The kets come from one recurrence over all roots of P_N.  Gates: the eigen
+    residual max|H kets - kets E| (from the two bands of H) is at most
+    EIGEN_RESIDUAL_TOL, and kets^T Q kets is diagonal to 1e-12 of max q_norm.
+    """
     H = build_hamiltonian(N)
     Q = build_metric_Q(N)
     eigenvalues = spectrum(H)
-    kets = np.column_stack([ket(N, E) for E in eigenvalues.roots])
+    kets = ket(N, eigenvalues.roots)
     ketkets = Q.entries[:, None] * kets
     q_norms = np.einsum("ij,ij->j", kets, ketkets)
 
-    Hd = H.to_dense()
-    residual = np.max(np.abs(Hd @ kets - kets * eigenvalues.roots[None, :]))
+    misfit = kets * eigenvalues.roots[None, :]  # kets E - H kets, band by band
+    misfit[:-1] -= H.superdiagonal[:, None] * kets[1:]
+    misfit[1:] -= H.subdiagonal[:, None] * kets[:-1]
+    residual = np.max(np.abs(misfit))
     if residual > EIGEN_RESIDUAL_TOL:
         raise RuntimeError(f"eigenvector residual {residual:.3e} exceeds tolerance")
     gram = kets.T @ ketkets

@@ -44,11 +44,16 @@ class RootSet:
         return [float(r) for r in self.roots]
 
 
-def eval_P_table(degree_max: int, x: float) -> np.ndarray:
-    """Values P_0(x), ..., P_degree_max(x) by upward recurrence."""
+def eval_P_table(degree_max: int, x) -> np.ndarray:
+    """Values P_0(x), ..., P_degree_max(x) by upward recurrence.
+
+    For an array `x`, row n holds P_n at every point, computed by the same
+    operations as for a scalar, so batching the points leaves values unchanged.
+    """
     if degree_max < 0:
         raise ValueError("degree_max must be nonnegative")
-    values = np.empty(degree_max + 1)
+    x = np.asarray(x, dtype=float)
+    values = np.empty((degree_max + 1,) + x.shape)
     values[0] = 1.0
     if degree_max >= 1:
         values[1] = x

@@ -47,7 +47,6 @@ __all__ = [
     "dieudonne_residual",
     "tridiagonal_metric",
     "tridiagonal_family",
-    "is_positive_definite",
     "classify_definiteness",
     "sturm_count",
     "tridiagonal_definiteness",
@@ -250,11 +249,6 @@ def classify_definiteness(matrix: np.ndarray) -> str:
     if abs(smallest) <= threshold:
         return "singular"
     return "positive-definite" if smallest > 0 else "indefinite"
-
-
-def is_positive_definite(theta: MetricOperator) -> str:
-    """Definiteness classification of a metric operator."""
-    return classify_definiteness(theta.matrix)
 
 
 def metric_from_kappa(

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import eig
 
 from .lattice import BiorthogonalSystem
 from .metrics import KappaVector, MetricOperator, _require_symmetric, dieudonne_residual
@@ -38,9 +39,9 @@ class ObservableSpectralData:
     """Left/right eigensystem of a candidate observable.
 
     right_vectors[:, j] and left_vectors[:, j] (eigenvectors of the
-    transpose) share eigenvalue eigenvalues[j]; pairing_norms[j] is the
-    unconjugated overlap left_j . right_j, so the spectral reconstruction
-    reads Lambda = sum_j right_j (lambda_j / pairing_j) left_j^T.
+    transpose, Lambda^T l = lambda l) share eigenvalue eigenvalues[j];
+    pairing_norms[j] is the unconjugated overlap left_j . right_j, so the
+    spectral reconstruction reads Lambda = sum_j right_j (lambda_j / pairing_j) left_j^T.
     """
 
     dimension: int
@@ -70,40 +71,25 @@ def observable_from_hermitian(K: np.ndarray, theta: MetricOperator) -> np.ndarra
     return np.linalg.solve(theta.matrix, K)
 
 
-def _match_left_to_right(
-    eigenvalues: np.ndarray, left_values: np.ndarray
-) -> np.ndarray:
-    """Permutation aligning the transpose eigensystem with the right one."""
-    order = np.empty(len(eigenvalues), dtype=int)
-    used = np.zeros(len(eigenvalues), dtype=bool)
-    for j, value in enumerate(eigenvalues):
-        distances = np.where(used, np.inf, np.abs(left_values - value))
-        k = int(np.argmin(distances))
-        order[j] = k
-        used[k] = True
-    return order
-
-
 def spectral_data(Lambda: np.ndarray) -> ObservableSpectralData:
     """Full biorthogonal eigensystem of Lambda with validation.
 
-    Requires a simple spectrum (minimum gap above 1e-10); left vectors are
-    computed independently as eigenvectors of the transpose and matched to
-    the right ones by eigenvalue.
+    Requires a simple spectrum (minimum gap above 1e-10).  One LAPACK
+    `geev` call returns both eigenvector sets for the same eigenvalues:
+    its left vectors v satisfy v^H Lambda = lambda v^H, so their conjugates
+    are the eigenvectors of Lambda^T.  Eigenvalues are sorted by real, then
+    imaginary part, and both vector sets follow the same permutation.
     """
     Lambda = np.asarray(Lambda, dtype=complex)
     N = Lambda.shape[0]
-    eigenvalues, right = np.linalg.eig(Lambda)
+    eigenvalues, left, right = eig(Lambda, left=True, right=True)
     order = np.lexsort((eigenvalues.imag, eigenvalues.real))
-    eigenvalues, right = eigenvalues[order], right[:, order]
+    eigenvalues, right, left = eigenvalues[order], right[:, order], left[:, order].conj()
     if N > 1:
         gaps = np.abs(eigenvalues[:, None] - eigenvalues[None, :])
         np.fill_diagonal(gaps, np.inf)
         if gaps.min() <= GAP_TOL:
             raise ValueError("spectrum is degenerate or near-degenerate")
-    left_values, left = np.linalg.eig(Lambda.T)
-    match = _match_left_to_right(eigenvalues, left_values)
-    left = left[:, match]
     pairing = np.einsum("ij,ij->j", left, right)
     if np.min(np.abs(pairing)) < 1e-13:
         raise ValueError("vanishing left/right pairing norm")

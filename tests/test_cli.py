@@ -394,4 +394,24 @@ def test_csv_fields_are_numbers(capsys):
 def test_tolerance_usage_errors(tolerance, capsys):
     status, out, err = invoke(["spectrum", "--n", "3", *tolerance], capsys)
     assert (status, out) == (2, "")
-    assert "usage error" in err
+    assert "error:" in err
+
+
+@pytest.mark.parametrize("subcommand", ["spectrum", "horizon"])
+def test_tolerance_outside_check_observability_is_a_usage_error(subcommand, capsys):
+    status, out, err = invoke([subcommand, "--n", "3", "--tol-criterion", "1e-3"], capsys)
+    assert (status, out) == (2, "")
+    assert "unrecognized arguments: --tol-criterion" in err
+
+
+@pytest.mark.parametrize("value", ["abc", "nan", "inf", "0", "-1e-3"])
+def test_tol_criterion_must_be_positive_and_finite(value, capsys, tmp_path):
+    matrix_file = tmp_path / "eye.json"
+    matrix_file.write_text(json.dumps({"dimension": 2, "matrix": np.eye(2).tolist()}))
+    argv = ["check-observability", "--n", "2", "--k-matrix", str(matrix_file)]
+    status, out, err = invoke(argv + ["--tol-criterion", value], capsys)
+    assert (status, out) == (2, "")
+    assert "argument --tol-criterion" in err
+    status, out, _ = invoke(argv + ["--tol-criterion", "1e-3"], capsys)
+    assert status == 0
+    assert json.loads(out)["tolerance"] == 1e-3

@@ -8,7 +8,7 @@ from qtlattice import (
     ket,
     spectrum,
 )
-from qtlattice.legendre import eval_P
+from qtlattice.legendre import eval_P, eval_P_table, roots_P
 
 
 def test_hamiltonian_entries_small():
@@ -108,3 +108,27 @@ def test_biorthogonality(N, system_cache):
     gram = system.kets.T @ system.ketkets
     off = gram - np.diag(np.diag(gram))
     assert np.max(np.abs(off)) <= 1e-12 * np.max(system.q_norms)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 64])
+def test_spectrum_is_roots_P(N, system_cache):
+    roots = roots_P(N).roots
+    np.testing.assert_array_equal(spectrum(build_hamiltonian(N)).roots, roots, strict=True)
+    np.testing.assert_array_equal(system_cache(N).eigenvalues.roots, roots, strict=True)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 64])
+def test_kets_equal_per_root_recurrence(N, system_cache):
+    system = system_cache(N)
+    reference = np.column_stack(
+        [eval_P_table(N - 1, E) for E in system.eigenvalues.roots]
+    )
+    np.testing.assert_array_equal(system.kets, reference, strict=True)
+    np.testing.assert_array_equal(ket(N, system.eigenvalues.roots), reference, strict=True)
+
+
+def test_eigen_residual_at_256(system_cache):
+    system = system_cache(256)
+    H = build_hamiltonian(256).to_dense()
+    residual = np.max(np.abs(H @ system.kets - system.kets * system.eigenvalues.roots))
+    assert residual <= 2e-13

@@ -10,7 +10,6 @@ from qtlattice import (
     build_metric_Q,
     charge_operator,
     exceptional_kappa,
-    is_positive_definite,
     kappa_from_metric,
     metric_from_kappa,
     tridiagonal_metric,
@@ -168,7 +167,7 @@ def test_definiteness_classification():
     assert classify_definiteness(np.diag([0.5, 1.5])) == "positive-definite"
     assert tridiagonal_metric(2, 0.8660254037844386).definiteness == "singular"
     assert tridiagonal_metric(2, 1.0).definiteness == "indefinite"
-    assert is_positive_definite(tridiagonal_metric(2, 0.5)) == "positive-definite"
+    assert classify_definiteness(tridiagonal_metric(2, 0.5).matrix) == "positive-definite"
 
 
 def test_classification_rejects_asymmetric():

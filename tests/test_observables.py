@@ -84,6 +84,18 @@ def test_spectral_data_complex_pair():
     )
 
 
+def test_spectral_data_left_vectors_are_transpose_eigenvectors(rng):
+    Lam = rng.normal(size=(64, 64))
+    data = spectral_data(Lam)
+    assert np.max(np.abs(data.eigenvalues.imag)) > 0.1  # complex pairs present
+    values = data.eigenvalues[None, :]
+    right = np.max(np.abs(Lam @ data.right_vectors - data.right_vectors * values))
+    left = np.max(np.abs(Lam.T @ data.left_vectors - data.left_vectors * values))
+    bound = 1e-12 * np.max(np.abs(Lam))
+    assert right <= bound
+    assert left <= bound
+
+
 def test_spectral_data_rejects_degenerate():
     with pytest.raises(ValueError):
         spectral_data(np.eye(3))
