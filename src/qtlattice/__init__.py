@@ -8,7 +8,7 @@ tridiagonal metric slice, and metric-unitary time evolution.  An
 exact-rational oracle pins down the closed forms at small sizes.
 """
 
-from .legendre import RootSet, eval_P, eval_P_derivative, roots_P
+from .legendre import RootSet, roots_P
 from .lattice import (
     BiorthogonalSystem,
     DiagonalMetric,

@@ -38,43 +38,41 @@ def _positive_finite(text: str) -> float:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # allow_abbrev=False on every parser: subparsers do not inherit it, and a
+    # prefix such as --form would otherwise be accepted as --format.
     parser = argparse.ArgumentParser(
-        prog="qtlattice", description="Legendre-lattice quasi-Hermitian toolkit"
+        prog="qtlattice", description="Legendre-lattice quasi-Hermitian toolkit", allow_abbrev=False
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, needs_n=True):
+    def command(name, help, needs_n=True):
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
         if needs_n:
             p.add_argument("--n", type=int, required=True, help="lattice size N")
         p.add_argument("--out", default=None, help="output file (default stdout)")
+        return p
 
-    p = sub.add_parser("spectrum", help="eigenvalues of the lattice Hamiltonian")
-    common(p)
+    p = command("spectrum", "eigenvalues of the lattice Hamiltonian")
     p.add_argument("--format", choices=("json", "csv"), default="json")
 
-    p = sub.add_parser("metric", help="a metric operator (diagonal, kappa or tridiagonal)")
-    common(p)
+    p = command("metric", "a metric operator (diagonal, kappa or tridiagonal)")
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--kappa", default=None, help='comma list or "exceptional"')
     p.add_argument("--require-positive", action="store_true")
 
-    p = sub.add_parser("charge", help="charge operator C = Q^{-1} Theta")
-    common(p)
+    p = command("charge", "charge operator C = Q^{-1} Theta")
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--kappa", default=None)
 
-    p = sub.add_parser("horizon", help="positivity boundary gamma of the tridiagonal family")
-    common(p)
+    command("horizon", "positivity boundary gamma of the tridiagonal family")
 
-    p = sub.add_parser("scan", help="reality scan of Theta(alpha)^{-1} K over an alpha grid")
-    common(p)
+    p = command("scan", "reality scan of Theta(alpha)^{-1} K over an alpha grid")
     p.add_argument("--alpha-min", type=float, required=True)
     p.add_argument("--alpha-max", type=float, required=True)
     p.add_argument("--alpha-steps", type=int, required=True)
     p.add_argument("--k-matrix", default=None, help="JSON matrix file (default identity)")
 
-    p = sub.add_parser("check-observability", help="Dieudonne + overlap-product tests")
-    common(p)
+    p = command("check-observability", "Dieudonne + overlap-product tests")
     p.add_argument("--k-matrix", required=True, help="JSON file with the candidate matrix")
     p.add_argument("--kappa", default="exceptional")
     p.add_argument(
@@ -84,14 +82,12 @@ def _build_parser() -> argparse.ArgumentParser:
         help="tolerance of both observability tests",
     )
 
-    p = sub.add_parser("evolve", help="Theta-norm and Dirac-norm along the evolution")
-    common(p)
+    p = command("evolve", "Theta-norm and Dirac-norm along the evolution")
     p.add_argument("--t-max", type=float, default=10.0)
     p.add_argument("--t-steps", type=int, default=101)
     p.add_argument("--kappa", default=None)
 
-    p = sub.add_parser("verify", help="run the exact-arithmetic oracle checks")
-    common(p, needs_n=False)
+    p = command("verify", "run the exact-arithmetic oracle checks", needs_n=False)
     p.add_argument("--n-max", type=int, default=8)
     return parser
 

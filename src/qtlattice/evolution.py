@@ -22,18 +22,25 @@ COMPATIBILITY_TOL = 1e-10
 
 @dataclass(frozen=True)
 class EvolutionState:
-    """A state vector."""
+    """A nonzero state vector of finite amplitudes, `dimension` of them."""
 
     dimension: int
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        if not np.any(self.amplitudes):
+        amplitudes = np.asarray(self.amplitudes)
+        if amplitudes.shape != (self.dimension,):
+            raise ValueError(f"state of dimension {self.dimension} has shape {amplitudes.shape}")
+        if not np.all(np.isfinite(amplitudes)):
+            raise ValueError("state amplitudes must be finite")
+        if not np.any(amplitudes):
             raise ValueError("state must be nonzero")
 
 
 def propagator(H: LatticeHamiltonian, t: float) -> np.ndarray:
-    """exp(-i H t) via the spectral decomposition of H."""
+    """exp(-i H t) via the spectral decomposition of H; a non-finite t raises ValueError."""
+    if not np.isfinite(t):
+        raise ValueError("t must be finite")
     N = H.dimension
     if t == 0.0:
         return np.eye(N, dtype=complex)

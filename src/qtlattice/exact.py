@@ -21,12 +21,10 @@ __all__ = [
     "exact_exceptional_identity",
 ]
 
-# sympy and mpmath are imported inside the functions that use them, so that
-# importing the package does not pay for them unless an exact check runs.
+# sympy is imported inside the functions that use it, so that importing the
+# package does not pay for it unless an exact check runs.
 
 INTERTWINING_N_MAX = 12
-IDENTITY_N_MAX_SYMBOLIC = 8
-FALLBACK_DPS = 200
 
 
 def rational_hamiltonian(N: int):
@@ -150,45 +148,14 @@ def _exceptional_identity_symbolic(N: int) -> bool:
     return True
 
 
-def _exceptional_identity_highprec(N: int) -> bool:
-    """200-digit fallback for the same identity."""
-    import mpmath
-    import sympy as sp
-
-    threshold = mpmath.mpf("1e-150")
-    with mpmath.workdps(FALLBACK_DPS):
-        coefficients = [
-            mpmath.mpf(c.p) / mpmath.mpf(c.q) for c in sp.legendre_poly(N, polys=True).all_coeffs()
-        ]
-        roots = mpmath.polyroots(coefficients, maxsteps=200, extraprec=400)
-        q = [mpmath.mpf(2 * c + 1) / 2 for c in range(N)]
-        kets = []
-        for root in roots:
-            table = [mpmath.mpf(1), root]
-            for n in range(1, N - 1):
-                table.append(((2 * n + 1) * root * table[n] - n * table[n - 1]) / (n + 1))
-            kets.append(table[:N])
-        worst = mpmath.mpf(0)
-        for a in range(N):
-            for b in range(N):
-                total = mpmath.mpf(0)
-                for ket in kets:
-                    norm = sum(q[c] * ket[c] ** 2 for c in range(N))
-                    total += ket[a] * ket[b] * q[b] / norm
-                worst = max(worst, abs(total - (1 if a == b else 0)))
-        return worst < threshold
-
-
 def exact_exceptional_identity(N: int) -> bool:
     """Exact check that the exceptional weights reproduce the diagonal metric.
 
-    Uses the symbolic modular-arithmetic route for small N and the
-    200-digit numeric fallback otherwise.
+    Runs the symbolic modular-arithmetic route at every N >= 2; its cost
+    grows with N (about 1 s at N = 24 and 4 s at N = 32).
     """
     if N < 1:
         raise ValueError("N must be positive")
     if N == 1:
         return True
-    if N <= IDENTITY_N_MAX_SYMBOLIC:
-        return _exceptional_identity_symbolic(N)
-    return _exceptional_identity_highprec(N)
+    return _exceptional_identity_symbolic(N)

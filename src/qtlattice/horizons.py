@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal
 
 from .lattice import build_metric_Q
 from .metrics import _require_symmetric, sturm_count, tridiagonal_family
@@ -86,8 +85,12 @@ def _gamma_spectral(N: int) -> float:
     Theta(alpha) = Q^{1/2} (I + alpha S) Q^{1/2} with S symmetric
     tridiagonal; positivity is lost exactly when alpha * rho(S) reaches 1.
     S has a zero diagonal, so its spectrum is symmetric about zero and
-    rho(S) is its largest eigenvalue, the only one computed.
+    rho(S) is its largest eigenvalue, the only one computed.  scipy is
+    imported here, not with the package, so that commands without a
+    horizon do not load it.
     """
+    from scipy.linalg import eigvalsh_tridiagonal
+
     q = build_metric_Q(N).entries
     t = np.arange(1, N, dtype=float)
     couplings = t / np.sqrt(q[:-1] * q[1:])

@@ -41,9 +41,6 @@ class LatticeHamiltonian:
     def to_dense(self) -> np.ndarray:
         return np.diag(self.superdiagonal, 1) + np.diag(self.subdiagonal, -1)
 
-    def to_json(self) -> dict:
-        return {"dimension": self.dimension, "matrix": self.to_dense().tolist()}
-
 
 @dataclass(frozen=True)
 class DiagonalMetric:
@@ -54,9 +51,6 @@ class DiagonalMetric:
 
     def to_dense(self) -> np.ndarray:
         return np.diag(self.entries)
-
-    def to_json(self) -> dict:
-        return {"dimension": self.dimension, "matrix": self.to_dense().tolist()}
 
 
 @dataclass(frozen=True)
@@ -102,9 +96,9 @@ def spectrum(H: LatticeHamiltonian) -> RootSet:
     """Eigenvalues of H: the roots of P_N, as returned by `roots_P`.
 
     H is the N x N truncation of the Legendre recurrence, so its
-    characteristic polynomial is proportional to P_N.  `roots_P` already
-    cross-checks its Newton roots against the Jacobi-matrix eigenvalues
-    (the symmetrized H), so no second eigensolve is made here.
+    characteristic polynomial is proportional to P_N.  `roots_P` certifies
+    its Newton roots by Sturm counts on the Jacobi matrix (the symmetrized
+    H), so no eigensolve is made here.
     """
     return roots_P(H.dimension)
 

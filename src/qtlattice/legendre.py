@@ -2,9 +2,10 @@
 
 Everything downstream (Hamiltonian spectrum, eigenvectors, metrics) is
 generated by the Legendre three-term recurrence, so this module keeps the
-primitives small and heavily cross-checked: roots are found by bracketed
-Newton iteration and independently validated against the eigenvalues of
-the symmetrized Jacobi matrix.
+primitives small: roots are found by bracketed Newton iteration and
+certified by Sturm counts on the symmetrized Jacobi matrix of the
+recurrence, whose eigenvalues are exactly the roots.  The certificate uses
+the LDL^T pivot kernel of `tridiagonal` and shares no code with Newton.
 """
 
 from __future__ import annotations
@@ -12,14 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal
+
+from .tridiagonal import sturm_count
 
 __all__ = [
     "RootSet",
-    "eval_P",
-    "eval_P_derivative",
     "eval_P_table",
-    "jacobi_eigenvalues",
     "roots_P",
 ]
 
@@ -60,41 +59,6 @@ def eval_P_table(degree_max: int, x) -> np.ndarray:
     for n in range(1, degree_max):
         values[n + 1] = ((2 * n + 1) * x * values[n] - n * values[n - 1]) / (n + 1)
     return values
-
-
-def eval_P(n: int, x: float) -> float:
-    """Legendre polynomial P_n(x), upward three-term recurrence."""
-    return float(eval_P_table(n, x)[n])
-
-
-def eval_P_derivative(n: int, x: float) -> float:
-    """dP_n/dx via (x^2 - 1) P_n' = n (x P_n - P_{n-1}).
-
-    At x = +-1 the identity degenerates; the analytic limit is
-    n (n + 1) / 2 * (+-1)^(n+1).
-    """
-    if n == 0:
-        return 0.0
-    if x == 1.0 or x == -1.0:
-        return n * (n + 1) / 2 * x ** (n + 1)
-    table = eval_P_table(n, x)
-    return float(n * (x * table[n] - table[n - 1]) / (x * x - 1.0))
-
-
-def jacobi_eigenvalues(N: int) -> np.ndarray:
-    """Eigenvalues of the N x N symmetrized Jacobi matrix of the recurrence.
-
-    Off-diagonal couplings are (k+1)/sqrt((2k+1)(2k+3)); the eigenvalues are
-    exactly the roots of P_N (the Gauss-Legendre nodes).  Serves as the
-    independent oracle for the Newton-based root finder and vice versa.
-    """
-    if N < 1:
-        raise ValueError("N must be positive")
-    if N == 1:
-        return np.zeros(1)
-    k = np.arange(N - 1, dtype=float)
-    beta = (k + 1) / np.sqrt((2 * k + 1) * (2 * k + 3))
-    return eigvalsh_tridiagonal(np.zeros(N), beta)
 
 
 def _eval_pair(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -143,12 +107,41 @@ _root_cache: dict[int, np.ndarray] = {1: np.zeros(1)}
 _root_cache[1].setflags(write=False)
 
 
+def _certify_roots(roots: np.ndarray) -> None:
+    """Raise unless the sorted roots match the Jacobi eigenvalues to CROSS_CHECK_TOL.
+
+    The symmetrized Jacobi matrix J of the recurrence has a zero diagonal and
+    couplings (k+1)/sqrt((2k+1)(2k+3)); its eigenvalues are exactly the roots
+    of P_N.  One batched Sturm count on J at the 2N shifts x_j -/+ delta,
+    delta = CROSS_CHECK_TOL, certifies root j (0-based) when
+    count(x_j - delta) = j and count(x_j + delta) = j + 1: the j-th eigenvalue
+    is within delta of x_j, and no other is.  The eigenvalues are separated
+    by far more than 2 delta, so this is the sorted match
+    max|roots - eig(J)| <= delta, up to the count's own error of about
+    1.1e-15 max|J| < 1.1e-15 (see `tridiagonal.sturm_count`).
+    """
+    N = len(roots)
+    k = np.arange(N - 1, dtype=float)
+    couplings = (k + 1) / np.sqrt((2 * k + 1) * (2 * k + 3))
+    shifts = np.concatenate((roots - CROSS_CHECK_TOL, roots + CROSS_CHECK_TOL))
+    below, through = np.split(sturm_count(np.zeros(N), couplings, shifts), 2)
+    failed = np.flatnonzero((below != np.arange(N)) | (through != np.arange(1, N + 1)))
+    if len(failed):
+        j = failed[0]
+        raise RuntimeError(
+            f"Sturm certificate of the roots of P_{N} failed at root {j}: "
+            f"{below[j]} Jacobi eigenvalues below x_{j} - {CROSS_CHECK_TOL:g} and "
+            f"{through[j]} below x_{j} + {CROSS_CHECK_TOL:g}, expected {j} and {j + 1}"
+        )
+
+
 def roots_P(N: int) -> RootSet:
     """All N roots of P_N, built degree by degree from interlacing brackets.
 
     The result is symmetrized about 0 (the exact middle root of odd degrees
-    is pinned to 0.0) and cross-validated against the Jacobi-matrix
-    eigenvalues; disagreement beyond tolerance signals a logic error.
+    is pinned to 0.0) and certified on every call by Sturm counts on the
+    Jacobi matrix (`_certify_roots`); a failed certificate signals a logic
+    error and raises RuntimeError.
     """
     if N < 1:
         raise ValueError("N must be positive")
@@ -162,11 +155,5 @@ def roots_P(N: int) -> RootSet:
             roots[n // 2] = 0.0
         roots.setflags(write=False)
         _root_cache[n] = roots
-    oracle = jacobi_eigenvalues(N)
-    disagreement = np.max(np.abs(roots - oracle))
-    if disagreement > CROSS_CHECK_TOL:
-        raise RuntimeError(
-            f"Newton roots and Jacobi eigenvalues disagree by {disagreement:.3e} "
-            f"at N={N}"
-        )
+    _certify_roots(roots)
     return RootSet(N, roots)

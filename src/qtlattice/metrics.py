@@ -10,11 +10,13 @@ relation with diagonal part Q and t_0 = 1 (verified exactly in the
 exact_oracle module).
 
 Definiteness comes from one of two paths.  The tridiagonal family is
-classified in O(N) by Sturm counts (`sturm_count`): by Sylvester's law of
-inertia the number of negative LDL^T pivots of Theta - sigma I is the number
-of eigenvalues below sigma, and counts at sigma = +thr and -thr give the
-three labels.  Dense metrics (kappa-family and external) are classified by
-one Cholesky factorization of Theta - thr I with an eigenvalue tie-break.
+classified in O(N) by Sturm counts (`sturm_count`, the LDL^T pivot kernel of
+the `tridiagonal` module that also certifies the Legendre roots): by
+Sylvester's law of inertia the number of negative pivots of Theta - sigma I
+is the number of eigenvalues below sigma, and counts at sigma = +thr and
+-thr give the three labels.  Dense metrics (kappa-family and external) are
+classified by one Cholesky factorization of Theta - thr I with an
+eigenvalue tie-break.
 
 Error model of the threshold thr = 1e-12 max(1, max|Theta|): the computed
 pivots are the exact pivots of a matrix with the same diagonal and
@@ -28,12 +30,12 @@ differ from exact arithmetic only for an eigenvalue that close to +thr or
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .lattice import BiorthogonalSystem, DiagonalMetric, build_hamiltonian, build_metric_Q
+from .tridiagonal import _negative_pivots, sturm_count
 
 __all__ = [
     "KappaVector",
@@ -55,8 +57,6 @@ __all__ = [
 SYMMETRY_TOL = 1e-12
 PIVOT_TOL = 1e-12
 MEMBERSHIP_TOL = 1e-9
-_TINY = float(np.finfo(float).tiny)
-_SCALE_ABOVE = 2.0**500
 
 
 @dataclass(frozen=True)
@@ -147,62 +147,6 @@ def _require_symmetric(matrix: np.ndarray) -> None:
     scale = max(1.0, np.max(np.abs(matrix)))
     if np.max(np.abs(matrix - matrix.T)) > SYMMETRY_TOL * scale:
         raise ValueError("matrix is not symmetric within tolerance")
-
-
-def sturm_count(diagonal, offdiagonal, shift):
-    """Number of eigenvalues below `shift` of a symmetric tridiagonal matrix.
-
-    The LDL^T pivots of T - shift I follow d_k = (a_k - shift) - b_{k-1}^2 /
-    d_{k-1}; by Sylvester's law of inertia the number of negative pivots is
-    the number of eigenvalues below the shift (Parlett, The Symmetric
-    Eigenvalue Problem, ch. 3).  As in LAPACK's dstebz, a zero pivot counts
-    as negative and continues as -pivmin, so an eigenvalue at the shift
-    itself may count as below it.  Inputs beyond 2^500 are first scaled by a
-    power of two, which is exact and keeps the squared off-diagonal entries
-    finite.  O(N) per shift.
-
-    `offdiagonal` has N - 1 entries along axis 0; any further axes, and the
-    shape of `shift`, broadcast to a batch of matrices, whose counts come
-    back as an integer array of the batch shape.  Without a batch the count
-    runs on Python floats, which is faster than numpy for one matrix.
-    """
-    return _negative_pivots(diagonal, offdiagonal, shift, first_only=False)
-
-
-def _negative_pivots(diagonal, offdiagonal, shift, first_only: bool):
-    """`sturm_count`; with `first_only`, one matrix stops at its first negative pivot."""
-    diagonal = np.asarray(diagonal, dtype=float)
-    offdiagonal = np.asarray(offdiagonal, dtype=float)
-    shift = np.asarray(shift, dtype=float)
-    if diagonal.ndim != 1 or len(diagonal) < 1 or offdiagonal.shape[:1] != (len(diagonal) - 1,):
-        raise ValueError("need N >= 1 diagonal entries and N - 1 off-diagonal entries")
-    extents = [float(np.abs(x).max(initial=0.0)) for x in (diagonal, offdiagonal, shift)]
-    if not all(map(math.isfinite, extents)):
-        raise ValueError("input has non-finite (NaN or inf) entries")
-    if max(extents) > _SCALE_ABOVE:
-        scale = math.ldexp(1.0, -math.frexp(max(extents))[1])
-        diagonal, offdiagonal, shift = diagonal * scale, offdiagonal * scale, shift * scale
-    squared = offdiagonal**2
-    zero_pivot = -_TINY * float(squared.max(initial=1.0))  # b^2 / zero_pivot stays finite
-    if offdiagonal.ndim == 1 and shift.ndim == 0:
-        pivot, count = 1.0, 0
-        for a, b2 in zip((diagonal - shift).tolist(), [0.0] + squared.tolist()):
-            pivot = a - b2 / (pivot or zero_pivot)
-            if pivot <= 0:
-                count += 1
-                if first_only:
-                    break
-        return count
-    batch = np.broadcast_shapes(offdiagonal.shape[1:], shift.shape)
-    shifted = diagonal.reshape((-1,) + (1,) * len(batch)) - shift
-    pivot, count = np.ones(batch), np.zeros(batch, dtype=int)
-    # After a pivot tinier than |zero_pivot| the next one may overflow to an
-    # infinity of the right sign, which the next step turns back into a_k.
-    with np.errstate(over="ignore"):
-        for a, b2 in zip(shifted, [0.0, *squared]):
-            pivot = a - b2 / np.where(pivot == 0, zero_pivot, pivot)
-            count += pivot <= 0
-    return count
 
 
 def _pivot_threshold(diagonal: np.ndarray, offdiagonal: np.ndarray) -> np.ndarray:

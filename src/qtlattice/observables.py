@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eig
 
 from .lattice import BiorthogonalSystem
 from .metrics import KappaVector, MetricOperator, _require_symmetric, dieudonne_residual
@@ -79,7 +78,11 @@ def spectral_data(Lambda: np.ndarray) -> ObservableSpectralData:
     its left vectors v satisfy v^H Lambda = lambda v^H, so their conjugates
     are the eigenvectors of Lambda^T.  Eigenvalues are sorted by real, then
     imaginary part, and both vector sets follow the same permutation.
+    scipy is imported here, not with the package, so that commands without
+    an observable do not load it.
     """
+    from scipy.linalg import eig
+
     Lambda = np.asarray(Lambda, dtype=complex)
     N = Lambda.shape[0]
     eigenvalues, left, right = eig(Lambda, left=True, right=True)

@@ -300,9 +300,40 @@ def test_unopenable_out_file_is_a_domain_error(capsys, tmp_path):
 def test_import_loads_neither_sympy_nor_mpmath():
     code = (
         "import sys, qtlattice, qtlattice.cli; "
-        "print([m for m in ('sympy', 'mpmath') if m in sys.modules])"
+        "print([m for m in ('scipy', 'sympy', 'mpmath') if m in sys.modules])"
     )
     assert _python("-c", code).stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "spectrum --n 4",
+        "metric --n 4 --alpha 0.3",
+        "charge --n 4 --kappa exceptional",
+        "evolve --n 4 --t-steps 5",
+        "scan --n 4 --alpha-min -1 --alpha-max 1 --alpha-steps 5",
+    ],
+)
+def test_commands_that_need_no_scipy_do_not_load_it(argv):
+    code = (
+        "import sys; from qtlattice.cli import run; status = run(sys.argv[1:]); "
+        "print(status, 'scipy' in sys.modules, file=sys.stderr)"
+    )
+    assert _python("-c", code, *argv.split()).stderr.strip() == "0 False"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--n", "3", "--form", "csv"],
+        ["check-observability", "--n", "6", "--k-matrix", "F", "--tol", "1e-3"],
+    ],
+)
+def test_abbreviated_options_are_usage_errors(argv, capsys):
+    status, out, err = invoke(argv, capsys)
+    assert (status, out) == (2, "")
+    assert "unrecognized arguments" in err
 
 
 # subcommand -> (required flags, optional flags)

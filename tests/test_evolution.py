@@ -124,3 +124,26 @@ def test_non_finite_time_grid_rejected(bad):
     psi0 = EvolutionState(2, np.array([1.0, 1.0]))
     with pytest.raises(ValueError, match="finite"):
         norm_drift(build_hamiltonian(2), Q_metric(2), psi0, np.array([0.0, bad]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_propagator_rejects_non_finite_time(bad):
+    with pytest.raises(ValueError, match="t must be finite"):
+        propagator(build_hamiltonian(3), bad)
+
+
+@pytest.mark.parametrize(
+    "dimension, amplitudes",
+    [
+        (2, [1.0, np.nan]),
+        (2, [np.inf, 0.0]),
+        (2, [1.0, complex(0.0, np.nan)]),
+        (2, [1.0, 1.0, 1.0]),
+        (3, [1.0, 1.0]),
+        (2, [[1.0, 1.0]]),
+    ],
+    ids=["nan", "inf", "complex-nan", "too-long", "too-short", "matrix"],
+)
+def test_invalid_state_rejected(dimension, amplitudes):
+    with pytest.raises(ValueError):
+        EvolutionState(dimension, np.array(amplitudes))

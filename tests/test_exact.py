@@ -58,15 +58,10 @@ def test_tridiagonal_solve_matches_float_family():
     )
 
 
-@pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 6])
+# 9 and 12 lie beyond the size at which a 200-digit numeric fallback once took over
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 6, 9, 12])
 def test_exceptional_identity(N):
     assert exact_exceptional_identity(N)
-
-
-def test_exceptional_identity_highprec_fallback():
-    from qtlattice.exact import _exceptional_identity_highprec
-
-    assert _exceptional_identity_highprec(5)
 
 
 def test_rational_hamiltonian_matches_float():

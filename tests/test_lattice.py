@@ -8,7 +8,7 @@ from qtlattice import (
     ket,
     spectrum,
 )
-from qtlattice.legendre import eval_P, eval_P_table, roots_P
+from qtlattice.legendre import eval_P_table, roots_P
 
 
 def test_hamiltonian_entries_small():
@@ -99,7 +99,7 @@ def test_resolution_of_identity(N, system_cache):
 def test_truncation_condition(N, system_cache):
     # the (N+1)-th component of the extended ket must vanish at eigenvalues
     for E in system_cache(N).eigenvalues.roots:
-        assert abs(eval_P(N, E)) <= 1e-12
+        assert abs(eval_P_table(N, E)[N]) <= 1e-12
 
 
 @pytest.mark.parametrize("N", [2, 6, 24])

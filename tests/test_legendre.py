@@ -2,20 +2,32 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import eigvalsh_tridiagonal
+from scipy.special import roots_legendre
 
+from qtlattice import legendre
 from qtlattice.legendre import (
-    eval_P,
-    eval_P_derivative,
+    _certify_roots,
+    _derivative_from_pair,
+    _eval_pair,
     eval_P_table,
-    jacobi_eigenvalues,
     roots_P,
 )
 
 
+def _P(n, x):
+    return float(eval_P_table(n, x)[n])
+
+
+def _P_derivative(n, x):
+    """Newton's derivative of P_n at x (|x| < 1)."""
+    return float(_derivative_from_pair(n, x, *_eval_pair(n, np.array(x))))
+
+
 def test_low_degree_values():
-    assert eval_P(0, 0.7) == 1.0
-    assert eval_P(1, 0.7) == 0.7
-    assert eval_P(2, 0.5) == pytest.approx(-0.125, abs=1e-15)
+    assert _P(0, 0.7) == 1.0
+    assert _P(1, 0.7) == 0.7
+    assert _P(2, 0.5) == pytest.approx(-0.125, abs=1e-15)
 
 
 def test_table_invariants():
@@ -25,18 +37,10 @@ def test_table_invariants():
 
 
 def test_derivative_small_cases():
-    assert eval_P_derivative(1, 0.3) == 1.0
-    assert eval_P_derivative(2, 0.5) == pytest.approx(1.5, abs=1e-15)
+    assert _P_derivative(1, 0.3) == 1.0
+    assert _P_derivative(2, 0.5) == pytest.approx(1.5, abs=1e-15)
     # oracle: P_3 = (5x^3 - 3x)/2, so P_3'(0) = -3/2
-    assert eval_P_derivative(3, 0.0) == pytest.approx(-1.5, abs=1e-15)
-
-
-def test_derivative_at_endpoints_uses_limit():
-    for n in range(1, 8):
-        assert eval_P_derivative(n, 1.0) == pytest.approx(n * (n + 1) / 2, rel=1e-14)
-        assert eval_P_derivative(n, -1.0) == pytest.approx(
-            n * (n + 1) / 2 * (-1) ** (n + 1), rel=1e-14
-        )
+    assert _P_derivative(3, 0.0) == pytest.approx(-1.5, abs=1e-15)
 
 
 def test_derivative_matches_finite_differences(rng):
@@ -44,8 +48,8 @@ def test_derivative_matches_finite_differences(rng):
     for _ in range(30):
         n = int(rng.integers(1, 12))
         x = float(rng.uniform(-0.95, 0.95))
-        fd = (eval_P(n, x + h) - eval_P(n, x - h)) / (2 * h)
-        assert eval_P_derivative(n, x) == pytest.approx(fd, abs=1e-7)
+        fd = (_P(n, x + h) - _P(n, x - h)) / (2 * h)
+        assert _P_derivative(n, x) == pytest.approx(fd, abs=1e-7)
 
 
 @settings(max_examples=100, deadline=None)
@@ -67,8 +71,9 @@ def test_roots_trivial_cases():
 
 
 def test_roots_degree_five_against_jacobi_oracle():
-    # expected values frozen from the independent 5x5 Jacobi eigensolve
-    expected = jacobi_eigenvalues(5)
+    # the independent 5x5 Jacobi eigensolve, couplings (k+1)/sqrt((2k+1)(2k+3))
+    k = np.arange(4.0)
+    expected = eigvalsh_tridiagonal(np.zeros(5), (k + 1) / np.sqrt((2 * k + 1) * (2 * k + 3)))
     np.testing.assert_allclose(roots_P(5).roots, expected, atol=1e-14)
     np.testing.assert_allclose(
         roots_P(5).roots,
@@ -85,7 +90,7 @@ def test_root_properties(N):
     np.testing.assert_array_equal(roots, -roots[::-1])
     if N % 2 == 1:
         assert roots[N // 2] == 0.0
-    assert max(abs(eval_P(N, r)) for r in roots) <= 1e-12
+    assert np.max(np.abs(eval_P_table(N, roots)[N])) <= 1e-12
 
 
 @pytest.mark.parametrize("N", [3, 8, 21, 64])
@@ -99,3 +104,25 @@ def test_interlacing(N):
 def test_invalid_degree_rejected():
     with pytest.raises(ValueError):
         roots_P(0)
+
+
+@pytest.mark.parametrize("N", [1, 64, 1024, 4096])
+def test_sturm_certificate_accepts_roots_and_rejects_a_moved_root(N):
+    roots = roots_legendre(N)[0]
+    _certify_roots(roots)
+    j = N // 3
+    # moved up, one eigenvalue too many lies below x_j - delta; moved down,
+    # one too few lies below x_j + delta
+    for step, count in [(3e-12, j + 1), (-3e-12, j)]:
+        moved = roots.copy()
+        moved[j] += step
+        message = f"P_{N} failed at root {j}: {count} .* {count} below"
+        with pytest.raises(RuntimeError, match=message):
+            _certify_roots(moved)
+
+
+def test_roots_P_certifies_cached_roots_too(monkeypatch):
+    roots_P(3)
+    monkeypatch.setattr(legendre, "sturm_count", lambda d, b, shifts: np.zeros(len(shifts), int))
+    with pytest.raises(RuntimeError, match="P_3 failed at root 0: 0 .* 0 below"):
+        roots_P(3)
