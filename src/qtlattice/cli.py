@@ -25,7 +25,7 @@ class DomainError(Exception):
 
 
 def _dump_json(obj, stream) -> None:
-    json.dump(obj, stream, indent=2, default=float)
+    json.dump(obj, stream, indent=2, default=lambda value: value.tolist())
     stream.write("\n")
 
 
@@ -108,8 +108,8 @@ def _load_matrix(path: str, N: int) -> np.ndarray:
     return matrix
 
 
-def _parse_kappa(text: str | None, system) -> metrics.KappaVector:
-    if text is None or text == "exceptional":
+def _parse_kappa(text: str, system) -> metrics.KappaVector:
+    if text == "exceptional":
         return metrics.exceptional_kappa(system)
     values = np.array([float(tok) for tok in text.split(",")])
     return metrics.KappaVector(system.dimension, values)
@@ -138,24 +138,24 @@ def _cmd_spectrum(args, out):
         for value in result.roots:
             out.write(f"{float(value)!r}\n")
     else:
-        _dump_json(result.to_json(), out)
+        _dump_json(result.roots, out)
 
 
 def _cmd_metric(args, out):
     theta = _resolve_metric(args, args.n)
     if args.require_positive and theta.definiteness != "positive-definite":
         raise DomainError(f"metric is {theta.definiteness}, not positive-definite")
-    _dump_json(theta.to_json(), out)
+    _dump_json(vars(theta), out)
 
 
 def _cmd_charge(args, out):
     theta = _resolve_metric(args, args.n)
     C = metrics.charge_operator(lattice.build_metric_Q(args.n), theta)
-    _dump_json(C.to_json(), out)
+    _dump_json(vars(C), out)
 
 
 def _cmd_horizon(args, out):
-    _dump_json(horizons.horizon_gamma(args.n).to_json(), out)
+    _dump_json(vars(horizons.horizon_gamma(args.n)), out)
 
 
 def _cmd_scan(args, out):

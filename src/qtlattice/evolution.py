@@ -29,6 +29,7 @@ class EvolutionState:
 
     def __post_init__(self):
         amplitudes = np.asarray(self.amplitudes)
+        object.__setattr__(self, "amplitudes", amplitudes)
         if amplitudes.shape != (self.dimension,):
             raise ValueError(f"state of dimension {self.dimension} has shape {amplitudes.shape}")
         if not np.all(np.isfinite(amplitudes)):

@@ -1,10 +1,16 @@
 """Positivity horizons of the tridiagonal metric family and hidden horizons.
 
 The tridiagonal metric Theta(alpha) = Q + alpha T stays positive-definite
-only on a finite interval (-gamma, gamma).  gamma is found two independent
-ways: spectrally (1/spectral-radius of Q^{-1/2} T Q^{-1/2}, one eigenvalue
-of a tridiagonal matrix) and by bisecting on one O(N) Sturm count of
-Theta(alpha) per step, O(N log 1/eps) in all; the two must agree tightly.
+only on a finite interval (-gamma, gamma).  Its couplings are
+t_n = n + 1 = 2 q_n H_{n,n+1} = 2 q_{n+1} H_{n+1,n}, so T = 2 Q H and
+Theta(alpha) = Q (I + 2 alpha H) = Q^{1/2} (I + 2 alpha J) Q^{1/2}, with J
+the symmetrized H.  Theta(alpha) is therefore positive-definite exactly
+while every 1 + 2 alpha E_j > 0; the spectrum of H (the roots of P_N) is
+symmetric about 0, so gamma = 1/(2 x_max), x_max the largest root of P_N,
+found by Newton's method on the Legendre recurrence
+(`legendre._largest_root`).  The cross-check shares no code with it: a
+bisection on one O(N) Sturm count of Theta(alpha) per step (the LDL^T
+pivots), O(N log 1/eps) in all; the two must agree tightly.
 
 The bisection finds where the smallest eigenvalue of Theta(alpha) crosses
 thr = 1e-12 max|Theta| (see `metrics`), not zero.  That moves its result
@@ -22,11 +28,11 @@ the largest imaginary part there is exactly zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import build_metric_Q
+from .legendre import _largest_root
 from .metrics import _require_symmetric, sturm_count, tridiagonal_family
 
 __all__ = [
@@ -46,7 +52,11 @@ _SCAN_CHUNK_BYTES = 4 * 2**20
 
 @dataclass(frozen=True)
 class HorizonReport:
-    """gamma for one lattice size, with the method cross-check."""
+    """gamma for one lattice size, with the method cross-check.
+
+    The primary method is named for the pencil (T, Q), whose generalized
+    eigenvalues are exactly 2 E_j since T = 2 Q H.
+    """
 
     dimension: int
     gamma: float
@@ -55,47 +65,17 @@ class HorizonReport:
     cross_check_residual: float
     bisection_iterations: int
 
-    def to_json(self) -> dict:
-        return {
-            "dimension": self.dimension,
-            "gamma": self.gamma,
-            "method_primary": self.method_primary,
-            "method_check": self.method_check,
-            "cross_check_residual": self.cross_check_residual,
-            "bisection_iterations": self.bisection_iterations,
-        }
-
 
 @dataclass(frozen=True)
 class RealityScan:
     """Largest imaginary eigenvalue part of a companion observable per alpha."""
 
     dimension: int
-    observable_label: str
     alpha_grid: np.ndarray
     max_imag: np.ndarray
     definiteness: list[str]
     first_crossing: float | None
-    skipped_singular: list[float] = field(default_factory=list)
-
-
-def _gamma_spectral(N: int) -> float:
-    """gamma = 1/rho(Q^{-1/2} T Q^{-1/2}).
-
-    Theta(alpha) = Q^{1/2} (I + alpha S) Q^{1/2} with S symmetric
-    tridiagonal; positivity is lost exactly when alpha * rho(S) reaches 1.
-    S has a zero diagonal, so its spectrum is symmetric about zero and
-    rho(S) is its largest eigenvalue, the only one computed.  scipy is
-    imported here, not with the package, so that commands without a
-    horizon do not load it.
-    """
-    from scipy.linalg import eigvalsh_tridiagonal
-
-    q = build_metric_Q(N).entries
-    t = np.arange(1, N, dtype=float)
-    couplings = t / np.sqrt(q[:-1] * q[1:])
-    largest = eigvalsh_tridiagonal(np.zeros(N), couplings, select="i", select_range=(N - 1, N - 1))
-    return 1.0 / largest[0]
+    skipped_singular: list[float]
 
 
 def _gamma_bisection(N: int) -> tuple[float, int]:
@@ -106,10 +86,7 @@ def _gamma_bisection(N: int) -> tuple[float, int]:
     """
     family = tridiagonal_family(N)
     iterations = 0
-    lo, hi = 0.0, 1.0
-    while family.positive_definite(hi):
-        lo, hi = hi, 2.0 * hi
-        iterations += 1
+    lo, hi = 0.0, 1.0  # x_max grows with N, so gamma <= gamma(2) = sqrt(3)/2 < 1
     while hi - lo > BISECTION_WIDTH:
         mid = 0.5 * (lo + hi)
         if family.positive_definite(mid):
@@ -121,19 +98,19 @@ def _gamma_bisection(N: int) -> tuple[float, int]:
 
 
 def horizon_gamma(N: int) -> HorizonReport:
-    """Locate gamma at size N by both methods and cross-check them."""
+    """gamma = 1/(2 x_max) at size N, cross-checked by bisection on Theta(alpha)."""
     if N < 2:
         raise ValueError("N must be at least 2")
-    gamma_eig = _gamma_spectral(N)
+    gamma = 0.5 / _largest_root(N)
     gamma_bis, iterations = _gamma_bisection(N)
-    residual = abs(gamma_eig - gamma_bis)
+    residual = abs(gamma - gamma_bis)
     if residual > CROSS_CHECK_TOL:
         raise RuntimeError(
             f"horizon methods disagree by {residual:.3e} at N={N}"
         )
     return HorizonReport(
         dimension=N,
-        gamma=gamma_eig,
+        gamma=gamma,
         method_primary="generalized-eigenvalue",
         method_check="bisection",
         cross_check_residual=residual,
@@ -141,9 +118,7 @@ def horizon_gamma(N: int) -> HorizonReport:
     )
 
 
-def hidden_horizon_scan(
-    N: int, K: np.ndarray, alpha_grid: np.ndarray, label: str = "theta-inverse-K"
-) -> RealityScan:
+def hidden_horizon_scan(N: int, K: np.ndarray, alpha_grid: np.ndarray) -> RealityScan:
     """Scan the spectrum of Lambda(alpha) = Theta(alpha)^{-1} K for reality loss.
 
     Lambda(alpha) satisfies the intertwining condition with Theta(alpha) by
@@ -198,7 +173,6 @@ def hidden_horizon_scan(
     crossings = np.flatnonzero(max_imag > REALITY_THRESHOLD * scale)
     return RealityScan(
         dimension=N,
-        observable_label=label,
         alpha_grid=alpha_grid,
         max_imag=max_imag,
         definiteness=definiteness.tolist(),

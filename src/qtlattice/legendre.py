@@ -39,9 +39,6 @@ class RootSet:
         if len(self.roots) != self.degree:
             raise ValueError("root count does not match degree")
 
-    def to_json(self) -> list[float]:
-        return [float(r) for r in self.roots]
-
 
 def eval_P_table(degree_max: int, x) -> np.ndarray:
     """Values P_0(x), ..., P_degree_max(x) by upward recurrence.
@@ -61,10 +58,10 @@ def eval_P_table(degree_max: int, x) -> np.ndarray:
     return values
 
 
-def _eval_pair(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(P_n, P_{n-1}) at an array of points, upward recurrence."""
+def _eval_pair(n: int, x):
+    """(P_n, P_{n-1}) at a float or an array of points, upward recurrence."""
     p_prev = np.ones_like(x)
-    p = x.copy()
+    p = x
     for k in range(1, n):
         p_prev, p = p, ((2 * k + 1) * x * p - k * p_prev) / (k + 1)
     return p, p_prev
@@ -100,6 +97,24 @@ def _newton_in_brackets(n: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         f, f_prev = _eval_pair(n, x)
         x = x - f / _derivative_from_pair(n, x, f, f_prev)
     return x
+
+
+def _largest_root(N: int) -> float:
+    """The largest root of P_N by Newton's method from the right.
+
+    P_N has only real roots, so it is increasing and convex to the right of
+    its largest root, and Newton iterates started there decrease
+    monotonically towards it.  The first step from x = 1, where P_N = 1 and
+    P_N' = N(N+1)/2, lands at 1 - 2/(N(N+1)); the iteration stops at the
+    first step that does not decrease, which is where rounding takes over.
+    """
+    x = 1.0 - 2.0 / (N * (N + 1))
+    while True:
+        p, p_prev = _eval_pair(N, x)
+        x_new = float(x - p / _derivative_from_pair(N, x, p, p_prev))
+        if not x_new < x:
+            return x
+        x = x_new
 
 
 # roots per degree, built once and reused; entries are immutable arrays

@@ -7,7 +7,10 @@ Theta back onto the diagonal Q (trivial charge).  A one-parameter
 tridiagonal slice of the family, Theta(alpha) = Q + alpha T with couplings
 t_n = n + 1, is the unique tridiagonal solution of the intertwining
 relation with diagonal part Q and t_0 = 1 (verified exactly in the
-exact_oracle module).
+exact_oracle module).  Its couplings are t_n = 2 q_n H_{n,n+1}, so T = 2 Q H
+and Theta(alpha) = Q (I + 2 alpha H): the slice is the family member with
+kappa_j = (1 + 2 alpha E_j)/n_j, its charge is C = I + 2 alpha H, and it is
+positive-definite exactly for |alpha| < 1/(2 max E_j) (see `horizons`).
 
 Definiteness comes from one of two paths.  The tridiagonal family is
 classified in O(N) by Sturm counts (`sturm_count`, the LDL^T pivot kernel of
@@ -80,14 +83,6 @@ class MetricOperator:
     definiteness: str  # positive-definite | singular | indefinite
     provenance: str  # diagonal-Q | kappa-family | tridiagonal-family | external
 
-    def to_json(self) -> dict:
-        return {
-            "dimension": self.dimension,
-            "matrix": self.matrix.tolist(),
-            "definiteness": self.definiteness,
-            "provenance": self.provenance,
-        }
-
     @classmethod
     def from_matrix(cls, matrix: np.ndarray, provenance: str = "external") -> "MetricOperator":
         matrix = np.asarray(matrix, dtype=float)
@@ -100,9 +95,6 @@ class ChargeOperator:
 
     dimension: int
     matrix: np.ndarray
-
-    def to_json(self) -> dict:
-        return {"dimension": self.dimension, "matrix": self.matrix.tolist()}
 
 
 @dataclass(frozen=True)
@@ -251,7 +243,7 @@ def kappa_from_metric(system: BiorthogonalSystem, theta: MetricOperator) -> Kapp
         raise ValueError("dimension mismatch")
     if dieudonne_residual(build_hamiltonian(system.dimension).to_dense(), theta) > MEMBERSHIP_TOL:
         raise ValueError("matrix does not intertwine with H: not in the metric family")
-    quad = np.einsum("ij,ik,kj->j", system.kets, theta.matrix, system.kets)
+    quad = np.einsum("ij,ij->j", system.kets, theta.matrix @ system.kets)
     return KappaVector(system.dimension, quad / system.q_norms**2)
 
 

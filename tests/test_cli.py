@@ -313,6 +313,7 @@ def test_import_loads_neither_sympy_nor_mpmath():
         "charge --n 4 --kappa exceptional",
         "evolve --n 4 --t-steps 5",
         "scan --n 4 --alpha-min -1 --alpha-max 1 --alpha-steps 5",
+        "horizon --n 8",
     ],
 )
 def test_commands_that_need_no_scipy_do_not_load_it(argv):

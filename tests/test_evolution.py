@@ -147,3 +147,9 @@ def test_propagator_rejects_non_finite_time(bad):
 def test_invalid_state_rejected(dimension, amplitudes):
     with pytest.raises(ValueError):
         EvolutionState(dimension, np.array(amplitudes))
+
+
+def test_theta_norm_of_a_state_built_from_a_list():
+    state = EvolutionState(2, [1.0, 0.0])
+    assert isinstance(state.amplitudes, np.ndarray)
+    assert theta_norm(Q_metric(2), state) == 0.5

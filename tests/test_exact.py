@@ -86,3 +86,15 @@ def test_cost_guards():
         exact_intertwining_check(13)
     with pytest.raises(ValueError):
         exact_tridiagonal_solve(1)
+
+
+@pytest.mark.parametrize("N", range(1, 13))
+def test_tridiagonal_couplings_are_twice_QH(N):
+    """T = 2 Q H exactly, so Theta(alpha) = Q + alpha T = Q (I + 2 alpha H)."""
+    import sympy as sp
+
+    couplings = list(range(1, N))
+    T = sp.diag(*([0] * N))
+    for n, t in enumerate(couplings):
+        T[n, n + 1] = T[n + 1, n] = t
+    assert 2 * rational_metric_Q(N) * rational_hamiltonian(N) == T

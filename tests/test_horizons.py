@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import jn_zeros, roots_legendre
 
 from qtlattice import (
     build_hamiltonian,
@@ -8,6 +9,7 @@ from qtlattice import (
     spectrum,
     tridiagonal_metric,
 )
+from qtlattice.legendre import _largest_root
 from qtlattice.metrics import sturm_count
 
 
@@ -263,3 +265,25 @@ def test_positive_metric_makes_theta_inverse_K_real(N, rng):
             K = K + K.T
             imag = np.abs(np.linalg.eigvals(np.linalg.solve(theta, K)).imag)
             assert imag.max() <= 1e-9 * max(1.0, np.max(np.abs(K)))
+
+
+@pytest.mark.parametrize("N", list(range(2, 65)) + [256, 1024, 4096])
+def test_gamma_is_half_over_largest_root(N):
+    """Theta(alpha) = Q (I + 2 alpha H) loses positivity at 1 + 2 alpha x_max = 0."""
+    report = horizon_gamma(N)
+    assert report.gamma == 0.5 / _largest_root(N)
+    assert report.cross_check_residual <= 1e-10
+    reference = 0.5 / roots_legendre(N)[0][-1]
+    assert abs(report.gamma - reference) <= 4 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("N", [16, 64, 512, 4096])
+def test_gamma_bessel_limit(N):
+    """gamma - 1/2 ~ j_{0,1}^2 / (4 (N + 1/2)^2), from arccos x_max ~ j_{0,1}/(N + 1/2).
+
+    The Bessel asymptotics of the extreme Legendre zeros (Szego, Orthogonal
+    Polynomials, ch. 8) give 1/(2 cos theta_1) - 1/2 ~ theta_1^2/4.
+    """
+    j01 = jn_zeros(0, 1)[0]
+    scaled = N * (N + 1) * (horizon_gamma(N).gamma - 0.5)
+    assert abs(scaled - j01**2 / 4) <= 4 / N**2

@@ -10,6 +10,7 @@ from qtlattice.legendre import (
     _certify_roots,
     _derivative_from_pair,
     _eval_pair,
+    _largest_root,
     eval_P_table,
     roots_P,
 )
@@ -126,3 +127,8 @@ def test_roots_P_certifies_cached_roots_too(monkeypatch):
     monkeypatch.setattr(legendre, "sturm_count", lambda d, b, shifts: np.zeros(len(shifts), int))
     with pytest.raises(RuntimeError, match="P_3 failed at root 0: 0 .* 0 below"):
         roots_P(3)
+
+
+def test_largest_root_closed_forms():
+    assert abs(_largest_root(2) - 1 / np.sqrt(3)) <= np.spacing(1 / np.sqrt(3))
+    assert abs(_largest_root(3) - np.sqrt(3 / 5)) <= np.spacing(np.sqrt(3 / 5))

@@ -279,3 +279,28 @@ def test_non_finite_input_is_a_domain_error(bad, system_cache):
     for strict in (True, False):
         with pytest.raises(ValueError):
             metric_from_kappa(system_cache(2), KappaVector(2, np.array([1.0, bad])), strict)
+
+
+@pytest.mark.parametrize("N", [2, 8, 64, 1024])
+def test_coupling_matrix_is_twice_QH(N):
+    T = tridiagonal_family(N).coupling_matrix()
+    QH = build_metric_Q(N).entries[:, None] * build_hamiltonian(N).to_dense()
+    assert np.max(np.abs(T - 2 * QH)) <= 4 * np.finfo(float).eps * np.max(np.abs(T))
+
+
+@pytest.mark.parametrize("alpha", [-0.7, 0.3, 2.0])
+@pytest.mark.parametrize("N", [4, 16, 64])
+def test_tridiagonal_slice_kappa_is_one_plus_two_alpha_E(N, alpha, system_cache):
+    """Theta(alpha) psi_j = (1 + 2 alpha E_j) Q psi_j, so kappa_j = (1 + 2 alpha E_j)/n_j."""
+    system = system_cache(N)
+    kappa = kappa_from_metric(system, tridiagonal_metric(N, alpha)).values
+    expected = (1 + 2 * alpha * system.eigenvalues.roots) / system.q_norms
+    np.testing.assert_allclose(kappa, expected, rtol=1e-13)
+
+
+@pytest.mark.parametrize("alpha", [-0.7, 0.3])
+@pytest.mark.parametrize("N", [2, 8, 64])
+def test_tridiagonal_charge_is_one_plus_two_alpha_H(N, alpha):
+    C = charge_operator(build_metric_Q(N), tridiagonal_metric(N, alpha)).matrix
+    expected = np.eye(N) + 2 * alpha * build_hamiltonian(N).to_dense()
+    np.testing.assert_allclose(C, expected, rtol=0, atol=1e-15)
