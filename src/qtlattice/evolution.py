@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import BiorthogonalSystem, LatticeHamiltonian, biorthogonal_system
-from .metrics import MetricOperator, dieudonne_residual
+from .legendre import _require_size
+from .metrics import MetricOperator, _hamiltonian_residual
 
 __all__ = ["EvolutionState", "propagator", "theta_norm", "norm_trajectory", "norm_drift"]
 
@@ -28,6 +29,7 @@ class EvolutionState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
+        _require_size(self.dimension)
         amplitudes = np.asarray(self.amplitudes)
         object.__setattr__(self, "amplitudes", amplitudes)
         if amplitudes.shape != (self.dimension,):
@@ -96,9 +98,14 @@ def norm_drift(
 
     Returns (max_theta_drift, max_dirac_drift); the former should be at
     rounding level whenever theta intertwines with H, the latter is O(1)
-    because H is not Dirac-Hermitian.
+    because H is not Dirac-Hermitian.  Theta must be labelled
+    positive-definite, as for `theta_norm`, and intertwine with H:
+    dieudonne_residual(H, theta) <= 1e-10, which a Theta with NaN or inf
+    entries fails.
     """
-    if dieudonne_residual(H.to_dense(), theta) > COMPATIBILITY_TOL:
+    if theta.definiteness != "positive-definite":
+        raise ValueError("theta must be positive-definite to define a norm")
+    if not _hamiltonian_residual(H, theta) <= COMPATIBILITY_TOL:
         raise ValueError("theta does not intertwine with H; norm is not conserved")
     theta_t, dirac_t = norm_trajectory(biorthogonal_system(H.dimension), theta, psi0, t_grid)
     theta0, dirac0 = _norms(theta, np.asarray(psi0.amplitudes, dtype=complex))

@@ -11,6 +11,8 @@ that the recursion-derived entries n + 1/2 are the consistent ones.
 
 from __future__ import annotations
 
+from .legendre import _require_size
+
 __all__ = [
     "rational_hamiltonian",
     "rational_metric_Q",
@@ -31,6 +33,7 @@ def rational_hamiltonian(N: int):
     """H as a sympy Matrix of rationals: superdiag (n+1)/(2n+1), subdiag (n+1)/(2n+3)."""
     import sympy as sp
 
+    N = _require_size(N)
     H = sp.zeros(N, N)
     for n in range(N - 1):
         H[n, n + 1] = sp.Rational(n + 1, 2 * n + 1)
@@ -42,7 +45,7 @@ def rational_metric_Q(N: int):
     """diag(n + 1/2) as a sympy Matrix of rationals."""
     import sympy as sp
 
-    return sp.diag(*[sp.Rational(2 * n + 1, 2) for n in range(N)])
+    return sp.diag(*[sp.Rational(2 * n + 1, 2) for n in range(_require_size(N))])
 
 
 def factorial_diagonal(N: int):
@@ -53,11 +56,11 @@ def factorial_diagonal(N: int):
     """
     import sympy as sp
 
-    return sp.diag(*[sp.Rational(2 * n + 1, 2) / sp.factorial(n) for n in range(N)])
+    return sp.diag(*[sp.Rational(2 * n + 1, 2) / sp.factorial(n) for n in range(_require_size(N))])
 
 
 def _intertwining_residual(N: int, diagonal_metric):
-    if not 1 <= N <= INTERTWINING_N_MAX:
+    if not 1 <= _require_size(N) <= INTERTWINING_N_MAX:
         raise ValueError(f"N must be in [1, {INTERTWINING_N_MAX}]")
     H, Q = rational_hamiltonian(N), diagonal_metric(N)
     witness = max(abs(e) for e in H.T * Q - Q * H)
@@ -87,7 +90,7 @@ def exact_tridiagonal_solve(N: int) -> list:
     """
     import sympy as sp
 
-    if not 2 <= N <= INTERTWINING_N_MAX:
+    if not 2 <= _require_size(N) <= INTERTWINING_N_MAX:
         raise ValueError(f"N must be in [2, {INTERTWINING_N_MAX}]")
     H = rational_hamiltonian(N)
     t = sp.symbols(f"t0:{N - 1}")
@@ -154,8 +157,6 @@ def exact_exceptional_identity(N: int) -> bool:
     Runs the symbolic modular-arithmetic route at every N >= 2; its cost
     grows with N (about 1 s at N = 24 and 4 s at N = 32).
     """
-    if N < 1:
-        raise ValueError("N must be positive")
-    if N == 1:
+    if _require_size(N) == 1:
         return True
     return _exceptional_identity_symbolic(N)

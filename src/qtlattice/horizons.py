@@ -24,15 +24,27 @@ generally larger, "hidden" horizon.  A reality scan diagonalizes Lambda only
 where Theta(alpha) is indefinite: where the Sturm count labels it
 positive-definite, Lambda is quasi-Hermitian and its spectrum is real, so
 the largest imaginary part there is exactly zero.
+
+The indefinite points are solved and diagonalized in stacks on a thread
+pool, one worker per CPU the process may run on (`os.sched_getaffinity`,
+else `os.cpu_count`): numpy's stacked `solve` and `eigvals` release the
+GIL.  The stacks together hold at most 4 MB of Theta(alpha) matrices (or
+one matrix, where one is larger), and a scan whose points fit in one stack
+runs in the calling thread.  Every matrix gets the same LAPACK calls on the
+same entries as alone, so the results are bitwise those of a point-by-point
+loop.  A multithreaded BLAS adds its own threads inside each worker and may
+oversubscribe the cores; with OPENBLAS_NUM_THREADS=1 there is one thread per
+core.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .legendre import _largest_root
+from .legendre import _largest_root, _require_size
 from .metrics import _require_symmetric, sturm_count, tridiagonal_family
 
 __all__ = [
@@ -46,7 +58,7 @@ CROSS_CHECK_TOL = 1e-10
 BISECTION_WIDTH = 1e-12
 REALITY_THRESHOLD = 1e-8
 SINGULAR_RCOND = 1e-12
-# Bytes of Theta(alpha) matrices the scan solves and diagonalizes per stack.
+# Bytes of Theta(alpha) matrices the scan holds in flight, over all its stacks.
 _SCAN_CHUNK_BYTES = 4 * 2**20
 
 
@@ -78,6 +90,13 @@ class RealityScan:
     skipped_singular: list[float]
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _gamma_bisection(N: int) -> tuple[float, int]:
     """Bisection on the positive-definiteness of Theta(alpha).
 
@@ -99,8 +118,7 @@ def _gamma_bisection(N: int) -> tuple[float, int]:
 
 def horizon_gamma(N: int) -> HorizonReport:
     """gamma = 1/(2 x_max) at size N, cross-checked by bisection on Theta(alpha)."""
-    if N < 2:
-        raise ValueError("N must be at least 2")
+    N = _require_size(N, 2)
     gamma = 0.5 / _largest_root(N)
     gamma_bis, iterations = _gamma_bisection(N)
     residual = abs(gamma - gamma_bis)
@@ -135,16 +153,26 @@ def hidden_horizon_scan(N: int, K: np.ndarray, alpha_grid: np.ndarray) -> Realit
     skipped as well.
 
     Only the indefinite points that are not skipped are solved and
-    diagonalized, in stacks of about 4 MB, with the same LAPACK calls on the
-    same Theta(alpha) entries as one point at a time.  The positive-definite
+    diagonalized, with the same LAPACK calls on the same Theta(alpha) entries
+    as one point at a time, so the outputs do not depend on the stacking.
+    With w = min(CPUs the process may run on, 4 MB / (8 N^2)) workers, the
+    points are split evenly into stacks of at most 4 MB / (w 8 N^2)
+    matrices each, their number rounded up to a multiple of w but not above
+    the number of points, and a pool of w threads runs them; points that
+    fit in one stack run inline, without a pool.  Each stack writes
+    its own entries of max_imag, and an exception in one is raised here.
+    A multithreaded BLAS may oversubscribe the cores.  The positive-definite
     ones get max_imag = 0 exactly, without an eigensolve: with Theta > 0,
     Lambda is similar to the symmetric Theta^{-1/2} K Theta^{-1/2}, so its
     spectrum is real.  The label is exact here: it means no eigenvalue below
     thr = 1e-12 max(1, max|Theta|) by a count that errs by at most about
     1.1e-15 max|Theta| (see `metrics`), so lambda_min(Theta) > 0.
     """
+    N = _require_size(N, 2)
     K = np.asarray(K, dtype=float)
     alpha_grid = np.asarray(alpha_grid, dtype=float)
+    if alpha_grid.ndim != 1:
+        raise ValueError(f"the alpha grid must be one-dimensional, not {alpha_grid.shape}")
     if not (np.all(np.isfinite(K)) and np.all(np.isfinite(alpha_grid))):
         raise ValueError("K and the alpha grid must be finite")
     if K.shape != (N, N):
@@ -164,12 +192,24 @@ def hidden_horizon_scan(N: int, K: np.ndarray, alpha_grid: np.ndarray) -> Realit
     max_imag = np.where(positive & ~skip, 0.0, np.nan)
     solved = np.flatnonzero(~positive & ~skip)
     diagonal, coupling = np.diag(family.diagonal), family.coupling_matrix()
-    chunk = max(1, _SCAN_CHUNK_BYTES // (8 * N * N))
-    for start in range(0, len(solved), chunk):
-        points = solved[start : start + chunk]
+
+    def solve_stack(points):
         thetas = diagonal + alpha_grid[points, None, None] * coupling
         eigenvalues = np.linalg.eigvals(np.linalg.solve(thetas, K))
         max_imag[points] = np.max(np.abs(eigenvalues.imag), axis=-1)
+
+    matrix_bytes = 8 * N * N
+    workers = min(_usable_cpus(), max(1, _SCAN_CHUNK_BYTES // matrix_bytes))
+    stack = max(1, _SCAN_CHUNK_BYTES // (matrix_bytes * workers))
+    stacks = -(-len(solved) // stack)
+    if stacks == 1:
+        solve_stack(solved)
+    elif stacks > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
+        stacks = min(len(solved), -(-stacks // workers) * workers)
+        with ThreadPoolExecutor(workers) as pool:
+            list(pool.map(solve_stack, np.array_split(solved, stacks)))
     crossings = np.flatnonzero(max_imag > REALITY_THRESHOLD * scale)
     return RealityScan(
         dimension=N,

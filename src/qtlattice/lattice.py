@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .legendre import RootSet, eval_P_table, roots_P
+from .legendre import RootSet, _require_size, eval_P_table, roots_P
 
 __all__ = [
     "LatticeHamiltonian",
@@ -71,8 +71,7 @@ class BiorthogonalSystem:
 
 def build_hamiltonian(N: int) -> LatticeHamiltonian:
     """N x N truncation of the Legendre recurrence matrix."""
-    if N < 1:
-        raise ValueError("N must be positive")
+    N = _require_size(N)
     n = np.arange(N - 1, dtype=float)
     return LatticeHamiltonian(
         dimension=N,
@@ -87,8 +86,7 @@ def build_metric_Q(N: int) -> DiagonalMetric:
     Defined as the unique positive diagonal solution of H^T Q = Q H: the
     ratio condition q_{n+1}/q_n = (2n+3)/(2n+1) gives q_n = n + 1/2.
     """
-    if N < 1:
-        raise ValueError("N must be positive")
+    N = _require_size(N)
     return DiagonalMetric(N, np.arange(N) + 0.5)
 
 
@@ -108,8 +106,7 @@ def ket(N: int, E) -> np.ndarray:
 
     For an array of energies, ket(N, E)[:, j] is the column of E[j].
     """
-    if N < 1:
-        raise ValueError("N must be positive")
+    N = _require_size(N)
     return eval_P_table(N - 1, E)
 
 

@@ -40,14 +40,22 @@ class RootSet:
             raise ValueError("root count does not match degree")
 
 
+def _require_size(N, minimum: int = 1) -> int:
+    """N as an int; ValueError unless it is an integer, not a bool, and at least `minimum`."""
+    if isinstance(N, bool) or not isinstance(N, (int, np.integer)):
+        raise ValueError(f"a size must be an integer, not {N!r}")
+    if N < minimum:
+        raise ValueError(f"a size must be at least {minimum}, not {N}")
+    return int(N)
+
+
 def eval_P_table(degree_max: int, x) -> np.ndarray:
     """Values P_0(x), ..., P_degree_max(x) by upward recurrence.
 
     For an array `x`, row n holds P_n at every point, computed by the same
     operations as for a scalar, so batching the points leaves values unchanged.
     """
-    if degree_max < 0:
-        raise ValueError("degree_max must be nonnegative")
+    degree_max = _require_size(degree_max, 0)
     x = np.asarray(x, dtype=float)
     values = np.empty((degree_max + 1,) + x.shape)
     values[0] = 1.0
@@ -158,8 +166,7 @@ def roots_P(N: int) -> RootSet:
     Jacobi matrix (`_certify_roots`); a failed certificate signals a logic
     error and raises RuntimeError.
     """
-    if N < 1:
-        raise ValueError("N must be positive")
+    N = _require_size(N)
     start = max(n for n in _root_cache if n <= N)
     roots = _root_cache[start]
     for n in range(start + 1, N + 1):

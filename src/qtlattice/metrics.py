@@ -37,7 +37,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import BiorthogonalSystem, DiagonalMetric, build_hamiltonian, build_metric_Q
+from .lattice import (
+    BiorthogonalSystem,
+    DiagonalMetric,
+    LatticeHamiltonian,
+    build_hamiltonian,
+    build_metric_Q,
+)
+from .legendre import _require_size
 from .tridiagonal import _negative_pivots, sturm_count
 
 __all__ = [
@@ -70,7 +77,9 @@ class KappaVector:
     values: np.ndarray
 
     def __post_init__(self):
-        if len(self.values) != self.dimension:
+        values = np.asarray(self.values, dtype=float)
+        object.__setattr__(self, "values", values)
+        if values.shape != (_require_size(self.dimension),):
             raise ValueError("kappa length does not match dimension")
 
 
@@ -86,7 +95,8 @@ class MetricOperator:
     @classmethod
     def from_matrix(cls, matrix: np.ndarray, provenance: str = "external") -> "MetricOperator":
         matrix = np.asarray(matrix, dtype=float)
-        return cls(matrix.shape[0], matrix, classify_definiteness(matrix), provenance)
+        definiteness = classify_definiteness(matrix)
+        return cls(len(matrix), matrix, definiteness, provenance)
 
 
 @dataclass(frozen=True)
@@ -172,6 +182,8 @@ def classify_definiteness(matrix: np.ndarray) -> str:
     singular, below it indefinite.
     """
     matrix = np.asarray(matrix, dtype=float)
+    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or matrix.size == 0:
+        raise ValueError(f"a metric is a nonempty square matrix, not of shape {matrix.shape}")
     if not np.isfinite(matrix).all():
         raise ValueError("matrix has non-finite (NaN or inf) entries")
     _require_symmetric(matrix)
@@ -231,17 +243,40 @@ def dieudonne_residual(Lambda: np.ndarray, theta: MetricOperator) -> float:
     return float(np.max(np.abs(residual)) / scale)
 
 
+def _hamiltonian_residual(H: LatticeHamiltonian, theta: MetricOperator) -> float:
+    """dieudonne_residual(H.to_dense(), theta), from the two bands of H.
+
+    (H^T Theta)_{ij} = u_{i-1} Theta_{i-1,j} + l_i Theta_{i+1,j} and
+    (Theta H)_{ij} = Theta_{i,j-1} u_{j-1} + Theta_{i,j+1} l_j, with u and l
+    the super- and subdiagonal of H: O(N^2) in place of two dense products.
+    NaN or inf in Theta gives a NaN residual, which no `<=` gate passes.
+    """
+    matrix = np.asarray(theta.matrix, dtype=float)
+    if matrix.shape != (H.dimension, H.dimension):
+        raise ValueError("dimension mismatch between H and theta")
+    up, down = H.superdiagonal, H.subdiagonal
+    residual = np.zeros_like(matrix)
+    with np.errstate(invalid="ignore", over="ignore"):
+        residual[1:] += up[:, None] * matrix[:-1]
+        residual[:-1] += down[:, None] * matrix[1:]
+        residual[:, 1:] -= matrix[:, :-1] * up
+        residual[:, :-1] -= matrix[:, 1:] * down
+        scale = max(1.0, np.max(np.abs(matrix)) * np.abs(np.r_[up, down]).max(initial=0.0))
+        return float(np.max(np.abs(residual)) / scale)
+
+
 def kappa_from_metric(system: BiorthogonalSystem, theta: MetricOperator) -> KappaVector:
     """Recover the weights of a family member: kappa_j = psi_j^T Theta psi_j / n_j^2.
 
     Rejects matrices outside the family, for which the projection would be
-    meaningless: dieudonne_residual(H, theta) > 1e-9, which is
-    max|H^T Theta - Theta H| > 1e-9 max(1, max|Theta|) because
-    max|H| = H[0, 1] = 1 for N >= 2 (at N = 1 both residuals are 0).
+    meaningless: unless dieudonne_residual(H, theta) <= 1e-9, which is
+    max|H^T Theta - Theta H| <= 1e-9 max(1, max|Theta|) because
+    max|H| = H[0, 1] = 1 for N >= 2 (at N = 1 both residuals are 0).  A
+    Theta with NaN or inf entries fails the gate.
     """
     if theta.dimension != system.dimension:
         raise ValueError("dimension mismatch")
-    if dieudonne_residual(build_hamiltonian(system.dimension).to_dense(), theta) > MEMBERSHIP_TOL:
+    if not _hamiltonian_residual(build_hamiltonian(system.dimension), theta) <= MEMBERSHIP_TOL:
         raise ValueError("matrix does not intertwine with H: not in the metric family")
     quad = np.einsum("ij,ij->j", system.kets, theta.matrix @ system.kets)
     return KappaVector(system.dimension, quad / system.q_norms**2)
@@ -249,8 +284,7 @@ def kappa_from_metric(system: BiorthogonalSystem, theta: MetricOperator) -> Kapp
 
 def tridiagonal_family(N: int) -> TridiagonalMetricFamily:
     """The tridiagonal metric line at size N (couplings t_n = n + 1)."""
-    if N < 2:
-        raise ValueError("N must be at least 2")
+    N = _require_size(N, 2)
     Q = build_metric_Q(N)
     return TridiagonalMetricFamily(N, Q.entries, np.arange(1, N, dtype=float))
 

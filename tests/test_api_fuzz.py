@@ -1,0 +1,171 @@
+"""Hypothesis fuzz over the public API: the counterpart of the CLI fuzz.
+
+Every call either raises ValueError or returns finite values, and no
+non-finite input comes back labelled positive-definite.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qtlattice import (
+    EvolutionState,
+    KappaVector,
+    MetricOperator,
+    build_hamiltonian,
+    build_metric_Q,
+    hidden_horizon_scan,
+    metric_from_kappa,
+    norm_drift,
+    propagator,
+    tridiagonal_metric,
+)
+
+SPECIAL = [np.nan, np.inf, -np.inf, -1.0, 0.0, 2.5]
+sizes = st.one_of(st.integers(-1, 8), st.sampled_from([2.5, True, False, np.int64(3)]))
+scalars = st.one_of(st.floats(-10.0, 10.0), st.sampled_from(SPECIAL))
+shapes = st.sampled_from([(), (0,), (1,), (2,), (3,), (2, 2), (3, 3), (2, 3), (2, 2, 2)])
+
+
+@st.composite
+def arrays(draw, shape=None):
+    """Finite entries, one of them replaced by a special value a third of the time."""
+    shape = draw(shapes) if shape is None else shape
+    size = int(np.prod(shape))
+    values = draw(st.lists(st.floats(-10.0, 10.0), min_size=size, max_size=size))
+    if size and draw(st.integers(0, 2)) == 0:
+        values[draw(st.integers(0, size - 1))] = draw(st.sampled_from(SPECIAL))
+    return np.array(values, dtype=float).reshape(shape)
+
+
+@st.composite
+def square_or_not(draw, N):
+    """Mostly an N x N matrix, mostly symmetric; otherwise any array."""
+    if draw(st.integers(0, 3)) == 0:
+        return draw(arrays())
+    matrix = draw(arrays((N, N)))
+    if draw(st.integers(0, 3)) == 0:
+        return matrix
+    return np.where(np.triu(np.ones((N, N), dtype=bool)), matrix, matrix.T)
+
+
+def finite(*values):
+    return all(np.all(np.isfinite(np.asarray(value, dtype=complex))) for value in values)
+
+
+def assert_honest(theta, *inputs):
+    assert finite(theta.matrix)
+    assert theta.definiteness in ("positive-definite", "singular", "indefinite")
+    assert finite(*inputs) or theta.definiteness != "positive-definite"
+
+
+def valid_size(N, minimum=1):
+    return isinstance(N, (int, np.integer)) and not isinstance(N, bool) and N >= minimum
+
+
+def call(function, *args):
+    """function(*args), or None when it raised ValueError."""
+    try:
+        return function(*args)
+    except ValueError:
+        return None
+
+
+SETTINGS = settings(max_examples=60, deadline=None)
+
+
+@SETTINGS
+@given(N=sizes)
+def test_build_hamiltonian(N):
+    H = call(build_hamiltonian, N)
+    Q = call(build_metric_Q, N)
+    assert (H is not None) == (Q is not None) == valid_size(N)
+    if H is not None:
+        assert H.dimension == Q.dimension == N and type(H.dimension) is int
+        assert H.superdiagonal.shape == H.subdiagonal.shape == (N - 1,)
+        assert finite(H.superdiagonal, H.subdiagonal, Q.entries)
+
+
+@SETTINGS
+@given(N=sizes, alpha=scalars)
+def test_tridiagonal_metric(N, alpha):
+    theta = call(tridiagonal_metric, N, alpha)
+    if theta is not None:
+        assert valid_size(N, 2) and theta.matrix.shape == (N, N)
+        assert_honest(theta, alpha)
+
+
+@SETTINGS
+@given(N=st.integers(1, 6), data=st.data())
+def test_metric_from_kappa(N, data, system_cache):
+    values = data.draw(st.one_of(arrays(), arrays((N,))))
+    kappa = call(KappaVector, N, values)
+    if kappa is None:
+        return
+    theta = call(metric_from_kappa, system_cache(N), kappa, data.draw(st.booleans()))
+    if theta is not None:
+        assert_honest(theta, values)
+
+
+@SETTINGS
+@given(data=st.data())
+def test_from_matrix(data):
+    matrix = data.draw(st.one_of(arrays(), square_or_not(data.draw(st.integers(1, 4)))))
+    theta = call(MetricOperator.from_matrix, matrix)
+    if theta is not None:
+        assert theta.matrix.shape == (theta.dimension, theta.dimension) and theta.dimension >= 1
+        assert_honest(theta, matrix)
+
+
+@SETTINGS
+@given(N=st.one_of(st.integers(2, 8), sizes), data=st.data())
+def test_hidden_horizon_scan(N, data):
+    K = data.draw(square_or_not(N if valid_size(N) and N <= 8 else 2))
+    grid = data.draw(st.one_of(st.integers(0, 6).flatmap(lambda k: arrays((k,))), arrays()))
+    scan = call(hidden_horizon_scan, N, K, grid)
+    if scan is None:
+        return
+    assert finite(K, grid) and scan.max_imag.shape == scan.alpha_grid.shape == (len(grid),)
+    skipped = np.isin(scan.alpha_grid, scan.skipped_singular)
+    assert finite(scan.max_imag[~skipped]) and np.all(np.isnan(scan.max_imag[skipped]))
+    assert len(scan.definiteness) == len(grid)
+    assert scan.first_crossing is None or np.isfinite(scan.first_crossing)
+
+
+@SETTINGS
+@given(N=st.integers(1, 8), t=scalars)
+def test_propagator(N, t):
+    U = call(propagator, build_hamiltonian(N), t)
+    assert (U is None) == (not np.isfinite(t))
+    if U is not None:
+        assert U.shape == (N, N) and finite(U)
+
+
+@SETTINGS
+@given(dimension=sizes, amplitudes=arrays())
+def test_evolution_state(dimension, amplitudes):
+    state = call(EvolutionState, dimension, amplitudes)
+    if state is not None:
+        assert valid_size(dimension) and state.amplitudes.shape == (dimension,)
+        assert finite(state.amplitudes) and np.any(state.amplitudes)
+
+
+@SETTINGS
+@given(N=st.integers(2, 6), data=st.data())
+def test_norm_drift(N, data):
+    """Metrics of every kind, including NaN ones labelled positive-definite."""
+    label = data.draw(st.sampled_from(["positive-definite", "indefinite"]))
+    if data.draw(st.booleans()):
+        theta = tridiagonal_metric(N, data.draw(st.floats(-2.0, 2.0)))
+    else:
+        theta = MetricOperator(N, data.draw(square_or_not(N)), label, "external")
+    amplitudes = data.draw(arrays((N,)))
+    psi0 = call(EvolutionState, N, amplitudes)
+    t_grid = data.draw(st.integers(1, 4).flatmap(lambda k: arrays((k,))))
+    if psi0 is None:
+        return
+    drift = call(norm_drift, build_hamiltonian(N), theta, psi0, t_grid)
+    if drift is not None:
+        assert theta.definiteness == "positive-definite"
+        assert finite(theta.matrix, t_grid, drift)
+

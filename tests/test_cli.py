@@ -300,9 +300,16 @@ def test_unopenable_out_file_is_a_domain_error(capsys, tmp_path):
 def test_import_loads_neither_sympy_nor_mpmath():
     code = (
         "import sys, qtlattice, qtlattice.cli; "
-        "print([m for m in ('scipy', 'sympy', 'mpmath') if m in sys.modules])"
+        "print([m for m in ('scipy', 'sympy', 'mpmath', 'concurrent.futures') if m in sys.modules])"
     )
     assert _python("-c", code).stdout.strip() == "[]"
+    # a scan whose points fit in one stack starts no thread pool
+    code = (
+        "import sys; from qtlattice.cli import run; status = run(sys.argv[1:]); "
+        "print(status, 'concurrent.futures' in sys.modules, file=sys.stderr)"
+    )
+    argv = "scan --n 8 --alpha-min 0 --alpha-max 2 --alpha-steps 1200".split()
+    assert _python("-c", code, *argv).stderr.strip() == "0 False"
 
 
 @pytest.mark.parametrize(

@@ -13,6 +13,7 @@ from qtlattice import (
     norm_trajectory,
     propagator,
     theta_norm,
+    tridiagonal_metric,
 )
 
 
@@ -153,3 +154,24 @@ def test_theta_norm_of_a_state_built_from_a_list():
     state = EvolutionState(2, [1.0, 0.0])
     assert isinstance(state.amplitudes, np.ndarray)
     assert theta_norm(Q_metric(2), state) == 0.5
+
+
+def test_norm_drift_rejects_nan_metric():
+    matrix = build_metric_Q(3).to_dense()
+    matrix[0, 0] = np.nan
+    theta = MetricOperator(3, matrix, "positive-definite", "external")
+    with pytest.raises(ValueError, match="intertwine"):
+        norm_drift(build_hamiltonian(3), theta, EvolutionState(3, np.ones(3)), np.linspace(0, 1, 5))
+
+
+def test_norm_drift_requires_positive_definite_metric():
+    theta = tridiagonal_metric(3, 5.0)  # a family member beyond the horizon
+    assert theta.definiteness == "indefinite"
+    with pytest.raises(ValueError, match="positive-definite"):
+        norm_drift(build_hamiltonian(3), theta, EvolutionState(3, np.ones(3)), np.linspace(0, 1, 5))
+
+
+@pytest.mark.parametrize("dimension", [True, 1.0, "1"])
+def test_state_dimension_must_be_an_integer(dimension):
+    with pytest.raises(ValueError, match="integer"):
+        EvolutionState(dimension, np.array([1.0]))

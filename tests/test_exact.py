@@ -98,3 +98,14 @@ def test_tridiagonal_couplings_are_twice_QH(N):
     for n, t in enumerate(couplings):
         T[n, n + 1] = T[n + 1, n] = t
     assert 2 * rational_metric_Q(N) * rational_hamiltonian(N) == T
+
+
+@pytest.mark.parametrize("bad", [2.5, True, 0])
+@pytest.mark.parametrize(
+    "call",
+    [rational_hamiltonian, rational_metric_Q, factorial_diagonal, exact_intertwining_check,
+     exact_tridiagonal_solve, exact_exceptional_identity],
+)
+def test_exact_sizes_must_be_positive_integers(call, bad):
+    with pytest.raises(ValueError):
+        call(bad)

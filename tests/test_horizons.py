@@ -287,3 +287,119 @@ def test_gamma_bessel_limit(N):
     j01 = jn_zeros(0, 1)[0]
     scaled = N * (N + 1) * (horizon_gamma(N).gamma - 0.5)
     assert abs(scaled - j01**2 / 4) <= 4 / N**2
+
+
+def _point_loop_labels(N, grid):
+    """Definiteness of dense Theta(alpha) from its smallest eigenvalue and thr."""
+    q, t = np.arange(N) + 0.5, np.arange(1.0, N)
+    labels = []
+    for alpha in grid:
+        smallest = np.linalg.eigvalsh(np.diag(q) + alpha * (np.diag(t, 1) + np.diag(t, -1)))[0]
+        thr = 1e-12 * max(1.0, q.max(), abs(alpha) * t.max())
+        if smallest > thr:
+            labels.append("positive-definite")
+        else:
+            labels.append("singular" if smallest > -thr else "indefinite")
+    return labels
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize("N", [2, 3, 8, 64, 100])
+def test_threaded_scan_is_bitwise_the_point_loop(N, cpus, rng, monkeypatch):
+    import os
+
+    import qtlattice.horizons as horizons
+
+    # stacks of at most 7 matrices in flight over all workers, on any host
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    monkeypatch.setattr(horizons, "_SCAN_CHUNK_BYTES", 7 * 8 * N * N)
+    gamma = horizon_gamma(N).gamma
+    grid = np.sort(np.r_[np.linspace(-2.0 * gamma, 3.0 * gamma, 43), gamma, -gamma])
+    K = rng.normal(size=(N, N))
+    K = K + K.T
+    scan = hidden_horizon_scan(N, K, grid)
+    max_imag, skipped = _point_loop_scan(N, K, grid)
+    assert max_imag.tobytes() == scan.max_imag.tobytes()
+    assert scan.skipped_singular == skipped == [-gamma, gamma]
+    assert scan.definiteness == _point_loop_labels(N, grid)
+    crossings = grid[max_imag > 1e-8 * max(1.0, np.max(np.abs(K)))]
+    assert scan.first_crossing == (float(crossings[0]) if len(crossings) else None)
+
+
+@pytest.mark.parametrize("cpus, matrices", [(1, 10), (2, 10), (3, 10), (3, 2)])
+def test_scan_stacks_share_the_budget_among_one_worker_per_cpu(cpus, matrices, rng, monkeypatch):
+    import os
+    import threading
+
+    import qtlattice.horizons as horizons
+
+    calls = []
+    eigvals = np.linalg.eigvals
+
+    def recording_eigvals(stack):
+        calls.append((threading.get_ident(), len(stack)))
+        return eigvals(stack)
+
+    N = 8
+    budget = matrices * 8 * N * N
+    workers = min(cpus, matrices)  # no more workers than matrices in the budget
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    monkeypatch.setattr(horizons, "_SCAN_CHUNK_BYTES", budget)
+    monkeypatch.setattr(horizons.np.linalg, "eigvals", recording_eigvals)
+    gamma = horizon_gamma(N).gamma
+    K = rng.normal(size=(N, N))
+    scan = hidden_horizon_scan(N, K + K.T, np.linspace(1.5 * gamma, 4.0 * gamma, 100))
+    threads = {ident for ident, _ in calls}
+    sizes = [size for _, size in calls]
+    assert sum(sizes) == np.count_nonzero(~np.isnan(scan.max_imag)) == 100
+    assert threading.get_ident() not in threads and len(threads) <= workers
+    stacks = -(-100 // max(1, matrices // workers))  # of at most budget / workers each
+    assert len(sizes) == min(100, -(-stacks // workers) * workers) and min(sizes) > 0
+    assert max(sizes) - min(sizes) <= 1
+    assert workers * max(sizes) * 8 * N * N <= budget
+
+    # a scan that fits one stack runs in the calling thread
+    calls.clear()
+    hidden_horizon_scan(N, K + K.T, np.linspace(1.5 * gamma, 4.0 * gamma, matrices // workers))
+    assert [ident for ident, _ in calls] == [threading.get_ident()]
+
+
+@pytest.mark.parametrize(
+    "grid", [[[0.1, 2.0], [3.0, 0.2]], [[0.1, 0.2]], 0.1, np.zeros((2, 0))]
+)
+def test_scan_requires_a_one_dimensional_grid(grid):
+    with pytest.raises(ValueError, match="one-dimensional"):
+        hidden_horizon_scan(4, np.eye(4), grid)
+
+
+@pytest.mark.parametrize("bad", [2.5, True, np.float64(3.0)])
+def test_horizon_sizes_must_be_integers(bad):
+    with pytest.raises(ValueError, match="integer"):
+        horizon_gamma(bad)
+    with pytest.raises(ValueError, match="integer"):
+        hidden_horizon_scan(bad, np.eye(3), np.array([0.1]))
+
+
+def test_threaded_scan_under_fast_thread_switching(rng, monkeypatch):
+    """More workers than cores, one matrix per stack, a switch every microsecond."""
+    import os
+    import sys
+
+    import qtlattice.horizons as horizons
+
+    N = 8
+    gamma = horizon_gamma(N).gamma
+    grid = np.linspace(1.5 * gamma, 4.0 * gamma, 400)
+    K = rng.normal(size=(N, N))
+    K = K + K.T
+    inline = hidden_horizon_scan(N, K, grid).max_imag
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    monkeypatch.setattr(horizons, "_SCAN_CHUNK_BYTES", 8 * 8 * N * N)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = hidden_horizon_scan(N, K, grid).max_imag
+    finally:
+        sys.setswitchinterval(interval)
+    assert not np.any(np.isnan(threaded))
+    assert threaded.tobytes() == inline.tobytes()

@@ -132,3 +132,11 @@ def test_eigen_residual_at_256(system_cache):
     H = build_hamiltonian(256).to_dense()
     residual = np.max(np.abs(H @ system.kets - system.kets * system.eigenvalues.roots))
     assert residual <= 2e-13
+
+
+@pytest.mark.parametrize("bad", [2.5, True, np.float64(2.0)])
+@pytest.mark.parametrize("call", [roots_P, biorthogonal_system, lambda N: ket(N, 0.3),
+                                  lambda N: eval_P_table(N, 0.3)])
+def test_sizes_must_be_integers(call, bad):
+    with pytest.raises(ValueError, match="integer"):
+        call(bad)

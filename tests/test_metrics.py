@@ -304,3 +304,51 @@ def test_tridiagonal_charge_is_one_plus_two_alpha_H(N, alpha):
     C = charge_operator(build_metric_Q(N), tridiagonal_metric(N, alpha)).matrix
     expected = np.eye(N) + 2 * alpha * build_hamiltonian(N).to_dense()
     np.testing.assert_allclose(C, expected, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("N", [2, 8, 64, 257])
+def test_banded_residual_matches_dense(N, rng):
+    from qtlattice.metrics import _hamiltonian_residual, dieudonne_residual
+
+    H = build_hamiltonian(N)
+    random = rng.normal(size=(N, N))
+    for matrix in (random + random.T, tridiagonal_metric(N, 0.3).matrix):
+        theta = MetricOperator(N, matrix, "indefinite", "external")
+        # both are divided by max(1, max|Theta| max|H|): within 8 eps of that scale
+        gap = abs(_hamiltonian_residual(H, theta) - dieudonne_residual(H.to_dense(), theta))
+        assert gap <= 8 * np.finfo(float).eps
+
+
+def _nan_labelled_positive(N):
+    matrix = build_metric_Q(N).to_dense()
+    matrix[0, 0] = np.nan
+    return MetricOperator(N, matrix, "positive-definite", "external")
+
+
+def test_kappa_from_metric_rejects_nan_metric(system_cache):
+    with pytest.raises(ValueError, match="intertwine"):
+        kappa_from_metric(system_cache(3), _nan_labelled_positive(3))
+
+
+@pytest.mark.parametrize(
+    "matrix", [np.ones(3), np.ones((2, 3)), np.zeros((0, 0)), 1.0, np.ones((2, 2, 2))]
+)
+def test_from_matrix_rejects_non_square_shapes(matrix):
+    with pytest.raises(ValueError, match="square"):
+        MetricOperator.from_matrix(matrix)
+
+
+@pytest.mark.parametrize("bad", [2.5, True, np.float64(3.0), "3", None])
+@pytest.mark.parametrize(
+    "call",
+    [build_hamiltonian, build_metric_Q, lambda N: tridiagonal_metric(N, 0.1),
+     lambda N: KappaVector(N, np.ones(3))],
+)
+def test_sizes_must_be_integers(call, bad):
+    with pytest.raises(ValueError, match="integer"):
+        call(bad)
+
+
+def test_numpy_integer_sizes_are_ints():
+    assert type(build_hamiltonian(np.int64(4)).dimension) is int
+    assert tridiagonal_metric(np.int32(3), 0.1).dimension == 3
