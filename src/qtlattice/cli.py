@@ -218,37 +218,18 @@ def _cmd_evolve(args, out):
 
 
 def _cmd_verify(args, out):
-    certificates = []
-    for N in range(1, min(args.n_max, exact.INTERTWINING_N_MAX) + 1):
-        ok, witness = exact.exact_intertwining_check(N)
-        certificates.append(
-            {"check": "intertwining", "N": N, "pass": ok, "witness": str(witness)}
-        )
-    for N in range(2, min(args.n_max, exact.INTERTWINING_N_MAX) + 1):
+    n_max = min(args.n_max, exact.INTERTWINING_N_MAX)
+    rows = [("intertwining", N, *exact.exact_intertwining_check(N)) for N in range(1, n_max + 1)]
+    for N in range(2, n_max + 1):
         couplings = exact.exact_tridiagonal_solve(N)
-        ok = couplings == list(range(1, N))
-        certificates.append(
-            {
-                "check": "tridiagonal-couplings",
-                "N": N,
-                "pass": ok,
-                "witness": ",".join(str(c) for c in couplings),
-            }
-        )
+        witness = ",".join(map(str, couplings))
+        rows.append(("tridiagonal-couplings", N, couplings == list(range(1, N)), witness))
     for N in range(1, min(args.n_max, 6) + 1):
-        ok = exact.exact_exceptional_identity(N)
-        certificates.append(
-            {"check": "exceptional-identity", "N": N, "pass": ok, "witness": ""}
-        )
+        rows.append(("exceptional-identity", N, exact.exact_exceptional_identity(N), ""))
     ok, witness = exact.exact_intertwining_check_factorial(3)
-    certificates.append(
-        {
-            "check": "factorial-diagonal-intertwining",
-            "N": 3,
-            "pass": not ok,  # the published closed form must fail
-            "witness": str(witness),
-        }
-    )
+    # the published closed form must fail
+    rows.append(("factorial-diagonal-intertwining", 3, not ok, witness))
+    certificates = [{"check": c, "N": n, "pass": ok, "witness": str(w)} for c, n, ok, w in rows]
     _dump_json(certificates, out)
 
 

@@ -55,8 +55,15 @@ def propagator(H: LatticeHamiltonian, t: float) -> np.ndarray:
 
 
 def _norms(theta: MetricOperator, v: np.ndarray) -> tuple[float, float]:
-    """(Re v^H Theta v, Re v^H v): the squared Theta-norm and Dirac norm of v."""
-    return float(np.real(v.conj() @ theta.matrix @ v)), float(np.real(v.conj() @ v))
+    """(Re v^H Theta v, Re v^H v): the squared Theta-norm and Dirac norm of v.
+
+    ValueError when one is not finite or the Dirac norm underflows to zero.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = float(np.real(v.conj() @ theta.matrix @ v)), float(np.real(v.conj() @ v))
+    if not (np.isfinite(norms).all() and norms[1] > 0):
+        raise ValueError("the norm of the state overflows or underflows")
+    return norms
 
 
 def theta_norm(theta: MetricOperator, psi: EvolutionState) -> float:
@@ -80,11 +87,13 @@ def norm_trajectory(
     t_grid = np.asarray(t_grid, dtype=float)
     if not np.all(np.isfinite(t_grid)):
         raise ValueError("the time grid must be finite")
-    coefficients = (system.ketkets.T @ np.asarray(psi0.amplitudes, dtype=complex)) / system.q_norms
+    amplitudes = np.asarray(psi0.amplitudes, dtype=complex)
     norms = np.empty((2, len(t_grid)))
-    for i, t in enumerate(t_grid):
-        v = system.kets @ (np.exp(-1j * system.eigenvalues.roots * t) * coefficients)
-        norms[:, i] = _norms(theta, v)
+    with np.errstate(over="ignore", invalid="ignore"):  # huge amplitudes: _norms raises
+        coefficients = (system.ketkets.T @ amplitudes) / system.q_norms
+        for i, t in enumerate(t_grid):
+            v = system.kets @ (np.exp(-1j * system.eigenvalues.roots * t) * coefficients)
+            norms[:, i] = _norms(theta, v)
     return norms[0], norms[1]
 
 
@@ -109,6 +118,8 @@ def norm_drift(
         raise ValueError("theta does not intertwine with H; norm is not conserved")
     theta_t, dirac_t = norm_trajectory(biorthogonal_system(H.dimension), theta, psi0, t_grid)
     theta0, dirac0 = _norms(theta, np.asarray(psi0.amplitudes, dtype=complex))
+    if not theta0 > 0:
+        raise ValueError("psi0 has no positive Theta-norm: theta is not positive-definite")
     return (
         float(np.max(np.abs(theta_t / theta0 - 1.0), initial=0.0)),
         float(np.max(np.abs(dirac_t / dirac0 - 1.0), initial=0.0)),

@@ -100,8 +100,7 @@ def _usable_cpus() -> int:
 def _gamma_bisection(N: int) -> tuple[float, int]:
     """Bisection on the positive-definiteness of Theta(alpha).
 
-    Each step runs the O(N) pivot recurrence once, up to its first negative
-    pivot; near gamma that is the last pivot, far above gamma an early one.
+    Each step runs the O(N) pivot recurrence (`sturm_count`) once.
     """
     family = tridiagonal_family(N)
     iterations = 0
@@ -183,7 +182,8 @@ def hidden_horizon_scan(N: int, K: np.ndarray, alpha_grid: np.ndarray) -> Realit
     definiteness = family.definiteness(alpha_grid)
     couplings = family.coupling_base
     row_couplings = np.max(np.r_[couplings, 0.0] + np.r_[0.0, couplings])
-    tau = SINGULAR_RCOND * (np.max(family.diagonal) + np.abs(alpha_grid) * row_couplings)
+    with np.errstate(over="ignore"):  # an infinite tau makes sturm_count raise ValueError
+        tau = SINGULAR_RCOND * (np.max(family.diagonal) + np.abs(alpha_grid) * row_couplings)
     offdiagonal = family.offdiagonal(alpha_grid)
     skip = sturm_count(family.diagonal, offdiagonal, tau) > sturm_count(
         family.diagonal, offdiagonal, -tau

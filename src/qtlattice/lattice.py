@@ -116,6 +116,7 @@ def biorthogonal_system(N: int) -> BiorthogonalSystem:
     The kets come from one recurrence over all roots of P_N.  Gates: the eigen
     residual max|H kets - kets E| (from the two bands of H) is at most
     EIGEN_RESIDUAL_TOL, and kets^T Q kets is diagonal to 1e-12 of max q_norm.
+    Both checks share one N x N work buffer.
     """
     H = build_hamiltonian(N)
     Q = build_metric_Q(N)
@@ -124,14 +125,15 @@ def biorthogonal_system(N: int) -> BiorthogonalSystem:
     ketkets = Q.entries[:, None] * kets
     q_norms = np.einsum("ij,ij->j", kets, ketkets)
 
-    misfit = kets * eigenvalues.roots[None, :]  # kets E - H kets, band by band
-    misfit[:-1] -= H.superdiagonal[:, None] * kets[1:]
-    misfit[1:] -= H.subdiagonal[:, None] * kets[:-1]
-    residual = np.max(np.abs(misfit))
+    buffer = kets * eigenvalues.roots[None, :]  # kets E - H kets, band by band
+    buffer[:-1] -= H.superdiagonal[:, None] * kets[1:]
+    buffer[1:] -= H.subdiagonal[:, None] * kets[:-1]
+    residual = np.abs(buffer, out=buffer).max()
     if residual > EIGEN_RESIDUAL_TOL:
-        raise RuntimeError(f"eigenvector residual {residual:.3e} exceeds tolerance")
-    gram = kets.T @ ketkets
-    off = gram - np.diag(np.diag(gram))
-    if np.max(np.abs(off)) > 1e-12 * np.max(q_norms):
-        raise RuntimeError("biorthogonality violated")
+        raise RuntimeError(f"eigen residual {residual:.3e} > {EIGEN_RESIDUAL_TOL:.0e} at N={N}")
+    gram = np.matmul(kets.T, ketkets, out=buffer)
+    np.fill_diagonal(gram, 0.0)
+    off, gate = np.abs(gram, out=gram).max(), 1e-12 * np.max(q_norms)
+    if off > gate:
+        raise RuntimeError(f"biorthogonality: Gram off-diagonal {off:.3e} > {gate:.3e} at N={N}")
     return BiorthogonalSystem(N, eigenvalues, kets, ketkets, q_norms)

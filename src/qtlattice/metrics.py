@@ -45,7 +45,7 @@ from .lattice import (
     build_metric_Q,
 )
 from .legendre import _require_size
-from .tridiagonal import _negative_pivots, sturm_count
+from .tridiagonal import sturm_count
 
 __all__ = [
     "KappaVector",
@@ -123,20 +123,20 @@ class TridiagonalMetricFamily:
         alpha = np.asarray(alpha, dtype=float)
         if not np.all(np.isfinite(alpha)):
             raise ValueError("alpha must be finite")
-        return np.multiply.outer(self.coupling_base, alpha)
+        with np.errstate(over="ignore"):
+            offdiagonal = np.multiply.outer(self.coupling_base, alpha)
+        if not np.all(np.isfinite(offdiagonal)):
+            raise ValueError("alpha t overflows")
+        return offdiagonal
 
     def definiteness(self, alpha) -> np.ndarray:
         """Labels of Theta(alpha), shaped like alpha, in O(N) per alpha."""
         return tridiagonal_definiteness(self.diagonal, self.offdiagonal(alpha))
 
     def positive_definite(self, alpha: float) -> bool:
-        """Whether Theta(alpha) is positive-definite: no negative pivot at +thr.
-
-        The pivot recurrence of `sturm_count`, stopped at the first negative pivot.
-        """
-        offdiagonal = self.offdiagonal(alpha)
-        threshold = _pivot_threshold(self.diagonal, offdiagonal)
-        return _negative_pivots(self.diagonal, offdiagonal, threshold, first_only=True) == 0
+        """Whether Theta(alpha) is positive-definite: no eigenvalue below +thr."""
+        diagonal, offdiagonal = self.diagonal, self.offdiagonal(alpha)
+        return sturm_count(diagonal, offdiagonal, _pivot_threshold(diagonal, offdiagonal)) == 0
 
     def realize(self, alpha: float) -> MetricOperator:
         definiteness = str(self.definiteness(alpha))
@@ -147,7 +147,9 @@ class TridiagonalMetricFamily:
 def _require_symmetric(matrix: np.ndarray) -> None:
     """Raise unless max|M - M^T| <= 1e-12 max(1, max|M|)."""
     scale = max(1.0, np.max(np.abs(matrix)))
-    if np.max(np.abs(matrix - matrix.T)) > SYMMETRY_TOL * scale:
+    with np.errstate(over="ignore"):  # M - M^T may overflow to inf, which fails the gate
+        asymmetry = np.max(np.abs(matrix - matrix.T))
+    if asymmetry > SYMMETRY_TOL * scale:
         raise ValueError("matrix is not symmetric within tolerance")
 
 
@@ -214,8 +216,9 @@ def metric_from_kappa(
         raise ValueError("kappa must be finite")
     if strict and np.any(kappa.values <= 0):
         raise ValueError("kappa must be strictly positive in strict mode")
-    matrix = (system.ketkets * kappa.values[None, :]) @ system.ketkets.T
-    matrix = 0.5 * (matrix + matrix.T)
+    with np.errstate(over="ignore"):  # inf entries fail classify_definiteness
+        matrix = (system.ketkets * kappa.values[None, :]) @ system.ketkets.T
+        matrix = 0.5 * (matrix + matrix.T)
     return MetricOperator(
         system.dimension, matrix, classify_definiteness(matrix), "kappa-family"
     )

@@ -6,7 +6,9 @@ residual test (`dieudonne_residual`, defined in `metrics`), a constructor
 of certified observables (Theta^{-1} K for symmetric K), and the
 overlap-matrix reformulation: with kets renormalized to unit Q-norm, the
 product M = U V of the two overlap matrices is Hermitian exactly when the
-residual test passes.
+residual test passes.  The eigensystem of a candidate comes from numpy
+alone: one `eig` for its eigenvalues and right vectors, and the rows of the
+inverse of the right-vector matrix for its left vectors.
 """
 
 from __future__ import annotations
@@ -73,21 +75,21 @@ def observable_from_hermitian(K: np.ndarray, theta: MetricOperator) -> np.ndarra
 def spectral_data(Lambda: np.ndarray) -> ObservableSpectralData:
     """Full biorthogonal eigensystem of Lambda with validation.
 
-    Requires a simple spectrum (minimum gap above 1e-10).  One LAPACK
-    `geev` call returns both eigenvector sets for the same eigenvalues:
-    its left vectors v satisfy v^H Lambda = lambda v^H, so their conjugates
-    are the eigenvectors of Lambda^T.  Eigenvalues are sorted by real, then
-    imaginary part, and both vector sets follow the same permutation.
-    scipy is imported here, not with the package, so that commands without
-    an observable do not load it.
+    Requires a simple spectrum (minimum gap above 1e-10).  One `np.linalg.eig`
+    gives the eigenvalues and right vectors R, sorted by real, then imaginary
+    part.  Lambda R = R diag(lambda) gives R^{-1} Lambda = diag(lambda) R^{-1}:
+    row j of R^{-1}, transposed, is an eigenvector of Lambda^T for lambda_j,
+    so both sets belong to the same eigenvalues by construction.  The left
+    vectors are scaled to unit 2-norm, as `geev` scales its own.  A singular
+    R raises `LinAlgError`, a `ValueError`.
     """
-    from scipy.linalg import eig
-
     Lambda = np.asarray(Lambda, dtype=complex)
     N = Lambda.shape[0]
-    eigenvalues, left, right = eig(Lambda, left=True, right=True)
+    eigenvalues, right = np.linalg.eig(Lambda)
     order = np.lexsort((eigenvalues.imag, eigenvalues.real))
-    eigenvalues, right, left = eigenvalues[order], right[:, order], left[:, order].conj()
+    eigenvalues, right = eigenvalues[order], right[:, order]
+    left = np.linalg.inv(right).T
+    left /= np.linalg.norm(left, axis=0)
     if N > 1:
         gaps = np.abs(eigenvalues[:, None] - eigenvalues[None, :])
         np.fill_diagonal(gaps, np.inf)

@@ -39,11 +39,6 @@ def sturm_count(diagonal, offdiagonal, shift):
     back as an integer array of the batch shape.  Without a batch the count
     runs on Python floats, which is faster than numpy for one matrix.
     """
-    return _negative_pivots(diagonal, offdiagonal, shift, first_only=False)
-
-
-def _negative_pivots(diagonal, offdiagonal, shift, first_only: bool):
-    """`sturm_count`; with `first_only`, one matrix stops at its first negative pivot."""
     diagonal = np.asarray(diagonal, dtype=float)
     offdiagonal = np.asarray(offdiagonal, dtype=float)
     shift = np.asarray(shift, dtype=float)
@@ -63,8 +58,6 @@ def _negative_pivots(diagonal, offdiagonal, shift, first_only: bool):
             pivot = a - b2 / (pivot or zero_pivot)
             if pivot <= 0:
                 count += 1
-                if first_only:
-                    break
         return count
     batch = np.broadcast_shapes(offdiagonal.shape[1:], shift.shape)
     pivot, count = np.ones(batch), np.zeros(batch, dtype=int)

@@ -5,6 +5,7 @@ non-finite input comes back labelled positive-definite.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,6 +13,7 @@ from qtlattice import (
     EvolutionState,
     KappaVector,
     MetricOperator,
+    biorthogonal_system,
     build_hamiltonian,
     build_metric_Q,
     hidden_horizon_scan,
@@ -21,7 +23,7 @@ from qtlattice import (
     tridiagonal_metric,
 )
 
-SPECIAL = [np.nan, np.inf, -np.inf, -1.0, 0.0, 2.5]
+SPECIAL = [np.nan, np.inf, -np.inf, -1.0, 0.0, 2.5, 1e308, -1e308]
 sizes = st.one_of(st.integers(-1, 8), st.sampled_from([2.5, True, False, np.int64(3)]))
 scalars = st.one_of(st.floats(-10.0, 10.0), st.sampled_from(SPECIAL))
 shapes = st.sampled_from([(), (0,), (1,), (2,), (3,), (2, 2), (3, 3), (2, 3), (2, 2, 2)])
@@ -169,3 +171,30 @@ def test_norm_drift(N, data):
         assert theta.definiteness == "positive-definite"
         assert finite(theta.matrix, t_grid, drift)
 
+
+HUGE = {
+    "alpha t": lambda: tridiagonal_metric(4, 1e308),
+    "kappa product": lambda: metric_from_kappa(biorthogonal_system(4), KappaVector(4, [1e308] * 4)),
+    "scan alpha t": lambda: hidden_horizon_scan(4, np.eye(4), [0.1, 1e308]),
+    "scan tau": lambda: hidden_horizon_scan(4, np.eye(4), [5e307]),
+    "K - K^T": lambda: hidden_horizon_scan(2, [[0.0, 1e308], [-1e308, 0.0]], [0.1]),
+    "state norm": lambda: norm_drift(
+        build_hamiltonian(2), tridiagonal_metric(2, 0.0), EvolutionState(2, [1e308, 0.0]), [0.0]
+    ),
+    "norm underflow": lambda: norm_drift(
+        build_hamiltonian(2), tridiagonal_metric(2, 0.0), EvolutionState(2, [0.0, 1e-200]), [0.0]
+    ),
+    "zero metric": lambda: norm_drift(
+        build_hamiltonian(2),
+        MetricOperator(2, np.zeros((2, 2)), "positive-definite", "external"),
+        EvolutionState(2, [1.0, 0.0]),
+        [0.0],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", HUGE)
+def test_overflow_is_a_value_error_without_a_warning(case):
+    """Finite inputs whose products overflow (or underflow to a zero norm)."""
+    with pytest.raises(ValueError):
+        HUGE[case]()

@@ -312,23 +312,45 @@ def test_import_loads_neither_sympy_nor_mpmath():
     assert _python("-c", code, *argv).stderr.strip() == "0 False"
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        "spectrum --n 4",
-        "metric --n 4 --alpha 0.3",
-        "charge --n 4 --kappa exceptional",
-        "evolve --n 4 --t-steps 5",
-        "scan --n 4 --alpha-min -1 --alpha-max 1 --alpha-steps 5",
-        "horizon --n 8",
-    ],
-)
-def test_commands_that_need_no_scipy_do_not_load_it(argv):
+# Every subcommand, with valid input; {k} is the file of a 4 x 4 observable.
+EVERY_COMMAND = [
+    "spectrum --n 4",
+    "metric --n 4 --alpha 0.3",
+    "charge --n 4 --kappa exceptional",
+    "evolve --n 4 --t-steps 5",
+    "scan --n 4 --alpha-min -1 --alpha-max 1 --alpha-steps 5",
+    "horizon --n 8",
+    "check-observability --n 4 --k-matrix {k}",
+    "verify --n-max 4",
+]
+
+
+@pytest.fixture
+def k_file(tmp_path):
+    path = tmp_path / "k.json"
+    H = qtlattice.build_hamiltonian(4).to_dense()
+    path.write_text(json.dumps({"dimension": 4, "matrix": H.tolist()}))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", EVERY_COMMAND)
+def test_commands_that_need_no_scipy_do_not_load_it(argv, k_file):
     code = (
         "import sys; from qtlattice.cli import run; status = run(sys.argv[1:]); "
         "print(status, 'scipy' in sys.modules, file=sys.stderr)"
     )
-    assert _python("-c", code, *argv.split()).stderr.strip() == "0 False"
+    argv = [arg.format(k=k_file) for arg in argv.split()]
+    assert _python("-c", code, *argv).stderr.strip() == "0 False"
+
+
+@pytest.mark.parametrize("argv", EVERY_COMMAND)
+def test_every_command_runs_with_scipy_blocked(argv, k_file):
+    """scipy is a test dependency only: importing any part of it fails here."""
+    code = "import sys; sys.modules['scipy'] = None; from qtlattice.cli import main; main()"
+    result = _python("-c", code, *[arg.format(k=k_file) for arg in argv.split()], check=False)
+    assert (result.returncode, result.stderr) == (0, "")
+    if argv.startswith("check-observability"):
+        assert json.loads(result.stdout)["product_hermitian"] is True
 
 
 @pytest.mark.parametrize(

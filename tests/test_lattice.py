@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,8 +8,10 @@ from qtlattice import (
     build_hamiltonian,
     build_metric_Q,
     ket,
+    lattice,
     spectrum,
 )
+from qtlattice.lattice import DiagonalMetric
 from qtlattice.legendre import eval_P_table, roots_P
 
 
@@ -132,6 +136,32 @@ def test_eigen_residual_at_256(system_cache):
     H = build_hamiltonian(256).to_dense()
     residual = np.max(np.abs(H @ system.kets - system.kets * system.eigenvalues.roots))
     assert residual <= 2e-13
+
+
+def test_eigensystem_gates_share_one_buffer(system_cache):
+    """Roots warm, biorthogonal_system(256) peaks at the kets, the ketkets, the
+    work buffer of both gates and one band product: about 4.15 arrays of
+    8 N^2 bytes (6.03 with separate misfit, Gram and off-diagonal arrays)."""
+    N = 256
+    system_cache(N)
+    tracemalloc.start()
+    try:
+        biorthogonal_system(N)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5 * 8 * N**2
+
+
+def test_gate_failures_report_residual_gate_and_size(monkeypatch):
+    monkeypatch.setattr(lattice, "EIGEN_RESIDUAL_TOL", 0.0)
+    with pytest.raises(RuntimeError, match=r"eigen residual \S+e-\d+ > 0e\+00 at N=8$"):
+        biorthogonal_system(8)
+    monkeypatch.undo()
+    # kets^T I kets is not diagonal: only Q makes the kets biorthogonal
+    monkeypatch.setattr(lattice, "build_metric_Q", lambda N: DiagonalMetric(N, np.ones(N)))
+    with pytest.raises(RuntimeError, match=r"Gram off-diagonal \S+ > \S+e-\d+ at N=8$"):
+        biorthogonal_system(8)
 
 
 @pytest.mark.parametrize("bad", [2.5, True, np.float64(2.0)])

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from qtlattice import (
     KappaVector,
@@ -94,6 +95,22 @@ def test_spectral_data_left_vectors_are_transpose_eigenvectors(rng):
     bound = 1e-12 * np.max(np.abs(Lam))
     assert right <= bound
     assert left <= bound
+
+
+@pytest.mark.parametrize("N", [2, 8, 64])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_spectral_data_is_scipy_geev_bitwise(N, kind, rng):
+    """Eigenvalues and right vectors are those of scipy.linalg.eig bit for bit;
+    the left vectors (rows of R^{-1}) are scipy's conjugated ones up to a phase."""
+    Lam = rng.normal(size=(N, N)) + (1j * rng.normal(size=(N, N)) if kind == "complex" else 0)
+    data = spectral_data(Lam)
+    values, left, right = scipy.linalg.eig(Lam.astype(complex), left=True, right=True)
+    order = np.lexsort((values.imag, values.real))
+    np.testing.assert_array_equal(data.eigenvalues, values[order], strict=True)
+    np.testing.assert_array_equal(data.right_vectors, right[:, order], strict=True)
+    np.testing.assert_allclose(np.linalg.norm(data.left_vectors, axis=0), 1.0, rtol=1e-14)
+    phases = np.einsum("ij,ij->j", left[:, order], data.left_vectors)
+    np.testing.assert_allclose(np.abs(phases), 1.0, rtol=1e-10)
 
 
 def test_spectral_data_rejects_degenerate():
