@@ -207,8 +207,6 @@ def _cmd_evolve(args, out):
         theta = metrics.metric_from_kappa(system, _parse_kappa(args.kappa, system))
     else:
         theta = _diagonal_metric(args.n)
-    if theta.definiteness != "positive-definite":
-        raise DomainError("evolution norms need a positive-definite metric")
     psi0 = evolution.EvolutionState(args.n, np.ones(args.n) / np.sqrt(args.n))
     t_grid = np.linspace(0.0, args.t_max, args.t_steps)
     theta_norms, dirac_norms = evolution.norm_trajectory(system, theta, psi0, t_grid)

@@ -14,11 +14,9 @@ import numpy as np
 
 from .lattice import BiorthogonalSystem, LatticeHamiltonian, biorthogonal_system
 from .legendre import _require_size
-from .metrics import MetricOperator, _hamiltonian_residual
+from .metrics import INTERTWINING_TOL, MetricOperator, _hamiltonian_residual
 
 __all__ = ["EvolutionState", "propagator", "theta_norm", "norm_trajectory", "norm_drift"]
-
-COMPATIBILITY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -57,19 +55,20 @@ def propagator(H: LatticeHamiltonian, t: float) -> np.ndarray:
 def _norms(theta: MetricOperator, v: np.ndarray) -> tuple[float, float]:
     """(Re v^H Theta v, Re v^H v): the squared Theta-norm and Dirac norm of v.
 
-    ValueError when one is not finite or the Dirac norm underflows to zero.
+    The one positivity gate of every norm path: ValueError unless theta is
+    labelled positive-definite and both norms are finite and positive.
     """
+    if theta.definiteness != "positive-definite":
+        raise ValueError("theta must be positive-definite to define a norm")
     with np.errstate(over="ignore", invalid="ignore"):
         norms = float(np.real(v.conj() @ theta.matrix @ v)), float(np.real(v.conj() @ v))
-    if not (np.isfinite(norms).all() and norms[1] > 0):
-        raise ValueError("the norm of the state overflows or underflows")
+    if not (np.isfinite(norms).all() and min(norms) > 0):
+        raise ValueError("the norms of the state are not finite and positive")
     return norms
 
 
 def theta_norm(theta: MetricOperator, psi: EvolutionState) -> float:
     """The squared metric norm psi^H Theta psi (real for symmetric Theta)."""
-    if theta.definiteness != "positive-definite":
-        raise ValueError("theta must be positive-definite to define a norm")
     return _norms(theta, psi.amplitudes)[0]
 
 
@@ -82,7 +81,8 @@ def norm_trajectory(
     """Theta-norm and Dirac norm of exp(-i H t) psi0 at each t of t_grid.
 
     psi0 is expanded once in the eigenbasis of `system`; each time step is
-    then a phase twist of the coefficients.  A non-finite t raises ValueError.
+    then a phase twist of the coefficients.  A non-finite t raises ValueError,
+    and so does every Theta or norm that `theta_norm` rejects.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if not np.all(np.isfinite(t_grid)):
@@ -107,19 +107,14 @@ def norm_drift(
 
     Returns (max_theta_drift, max_dirac_drift); the former should be at
     rounding level whenever theta intertwines with H, the latter is O(1)
-    because H is not Dirac-Hermitian.  Theta must be labelled
-    positive-definite, as for `theta_norm`, and intertwine with H:
-    dieudonne_residual(H, theta) <= 1e-10, which a Theta with NaN or inf
-    entries fails.
+    because H is not Dirac-Hermitian.  Theta must pass the norm checks of
+    `theta_norm` and intertwine with H: dieudonne_residual(H, theta) <= 1e-10,
+    which a Theta with NaN or inf entries fails.
     """
-    if theta.definiteness != "positive-definite":
-        raise ValueError("theta must be positive-definite to define a norm")
-    if not _hamiltonian_residual(H, theta) <= COMPATIBILITY_TOL:
+    if not _hamiltonian_residual(H, theta) <= INTERTWINING_TOL:
         raise ValueError("theta does not intertwine with H; norm is not conserved")
-    theta_t, dirac_t = norm_trajectory(biorthogonal_system(H.dimension), theta, psi0, t_grid)
     theta0, dirac0 = _norms(theta, np.asarray(psi0.amplitudes, dtype=complex))
-    if not theta0 > 0:
-        raise ValueError("psi0 has no positive Theta-norm: theta is not positive-definite")
+    theta_t, dirac_t = norm_trajectory(biorthogonal_system(H.dimension), theta, psi0, t_grid)
     return (
         float(np.max(np.abs(theta_t / theta0 - 1.0), initial=0.0)),
         float(np.max(np.abs(dirac_t / dirac0 - 1.0), initial=0.0)),

@@ -66,7 +66,7 @@ __all__ = [
 
 SYMMETRY_TOL = 1e-12
 PIVOT_TOL = 1e-12
-MEMBERSHIP_TOL = 1e-9
+INTERTWINING_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -121,12 +121,10 @@ class TridiagonalMetricFamily:
     def offdiagonal(self, alpha) -> np.ndarray:
         """alpha t: the couplings on axis 0, followed by the axes of alpha."""
         alpha = np.asarray(alpha, dtype=float)
-        if not np.all(np.isfinite(alpha)):
-            raise ValueError("alpha must be finite")
+        _require_finite(alpha, "alpha")
         with np.errstate(over="ignore"):
             offdiagonal = np.multiply.outer(self.coupling_base, alpha)
-        if not np.all(np.isfinite(offdiagonal)):
-            raise ValueError("alpha t overflows")
+        _require_finite(offdiagonal, "alpha t")
         return offdiagonal
 
     def definiteness(self, alpha) -> np.ndarray:
@@ -144,8 +142,17 @@ class TridiagonalMetricFamily:
         return MetricOperator(self.dimension, matrix, definiteness, "tridiagonal-family")
 
 
+def _require_finite(value, what: str) -> None:
+    """Raise unless every entry of value is finite."""
+    if not np.isfinite(value).all():
+        raise ValueError(f"{what} is not finite (NaN or inf)")
+
+
 def _require_symmetric(matrix: np.ndarray) -> None:
-    """Raise unless max|M - M^T| <= 1e-12 max(1, max|M|)."""
+    """Raise unless M is nonempty, square, finite and max|M - M^T| <= 1e-12 max(1, max|M|)."""
+    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or matrix.size == 0:
+        raise ValueError(f"expected a nonempty square matrix, not one of shape {matrix.shape}")
+    _require_finite(matrix, "matrix")
     scale = max(1.0, np.max(np.abs(matrix)))
     with np.errstate(over="ignore"):  # M - M^T may overflow to inf, which fails the gate
         asymmetry = np.max(np.abs(matrix - matrix.T))
@@ -184,10 +191,6 @@ def classify_definiteness(matrix: np.ndarray) -> str:
     singular, below it indefinite.
     """
     matrix = np.asarray(matrix, dtype=float)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or matrix.size == 0:
-        raise ValueError(f"a metric is a nonempty square matrix, not of shape {matrix.shape}")
-    if not np.isfinite(matrix).all():
-        raise ValueError("matrix has non-finite (NaN or inf) entries")
     _require_symmetric(matrix)
     threshold = PIVOT_TOL * max(1.0, np.max(np.abs(matrix)))
     try:
@@ -212,8 +215,7 @@ def metric_from_kappa(
     """
     if kappa.dimension != system.dimension:
         raise ValueError("kappa dimension does not match system")
-    if not np.all(np.isfinite(kappa.values)):
-        raise ValueError("kappa must be finite")
+    _require_finite(kappa.values, "kappa")
     if strict and np.any(kappa.values <= 0):
         raise ValueError("kappa must be strictly positive in strict mode")
     with np.errstate(over="ignore"):  # inf entries fail classify_definiteness
@@ -230,20 +232,26 @@ def exceptional_kappa(system: BiorthogonalSystem) -> KappaVector:
 
 
 def charge_operator(Q: DiagonalMetric, theta: MetricOperator) -> ChargeOperator:
-    """C = Q^{-1} Theta, the charge-like factor in Theta = Q C."""
-    if Q.dimension != theta.dimension:
+    """C = Q^{-1} Theta, the charge-like factor in Theta = Q C; ValueError unless finite."""
+    if np.shape(theta.matrix) != (Q.dimension, Q.dimension):
         raise ValueError("dimension mismatch between Q and theta")
-    return ChargeOperator(theta.dimension, theta.matrix / Q.entries[:, None])
+    with np.errstate(over="ignore"):
+        charge = theta.matrix / Q.entries[:, None]
+    _require_finite(charge, "the charge operator")
+    return ChargeOperator(theta.dimension, charge)
 
 
 def dieudonne_residual(Lambda: np.ndarray, theta: MetricOperator) -> float:
-    """Normalized max-norm of Lambda^dagger Theta - Theta Lambda."""
+    """Normalized max-norm of Lambda^dagger Theta - Theta Lambda; ValueError unless finite."""
     Lambda = np.asarray(Lambda)
     if Lambda.shape != theta.matrix.shape:
         raise ValueError("dimension mismatch between Lambda and theta")
-    residual = Lambda.conj().T @ theta.matrix - theta.matrix @ Lambda
-    scale = max(1.0, np.max(np.abs(theta.matrix)) * np.max(np.abs(Lambda)))
-    return float(np.max(np.abs(residual)) / scale)
+    with np.errstate(over="ignore", invalid="ignore"):  # NaN or inf input: a NaN scale
+        residual = Lambda.conj().T @ theta.matrix - theta.matrix @ Lambda
+        scale = np.maximum(1.0, np.max(np.abs(theta.matrix)) * np.max(np.abs(Lambda)))
+        residual = float(np.max(np.abs(residual)) / scale)
+    _require_finite(residual, "the Dieudonne residual")
+    return residual
 
 
 def _hamiltonian_residual(H: LatticeHamiltonian, theta: MetricOperator) -> float:
@@ -272,14 +280,14 @@ def kappa_from_metric(system: BiorthogonalSystem, theta: MetricOperator) -> Kapp
     """Recover the weights of a family member: kappa_j = psi_j^T Theta psi_j / n_j^2.
 
     Rejects matrices outside the family, for which the projection would be
-    meaningless: unless dieudonne_residual(H, theta) <= 1e-9, which is
-    max|H^T Theta - Theta H| <= 1e-9 max(1, max|Theta|) because
+    meaningless: unless dieudonne_residual(H, theta) <= 1e-10, which is
+    max|H^T Theta - Theta H| <= 1e-10 max(1, max|Theta|) because
     max|H| = H[0, 1] = 1 for N >= 2 (at N = 1 both residuals are 0).  A
     Theta with NaN or inf entries fails the gate.
     """
     if theta.dimension != system.dimension:
         raise ValueError("dimension mismatch")
-    if not _hamiltonian_residual(build_hamiltonian(system.dimension), theta) <= MEMBERSHIP_TOL:
+    if not _hamiltonian_residual(build_hamiltonian(system.dimension), theta) <= INTERTWINING_TOL:
         raise ValueError("matrix does not intertwine with H: not in the metric family")
     quad = np.einsum("ij,ij->j", system.kets, theta.matrix @ system.kets)
     return KappaVector(system.dimension, quad / system.q_norms**2)

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import BiorthogonalSystem
-from .metrics import KappaVector, MetricOperator, _require_symmetric, dieudonne_residual
+from .metrics import KappaVector, MetricOperator, dieudonne_residual
+from .metrics import _require_finite, _require_symmetric
 
 __all__ = [
     "ObservableSpectralData",
@@ -64,12 +65,14 @@ class OverlapPair:
 
 
 def observable_from_hermitian(K: np.ndarray, theta: MetricOperator) -> np.ndarray:
-    """Lambda = Theta^{-1} K, an observable for Theta by construction."""
+    """Lambda = Theta^{-1} K for finite symmetric K, an observable for Theta by construction."""
     K = np.asarray(K, dtype=float)
     _require_symmetric(K)
     if 1.0 / np.linalg.cond(theta.matrix) < 1e-13:
         raise ValueError("theta is numerically singular")
-    return np.linalg.solve(theta.matrix, K)
+    Lambda = np.linalg.solve(theta.matrix, K)
+    _require_finite(Lambda, "Theta^{-1} K")
+    return Lambda
 
 
 def spectral_data(Lambda: np.ndarray) -> ObservableSpectralData:
@@ -80,8 +83,8 @@ def spectral_data(Lambda: np.ndarray) -> ObservableSpectralData:
     part.  Lambda R = R diag(lambda) gives R^{-1} Lambda = diag(lambda) R^{-1}:
     row j of R^{-1}, transposed, is an eigenvector of Lambda^T for lambda_j,
     so both sets belong to the same eigenvalues by construction.  The left
-    vectors are scaled to unit 2-norm, as `geev` scales its own.  A singular
-    R raises `LinAlgError`, a `ValueError`.
+    vectors are scaled to unit 2-norm, as `geev` scales its own.  Each failure,
+    a singular R (`LinAlgError`) included, is a property of the input: a `ValueError`.
     """
     Lambda = np.asarray(Lambda, dtype=complex)
     N = Lambda.shape[0]
@@ -101,7 +104,7 @@ def spectral_data(Lambda: np.ndarray) -> ObservableSpectralData:
     reconstruction = (right * (eigenvalues / pairing)[None, :]) @ left.T
     scale = max(1.0, np.max(np.abs(Lambda)))
     if np.max(np.abs(reconstruction - Lambda)) > RECONSTRUCTION_TOL * scale:
-        raise RuntimeError("spectral reconstruction residual too large")
+        raise ValueError("spectral reconstruction residual too large")
     return ObservableSpectralData(N, Lambda, eigenvalues, right, left, pairing)
 
 

@@ -16,10 +16,15 @@ from qtlattice import (
     biorthogonal_system,
     build_hamiltonian,
     build_metric_Q,
+    charge_operator,
+    dieudonne_residual,
     hidden_horizon_scan,
     metric_from_kappa,
     norm_drift,
+    norm_trajectory,
+    observable_from_hermitian,
     propagator,
+    theta_norm,
     tridiagonal_metric,
 )
 
@@ -49,6 +54,15 @@ def square_or_not(draw, N):
     if draw(st.integers(0, 3)) == 0:
         return matrix
     return np.where(np.triu(np.ones((N, N), dtype=bool)), matrix, matrix.T)
+
+
+@st.composite
+def any_metric(draw, N):
+    """A tridiagonal family member, or any array under either label, NaN ones included."""
+    if draw(st.booleans()):
+        return tridiagonal_metric(N, draw(st.floats(-2.0, 2.0)))
+    label = draw(st.sampled_from(["positive-definite", "indefinite"]))
+    return MetricOperator(N, draw(square_or_not(N)), label, "external")
 
 
 def finite(*values):
@@ -170,6 +184,36 @@ def test_norm_drift(N, data):
     if drift is not None:
         assert theta.definiteness == "positive-definite"
         assert finite(theta.matrix, t_grid, drift)
+
+
+@SETTINGS
+@given(N=st.integers(2, 6), data=st.data())
+def test_observables_of_any_metric(N, data):
+    theta = data.draw(any_metric(N))
+    observable = call(observable_from_hermitian, data.draw(square_or_not(N)), theta)
+    residual = call(dieudonne_residual, data.draw(square_or_not(N)), theta)
+    charge = call(charge_operator, build_metric_Q(N), theta)
+    assert observable is None or finite(observable)
+    assert residual is None or finite(residual)
+    assert charge is None or finite(charge.matrix)
+
+
+@SETTINGS
+@given(N=st.integers(2, 6), data=st.data())
+def test_norms_of_any_metric(N, data, system_cache):
+    """Every norm path returns finite positive norms of a positive-definite Theta, or raises."""
+    theta = data.draw(any_metric(N))
+    psi0 = call(EvolutionState, N, data.draw(arrays((N,))))
+    t_grid = data.draw(st.integers(1, 4).flatmap(lambda k: arrays((k,))))
+    if psi0 is None:
+        return
+    for norms in (
+        call(theta_norm, theta, psi0),
+        call(norm_trajectory, system_cache(N), theta, psi0, t_grid),
+    ):
+        if norms is not None:
+            assert theta.definiteness == "positive-definite"
+            assert finite(norms) and np.all(np.asarray(norms) > 0)
 
 
 HUGE = {

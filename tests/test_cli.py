@@ -137,6 +137,22 @@ def test_check_observability_negative(capsys, tmp_path):
     assert report["product_hermitian"] is False
 
 
+def test_check_observability_reports_on_a_near_defective_matrix(capsys, tmp_path, monkeypatch):
+    """The Dieudonne verdict needs no eigensystem: an ill-conditioned one only loses the overlap test."""
+    # This matrix fails the 1e-10 reconstruction gate by rounding (1.2e-10 with one numpy
+    # build); a negative tolerance makes the failure independent of the LAPACK build.
+    monkeypatch.setattr(qtlattice.observables, "RECONSTRUCTION_TOL", -1.0)
+    matrix_file = tmp_path / "near_defective.json"
+    matrix_file.write_text(json.dumps({"dimension": 2, "matrix": [[1.0, 1.0], [0.0, 1.000001]]}))
+    status, out, err = invoke(
+        ["check-observability", "--n", "2", "--k-matrix", str(matrix_file)], capsys
+    )
+    assert (status, err) == (0, "")
+    report = json.loads(out)
+    assert report["overlap_test"] == "unavailable: spectral reconstruction residual too large"
+    assert report["observable"] is False and report["dieudonne_residual"] > 0.1
+
+
 def test_evolve_csv(capsys):
     status, out, _ = invoke(
         ["evolve", "--n", "4", "--t-max", "10", "--t-steps", "11"], capsys

@@ -175,3 +175,16 @@ def test_norm_drift_requires_positive_definite_metric():
 def test_state_dimension_must_be_an_integer(dimension):
     with pytest.raises(ValueError, match="integer"):
         EvolutionState(dimension, np.array([1.0]))
+
+
+def test_norm_trajectory_rejects_an_indefinite_metric():
+    theta = tridiagonal_metric(2, 2.0)  # beyond gamma(2) = sqrt(3)/2
+    assert theta.definiteness == "indefinite"
+    with pytest.raises(ValueError, match="positive-definite"):
+        norm_trajectory(biorthogonal_system(2), theta, EvolutionState(2, [1.0, -1.0]), [0.0, 1.0])
+
+
+def test_theta_norm_rejects_a_zero_metric_labelled_positive_definite():
+    zero = MetricOperator(2, np.zeros((2, 2)), "positive-definite", "external")
+    with pytest.raises(ValueError, match="finite and positive"):
+        theta_norm(zero, EvolutionState(2, [1.0, 0.0]))

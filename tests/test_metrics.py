@@ -352,3 +352,15 @@ def test_sizes_must_be_integers(call, bad):
 def test_numpy_integer_sizes_are_ints():
     assert type(build_hamiltonian(np.int64(4)).dimension) is int
     assert tridiagonal_metric(np.int32(3), 0.1).dimension == 3
+
+
+def test_kappa_from_metric_gate_is_1e_10(system_cache):
+    """A Theta whose intertwining residual lies between 1e-10 and 1e-9 is rejected."""
+    from qtlattice.metrics import _hamiltonian_residual
+
+    matrix = build_metric_Q(3).to_dense()
+    matrix[0, 0] += 1.25e-9  # residual 1.25e-9 / max|Q| = 5e-10, since max|H| = H[0, 1] = 1
+    theta = MetricOperator.from_matrix(matrix)
+    assert 1e-10 < _hamiltonian_residual(build_hamiltonian(3), theta) < 1e-9
+    with pytest.raises(ValueError, match="intertwine"):
+        kappa_from_metric(system_cache(3), theta)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -15,6 +17,7 @@ from qtlattice import (
     overlap_matrices,
     spectral_data,
 )
+from qtlattice import observables
 from qtlattice.observables import ObservableSpectralData
 
 
@@ -205,3 +208,26 @@ def test_criterion_scale_invariant(system_cache, rng):
             signs = asymmetry
         else:
             np.testing.assert_array_equal(asymmetry, signs)
+
+
+@pytest.mark.parametrize("K", [np.ones(3), np.ones((3, 1)), np.ones((1, 3, 3)), 1.0])
+def test_observable_from_hermitian_needs_a_square_K(K):
+    with pytest.raises(ValueError, match="square"):
+        observable_from_hermitian(K, Q_metric(3))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_observable_from_hermitian_rejects_non_finite_K_without_a_warning(bad):
+    K = np.eye(3)
+    K[0, 1] = K[1, 0] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="not finite"):
+            observable_from_hermitian(K, Q_metric(3))
+
+
+def test_spectral_reconstruction_failure_is_a_value_error(monkeypatch):
+    # a negative tolerance fails every reconstruction; near-defective inputs fail it by rounding
+    monkeypatch.setattr(observables, "RECONSTRUCTION_TOL", -1.0)
+    with pytest.raises(ValueError, match="reconstruction"):
+        spectral_data(np.diag([1.0, 2.0]))
