@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .legendre import _largest_root, _require_size
-from .metrics import _require_symmetric, sturm_count, tridiagonal_family
+from .metrics import _require_symmetric, sturm_count, tridiagonal_definiteness, tridiagonal_family
 
 __all__ = [
     "HorizonReport",
@@ -167,12 +167,12 @@ def hidden_horizon_scan(N: int, K: np.ndarray, alpha_grid: np.ndarray) -> Realit
     _require_symmetric(K)
     scale = max(1.0, np.max(np.abs(K)))
     family = tridiagonal_family(N)
-    definiteness = family.definiteness(alpha_grid)
+    offdiagonal = family.offdiagonal(alpha_grid)
+    definiteness = tridiagonal_definiteness(family.diagonal, offdiagonal)
     couplings = family.coupling_base
     row_couplings = np.max(np.r_[couplings, 0.0] + np.r_[0.0, couplings])
     with np.errstate(over="ignore"):  # an infinite tau makes sturm_count raise ValueError
         tau = SINGULAR_RCOND * (np.max(family.diagonal) + np.abs(alpha_grid) * row_couplings)
-    offdiagonal = family.offdiagonal(alpha_grid)
     skip = sturm_count(family.diagonal, offdiagonal, tau) > sturm_count(
         family.diagonal, offdiagonal, -tau
     )

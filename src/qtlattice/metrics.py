@@ -7,7 +7,7 @@ Theta back onto the diagonal Q (trivial charge).  A one-parameter
 tridiagonal slice of the family, Theta(alpha) = Q + alpha T with couplings
 t_n = n + 1, is the unique tridiagonal solution of the intertwining
 relation with diagonal part Q and t_0 = 1 (verified exactly in the
-exact_oracle module).  Its couplings are t_n = 2 q_n H_{n,n+1}, so T = 2 Q H
+`exact` module).  Its couplings are t_n = 2 q_n H_{n,n+1}, so T = 2 Q H
 and Theta(alpha) = Q (I + 2 alpha H): the slice is the family member with
 kappa_j = (1 + 2 alpha E_j)/n_j, its charge is C = I + 2 alpha H, and it is
 positive-definite exactly for |alpha| < 1/(2 max E_j) (see `horizons`).

@@ -68,6 +68,7 @@ def observable_from_hermitian(K: np.ndarray, theta: MetricOperator) -> np.ndarra
     """Lambda = Theta^{-1} K for finite symmetric K, an observable for Theta by construction."""
     K = np.asarray(K, dtype=float)
     _require_symmetric(K)
+    _require_finite(theta.matrix, "theta")
     if 1.0 / np.linalg.cond(theta.matrix) < 1e-13:
         raise ValueError("theta is numerically singular")
     Lambda = np.linalg.solve(theta.matrix, K)

@@ -181,6 +181,12 @@ def test_verify_certificates(capsys):
     }
 
 
+def test_verify_output_matches_the_golden_file(capsys):
+    status, out, _ = invoke(["verify", "--n-max", "12"], capsys)
+    assert status == 0
+    assert out.encode() == (Path(__file__).parent / "data" / "verify_n12.json").read_bytes()
+
+
 def test_usage_errors(capsys):
     status, _, _ = invoke(["spectrum"], capsys)  # missing --n
     assert status == 2
@@ -319,13 +325,15 @@ def test_import_loads_neither_sympy_nor_mpmath():
         "print([m for m in ('scipy', 'sympy', 'mpmath', 'concurrent.futures') if m in sys.modules])"
     )
     assert _python("-c", code).stdout.strip() == "[]"
-    # a scan whose points fit in one stack starts no thread pool
+    # a scan whose points fit in one stack starts no thread pool, and the
+    # exact oracle runs without sympy
     code = (
         "import sys; from qtlattice.cli import run; status = run(sys.argv[1:]); "
-        "print(status, 'concurrent.futures' in sys.modules, file=sys.stderr)"
+        "print(status, [m for m in ('sympy', 'mpmath', 'concurrent.futures') if m in sys.modules], "
+        "file=sys.stderr)"
     )
-    argv = "scan --n 8 --alpha-min 0 --alpha-max 2 --alpha-steps 1200".split()
-    assert _python("-c", code, *argv).stderr.strip() == "0 False"
+    for argv in ["scan --n 8 --alpha-min 0 --alpha-max 2 --alpha-steps 1200", "verify --n-max 12"]:
+        assert _python("-c", code, *argv.split()).stderr.strip() == "0 []"
 
 
 # Every subcommand, with valid input; {k} is the file of a 4 x 4 observable.

@@ -2,15 +2,17 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy as sp
 
 from qtlattice import (
     build_metric_Q,
+    exact,
     exact_exceptional_identity,
     exact_intertwining_check,
     exact_intertwining_check_factorial,
     exact_tridiagonal_solve,
 )
-from qtlattice.exact import factorial_diagonal, rational_hamiltonian, rational_metric_Q
+from qtlattice.exact import _gauss_jordan, factorial_diagonal, rational_hamiltonian, rational_metric_Q
 from qtlattice.metrics import tridiagonal_family
 
 
@@ -30,10 +32,8 @@ def test_intertwining_witness_nonzero_for_wrong_metric():
 def test_factorial_diagonal_matches_published_first_values():
     # the published closed form agrees with the recursion-derived metric at
     # the first two sites (1/2, 3/2) and departs at the third (5/4 vs 5/2)
-    entries = [factorial_diagonal(3)[i, i] for i in range(3)]
-    assert entries == [Fraction(1, 2), Fraction(3, 2), Fraction(5, 4)]
-    derived = [rational_metric_Q(3)[i, i] for i in range(3)]
-    assert derived == [Fraction(1, 2), Fraction(3, 2), Fraction(5, 2)]
+    assert factorial_diagonal(3) == [Fraction(1, 2), Fraction(3, 2), Fraction(5, 4)]
+    assert rational_metric_Q(3) == [Fraction(1, 2), Fraction(3, 2), Fraction(5, 2)]
 
 
 @pytest.mark.xfail(
@@ -51,6 +51,29 @@ def test_tridiagonal_couplings(N):
     assert exact_tridiagonal_solve(N) == [Fraction(k) for k in range(1, N)]
 
 
+@pytest.mark.parametrize("N", range(2, 13))
+def test_tridiagonal_solve_matches_sympy_linsolve(N):
+    H = sp.zeros(N, N)
+    for n in range(N - 1):
+        H[n, n + 1] = sp.Rational(n + 1, 2 * n + 1)
+        H[n + 1, n] = sp.Rational(n + 1, 2 * n + 3)
+    t = sp.symbols(f"t0:{N - 1}")
+    theta = sp.diag(*[sp.Rational(2 * n + 1, 2) for n in range(N)])
+    for k in range(N - 1):
+        theta[k, k + 1] = theta[k + 1, k] = t[k]
+    (solution,) = sp.linsolve([*(H.T * theta - theta * H), t[0] - 1], t)
+    assert exact_tridiagonal_solve(N) == [Fraction(str(value)) for value in solution]
+
+
+def test_gauss_jordan_solves_or_names_the_failure():
+    F = Fraction
+    assert _gauss_jordan([[F(1), F(1), F(3)], [F(1), F(-1), F(1)]], 2) == [2, 1]
+    with pytest.raises(ValueError, match="underdetermined"):
+        _gauss_jordan([[F(1), F(1), F(2)], [F(2), F(2), F(4)]], 2)
+    with pytest.raises(ValueError, match="inconsistent"):
+        _gauss_jordan([[F(1), F(1), F(2)], [F(1), F(1), F(3)]], 2)
+
+
 def test_tridiagonal_solve_matches_float_family():
     couplings = exact_tridiagonal_solve(6)
     np.testing.assert_array_equal(
@@ -64,6 +87,13 @@ def test_exceptional_identity(N):
     assert exact_exceptional_identity(N)
 
 
+def test_exceptional_identity_fails_for_the_factorial_diagonal(monkeypatch):
+    # the published diagonal agrees with n + 1/2 at the first two sites only
+    monkeypatch.setattr(exact, "rational_metric_Q", factorial_diagonal)
+    assert exact_exceptional_identity(2)
+    assert not exact_exceptional_identity(3)
+
+
 def test_rational_hamiltonian_matches_float():
     exact_H = rational_hamiltonian(4)
     from qtlattice import build_hamiltonian
@@ -71,14 +101,14 @@ def test_rational_hamiltonian_matches_float():
     dense = build_hamiltonian(4).to_dense()
     for i in range(4):
         for j in range(4):
-            assert dense[i, j] == float(exact_H[i, j])
+            assert dense[i, j] == float(exact_H[i][j])
 
 
 def test_rational_Q_matches_float():
     exact_Q = rational_metric_Q(5)
     entries = build_metric_Q(5).entries
     for i in range(5):
-        assert entries[i] == float(exact_Q[i, i])
+        assert entries[i] == float(exact_Q[i])
 
 
 def test_cost_guards():
@@ -91,13 +121,11 @@ def test_cost_guards():
 @pytest.mark.parametrize("N", range(1, 13))
 def test_tridiagonal_couplings_are_twice_QH(N):
     """T = 2 Q H exactly, so Theta(alpha) = Q + alpha T = Q (I + 2 alpha H)."""
-    import sympy as sp
-
-    couplings = list(range(1, N))
-    T = sp.diag(*([0] * N))
-    for n, t in enumerate(couplings):
-        T[n, n + 1] = T[n + 1, n] = t
-    assert 2 * rational_metric_Q(N) * rational_hamiltonian(N) == T
+    q, H = rational_metric_Q(N), rational_hamiltonian(N)
+    T = [[0] * N for _ in range(N)]
+    for n in range(N - 1):
+        T[n][n + 1] = T[n + 1][n] = n + 1
+    assert [[2 * q[i] * H[i][j] for j in range(N)] for i in range(N)] == T
 
 
 @pytest.mark.parametrize("bad", [2.5, True, 0])

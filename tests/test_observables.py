@@ -59,9 +59,15 @@ def test_observable_from_hermitian_certified(rng):
 
 
 def test_observable_from_hermitian_rejects_singular():
-    singular = MetricOperator(2, np.zeros((2, 2)), "singular", "external")
-    with pytest.raises(ValueError):
-        observable_from_hermitian(np.eye(2), singular)
+    # a NaN or inf Theta is named as such, not reported by the SVD or as singular
+    for matrix, message in [
+        (np.zeros((2, 2)), "theta is numerically singular"),
+        (np.diag([np.nan, 1.0]), "theta is not finite"),
+        (np.diag([np.inf, 1.0]), "theta is not finite"),
+    ]:
+        theta = MetricOperator(2, matrix, "singular", "external")
+        with pytest.raises(ValueError, match=message):
+            observable_from_hermitian(np.eye(2), theta)
 
 
 def test_spectral_data_diagonal():
