@@ -11,7 +11,6 @@ exact-rational oracle pins down the closed forms at small sizes.
 from .legendre import RootSet, roots_P
 from .lattice import (
     BiorthogonalSystem,
-    DiagonalMetric,
     LatticeHamiltonian,
     biorthogonal_system,
     build_hamiltonian,

@@ -127,8 +127,8 @@ def _resolve_metric(args, N: int) -> metrics.MetricOperator:
 
 
 def _diagonal_metric(N: int) -> metrics.MetricOperator:
-    Q = lattice.build_metric_Q(N)
-    return metrics.MetricOperator(N, Q.to_dense(), "positive-definite", "diagonal-Q")
+    Q = np.diag(lattice.build_metric_Q(N))
+    return metrics.MetricOperator(N, Q, "positive-definite", "diagonal-Q")
 
 
 def _cmd_spectrum(args, out):

@@ -137,9 +137,11 @@ def exact_exceptional_identity(N: int) -> bool:
     Entry (a, b) is the sum over roots E of P_N of P_a(E) P_b(E) q_b / n(E),
     n(E) = sum_c q_c P_c(E)^2.  The summand is reduced modulo P_N, where 1/n
     is solved for by `_gauss_jordan`; the sum over roots of the remainder
-    is a combination of power sums from Newton's identities.
+    is a combination of power sums from Newton's identities.  Its cost grows
+    about as N^5, so N is bounded like the other checks.
     """
-    N = _require_size(N)
+    if not 1 <= _require_size(N) <= INTERTWINING_N_MAX:
+        raise ValueError(f"N must be in [1, {INTERTWINING_N_MAX}]")
     P = [[Fraction(1)], [Fraction(0), Fraction(1)]]
     for k in range(1, N):  # (k+1) P_{k+1} = (2k+1) x P_k - k P_{k-1}
         P.append([((2 * k + 1) * x - k * y) / (k + 1)

@@ -18,7 +18,6 @@ from .legendre import RootSet, _require_size, eval_P_table, roots_P
 
 __all__ = [
     "LatticeHamiltonian",
-    "DiagonalMetric",
     "BiorthogonalSystem",
     "build_hamiltonian",
     "build_metric_Q",
@@ -37,20 +36,6 @@ class LatticeHamiltonian:
     dimension: int
     superdiagonal: np.ndarray
     subdiagonal: np.ndarray
-
-    def to_dense(self) -> np.ndarray:
-        return np.diag(self.superdiagonal, 1) + np.diag(self.subdiagonal, -1)
-
-
-@dataclass(frozen=True)
-class DiagonalMetric:
-    """Positive diagonal metric of the auxiliary space."""
-
-    dimension: int
-    entries: np.ndarray
-
-    def to_dense(self) -> np.ndarray:
-        return np.diag(self.entries)
 
 
 @dataclass(frozen=True)
@@ -80,14 +65,13 @@ def build_hamiltonian(N: int) -> LatticeHamiltonian:
     )
 
 
-def build_metric_Q(N: int) -> DiagonalMetric:
-    """The diagonal intertwiner of H, normalized to Q_00 = 1/2.
+def build_metric_Q(N: int) -> np.ndarray:
+    """The diagonal q of the intertwiner Q = diag(q) of H, normalized to q_0 = 1/2.
 
     Defined as the unique positive diagonal solution of H^T Q = Q H: the
     ratio condition q_{n+1}/q_n = (2n+3)/(2n+1) gives q_n = n + 1/2.
     """
-    N = _require_size(N)
-    return DiagonalMetric(N, np.arange(N) + 0.5)
+    return np.arange(_require_size(N)) + 0.5
 
 
 def spectrum(H: LatticeHamiltonian) -> RootSet:
@@ -119,10 +103,9 @@ def biorthogonal_system(N: int) -> BiorthogonalSystem:
     Both checks share one N x N work buffer.
     """
     H = build_hamiltonian(N)
-    Q = build_metric_Q(N)
     eigenvalues = spectrum(H)
     kets = ket(N, eigenvalues.roots)
-    ketkets = Q.entries[:, None] * kets
+    ketkets = build_metric_Q(N)[:, None] * kets
     q_norms = np.einsum("ij,ij->j", kets, ketkets)
 
     buffer = kets * eigenvalues.roots[None, :]  # kets E - H kets, band by band

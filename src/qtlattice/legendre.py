@@ -28,16 +28,9 @@ CROSS_CHECK_TOL = 1e-12
 
 @dataclass(frozen=True)
 class RootSet:
-    """All real roots of P_degree, sorted ascending."""
+    """All real roots of P_N, sorted ascending."""
 
-    degree: int
     roots: np.ndarray
-
-    def __post_init__(self):
-        if self.degree < 1:
-            raise ValueError("degree must be positive")
-        if len(self.roots) != self.degree:
-            raise ValueError("root count does not match degree")
 
 
 def _require_size(N, minimum: int = 1) -> int:
@@ -178,4 +171,4 @@ def roots_P(N: int) -> RootSet:
         roots.setflags(write=False)
         _root_cache[n] = roots
     _certify_roots(roots)
-    return RootSet(N, roots)
+    return RootSet(roots)

@@ -37,13 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import (
-    BiorthogonalSystem,
-    DiagonalMetric,
-    LatticeHamiltonian,
-    build_hamiltonian,
-    build_metric_Q,
-)
+from .lattice import BiorthogonalSystem, LatticeHamiltonian, build_hamiltonian, build_metric_Q
 from .legendre import _require_size
 from .tridiagonal import sturm_count
 
@@ -204,20 +198,17 @@ def classify_definiteness(matrix: np.ndarray) -> str:
     return "positive-definite" if smallest > 0 else "indefinite"
 
 
-def metric_from_kappa(
-    system: BiorthogonalSystem, kappa: KappaVector, strict: bool = True
-) -> MetricOperator:
-    """Theta = sum_j (Q psi_j) kappa_j (Q psi_j)^T.
+def metric_from_kappa(system: BiorthogonalSystem, kappa: KappaVector) -> MetricOperator:
+    """Theta = sum_j (Q psi_j) kappa_j (Q psi_j)^T; ValueError unless every kappa_j is positive.
 
-    With all kappa_j > 0 this is positive-definite by construction.  The
-    relaxed mode (strict=False) admits arbitrary signs so positivity-loss
-    experiments can cross the boundary; the definiteness label stays honest.
+    Positive-definite in exact arithmetic.  The label still comes from
+    `classify_definiteness`, so weights of very different sizes can read singular.
     """
     if kappa.dimension != system.dimension:
         raise ValueError("kappa dimension does not match system")
     _require_finite(kappa.values, "kappa")
-    if strict and np.any(kappa.values <= 0):
-        raise ValueError("kappa must be strictly positive in strict mode")
+    if np.any(kappa.values <= 0):
+        raise ValueError("kappa must be strictly positive")
     with np.errstate(over="ignore"):  # inf entries fail classify_definiteness
         matrix = (system.ketkets * kappa.values[None, :]) @ system.ketkets.T
         matrix = 0.5 * (matrix + matrix.T)
@@ -231,12 +222,13 @@ def exceptional_kappa(system: BiorthogonalSystem) -> KappaVector:
     return KappaVector(system.dimension, 1.0 / system.q_norms)
 
 
-def charge_operator(Q: DiagonalMetric, theta: MetricOperator) -> ChargeOperator:
-    """C = Q^{-1} Theta, the charge-like factor in Theta = Q C; ValueError unless finite."""
-    if np.shape(theta.matrix) != (Q.dimension, Q.dimension):
+def charge_operator(q: np.ndarray, theta: MetricOperator) -> ChargeOperator:
+    """C = Q^{-1} Theta with Q = diag(q), the factor in Theta = Q C; ValueError unless finite."""
+    q = np.asarray(q, dtype=float)
+    if q.ndim != 1 or np.shape(theta.matrix) != (q.size, q.size):
         raise ValueError("dimension mismatch between Q and theta")
     with np.errstate(over="ignore"):
-        charge = theta.matrix / Q.entries[:, None]
+        charge = theta.matrix / q[:, None]
     _require_finite(charge, "the charge operator")
     return ChargeOperator(theta.dimension, charge)
 
@@ -255,7 +247,7 @@ def dieudonne_residual(Lambda: np.ndarray, theta: MetricOperator) -> float:
 
 
 def _hamiltonian_residual(H: LatticeHamiltonian, theta: MetricOperator) -> float:
-    """dieudonne_residual(H.to_dense(), theta), from the two bands of H.
+    """dieudonne_residual of the dense H against theta, from the two bands of H.
 
     (H^T Theta)_{ij} = u_{i-1} Theta_{i-1,j} + l_i Theta_{i+1,j} and
     (Theta H)_{ij} = Theta_{i,j-1} u_{j-1} + Theta_{i,j+1} l_j, with u and l
@@ -296,8 +288,7 @@ def kappa_from_metric(system: BiorthogonalSystem, theta: MetricOperator) -> Kapp
 def tridiagonal_family(N: int) -> TridiagonalMetricFamily:
     """The tridiagonal metric line at size N (couplings t_n = n + 1)."""
     N = _require_size(N, 2)
-    Q = build_metric_Q(N)
-    return TridiagonalMetricFamily(N, Q.entries, np.arange(1, N, dtype=float))
+    return TridiagonalMetricFamily(N, build_metric_Q(N), np.arange(1, N, dtype=float))
 
 
 def tridiagonal_metric(N: int, alpha: float) -> MetricOperator:

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from qtlattice import biorthogonal_system
+from qtlattice import biorthogonal_system, build_hamiltonian
+
+
+def dense_hamiltonian(N):
+    """H of size N as a dense array, from its two bands."""
+    H = build_hamiltonian(N)
+    return np.diag(H.superdiagonal, 1) + np.diag(H.subdiagonal, -1)
 
 
 @pytest.fixture(scope="session")

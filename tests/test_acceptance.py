@@ -8,6 +8,7 @@ failing assert marks the criterion red.
 from fractions import Fraction
 
 import numpy as np
+from conftest import dense_hamiltonian
 
 import qtlattice as qt
 from qtlattice.exact import exact_intertwining_check_factorial
@@ -18,7 +19,7 @@ def _report(number, text):
 
 
 def test_criterion_01_hamiltonian_entries():
-    H = qt.build_hamiltonian(5).to_dense()
+    H = dense_hamiltonian(5)
     expected = np.array(
         [
             [0, 1, 0, 0, 0],
@@ -38,8 +39,8 @@ def test_criterion_02_intertwining():
         ok, witness = qt.exact_intertwining_check(N)
         assert ok and witness == 0
     for N in range(1, 65):
-        H = qt.build_hamiltonian(N).to_dense()
-        Q = qt.build_metric_Q(N).to_dense()
+        H = dense_hamiltonian(N)
+        Q = np.diag(qt.build_metric_Q(N))
         residual = np.max(np.abs(H.T @ Q - Q @ H))
         scale = max(1.0, np.max(np.abs(Q @ H)))
         assert residual <= 1e-15 * scale
@@ -72,7 +73,7 @@ def test_criterion_04_exceptional_identity(system_cache):
     for N in (2, 3, 4, 8, 16, 32):
         system = system_cache(N)
         theta = qt.metric_from_kappa(system, qt.exceptional_kappa(system))
-        assert np.max(np.abs(theta.matrix - qt.build_metric_Q(N).to_dense())) <= 1e-12
+        assert np.max(np.abs(theta.matrix - np.diag(qt.build_metric_Q(N)))) <= 1e-12
         C = qt.charge_operator(qt.build_metric_Q(N), theta)
         assert np.max(np.abs(C.matrix - np.eye(N))) <= 1e-11
     _report(4, "exceptional kappa collapses the metric onto Q and the charge onto I")
@@ -82,7 +83,7 @@ def test_criterion_05_kappa_family(system_cache):
     rng = np.random.default_rng(5)
     for N in range(2, 17):
         system = system_cache(N)
-        H = qt.build_hamiltonian(N).to_dense()
+        H = dense_hamiltonian(N)
         for _ in range(50):
             kappa = qt.KappaVector(N, rng.uniform(0.1, 5.0, N))
             theta = qt.metric_from_kappa(system, kappa)
@@ -150,7 +151,7 @@ def test_criterion_08_observability_criterion(system_cache):
 
 
 def test_criterion_09_unitarity():
-    theta = qt.MetricOperator.from_matrix(qt.build_metric_Q(4).to_dense(), "diagonal-Q")
+    theta = qt.MetricOperator.from_matrix(np.diag(qt.build_metric_Q(4)), "diagonal-Q")
     drift_theta, drift_dirac = qt.norm_drift(
         qt.build_hamiltonian(4),
         theta,

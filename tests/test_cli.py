@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import dense_hamiltonian
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -112,7 +113,7 @@ def test_hamiltonian_is_observable_via_cli(capsys, tmp_path):
     import qtlattice as qt
 
     matrix_file = tmp_path / "h.json"
-    H = qt.build_hamiltonian(3).to_dense()
+    H = dense_hamiltonian(3)
     matrix_file.write_text(json.dumps({"dimension": 3, "matrix": H.tolist()}))
     status, out, _ = invoke(
         ["check-observability", "--n", "3", "--k-matrix", str(matrix_file)], capsys
@@ -137,11 +138,9 @@ def test_check_observability_negative(capsys, tmp_path):
     assert report["product_hermitian"] is False
 
 
-def test_check_observability_reports_on_a_near_defective_matrix(capsys, tmp_path, monkeypatch):
+def test_check_observability_reports_on_a_near_defective_matrix(capsys, tmp_path):
     """The Dieudonne verdict needs no eigensystem: an ill-conditioned one only loses the overlap test."""
-    # This matrix fails the 1e-10 reconstruction gate by rounding (1.2e-10 with one numpy
-    # build); a negative tolerance makes the failure independent of the LAPACK build.
-    monkeypatch.setattr(qtlattice.observables, "RECONSTRUCTION_TOL", -1.0)
+    # its eigenvalue condition number is 1e6, so the conditioning gate rejects it on any build
     matrix_file = tmp_path / "near_defective.json"
     matrix_file.write_text(json.dumps({"dimension": 2, "matrix": [[1.0, 1.0], [0.0, 1.000001]]}))
     status, out, err = invoke(
@@ -149,7 +148,10 @@ def test_check_observability_reports_on_a_near_defective_matrix(capsys, tmp_path
     )
     assert (status, err) == (0, "")
     report = json.loads(out)
-    assert report["overlap_test"] == "unavailable: spectral reconstruction residual too large"
+    assert report["overlap_test"] == (
+        "unavailable: eigenvectors too ill-conditioned: "
+        "reconstruction error estimate 4.4e-04 > 1.0e-10"
+    )
     assert report["observable"] is False and report["dieudonne_residual"] > 0.1
 
 
@@ -352,7 +354,7 @@ EVERY_COMMAND = [
 @pytest.fixture
 def k_file(tmp_path):
     path = tmp_path / "k.json"
-    H = qtlattice.build_hamiltonian(4).to_dense()
+    H = dense_hamiltonian(4)
     path.write_text(json.dumps({"dimension": 4, "matrix": H.tolist()}))
     return str(path)
 

@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy as sp
+from conftest import dense_hamiltonian
 
 from qtlattice import (
     build_metric_Q,
@@ -96,9 +97,7 @@ def test_exceptional_identity_fails_for_the_factorial_diagonal(monkeypatch):
 
 def test_rational_hamiltonian_matches_float():
     exact_H = rational_hamiltonian(4)
-    from qtlattice import build_hamiltonian
-
-    dense = build_hamiltonian(4).to_dense()
+    dense = dense_hamiltonian(4)
     for i in range(4):
         for j in range(4):
             assert dense[i, j] == float(exact_H[i][j])
@@ -106,9 +105,9 @@ def test_rational_hamiltonian_matches_float():
 
 def test_rational_Q_matches_float():
     exact_Q = rational_metric_Q(5)
-    entries = build_metric_Q(5).entries
+    q = build_metric_Q(5)
     for i in range(5):
-        assert entries[i] == float(exact_Q[i])
+        assert q[i] == float(exact_Q[i])
 
 
 def test_cost_guards():
@@ -116,6 +115,9 @@ def test_cost_guards():
         exact_intertwining_check(13)
     with pytest.raises(ValueError):
         exact_tridiagonal_solve(1)
+    # about N^5: 4.6 s at N = 32
+    with pytest.raises(ValueError, match=r"\[1, 12\]"):
+        exact_exceptional_identity(13)
 
 
 @pytest.mark.parametrize("N", range(1, 13))

@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import dense_hamiltonian
+from scipy.special import eval_legendre
 
 from qtlattice import (
     biorthogonal_system,
@@ -11,14 +13,13 @@ from qtlattice import (
     lattice,
     spectrum,
 )
-from qtlattice.lattice import DiagonalMetric
 from qtlattice.legendre import eval_P_table, roots_P
 
 
 def test_hamiltonian_entries_small():
-    assert build_hamiltonian(1).to_dense().tolist() == [[0.0]]
+    assert dense_hamiltonian(1).tolist() == [[0.0]]
     np.testing.assert_array_equal(
-        build_hamiltonian(2).to_dense(), [[0.0, 1.0], [1.0 / 3.0, 0.0]]
+        dense_hamiltonian(2), [[0.0, 1.0], [1.0 / 3.0, 0.0]]
     )
     expected4 = [
         [0.0, 1.0, 0.0, 0.0],
@@ -26,24 +27,24 @@ def test_hamiltonian_entries_small():
         [0.0, 2.0 / 5.0, 0.0, 3.0 / 5.0],
         [0.0, 0.0, 3.0 / 7.0, 0.0],
     ]
-    np.testing.assert_array_equal(build_hamiltonian(4).to_dense(), expected4)
+    np.testing.assert_array_equal(dense_hamiltonian(4), expected4)
 
 
 def test_hamiltonian_is_asymmetric():
-    H = build_hamiltonian(5).to_dense()
+    H = dense_hamiltonian(5)
     assert np.max(np.abs(H - H.T)) > 0.2
 
 
 def test_metric_Q_values():
-    np.testing.assert_array_equal(build_metric_Q(1).entries, [0.5])
-    np.testing.assert_array_equal(build_metric_Q(2).entries, [0.5, 1.5])
-    np.testing.assert_array_equal(build_metric_Q(3).entries, [0.5, 1.5, 2.5])
+    np.testing.assert_array_equal(build_metric_Q(1), [0.5])
+    np.testing.assert_array_equal(build_metric_Q(2), [0.5, 1.5])
+    np.testing.assert_array_equal(build_metric_Q(3), [0.5, 1.5, 2.5])
 
 
 @pytest.mark.parametrize("N", [2, 5, 16, 64])
 def test_intertwining_residual(N):
-    H = build_hamiltonian(N).to_dense()
-    Q = build_metric_Q(N).to_dense()
+    H = dense_hamiltonian(N)
+    Q = np.diag(build_metric_Q(N))
     residual = np.max(np.abs(H.T @ Q - Q @ H))
     assert residual <= 1e-15 * np.max(np.abs(Q @ H))
 
@@ -131,9 +132,28 @@ def test_kets_equal_per_root_recurrence(N, system_cache):
     np.testing.assert_array_equal(ket(N, system.eigenvalues.roots), reference, strict=True)
 
 
+@pytest.mark.parametrize("N", [2, 5, 64, 256])
+def test_q_norms_match_christoffel_darboux(N, system_cache):
+    """n(x) = sum_{c<N} (c + 1/2) P_c(x)^2 = (N/2)(P_N'(x) P_{N-1}(x) - P_N(x) P_{N-1}'(x)).
+
+    At a root of P_N the second term vanishes and n_j = 1/w_j, the reciprocal
+    Gauss-Legendre weight, so sum_j 1/n_j = 2.  The P come from scipy; keeping
+    the second term makes the identity hold at the rounded roots too.
+    """
+    system = system_cache(N)
+    x = system.eigenvalues.roots
+    p, p1, p2 = (eval_legendre(k, x) for k in (N, N - 1, N - 2))
+    dp = N * (x * p - p1) / (x * x - 1)
+    dp1 = (N - 1) * (x * p1 - p2) / (x * x - 1)
+    eps = np.finfo(float).eps
+    # measured: 3.5e-14 at N = 64 and 6.2e-13 at N = 256, about N^2 eps / 25
+    np.testing.assert_allclose(system.q_norms, 0.5 * N * (dp * p1 - p * dp1), rtol=N * N * eps)
+    assert abs(np.sum(1 / system.q_norms) - 2) <= 4 * eps
+
+
 def test_eigen_residual_at_256(system_cache):
     system = system_cache(256)
-    H = build_hamiltonian(256).to_dense()
+    H = dense_hamiltonian(256)
     residual = np.max(np.abs(H @ system.kets - system.kets * system.eigenvalues.roots))
     assert residual <= 2e-13
 
@@ -159,7 +179,7 @@ def test_gate_failures_report_residual_gate_and_size(monkeypatch):
         biorthogonal_system(8)
     monkeypatch.undo()
     # kets^T I kets is not diagonal: only Q makes the kets biorthogonal
-    monkeypatch.setattr(lattice, "build_metric_Q", lambda N: DiagonalMetric(N, np.ones(N)))
+    monkeypatch.setattr(lattice, "build_metric_Q", lambda N: np.ones(N))
     with pytest.raises(RuntimeError, match=r"Gram off-diagonal \S+ > \S+e-\d+ at N=8$"):
         biorthogonal_system(8)
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import dense_hamiltonian
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,7 +24,7 @@ from qtlattice.metrics import (
 
 
 def dieudonne_max_residual(matrix, N):
-    H = build_hamiltonian(N).to_dense()
+    H = dense_hamiltonian(N)
     return np.max(np.abs(H.T @ matrix - matrix @ H))
 
 
@@ -38,7 +39,7 @@ def test_exceptional_kappa_small_cases(system_cache):
 def test_exceptional_metric_collapses_to_Q(N, system_cache):
     system = system_cache(N)
     theta = metric_from_kappa(system, exceptional_kappa(system))
-    np.testing.assert_allclose(theta.matrix, build_metric_Q(N).to_dense(), atol=1e-12)
+    np.testing.assert_allclose(theta.matrix, np.diag(build_metric_Q(N)), atol=1e-12)
     assert theta.definiteness == "positive-definite"
 
 
@@ -47,7 +48,7 @@ def test_metric_linearity_in_kappa(system_cache):
     kappa = exceptional_kappa(system)
     scaled = KappaVector(3, 7.0 * kappa.values)
     theta = metric_from_kappa(system, scaled)
-    np.testing.assert_allclose(theta.matrix, 7.0 * build_metric_Q(3).to_dense(), atol=1e-11)
+    np.testing.assert_allclose(theta.matrix, 7.0 * np.diag(build_metric_Q(3)), atol=1e-11)
 
 
 def test_metric_from_kappa_symmetric_and_dieudonne(system_cache):
@@ -57,13 +58,10 @@ def test_metric_from_kappa_symmetric_and_dieudonne(system_cache):
     assert dieudonne_max_residual(theta.matrix, 3) <= 1e-12
 
 
-def test_strict_mode_rejects_nonpositive_kappa(system_cache):
-    with pytest.raises(ValueError):
-        metric_from_kappa(system_cache(2), KappaVector(2, np.array([1.0, -1.0])))
-    relaxed = metric_from_kappa(
-        system_cache(2), KappaVector(2, np.array([1.0, -1.0])), strict=False
-    )
-    assert relaxed.definiteness == "indefinite"
+def test_nonpositive_kappa_is_rejected(system_cache):
+    for bad in (-1.0, 0.0):
+        with pytest.raises(ValueError, match="strictly positive"):
+            metric_from_kappa(system_cache(2), KappaVector(2, np.array([1.0, bad])))
 
 
 def test_dimension_mismatch_rejected(system_cache):
@@ -85,7 +83,7 @@ def test_random_kappa_family(N, system_cache, rng):
 
 def test_charge_trivial_cases(system_cache):
     Q = build_metric_Q(3)
-    theta_Q = MetricOperator.from_matrix(Q.to_dense(), "diagonal-Q")
+    theta_Q = MetricOperator.from_matrix(np.diag(Q), "diagonal-Q")
     C = charge_operator(Q, theta_Q)
     np.testing.assert_array_equal(C.matrix, np.eye(3))
 
@@ -117,11 +115,11 @@ def test_charge_similar_to_kappa_n_diagonal(N, system_cache, rng):
 
 def test_kappa_from_metric_identities(system_cache):
     system = system_cache(4)
-    Q = MetricOperator.from_matrix(build_metric_Q(4).to_dense(), "diagonal-Q")
+    Q = MetricOperator.from_matrix(np.diag(build_metric_Q(4)), "diagonal-Q")
     np.testing.assert_allclose(
         kappa_from_metric(system, Q).values, exceptional_kappa(system).values, rtol=1e-12
     )
-    Q3 = MetricOperator.from_matrix(3.0 * build_metric_Q(4).to_dense(), "external")
+    Q3 = MetricOperator.from_matrix(3.0 * np.diag(build_metric_Q(4)), "external")
     np.testing.assert_allclose(
         kappa_from_metric(system, Q3).values,
         3.0 * exceptional_kappa(system).values,
@@ -276,15 +274,14 @@ def test_non_finite_input_is_a_domain_error(bad, system_cache):
         classify_definiteness(np.array([[1.0, bad], [bad, 1.0]]))
     with pytest.raises(ValueError):
         tridiagonal_metric(3, bad)
-    for strict in (True, False):
-        with pytest.raises(ValueError):
-            metric_from_kappa(system_cache(2), KappaVector(2, np.array([1.0, bad])), strict)
+    with pytest.raises(ValueError):
+        metric_from_kappa(system_cache(2), KappaVector(2, np.array([1.0, bad])))
 
 
 @pytest.mark.parametrize("N", [2, 8, 64, 1024])
 def test_coupling_matrix_is_twice_QH(N):
     T = tridiagonal_family(N).coupling_matrix()
-    QH = build_metric_Q(N).entries[:, None] * build_hamiltonian(N).to_dense()
+    QH = build_metric_Q(N)[:, None] * dense_hamiltonian(N)
     assert np.max(np.abs(T - 2 * QH)) <= 4 * np.finfo(float).eps * np.max(np.abs(T))
 
 
@@ -302,7 +299,7 @@ def test_tridiagonal_slice_kappa_is_one_plus_two_alpha_E(N, alpha, system_cache)
 @pytest.mark.parametrize("N", [2, 8, 64])
 def test_tridiagonal_charge_is_one_plus_two_alpha_H(N, alpha):
     C = charge_operator(build_metric_Q(N), tridiagonal_metric(N, alpha)).matrix
-    expected = np.eye(N) + 2 * alpha * build_hamiltonian(N).to_dense()
+    expected = np.eye(N) + 2 * alpha * dense_hamiltonian(N)
     np.testing.assert_allclose(C, expected, rtol=0, atol=1e-15)
 
 
@@ -315,12 +312,12 @@ def test_banded_residual_matches_dense(N, rng):
     for matrix in (random + random.T, tridiagonal_metric(N, 0.3).matrix):
         theta = MetricOperator(N, matrix, "indefinite", "external")
         # both are divided by max(1, max|Theta| max|H|): within 8 eps of that scale
-        gap = abs(_hamiltonian_residual(H, theta) - dieudonne_residual(H.to_dense(), theta))
+        gap = abs(_hamiltonian_residual(H, theta) - dieudonne_residual(dense_hamiltonian(N), theta))
         assert gap <= 8 * np.finfo(float).eps
 
 
 def _nan_labelled_positive(N):
-    matrix = build_metric_Q(N).to_dense()
+    matrix = np.diag(build_metric_Q(N))
     matrix[0, 0] = np.nan
     return MetricOperator(N, matrix, "positive-definite", "external")
 
@@ -358,7 +355,7 @@ def test_kappa_from_metric_gate_is_1e_10(system_cache):
     """A Theta whose intertwining residual lies between 1e-10 and 1e-9 is rejected."""
     from qtlattice.metrics import _hamiltonian_residual
 
-    matrix = build_metric_Q(3).to_dense()
+    matrix = np.diag(build_metric_Q(3))
     matrix[0, 0] += 1.25e-9  # residual 1.25e-9 / max|Q| = 5e-10, since max|H| = H[0, 1] = 1
     theta = MetricOperator.from_matrix(matrix)
     assert 1e-10 < _hamiltonian_residual(build_hamiltonian(3), theta) < 1e-9

@@ -3,11 +3,11 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
+from conftest import dense_hamiltonian
 
 from qtlattice import (
     KappaVector,
     MetricOperator,
-    build_hamiltonian,
     build_metric_Q,
     criterion_product_hermitian,
     dieudonne_residual,
@@ -17,23 +17,22 @@ from qtlattice import (
     overlap_matrices,
     spectral_data,
 )
-from qtlattice import observables
 from qtlattice.observables import ObservableSpectralData
 
 
 def Q_metric(N):
-    return MetricOperator.from_matrix(build_metric_Q(N).to_dense(), "diagonal-Q")
+    return MetricOperator.from_matrix(np.diag(build_metric_Q(N)), "diagonal-Q")
 
 
 def test_residual_trivial_cases():
     theta = Q_metric(3)
     assert dieudonne_residual(np.eye(3), theta) == 0.0
-    H = build_hamiltonian(3).to_dense()
+    H = dense_hamiltonian(3)
     assert dieudonne_residual(H, theta) <= 1e-15
 
 
 def test_residual_detects_transpose():
-    H = build_hamiltonian(2).to_dense()
+    H = dense_hamiltonian(2)
     assert dieudonne_residual(H.T, Q_metric(2)) > 0.1
 
 
@@ -78,7 +77,7 @@ def test_spectral_data_diagonal():
 
 
 def test_spectral_data_lattice_hamiltonian():
-    data = spectral_data(build_hamiltonian(2).to_dense())
+    data = spectral_data(dense_hamiltonian(2))
     np.testing.assert_allclose(
         data.eigenvalues.real, [-1 / np.sqrt(3), 1 / np.sqrt(3)], atol=1e-14
     )
@@ -142,8 +141,7 @@ def _identity_spectral_data(N, shifts):
     """Hand-built spectral data for diag(shifts): standard basis eigensystem."""
     basis = np.eye(N, dtype=complex)
     return ObservableSpectralData(
-        N, np.diag(shifts).astype(complex), np.asarray(shifts, dtype=complex),
-        basis, basis, np.ones(N, dtype=complex),
+        N, np.asarray(shifts, dtype=complex), basis, basis, np.ones(N, dtype=complex)
     )
 
 
@@ -161,7 +159,7 @@ def test_overlap_identity_observable(system_cache):
 
 def test_overlap_hamiltonian_is_observable(system_cache):
     system = system_cache(3)
-    data = spectral_data(build_hamiltonian(3).to_dense())
+    data = spectral_data(dense_hamiltonian(3))
     pair = overlap_matrices(system, exceptional_kappa(system), data)
     assert pair.hermiticity_residual <= 1e-11
     assert criterion_product_hermitian(pair)
@@ -169,7 +167,7 @@ def test_overlap_hamiltonian_is_observable(system_cache):
 
 def test_overlap_transpose_fails(system_cache):
     system = system_cache(3)
-    data = spectral_data(build_hamiltonian(3).to_dense().T)
+    data = spectral_data(dense_hamiltonian(3).T)
     pair = overlap_matrices(system, exceptional_kappa(system), data)
     assert pair.hermiticity_residual > 1e-3
     assert not criterion_product_hermitian(pair)
@@ -232,8 +230,42 @@ def test_observable_from_hermitian_rejects_non_finite_K_without_a_warning(bad):
             observable_from_hermitian(K, Q_metric(3))
 
 
-def test_spectral_reconstruction_failure_is_a_value_error(monkeypatch):
-    # a negative tolerance fails every reconstruction; near-defective inputs fail it by rounding
-    monkeypatch.setattr(observables, "RECONSTRUCTION_TOL", -1.0)
-    with pytest.raises(ValueError, match="reconstruction"):
-        spectral_data(np.diag([1.0, 2.0]))
+def test_spectral_reconstruction_failure_is_a_value_error():
+    # kappa = 1/|pairing| = 1e6: the estimate 2 eps kappa^2 max|Lambda| is 4.4e-4
+    with pytest.raises(ValueError, match=r"reconstruction error estimate 4\.4e-04 > 1\.0e-10$"):
+        spectral_data(np.array([[1.0, 1.0], [0.0, 1.000001]]))
+
+
+def test_near_defective_verdict_is_monotone():
+    """[[1, 1], [0, 1 + delta]] has cond(R) of about 2/delta, 2e2 to 2e7 here.
+
+    Their reconstruction residual is 0 at some delta and 1.2e-10 at delta = 1e-6,
+    by rounding.  The gate passes kappa = 1/delta up to 474 at N = 2.
+    """
+    verdicts = []
+    for delta in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 3e-7, 1e-7):
+        matrix = np.array([[1.0, 1.0], [0.0, 1.0 + delta]])
+        try:
+            data = spectral_data(matrix)
+        except ValueError:
+            verdicts.append(False)
+            continue
+        verdicts.append(True)
+        reconstruction = (
+            data.right_vectors * (data.eigenvalues / data.pairing_norms)[None, :]
+        ) @ data.left_vectors.T
+        assert np.max(np.abs(reconstruction - matrix)) <= 1e-10
+    assert verdicts == [True] + 6 * [False]
+
+
+def test_conditioning_gate_grows_as_its_model_above_64():
+    """A pair with eigenvalue condition number 60 in an N = 256 diagonal.
+
+    Its estimate 256 eps 60^2 max|Lambda| = 4.1e-10 is above 1e-10 max|Lambda| but
+    within 1e-10 (N/64) max|Lambda|; at N = 64 the same pair is within 1e-10.
+    """
+    for N in (64, 256):
+        Lambda = np.diag(np.linspace(1.0, 2.0, N))
+        Lambda[0, 1] = 60 * (Lambda[1, 1] - Lambda[0, 0])
+        data = spectral_data(Lambda)
+        np.testing.assert_allclose(np.max(1 / np.abs(data.pairing_norms)), np.sqrt(3601), rtol=1e-6)
