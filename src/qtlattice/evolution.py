@@ -82,12 +82,15 @@ def norm_trajectory(
 
     psi0 is expanded once in the eigenbasis of `system`; each time step is
     then a phase twist of the coefficients.  A non-finite t raises ValueError,
-    and so does every Theta or norm that `theta_norm` rejects.
+    and so does every Theta or norm that `theta_norm` rejects, on an empty
+    grid too: there psi0 itself goes through the gate.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if not np.all(np.isfinite(t_grid)):
         raise ValueError("the time grid must be finite")
     amplitudes = np.asarray(psi0.amplitudes, dtype=complex)
+    if not len(t_grid):
+        _norms(theta, amplitudes)
     norms = np.empty((2, len(t_grid)))
     with np.errstate(over="ignore", invalid="ignore"):  # huge amplitudes: _norms raises
         coefficients = (system.ketkets.T @ amplitudes) / system.q_norms

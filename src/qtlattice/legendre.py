@@ -73,7 +73,17 @@ def _derivative_from_pair(n: int, x, p, p_prev):
 
 
 def _newton_in_brackets(n: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """All roots of P_n, one per bracket, Newton with bisection fallback."""
+    """All roots of P_n, one per bracket, Newton with bisection fallback.
+
+    A Newton step is kept when it lands strictly inside the updated bracket
+    or stays at the iterate x, as in the safeguarded Newton `rtsafe` (Press
+    et al., *Numerical Recipes*, sec. 9.4).  Each iteration first moves a
+    bracket end onto x, so a converged step (x_new == x), or a root hit
+    exactly, sits on a bracket end; rejecting it would start a bisection
+    that crawls back to ROOT_TOL in about 40 halvings.  A step that leaves
+    the open bracket, or is NaN, still falls back to the midpoint, so no
+    iterate reaches +-1, where `_derivative_from_pair` divides by zero.
+    """
     flo, _ = _eval_pair(n, lo)
     x = 0.5 * (lo + hi)
     active = np.ones(len(x), dtype=bool)
@@ -84,7 +94,7 @@ def _newton_in_brackets(n: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         flo = np.where(active & same_side, f, flo)
         hi = np.where(active & ~same_side, x, hi)
         x_new = x - f / _derivative_from_pair(n, x, f, f_prev)
-        out = (x_new <= lo) | (x_new >= hi)
+        out = ~(((lo < x_new) & (x_new < hi)) | (x_new == x))
         x_new = np.where(out, 0.5 * (lo + hi), x_new)
         converged = np.abs(x_new - x) <= ROOT_TOL
         x = np.where(active, x_new, x)

@@ -77,7 +77,9 @@ def observable_from_hermitian(K: np.ndarray, theta: MetricOperator) -> np.ndarra
 def spectral_data(Lambda: np.ndarray) -> ObservableSpectralData:
     """Full biorthogonal eigensystem of Lambda with validation.
 
-    Requires a simple spectrum (minimum gap above 1e-10).  One `np.linalg.eig`
+    Requires a simple spectrum: every gap between two eigenvalues must exceed
+    GAP_TOL max|Lambda|, so the verdict does not change when Lambda is
+    rescaled (a zero Lambda is degenerate).  One `np.linalg.eig`
     gives the eigenvalues and right vectors R, sorted by real, then imaginary
     part.  Lambda R = R diag(lambda) gives R^{-1} Lambda = diag(lambda) R^{-1}:
     row j of R^{-1}, transposed, is an eigenvector of Lambda^T for lambda_j,
@@ -103,13 +105,13 @@ def spectral_data(Lambda: np.ndarray) -> ObservableSpectralData:
     eigenvalues, right = eigenvalues[order], right[:, order]
     left = np.linalg.inv(right).T
     left /= np.linalg.norm(left, axis=0)
+    largest = np.max(np.abs(Lambda))
     if N > 1:
         gaps = np.abs(eigenvalues[:, None] - eigenvalues[None, :])
         np.fill_diagonal(gaps, np.inf)
-        if gaps.min() <= GAP_TOL:
+        if gaps.min() <= GAP_TOL * largest:
             raise ValueError("spectrum is degenerate or near-degenerate")
     pairing = np.einsum("ij,ij->j", left, right)
-    largest = np.max(np.abs(Lambda))
     with np.errstate(divide="ignore", over="ignore"):  # a zero pairing: an infinite estimate
         estimate = N * np.finfo(float).eps * np.max(1.0 / np.abs(pairing)) ** 2 * largest
     tol = 1e-10 * max(1.0, largest) * max(1.0, N / 64)

@@ -184,6 +184,15 @@ def test_norm_trajectory_rejects_an_indefinite_metric():
         norm_trajectory(biorthogonal_system(2), theta, EvolutionState(2, [1.0, -1.0]), [0.0, 1.0])
 
 
+def test_norm_trajectory_gates_an_empty_grid():
+    theta = tridiagonal_metric(2, 2.0)
+    psi0 = EvolutionState(2, [1.0, -1.0])
+    with pytest.raises(ValueError, match="positive-definite"):
+        norm_trajectory(biorthogonal_system(2), theta, psi0, [])
+    theta_norms, dirac_norms = norm_trajectory(biorthogonal_system(2), Q_metric(2), psi0, [])
+    assert theta_norms.shape == dirac_norms.shape == (0,)
+
+
 def test_theta_norm_rejects_a_zero_metric_labelled_positive_definite():
     zero = MetricOperator(2, np.zeros((2, 2)), "positive-definite", "external")
     with pytest.raises(ValueError, match="finite and positive"):

@@ -132,3 +132,19 @@ def test_roots_P_certifies_cached_roots_too(monkeypatch):
 def test_largest_root_closed_forms():
     assert abs(_largest_root(2) - 1 / np.sqrt(3)) <= np.spacing(1 / np.sqrt(3))
     assert abs(_largest_root(3) - np.sqrt(3 / 5)) <= np.spacing(np.sqrt(3 / 5))
+
+
+def test_cold_ladder_takes_newton_steps_not_bisections(monkeypatch):
+    # Newton needs about 9 evaluations per degree; a converged step rejected at
+    # a bracket end costs about 40 bisections per degree
+    calls = []
+
+    def counted(n, x):
+        calls.append(n)
+        return _eval_pair(n, x)
+
+    monkeypatch.setattr(legendre, "_root_cache", {1: legendre._root_cache[1]})
+    monkeypatch.setattr(legendre, "_eval_pair", counted)
+    N = 64
+    np.testing.assert_allclose(roots_P(N).roots, roots_legendre(N)[0], rtol=0, atol=4e-16)
+    assert len(calls) <= 10 * (N - 1)

@@ -126,6 +126,15 @@ def test_spectral_data_rejects_degenerate():
         spectral_data(np.eye(3))
 
 
+@pytest.mark.parametrize("scale", [1e-11, 1e-6, 1.0, 1e6])
+def test_gap_gate_is_relative_to_the_largest_entry(scale):
+    data = spectral_data(scale * np.diag([1.0, 2.0]))
+    np.testing.assert_allclose(data.eigenvalues, scale * np.array([1.0, 2.0]), rtol=1e-15)
+    for gap in (0.0, 1e-11):
+        with pytest.raises(ValueError, match="degenerate"):
+            spectral_data(scale * np.diag([1.0, 1.0 + gap]))
+
+
 def test_spectral_reconstruction(rng):
     for _ in range(10):
         Lam = rng.normal(size=(5, 5))
@@ -199,7 +208,7 @@ def test_criterion_scale_invariant(system_cache, rng):
     K = rng.normal(size=(4, 4))
     K = 0.5 * (K + K.T)
     Lam = observable_from_hermitian(K, theta)
-    for scale in (1.0, 10.0, 1000.0):
+    for scale in (1e-11, 1e-6, 1.0, 10.0, 1000.0):
         pair = overlap_matrices(system, kappa, spectral_data(scale * Lam))
         assert criterion_product_hermitian(pair)
     bad = rng.normal(size=(4, 4))
