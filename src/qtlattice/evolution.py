@@ -39,17 +39,26 @@ class EvolutionState:
 
 
 def propagator(H: LatticeHamiltonian, t: float) -> np.ndarray:
-    """exp(-i H t) via the spectral decomposition of H; a non-finite t raises ValueError."""
+    """exp(-i H t) via the spectral decomposition of H; a non-finite t raises ValueError.
+
+    The eigensystem comes from `biorthogonal_system`, which is built once per
+    size, so repeated calls at one N share it.  S and S^{-1} are real, so the
+    real and imaginary parts are two real products, S diag(cos Et) S^{-1} and
+    S diag(-sin Et) S^{-1}, written into one complex array.
+    """
     if not np.isfinite(t):
         raise ValueError("t must be finite")
     N = H.dimension
     if t == 0.0:
         return np.eye(N, dtype=complex)
     system = biorthogonal_system(N)
-    phases = np.exp(-1j * system.eigenvalues.roots * t)
+    Et = system.eigenvalues.roots * t
     # S^{-1} = diag(1/n_j) S^T Q, i.e. rows are ketkets^T / n_j
     S_inv = system.ketkets.T / system.q_norms[:, None]
-    return (system.kets * phases[None, :]) @ S_inv
+    U = np.empty((N, N), dtype=complex)
+    U.real = (system.kets * np.cos(Et)[None, :]) @ S_inv
+    U.imag = (system.kets * -np.sin(Et)[None, :]) @ S_inv
+    return U
 
 
 def _norms(theta: MetricOperator, v: np.ndarray) -> tuple[float, float]:

@@ -10,6 +10,7 @@ Legendre values (P_0(E), ..., P_{N-1}(E)) at the roots E of P_N.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,7 +102,16 @@ def biorthogonal_system(N: int) -> BiorthogonalSystem:
     residual max|H kets - kets E| (from the two bands of H) is at most
     EIGEN_RESIDUAL_TOL, and kets^T Q kets is diagonal to 1e-12 of max q_norm.
     Both checks share one N x N work buffer.
+
+    The system is built once per size: the last one is kept, and a call with
+    the same N returns it again (a new N replaces it).  So its kets, ketkets
+    and q_norms are read-only, and the kept system holds 16 N^2 bytes.
     """
+    return _build_system(_require_size(N))
+
+
+@functools.lru_cache(maxsize=1)
+def _build_system(N: int) -> BiorthogonalSystem:
     H = build_hamiltonian(N)
     eigenvalues = spectrum(H)
     kets = ket(N, eigenvalues.roots)
@@ -119,4 +129,6 @@ def biorthogonal_system(N: int) -> BiorthogonalSystem:
     off, gate = np.abs(gram, out=gram).max(), 1e-12 * np.max(q_norms)
     if off > gate:
         raise RuntimeError(f"biorthogonality: Gram off-diagonal {off:.3e} > {gate:.3e} at N={N}")
+    for array in (kets, ketkets, q_norms):
+        array.setflags(write=False)
     return BiorthogonalSystem(N, eigenvalues, kets, ketkets, q_norms)

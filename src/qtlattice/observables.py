@@ -152,5 +152,9 @@ def overlap_matrices(
 def criterion_product_hermitian(
     pair: OverlapPair, tol: float = DEFAULT_CRITERION_TOL
 ) -> bool:
-    """True iff the overlap product is Hermitian within tolerance."""
-    return pair.hermiticity_residual <= tol * max(1.0, float(np.max(np.abs(pair.M))))
+    """True iff the overlap product is Hermitian within tolerance.
+
+    The gate is max|M - M^H| <= tol max|M|, relative to the product itself,
+    so the verdict does not change when Lambda is rescaled.
+    """
+    return pair.hermiticity_residual <= tol * float(np.max(np.abs(pair.M)))

@@ -7,6 +7,7 @@ from qtlattice import (
     MetricOperator,
     build_hamiltonian,
     build_metric_Q,
+    lattice,
     metric_from_kappa,
     biorthogonal_system,
     norm_drift,
@@ -23,6 +24,17 @@ def Q_metric(N):
 
 def test_propagator_at_zero_is_identity():
     np.testing.assert_array_equal(propagator(build_hamiltonian(3), 0.0), np.eye(3))
+
+
+def test_repeated_propagators_build_the_system_once(monkeypatch):
+    build, calls = lattice.ket, []
+    monkeypatch.setattr(lattice, "ket", lambda N, E: calls.append(N) or build(N, E))
+    H = build_hamiltonian(64)
+    first = propagator(H, 0.1)
+    for t in np.linspace(0.2, 5.0, 149):
+        propagator(H, t)
+    assert calls == [64]
+    np.testing.assert_array_equal(propagator(H, 0.1), first)
 
 
 def test_propagator_single_site():

@@ -84,6 +84,17 @@ def test_hidden_horizon_crossing_at_one():
     assert scan.first_crossing >= horizon_gamma(2).gamma - 1e-8
 
 
+def test_exact_exceptional_point_reads_real():
+    # at alpha = 1 the eigenvalues of diag(1, -1) collide exactly: a solve
+    # that rounds there reads about 1e-7, above the reality threshold, and
+    # moves the first crossing onto the exceptional point itself
+    grid = np.linspace(0.0, 1.2, 1201)
+    scan = hidden_horizon_scan(2, np.diag([1.0, -1.0]), grid)
+    assert grid[1000] == 1.0
+    assert scan.max_imag[1000] == 0.0
+    assert scan.first_crossing == grid[1001]
+
+
 def test_reality_survives_indefinite_metric():
     # at alpha = 0.9 the metric is already indefinite but the observable
     # spectrum is still real: the hidden horizon is observable-dependent

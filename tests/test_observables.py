@@ -213,10 +213,10 @@ def test_criterion_scale_invariant(system_cache, rng):
         assert criterion_product_hermitian(pair)
     bad = rng.normal(size=(4, 4))
     signs = None
-    for scale in (1.0, 5.0):
+    for scale in (1e-11, 1e-6, 1.0, 5.0):
         pair = overlap_matrices(system, kappa, spectral_data(scale * bad))
         assert not criterion_product_hermitian(pair)
-        asymmetry = np.sign(np.round((pair.M - pair.M.conj().T).real, 12))
+        asymmetry = np.sign(np.round((pair.M - pair.M.conj().T).real / scale, 12))
         if signs is None:
             signs = asymmetry
         else:
