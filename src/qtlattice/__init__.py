@@ -22,7 +22,6 @@ from .metrics import (
     ChargeOperator,
     KappaVector,
     MetricOperator,
-    TridiagonalMetricFamily,
     charge_operator,
     exceptional_kappa,
     kappa_from_metric,

@@ -1,4 +1,4 @@
-"""Positivity horizons of the tridiagonal metric family and hidden horizons.
+"""Positivity horizons of the tridiagonal metric slice and hidden horizons.
 
 The tridiagonal metric Theta(alpha) = Q + alpha T stays positive-definite
 only on a finite interval (-gamma, gamma).  Its couplings are
@@ -10,7 +10,9 @@ symmetric about 0, so gamma = 1/(2 x_max), x_max the largest root of P_N,
 found by Newton's method on the Legendre recurrence
 (`legendre._largest_root`).  The cross-check shares no code with it: a
 bisection on one O(N) Sturm count of Theta(alpha) per step (the LDL^T
-pivots), O(N log 1/eps) in all; the two must agree tightly.
+pivots), O(N log 1/eps) in all; the two must agree tightly.  The bisection
+and the scan read the slice as two arrays, q = `build_metric_Q(N)` and
+t = 1, ..., N - 1, and form alpha t themselves.
 
 The bisection finds where the smallest eigenvalue of Theta(alpha) crosses
 thr = 1e-12 max|Theta| (see `metrics`), not zero.  That moves its result
@@ -44,8 +46,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .lattice import build_metric_Q
 from .legendre import _largest_root, _require_size
-from .metrics import _require_symmetric, sturm_count, tridiagonal_definiteness, tridiagonal_family
+from .metrics import _pivot_threshold, _require_symmetric, _slice_couplings, sturm_count
+from .metrics import tridiagonal_definiteness
 
 __all__ = [
     "HorizonReport",
@@ -94,14 +98,16 @@ def _usable_cpus() -> int:
 def _gamma_bisection(N: int) -> tuple[float, int]:
     """Bisection on the positive-definiteness of Theta(alpha).
 
-    Each step runs the O(N) pivot recurrence (`sturm_count`) once.
+    Each step runs the O(N) pivot recurrence (`sturm_count`) once, at +thr:
+    Theta(alpha) is positive-definite when no eigenvalue lies below it.
     """
-    family = tridiagonal_family(N)
+    q, t = build_metric_Q(N), np.arange(1, N, dtype=float)
     iterations = 0
     lo, hi = 0.0, 1.0  # x_max grows with N, so gamma <= gamma(2) = sqrt(3)/2 < 1
     while hi - lo > BISECTION_WIDTH:
         mid = 0.5 * (lo + hi)
-        if family.positive_definite(mid):
+        offdiagonal = mid * t
+        if sturm_count(q, offdiagonal, _pivot_threshold(q, offdiagonal)) == 0:
             lo = mid
         else:
             hi = mid
@@ -166,20 +172,17 @@ def hidden_horizon_scan(N: int, K: np.ndarray, alpha_grid: np.ndarray) -> Realit
         raise ValueError("K has wrong shape")
     _require_symmetric(K)
     scale = max(1.0, np.max(np.abs(K)))
-    family = tridiagonal_family(N)
-    offdiagonal = family.offdiagonal(alpha_grid)
-    definiteness = tridiagonal_definiteness(family.diagonal, offdiagonal)
-    couplings = family.coupling_base
-    row_couplings = np.max(np.r_[couplings, 0.0] + np.r_[0.0, couplings])
+    q, t = build_metric_Q(N), np.arange(1, N, dtype=float)
+    offdiagonal = _slice_couplings(N, alpha_grid)
+    definiteness = tridiagonal_definiteness(q, offdiagonal)
+    row_couplings = np.max(np.r_[t, 0.0] + np.r_[0.0, t])
     with np.errstate(over="ignore"):  # an infinite tau makes sturm_count raise ValueError
-        tau = SINGULAR_RCOND * (np.max(family.diagonal) + np.abs(alpha_grid) * row_couplings)
-    skip = sturm_count(family.diagonal, offdiagonal, tau) > sturm_count(
-        family.diagonal, offdiagonal, -tau
-    )
+        tau = SINGULAR_RCOND * (np.max(q) + np.abs(alpha_grid) * row_couplings)
+    skip = sturm_count(q, offdiagonal, tau) > sturm_count(q, offdiagonal, -tau)
     positive = definiteness == "positive-definite"
     max_imag = np.where(positive & ~skip, 0.0, np.nan)
     solved = np.flatnonzero(~positive & ~skip)
-    diagonal, coupling = np.diag(family.diagonal), family.coupling_matrix()
+    diagonal, coupling = np.diag(q), np.diag(t, 1) + np.diag(t, -1)
 
     def solve_stack(points):
         thetas = diagonal + alpha_grid[points, None, None] * coupling

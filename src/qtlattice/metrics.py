@@ -11,8 +11,11 @@ relation with diagonal part Q and t_0 = 1 (verified exactly in the
 and Theta(alpha) = Q (I + 2 alpha H): the slice is the family member with
 kappa_j = (1 + 2 alpha E_j)/n_j, its charge is C = I + 2 alpha H, and it is
 positive-definite exactly for |alpha| < 1/(2 max E_j) (see `horizons`).
+The slice is held as two arrays, its diagonal q = `build_metric_Q(N)` and its
+couplings t = 1, ..., N - 1; `tridiagonal_metric` and `horizons` build
+Theta(alpha) from them.
 
-Definiteness comes from one of two paths.  The tridiagonal family is
+Definiteness comes from one of two paths.  The tridiagonal slice is
 classified in O(N) by Sturm counts (`sturm_count`, the LDL^T pivot kernel of
 the `tridiagonal` module that also certifies the Legendre roots): by
 Sylvester's law of inertia the number of negative pivots of Theta - sigma I
@@ -45,14 +48,12 @@ __all__ = [
     "KappaVector",
     "MetricOperator",
     "ChargeOperator",
-    "TridiagonalMetricFamily",
     "metric_from_kappa",
     "exceptional_kappa",
     "charge_operator",
     "kappa_from_metric",
     "dieudonne_residual",
     "tridiagonal_metric",
-    "tridiagonal_family",
     "classify_definiteness",
     "sturm_count",
     "tridiagonal_definiteness",
@@ -101,45 +102,20 @@ class ChargeOperator:
     matrix: np.ndarray
 
 
-@dataclass(frozen=True)
-class TridiagonalMetricFamily:
-    """The line Theta(alpha) = diag + alpha T inside the metric family."""
-
-    dimension: int
-    diagonal: np.ndarray
-    coupling_base: np.ndarray  # t_n = n + 1, normalized t_0 = 1
-
-    def coupling_matrix(self) -> np.ndarray:
-        return np.diag(self.coupling_base, 1) + np.diag(self.coupling_base, -1)
-
-    def offdiagonal(self, alpha) -> np.ndarray:
-        """alpha t: the couplings on axis 0, followed by the axes of alpha."""
-        alpha = np.asarray(alpha, dtype=float)
-        _require_finite(alpha, "alpha")
-        with np.errstate(over="ignore"):
-            offdiagonal = np.multiply.outer(self.coupling_base, alpha)
-        _require_finite(offdiagonal, "alpha t")
-        return offdiagonal
-
-    def definiteness(self, alpha) -> np.ndarray:
-        """Labels of Theta(alpha), shaped like alpha, in O(N) per alpha."""
-        return tridiagonal_definiteness(self.diagonal, self.offdiagonal(alpha))
-
-    def positive_definite(self, alpha: float) -> bool:
-        """Whether Theta(alpha) is positive-definite: no eigenvalue below +thr."""
-        diagonal, offdiagonal = self.diagonal, self.offdiagonal(alpha)
-        return sturm_count(diagonal, offdiagonal, _pivot_threshold(diagonal, offdiagonal)) == 0
-
-    def realize(self, alpha: float) -> MetricOperator:
-        definiteness = str(self.definiteness(alpha))
-        matrix = np.diag(self.diagonal) + alpha * self.coupling_matrix()
-        return MetricOperator(self.dimension, matrix, definiteness, "tridiagonal-family")
-
-
 def _require_finite(value, what: str) -> None:
     """Raise unless every entry of value is finite."""
     if not np.isfinite(value).all():
         raise ValueError(f"{what} is not finite (NaN or inf)")
+
+
+def _slice_couplings(N: int, alpha) -> np.ndarray:
+    """alpha t with t_n = n + 1: the couplings of Theta(alpha) on axis 0, then the axes of alpha."""
+    alpha = np.asarray(alpha, dtype=float)
+    _require_finite(alpha, "alpha")
+    with np.errstate(over="ignore"):
+        offdiagonal = np.multiply.outer(np.arange(1, N, dtype=float), alpha)
+    _require_finite(offdiagonal, "alpha t")
+    return offdiagonal
 
 
 def _require_symmetric(matrix: np.ndarray) -> None:
@@ -234,16 +210,27 @@ def charge_operator(q: np.ndarray, theta: MetricOperator) -> ChargeOperator:
 
 
 def dieudonne_residual(Lambda: np.ndarray, theta: MetricOperator) -> float:
-    """Normalized max-norm of Lambda^dagger Theta - Theta Lambda; ValueError unless finite."""
+    """max|Lambda^dagger Theta - Theta Lambda| / (max|Theta| max|Lambda|); ValueError unless finite.
+
+    The scale has no floor, so the residual, and a verdict drawn from it, is
+    the same up to rounding when Theta or Lambda is rescaled.  A zero residual
+    is 0, also for a zero Theta or Lambda.
+    """
     Lambda = np.asarray(Lambda)
     if Lambda.shape != theta.matrix.shape:
         raise ValueError("dimension mismatch between Lambda and theta")
-    with np.errstate(over="ignore", invalid="ignore"):  # NaN or inf input: a NaN scale
+    with np.errstate(over="ignore", invalid="ignore"):  # NaN or inf input: a NaN residual
         residual = Lambda.conj().T @ theta.matrix - theta.matrix @ Lambda
-        scale = np.maximum(1.0, np.max(np.abs(theta.matrix)) * np.max(np.abs(Lambda)))
-        residual = float(np.max(np.abs(residual)) / scale)
+        scale = np.max(np.abs(theta.matrix)) * np.max(np.abs(Lambda))
+        residual = _relative_max(residual, scale)
     _require_finite(residual, "the Dieudonne residual")
     return residual
+
+
+def _relative_max(residual: np.ndarray, scale) -> float:
+    """max|residual| / scale, and 0 for a zero residual (whose scale may be 0)."""
+    largest = np.max(np.abs(residual))
+    return float(largest / scale) if largest else 0.0
 
 
 def _hamiltonian_residual(H: LatticeHamiltonian, theta: MetricOperator) -> float:
@@ -264,8 +251,8 @@ def _hamiltonian_residual(H: LatticeHamiltonian, theta: MetricOperator) -> float
         residual[:-1] += down[:, None] * matrix[1:]
         residual[:, 1:] -= matrix[:, :-1] * up
         residual[:, :-1] -= matrix[:, 1:] * down
-        scale = max(1.0, np.max(np.abs(matrix)) * np.abs(np.r_[up, down]).max(initial=0.0))
-        return float(np.max(np.abs(residual)) / scale)
+        scale = np.max(np.abs(matrix)) * np.abs(np.r_[up, down]).max(initial=0.0)
+        return _relative_max(residual, scale)
 
 
 def kappa_from_metric(system: BiorthogonalSystem, theta: MetricOperator) -> KappaVector:
@@ -273,9 +260,9 @@ def kappa_from_metric(system: BiorthogonalSystem, theta: MetricOperator) -> Kapp
 
     Rejects matrices outside the family, for which the projection would be
     meaningless: unless dieudonne_residual(H, theta) <= 1e-10, which is
-    max|H^T Theta - Theta H| <= 1e-10 max(1, max|Theta|) because
-    max|H| = H[0, 1] = 1 for N >= 2 (at N = 1 both residuals are 0).  A
-    Theta with NaN or inf entries fails the gate.
+    max|H^T Theta - Theta H| <= 1e-10 max|Theta| because max|H| = H[0, 1] = 1
+    for N >= 2 (at N = 1 both residuals are 0).  A Theta with NaN or inf
+    entries fails the gate.
     """
     if theta.dimension != system.dimension:
         raise ValueError("dimension mismatch")
@@ -285,12 +272,10 @@ def kappa_from_metric(system: BiorthogonalSystem, theta: MetricOperator) -> Kapp
     return KappaVector(system.dimension, quad / system.q_norms**2)
 
 
-def tridiagonal_family(N: int) -> TridiagonalMetricFamily:
-    """The tridiagonal metric line at size N (couplings t_n = n + 1)."""
-    N = _require_size(N, 2)
-    return TridiagonalMetricFamily(N, build_metric_Q(N), np.arange(1, N, dtype=float))
-
-
 def tridiagonal_metric(N: int, alpha: float) -> MetricOperator:
     """Theta(alpha) = Q + alpha T for the unique tridiagonal-ansatz couplings."""
-    return tridiagonal_family(N).realize(alpha)
+    N = _require_size(N, 2)
+    q, offdiagonal = build_metric_Q(N), _slice_couplings(N, alpha)
+    matrix = np.diag(q) + np.diag(offdiagonal, 1) + np.diag(offdiagonal, -1)
+    definiteness = str(tridiagonal_definiteness(q, offdiagonal))
+    return MetricOperator(N, matrix, definiteness, "tridiagonal-family")

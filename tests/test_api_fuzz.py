@@ -242,3 +242,28 @@ def test_overflow_is_a_value_error_without_a_warning(case):
     """Finite inputs whose products overflow (or underflow to a zero norm)."""
     with pytest.raises(ValueError):
         HUGE[case]()
+
+
+def test_public_names_are_pinned():
+    """The package's public surface; adding or deleting a name shows in this list."""
+    import types
+
+    import qtlattice
+
+    public = sorted(
+        name
+        for name, value in vars(qtlattice).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    )
+    assert public == [
+        "BiorthogonalSystem", "ChargeOperator", "EvolutionState", "HorizonReport",
+        "KappaVector", "LatticeHamiltonian", "MetricOperator", "ObservableSpectralData",
+        "OverlapPair", "RealityScan", "RootSet", "biorthogonal_system", "build_hamiltonian",
+        "build_metric_Q", "charge_operator", "criterion_product_hermitian",
+        "dieudonne_residual", "exact_exceptional_identity", "exact_intertwining_check",
+        "exact_intertwining_check_factorial", "exact_tridiagonal_solve", "exceptional_kappa",
+        "hidden_horizon_scan", "horizon_gamma", "kappa_from_metric", "ket",
+        "metric_from_kappa", "norm_drift", "norm_trajectory", "observable_from_hermitian",
+        "overlap_matrices", "propagator", "roots_P", "spectral_data", "spectrum",
+        "theta_norm", "tridiagonal_metric",
+    ]

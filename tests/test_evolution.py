@@ -176,6 +176,14 @@ def test_norm_drift_rejects_nan_metric():
         norm_drift(build_hamiltonian(3), theta, EvolutionState(3, np.ones(3)), np.linspace(0, 1, 5))
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-6, 1e-11])
+def test_norm_drift_gate_is_relative_to_theta(scale):
+    """Theta = c I does not intertwine with H at any scale c: residual max|H^T - H| / max|H|."""
+    theta = MetricOperator.from_matrix(scale * np.eye(4), "x")
+    with pytest.raises(ValueError, match="intertwine"):
+        norm_drift(build_hamiltonian(4), theta, EvolutionState(4, np.ones(4)), np.linspace(0, 5, 11))
+
+
 def test_norm_drift_requires_positive_definite_metric():
     theta = tridiagonal_metric(3, 5.0)  # a family member beyond the horizon
     assert theta.definiteness == "indefinite"

@@ -12,9 +12,9 @@ from qtlattice import (
     exact_intertwining_check,
     exact_intertwining_check_factorial,
     exact_tridiagonal_solve,
+    tridiagonal_metric,
 )
 from qtlattice.exact import _gauss_jordan, factorial_diagonal, rational_hamiltonian, rational_metric_Q
-from qtlattice.metrics import tridiagonal_family
 
 
 @pytest.mark.parametrize("N", range(1, 9))
@@ -78,7 +78,7 @@ def test_gauss_jordan_solves_or_names_the_failure():
 def test_tridiagonal_solve_matches_float_family():
     couplings = exact_tridiagonal_solve(6)
     np.testing.assert_array_equal(
-        tridiagonal_family(6).coupling_base, [float(c) for c in couplings]
+        np.diag(tridiagonal_metric(6, 1.0).matrix, 1), [float(c) for c in couplings]
     )
 
 

@@ -95,6 +95,29 @@ def test_exact_exceptional_point_reads_real():
     assert scan.first_crossing == grid[1001]
 
 
+@pytest.mark.parametrize("N", [2, 3, 5, 8, 16])
+def test_complex_pairs_at_most_the_negative_index(N, rng):
+    """Pontryagin: Lambda = Theta(alpha)^{-1} K is Theta-self-adjoint, so it has
+    at most nu(alpha) complex pairs, nu the number of negative eigenvalues of
+    Theta(alpha).  The points the scan skips as singular (alpha = -gamma) are
+    left out."""
+    gamma = horizon_gamma(N).gamma
+    grid = np.linspace(-3.0 * gamma, 3.0 * gamma, 121)
+    thetas = np.array([tridiagonal_metric(N, alpha).matrix for alpha in grid])
+    negative = np.sum(np.linalg.eigvalsh(thetas) < 0, axis=1)
+    most = 0
+    for _ in range(20):
+        K = rng.normal(size=(N, N))
+        K = K + K.T
+        kept = ~np.isin(grid, hidden_horizon_scan(N, K, grid).skipped_singular)
+        eigenvalues = np.linalg.eigvals(np.linalg.solve(thetas[kept], K))
+        complex_ = np.abs(eigenvalues.imag) > 1e-8 * max(1.0, np.max(np.abs(K)))
+        pairs = np.sum(complex_, axis=1) // 2
+        assert np.all(pairs <= negative[kept])
+        most = max(most, pairs.max())
+    assert most >= 1  # the bound is exercised, not met by real spectra alone
+
+
 def test_reality_survives_indefinite_metric():
     # at alpha = 0.9 the metric is already indefinite but the observable
     # spectrum is still real: the hidden horizon is observable-dependent

@@ -15,12 +15,7 @@ from qtlattice import (
     metric_from_kappa,
     tridiagonal_metric,
 )
-from qtlattice.metrics import (
-    classify_definiteness,
-    sturm_count,
-    tridiagonal_definiteness,
-    tridiagonal_family,
-)
+from qtlattice.metrics import classify_definiteness, sturm_count, tridiagonal_definiteness
 
 
 def dieudonne_max_residual(matrix, N):
@@ -153,12 +148,12 @@ def test_tridiagonal_metric_always_intertwines(alpha):
     assert dieudonne_max_residual(theta.matrix, 4) <= 1e-13 * max(1.0, abs(alpha))
 
 
-def test_tridiagonal_family_realize_matches():
-    family = tridiagonal_family(5)
-    np.testing.assert_array_equal(family.coupling_base, [1.0, 2.0, 3.0, 4.0])
-    np.testing.assert_array_equal(
-        family.realize(0.25).matrix, tridiagonal_metric(5, 0.25).matrix
-    )
+def test_tridiagonal_metric_is_q_plus_alpha_t():
+    theta = tridiagonal_metric(5, 0.25)
+    t = np.array([1.0, 2.0, 3.0, 4.0])
+    expected = np.diag(build_metric_Q(5)) + 0.25 * (np.diag(t, 1) + np.diag(t, -1))
+    np.testing.assert_array_equal(theta.matrix, expected)
+    assert (theta.dimension, theta.provenance) == (5, "tridiagonal-family")
 
 
 def test_definiteness_classification():
@@ -280,7 +275,7 @@ def test_non_finite_input_is_a_domain_error(bad, system_cache):
 
 @pytest.mark.parametrize("N", [2, 8, 64, 1024])
 def test_coupling_matrix_is_twice_QH(N):
-    T = tridiagonal_family(N).coupling_matrix()
+    T = tridiagonal_metric(N, 1.0).matrix - np.diag(build_metric_Q(N))
     QH = build_metric_Q(N)[:, None] * dense_hamiltonian(N)
     assert np.max(np.abs(T - 2 * QH)) <= 4 * np.finfo(float).eps * np.max(np.abs(T))
 
@@ -311,7 +306,7 @@ def test_banded_residual_matches_dense(N, rng):
     random = rng.normal(size=(N, N))
     for matrix in (random + random.T, tridiagonal_metric(N, 0.3).matrix):
         theta = MetricOperator(N, matrix, "indefinite", "external")
-        # both are divided by max(1, max|Theta| max|H|): within 8 eps of that scale
+        # both are divided by max|Theta| max|H|, with no floor: within 8 eps of that scale
         gap = abs(_hamiltonian_residual(H, theta) - dieudonne_residual(dense_hamiltonian(N), theta))
         assert gap <= 8 * np.finfo(float).eps
 

@@ -223,6 +223,24 @@ def test_criterion_scale_invariant(system_cache, rng):
             np.testing.assert_array_equal(asymmetry, signs)
 
 
+def test_dieudonne_verdict_scale_invariant(system_cache, rng):
+    """The residual, and the verdict at 1e-10, do not change when Lambda or Theta is rescaled."""
+    system = system_cache(4)
+    theta = metric_from_kappa(system, KappaVector(4, rng.uniform(0.5, 2.0, 4)))
+    K = rng.normal(size=(4, 4))
+    Lam = observable_from_hermitian(0.5 * (K + K.T), theta)
+    bad = rng.normal(size=(4, 4))
+    for scale in (1.0, 1e-6, 1e-12):
+        small = MetricOperator(4, scale * theta.matrix, theta.definiteness, theta.provenance)
+        for candidate, observable in ((Lam, True), (bad, False)):
+            residuals = [dieudonne_residual(scale * candidate, theta),
+                         dieudonne_residual(candidate, small)]
+            for residual in residuals:
+                assert (residual <= 1e-10) == observable
+            if not observable:
+                np.testing.assert_allclose(residuals, dieudonne_residual(bad, theta), rtol=1e-12)
+
+
 @pytest.mark.parametrize("K", [np.ones(3), np.ones((3, 1)), np.ones((1, 3, 3)), 1.0])
 def test_observable_from_hermitian_needs_a_square_K(K):
     with pytest.raises(ValueError, match="square"):
