@@ -20,10 +20,6 @@ USAGE_ERROR = 2
 DOMAIN_ERROR = 1
 
 
-class DomainError(Exception):
-    pass
-
-
 def _dump_json(obj, stream) -> None:
     json.dump(obj, stream, indent=2, default=lambda value: value.tolist())
     stream.write("\n")
@@ -45,34 +41,37 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def command(name, help, needs_n=True):
+    def command(name, help, handler, needs_n=True):
         p = sub.add_parser(name, help=help, allow_abbrev=False)
+        p.set_defaults(handler=handler)
         if needs_n:
             p.add_argument("--n", type=int, required=True, help="lattice size N")
         p.add_argument("--out", default=None, help="output file (default stdout)")
         return p
 
-    p = command("spectrum", "eigenvalues of the lattice Hamiltonian")
+    p = command("spectrum", "eigenvalues of the lattice Hamiltonian", _cmd_spectrum)
     p.add_argument("--format", choices=("json", "csv"), default="json")
 
-    p = command("metric", "a metric operator (diagonal, kappa or tridiagonal)")
+    p = command("metric", "a metric operator (diagonal, kappa or tridiagonal)", _cmd_metric)
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--kappa", default=None, help='comma list or "exceptional"')
     p.add_argument("--require-positive", action="store_true")
 
-    p = command("charge", "charge operator C = Q^{-1} Theta")
+    p = command("charge", "charge operator C = Q^{-1} Theta", _cmd_charge)
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--kappa", default=None)
 
-    command("horizon", "positivity boundary gamma of the tridiagonal family")
+    command("horizon", "positivity boundary gamma of the tridiagonal family", _cmd_horizon)
 
-    p = command("scan", "reality scan of Theta(alpha)^{-1} K over an alpha grid")
+    p = command("scan", "reality scan of Theta(alpha)^{-1} K over an alpha grid", _cmd_scan)
     p.add_argument("--alpha-min", type=float, required=True)
     p.add_argument("--alpha-max", type=float, required=True)
     p.add_argument("--alpha-steps", type=int, required=True)
     p.add_argument("--k-matrix", default=None, help="JSON matrix file (default identity)")
 
-    p = command("check-observability", "Dieudonne + overlap-product tests")
+    p = command(
+        "check-observability", "Dieudonne + overlap-product tests", _cmd_check_observability
+    )
     p.add_argument("--k-matrix", required=True, help="JSON file with the candidate matrix")
     p.add_argument("--kappa", default="exceptional")
     p.add_argument(
@@ -82,12 +81,12 @@ def _build_parser() -> argparse.ArgumentParser:
         help="tolerance of both observability tests",
     )
 
-    p = command("evolve", "Theta-norm and Dirac-norm along the evolution")
+    p = command("evolve", "Theta-norm and Dirac-norm along the evolution", _cmd_evolve)
     p.add_argument("--t-max", type=float, default=10.0)
     p.add_argument("--t-steps", type=int, default=101)
     p.add_argument("--kappa", default=None)
 
-    p = command("verify", "run the exact-arithmetic oracle checks", needs_n=False)
+    p = command("verify", "run the exact-arithmetic oracle checks", _cmd_verify, needs_n=False)
     p.add_argument("--n-max", type=int, default=8)
     return parser
 
@@ -96,15 +95,15 @@ def _load_matrix(path: str, N: int) -> np.ndarray:
     with open(path) as fh:
         payload = json.load(fh)
     if not isinstance(payload, dict) or "matrix" not in payload:
-        raise DomainError(f'{path} is not a JSON object with a "matrix" key')
+        raise ValueError(f'{path} is not a JSON object with a "matrix" key')
     try:
         matrix = np.asarray(payload["matrix"], dtype=float)
     except (TypeError, ValueError) as exc:
-        raise DomainError(f"matrix in {path} is not numeric: {exc}") from exc
+        raise ValueError(f"matrix in {path} is not numeric: {exc}") from exc
     if payload.get("dimension") != N or matrix.shape != (N, N):
-        raise DomainError(f"matrix in {path} does not have dimension {N}")
+        raise ValueError(f"matrix in {path} does not have dimension {N}")
     if not np.isfinite(matrix).all():
-        raise DomainError(f"matrix in {path} has non-finite entries")
+        raise ValueError(f"matrix in {path} has non-finite entries")
     return matrix
 
 
@@ -117,7 +116,7 @@ def _parse_kappa(text: str, system) -> metrics.KappaVector:
 
 def _resolve_metric(args, N: int) -> metrics.MetricOperator:
     if args.alpha is not None and args.kappa is not None:
-        raise DomainError("--alpha and --kappa are mutually exclusive")
+        raise ValueError("--alpha and --kappa are mutually exclusive")
     if args.alpha is not None:
         return metrics.tridiagonal_metric(N, args.alpha)
     if args.kappa is not None:
@@ -144,7 +143,7 @@ def _cmd_spectrum(args, out):
 def _cmd_metric(args, out):
     theta = _resolve_metric(args, args.n)
     if args.require_positive and theta.definiteness != "positive-definite":
-        raise DomainError(f"metric is {theta.definiteness}, not positive-definite")
+        raise ValueError(f"metric is {theta.definiteness}, not positive-definite")
     _dump_json(vars(theta), out)
 
 
@@ -160,9 +159,9 @@ def _cmd_horizon(args, out):
 
 def _cmd_scan(args, out):
     if args.alpha_steps < 2:
-        raise DomainError("--alpha-steps must be at least 2")
+        raise ValueError("--alpha-steps must be at least 2")
     if not np.isfinite([args.alpha_min, args.alpha_max]).all():
-        raise DomainError("--alpha-min and --alpha-max must be finite")
+        raise ValueError("--alpha-min and --alpha-max must be finite")
     grid = np.linspace(args.alpha_min, args.alpha_max, args.alpha_steps)
     K = (
         _load_matrix(args.k_matrix, args.n)
@@ -201,7 +200,7 @@ def _cmd_check_observability(args, out):
 
 def _cmd_evolve(args, out):
     if not np.isfinite(args.t_max):
-        raise DomainError("--t-max must be finite")
+        raise ValueError("--t-max must be finite")
     system = lattice.biorthogonal_system(args.n)
     if args.kappa:
         theta = metrics.metric_from_kappa(system, _parse_kappa(args.kappa, system))
@@ -231,18 +230,6 @@ def _cmd_verify(args, out):
     _dump_json(certificates, out)
 
 
-_COMMANDS = {
-    "spectrum": _cmd_spectrum,
-    "metric": _cmd_metric,
-    "charge": _cmd_charge,
-    "horizon": _cmd_horizon,
-    "scan": _cmd_scan,
-    "check-observability": _cmd_check_observability,
-    "evolve": _cmd_evolve,
-    "verify": _cmd_verify,
-}
-
-
 def run(argv: list[str]) -> int:
     """Dispatch a CLI invocation; returns the process exit status."""
     parser = _build_parser()
@@ -256,13 +243,13 @@ def run(argv: list[str]) -> int:
     # Buffered, so that a failed command writes nothing and leaves --out untouched.
     out = io.StringIO()
     try:
-        _COMMANDS[args.subcommand](args, out)
+        args.handler(args, out)
         if args.out:
             with open(args.out, "w") as fh:
                 fh.write(out.getvalue())
         else:
             sys.stdout.write(out.getvalue())
-    except (DomainError, ValueError, RuntimeError, OSError) as exc:
+    except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DOMAIN_ERROR
     return 0

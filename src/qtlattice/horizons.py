@@ -143,9 +143,13 @@ def hidden_horizon_scan(N: int, K: np.ndarray, alpha_grid: np.ndarray) -> Realit
     [-tau, tau], tau = 1e-12 (max q + |alpha| max_n (t_{n-1} + t_n)).  tau
     bounds 1e-12 ||Theta||_inf >= 1e-12 ||Theta||_2 from above, so every
     point with reciprocal condition number below 1e-12 is skipped, and
-    tau >= thr of the labels (max q >= 1.5), so every singular point is too;
-    a point labelled positive-definite with an eigenvalue in (thr, tau] is
-    skipped as well.
+    tau >= thr = 1e-12 max|Theta| of the labels (max q >= max|diag Theta| and
+    |alpha| max_n (t_{n-1} + t_n) >= max|alpha t|), so every singular point is
+    too; a point labelled positive-definite with an eigenvalue in (thr, tau]
+    is skipped as well.
+
+    A crossing is max_imag > 1e-8 max|K|, with no floor: Lambda(alpha) scales
+    with K, so c K crosses where K does for every c > 0; a zero K scans real.
 
     Only the indefinite points that are not skipped are solved and
     diagonalized, with the same LAPACK calls on the same Theta(alpha) entries
@@ -160,7 +164,7 @@ def hidden_horizon_scan(N: int, K: np.ndarray, alpha_grid: np.ndarray) -> Realit
     ones get max_imag = 0 exactly, without an eigensolve: with Theta > 0,
     Lambda is similar to the symmetric Theta^{-1/2} K Theta^{-1/2}, so its
     spectrum is real.  The label is exact here: it means no eigenvalue below
-    thr = 1e-12 max(1, max|Theta|) by a count that errs by at most about
+    thr = 1e-12 max|Theta| by a count that errs by at most about
     1.1e-15 max|Theta| (see `metrics`), so lambda_min(Theta) > 0.
     """
     N = _require_size(N, 2)
@@ -171,7 +175,6 @@ def hidden_horizon_scan(N: int, K: np.ndarray, alpha_grid: np.ndarray) -> Realit
     if K.shape != (N, N):
         raise ValueError("K has wrong shape")
     _require_symmetric(K)
-    scale = max(1.0, np.max(np.abs(K)))
     q, t = build_metric_Q(N), np.arange(1, N, dtype=float)
     offdiagonal = _slice_couplings(N, alpha_grid)
     definiteness = tridiagonal_definiteness(q, offdiagonal)
@@ -201,7 +204,7 @@ def hidden_horizon_scan(N: int, K: np.ndarray, alpha_grid: np.ndarray) -> Realit
         stacks = min(len(solved), -(-stacks // workers) * workers)
         with ThreadPoolExecutor(workers) as pool:
             list(pool.map(solve_stack, np.array_split(solved, stacks)))
-    crossings = np.flatnonzero(max_imag > REALITY_THRESHOLD * scale)
+    crossings = np.flatnonzero(max_imag > REALITY_THRESHOLD * np.max(np.abs(K)))
     return RealityScan(
         dimension=N,
         alpha_grid=alpha_grid,

@@ -24,14 +24,16 @@ is the number of eigenvalues below sigma, and counts at sigma = +thr and
 classified by one Cholesky factorization of Theta - thr I with an
 eigenvalue tie-break.
 
-Error model of the threshold thr = 1e-12 max(1, max|Theta|): the computed
-pivots are the exact pivots of a matrix with the same diagonal and
-off-diagonal entries perturbed by relative errors of at most 2.5 eps
-(Kahan; Demmel, Applied Numerical Linear Algebra, lemma 5.4).  Each count is
-thus exact for eigenvalues moved by at most 5 eps max|Theta| (about
+Error model of the threshold thr = 1e-12 max|Theta| (`_pivot_threshold`, both
+paths): the computed pivots are the exact pivots of a matrix with the same
+diagonal and off-diagonal entries perturbed by relative errors of at most
+2.5 eps (Kahan; Demmel, Applied Numerical Linear Algebra, lemma 5.4).  Each
+count is thus exact for eigenvalues moved by at most 5 eps max|Theta| (about
 1.1e-15 max|Theta|), three orders of magnitude inside thr, and a label can
 differ from exact arithmetic only for an eigenvalue that close to +thr or
--thr.
+-thr.  thr has no floor, so c Theta has the label of Theta for every c > 0.
+Where thr = 0 (a zero Theta, or one below about 1e-312, where thr
+underflows), both paths read singular unless positive-definite.
 """
 
 from __future__ import annotations
@@ -119,35 +121,36 @@ def _slice_couplings(N: int, alpha) -> np.ndarray:
 
 
 def _require_symmetric(matrix: np.ndarray) -> None:
-    """Raise unless M is nonempty, square, finite and max|M - M^T| <= 1e-12 max(1, max|M|)."""
+    """Raise unless M is nonempty, square, finite and max|M - M^T| <= 1e-12 max|M| (no floor)."""
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or matrix.size == 0:
         raise ValueError(f"expected a nonempty square matrix, not one of shape {matrix.shape}")
     _require_finite(matrix, "matrix")
-    scale = max(1.0, np.max(np.abs(matrix)))
     with np.errstate(over="ignore"):  # M - M^T may overflow to inf, which fails the gate
-        asymmetry = np.max(np.abs(matrix - matrix.T))
-    if asymmetry > SYMMETRY_TOL * scale:
+        asymmetry = _relative_max(matrix - matrix.T, np.max(np.abs(matrix)))
+    if asymmetry > SYMMETRY_TOL:
         raise ValueError("matrix is not symmetric within tolerance")
 
 
-def _pivot_threshold(diagonal: np.ndarray, offdiagonal: np.ndarray) -> np.ndarray:
-    """thr = 1e-12 max(1, max|Theta|), per matrix of a tridiagonal batch."""
-    largest = np.abs(offdiagonal).max(axis=0, initial=np.abs(diagonal).max())
-    return PIVOT_TOL * np.maximum(1.0, largest)
+def _pivot_threshold(diagonal, offdiagonal=()) -> np.ndarray:
+    """thr = 1e-12 max|Theta| of a dense Theta, or per matrix of a tridiagonal batch
+    given by its diagonal and off-diagonal entries (axis 0, as for `sturm_count`)."""
+    return PIVOT_TOL * np.abs(offdiagonal).max(axis=0, initial=np.abs(diagonal).max())
 
 
 def tridiagonal_definiteness(diagonal, offdiagonal) -> np.ndarray:
     """Definiteness labels of symmetric tridiagonal matrices from Sturm counts.
 
-    No eigenvalue below +thr: positive-definite; none below -thr: singular;
-    otherwise indefinite (thr as in `classify_definiteness`).  Batched like
-    `sturm_count`; returns a string array of the batch shape.
+    No eigenvalue below +thr: positive-definite; none below -thr, or thr = 0
+    (where the counts at +-0 would take the zero pivots of a zero Theta as
+    negative): singular; otherwise indefinite.  thr = 1e-12 max|Theta|.
+    Batched like `sturm_count`; returns a string array of the batch shape.
     """
     threshold = _pivot_threshold(diagonal, offdiagonal)
+    singular = (sturm_count(diagonal, offdiagonal, -threshold) == 0) | (threshold == 0)
     return np.where(
         sturm_count(diagonal, offdiagonal, threshold) == 0,
         "positive-definite",
-        np.where(sturm_count(diagonal, offdiagonal, -threshold) == 0, "singular", "indefinite"),
+        np.where(singular, "singular", "indefinite"),
     )
 
 
@@ -156,20 +159,21 @@ def classify_definiteness(matrix: np.ndarray) -> str:
 
     The path for kappa-family and external metrics; the tridiagonal family
     uses `tridiagonal_definiteness`.  Positive-definite when the Cholesky
-    factorization of Theta - thr I succeeds, thr = 1e-12 max(1, max|Theta|);
-    otherwise the smallest eigenvalue breaks the tie: within thr of zero is
-    singular, below it indefinite.
+    factorization of Theta - thr I succeeds, thr = 1e-12 max|Theta|
+    (`_pivot_threshold`); otherwise the smallest eigenvalue breaks the tie:
+    within thr of zero, or any eigenvalue where thr = 0, is singular, below
+    it indefinite.
     """
     matrix = np.asarray(matrix, dtype=float)
     _require_symmetric(matrix)
-    threshold = PIVOT_TOL * max(1.0, np.max(np.abs(matrix)))
+    threshold = _pivot_threshold(matrix)
     try:
         np.linalg.cholesky(matrix - threshold * np.eye(len(matrix)))
         return "positive-definite"
     except np.linalg.LinAlgError:
         pass
     smallest = np.linalg.eigvalsh(matrix)[0]
-    if abs(smallest) <= threshold:
+    if abs(smallest) <= threshold or not threshold:
         return "singular"
     return "positive-definite" if smallest > 0 else "indefinite"
 

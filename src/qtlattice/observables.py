@@ -54,10 +54,8 @@ class ObservableSpectralData:
 
 @dataclass(frozen=True)
 class OverlapPair:
-    """The two overlap matrices and their product, with its asymmetry."""
+    """The product M = U V of the two overlap matrices, with its asymmetry."""
 
-    U: np.ndarray
-    V: np.ndarray
     M: np.ndarray
     hermiticity_residual: float
 
@@ -93,10 +91,12 @@ def spectral_data(Lambda: np.ndarray) -> ObservableSpectralData:
     norm kappa_j.  The reconstruction error is modelled as
     N eps kappa^2 max|Lambda| with kappa = max_j kappa_j, which is at least
     eps cond(R) kappa max|Lambda| because cond(R) <= N kappa.  The model must
-    not exceed 1e-10 max(1, max|Lambda|) max(1, N/64): a fixed 1e-10 up to
-    N = 64, then growing as the model's floor N eps max|Lambda| does.  So the
-    verdict is a property of the input, not of how one product rounds.  Each
-    failure, a singular R (`LinAlgError`) included, is a `ValueError`.
+    not exceed 1e-10 max|Lambda| max(1, N/64): a fixed relative 1e-10 up to
+    N = 64, then growing as the model's floor N eps max|Lambda| does.  With
+    max|Lambda| cancelled, the gate (and its error message) reads
+    N eps kappa^2 <= 1e-10 max(1, N/64), the same for c Lambda as for Lambda.
+    So the verdict is a property of the input, not of how one product rounds.
+    Each failure, a singular R (`LinAlgError`) included, is a `ValueError`.
     """
     Lambda = np.asarray(Lambda, dtype=complex)
     N = Lambda.shape[0]
@@ -105,16 +105,15 @@ def spectral_data(Lambda: np.ndarray) -> ObservableSpectralData:
     eigenvalues, right = eigenvalues[order], right[:, order]
     left = np.linalg.inv(right).T
     left /= np.linalg.norm(left, axis=0)
-    largest = np.max(np.abs(Lambda))
     if N > 1:
         gaps = np.abs(eigenvalues[:, None] - eigenvalues[None, :])
         np.fill_diagonal(gaps, np.inf)
-        if gaps.min() <= GAP_TOL * largest:
+        if gaps.min() <= GAP_TOL * np.max(np.abs(Lambda)):
             raise ValueError("spectrum is degenerate or near-degenerate")
     pairing = np.einsum("ij,ij->j", left, right)
     with np.errstate(divide="ignore", over="ignore"):  # a zero pairing: an infinite estimate
-        estimate = N * np.finfo(float).eps * np.max(1.0 / np.abs(pairing)) ** 2 * largest
-    tol = 1e-10 * max(1.0, largest) * max(1.0, N / 64)
+        estimate = N * np.finfo(float).eps * np.max(1.0 / np.abs(pairing)) ** 2
+    tol = 1e-10 * max(1.0, N / 64)
     if not estimate <= tol:
         raise ValueError(
             f"eigenvectors too ill-conditioned: reconstruction error estimate {estimate:.1e} > {tol:.1e}"
@@ -125,7 +124,7 @@ def spectral_data(Lambda: np.ndarray) -> ObservableSpectralData:
 def overlap_matrices(
     system: BiorthogonalSystem, kappa: KappaVector, data: ObservableSpectralData
 ) -> OverlapPair:
-    """Build U, V and their product M for the Hermiticity criterion.
+    """Build the product M = U V of the two overlap matrices for the Hermiticity criterion.
 
     Kets are renormalized internally to unit Q-norm; the weights are
     rescaled in step (kappa_j -> kappa_j n_j) so the metric they encode is
@@ -146,7 +145,7 @@ def overlap_matrices(
     )
     M = U @ V
     residual = float(np.max(np.abs(M - M.conj().T)))
-    return OverlapPair(U, V, M, residual)
+    return OverlapPair(M, residual)
 
 
 def criterion_product_hermitian(

@@ -95,6 +95,26 @@ def test_exact_exceptional_point_reads_real():
     assert scan.first_crossing == grid[1001]
 
 
+def test_scan_crossing_is_scale_invariant():
+    """Theta(alpha)^{-1} c K = c Lambda(alpha): the threshold 1e-8 max|K| scales with it."""
+    a = np.random.default_rng(0).normal(size=(8, 8))
+    K = 0.5 * (a + a.T)
+    grid = np.linspace(0.0, 3.0 * horizon_gamma(8).gamma, 301)
+    reference = hidden_horizon_scan(8, K, grid)
+    assert reference.first_crossing is not None
+    for scale in (1.0, 1e-6, 1e-12):
+        scan = hidden_horizon_scan(8, scale * K, grid)
+        assert scan.first_crossing == reference.first_crossing
+        np.testing.assert_allclose(scan.max_imag, scale * reference.max_imag, rtol=1e-9, atol=0)
+
+
+def test_zero_K_scans_real():
+    grid = np.linspace(-3.0, 3.0, 61)
+    scan = hidden_horizon_scan(4, np.zeros((4, 4)), grid)
+    assert scan.first_crossing is None
+    assert np.nanmax(scan.max_imag) == 0.0
+
+
 @pytest.mark.parametrize("N", [2, 3, 5, 8, 16])
 def test_complex_pairs_at_most_the_negative_index(N, rng):
     """Pontryagin: Lambda = Theta(alpha)^{-1} K is Theta-self-adjoint, so it has
@@ -111,7 +131,7 @@ def test_complex_pairs_at_most_the_negative_index(N, rng):
         K = K + K.T
         kept = ~np.isin(grid, hidden_horizon_scan(N, K, grid).skipped_singular)
         eigenvalues = np.linalg.eigvals(np.linalg.solve(thetas[kept], K))
-        complex_ = np.abs(eigenvalues.imag) > 1e-8 * max(1.0, np.max(np.abs(K)))
+        complex_ = np.abs(eigenvalues.imag) > 1e-8 * np.max(np.abs(K))
         pairs = np.sum(complex_, axis=1) // 2
         assert np.all(pairs <= negative[kept])
         most = max(most, pairs.max())
@@ -147,7 +167,7 @@ def test_no_complex_eigenvalues_inside_horizon(N, rng):
         K = 0.5 * (K + K.T)
         scan = hidden_horizon_scan(N, K, alphas)
         assert scan.first_crossing is None
-        assert np.nanmax(scan.max_imag) <= 1e-9 * max(1.0, np.max(np.abs(K)))
+        assert np.nanmax(scan.max_imag) <= 1e-9 * np.max(np.abs(K))
 
 
 def test_hamiltonian_spectrum_is_alpha_independent():
@@ -211,7 +231,7 @@ def test_batched_scan_matches_point_loop(N, rng, monkeypatch):
     max_imag, skipped = _point_loop_scan(N, K, grid)
     np.testing.assert_array_equal(scan.max_imag, max_imag)
     assert scan.skipped_singular == skipped == [-gamma, gamma]
-    threshold = 1e-8 * max(1.0, np.max(np.abs(K)))
+    threshold = 1e-8 * np.max(np.abs(K))
     crossings = grid[max_imag > threshold]
     assert scan.first_crossing == (float(crossings[0]) if len(crossings) else None)
     if N == 2:
@@ -264,7 +284,7 @@ def test_positive_definite_point_near_singular_is_skipped(N):
     q, t = np.arange(N) + 0.5, np.arange(1.0, N)
 
     def thr_and_tau(alpha):
-        thr = 1e-12 * max(1.0, q.max(), alpha * t.max())
+        thr = 1e-12 * max(q.max(), alpha * t.max())
         return thr, 1e-12 * (q.max() + alpha * np.max(np.r_[t, 0.0] + np.r_[0.0, t]))
 
     lo, hi = 0.0, horizon_gamma(N).gamma
@@ -298,7 +318,7 @@ def test_positive_metric_makes_theta_inverse_K_real(N, rng):
             K = rng.normal(size=(N, N))
             K = K + K.T
             imag = np.abs(np.linalg.eigvals(np.linalg.solve(theta, K)).imag)
-            assert imag.max() <= 1e-9 * max(1.0, np.max(np.abs(K)))
+            assert imag.max() <= 1e-9 * np.max(np.abs(K))
 
 
 @pytest.mark.parametrize("N", list(range(2, 65)) + [256, 1024, 4096])
@@ -329,7 +349,7 @@ def _point_loop_labels(N, grid):
     labels = []
     for alpha in grid:
         smallest = np.linalg.eigvalsh(np.diag(q) + alpha * (np.diag(t, 1) + np.diag(t, -1)))[0]
-        thr = 1e-12 * max(1.0, q.max(), abs(alpha) * t.max())
+        thr = 1e-12 * max(q.max(), abs(alpha) * t.max())
         if smallest > thr:
             labels.append("positive-definite")
         else:
@@ -356,7 +376,7 @@ def test_threaded_scan_is_bitwise_the_point_loop(N, cpus, rng, monkeypatch):
     assert max_imag.tobytes() == scan.max_imag.tobytes()
     assert scan.skipped_singular == skipped == [-gamma, gamma]
     assert scan.definiteness == _point_loop_labels(N, grid)
-    crossings = grid[max_imag > 1e-8 * max(1.0, np.max(np.abs(K)))]
+    crossings = grid[max_imag > 1e-8 * np.max(np.abs(K))]
     assert scan.first_crossing == (float(crossings[0]) if len(crossings) else None)
 
 

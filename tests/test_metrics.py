@@ -13,6 +13,7 @@ from qtlattice import (
     exceptional_kappa,
     kappa_from_metric,
     metric_from_kappa,
+    observable_from_hermitian,
     tridiagonal_metric,
 )
 from qtlattice.metrics import classify_definiteness, sturm_count, tridiagonal_definiteness
@@ -168,6 +169,49 @@ def test_classification_rejects_asymmetric():
         classify_definiteness(np.array([[1.0, 0.5], [0.0, 1.0]]))
 
 
+def test_symmetry_gate_is_scale_invariant(rng):
+    """max|M - M^T| <= 1e-12 max|M| has no floor: c M passes exactly when M does."""
+    S = rng.normal(size=(4, 4))
+    S = S + S.T
+    skewed = S + 1e-10 * rng.normal(size=(4, 4))
+    theta = tridiagonal_metric(4, 0.1)
+    for scale in (1.0, 1e-6, 1e-12):
+        assert classify_definiteness(scale * S) == classify_definiteness(S)
+        observable_from_hermitian(scale * S, theta)
+        with pytest.raises(ValueError, match="not symmetric"):
+            classify_definiteness(scale * skewed)
+        with pytest.raises(ValueError, match="not symmetric"):
+            observable_from_hermitian(scale * skewed, theta)
+
+
+def test_definiteness_label_is_scale_invariant():
+    """thr = 1e-12 max|Theta| has no floor, on the dense and on the Sturm path."""
+    N = 4
+    q, t = build_metric_Q(N), np.arange(1.0, N)
+    gamma = 0.5 / np.linalg.eigvals(dense_hamiltonian(N)).real.max()
+    alphas = np.array([0.0, 0.5 * gamma, -0.9 * gamma, gamma, 1.1 * gamma, -3 * gamma])
+    dense = [np.eye(3), np.diag([2.0, 0.0, 1.0]), np.diag([1.0, -1.0, 2.0])]
+    expected = ["positive-definite", "singular", "indefinite"]
+    sturm = tridiagonal_definiteness(q, np.multiply.outer(t, alphas)).tolist()
+    assert sturm == ["positive-definite"] * 3 + ["singular"] + ["indefinite"] * 2
+    for scale in (1.0, 1e-6, 1e-12):
+        assert [classify_definiteness(scale * theta) for theta in dense] == expected
+        assert tridiagonal_definiteness(scale * q, scale * np.multiply.outer(t, alphas)).tolist() == sturm
+        assert [str(tridiagonal_definiteness(scale * q, scale * alpha * t)) for alpha in alphas] == sturm
+
+
+def test_zero_metric_reads_singular_on_both_paths():
+    # thr = 0: the Sturm counts at +-0 count every zero pivot as negative
+    assert str(tridiagonal_definiteness(np.zeros(3), np.zeros(2))) == "singular"
+    assert tridiagonal_definiteness(np.zeros(3), np.zeros((2, 4))).tolist() == ["singular"] * 4
+    assert classify_definiteness(np.zeros((3, 3))) == "singular"
+    assert MetricOperator.from_matrix(np.zeros((1, 1))).definiteness == "singular"
+    # thr = 1e-12 max|Theta| underflows to 0 here: both paths read singular
+    tiny = np.array([1e-315, -1e-315])
+    assert str(tridiagonal_definiteness(tiny, np.zeros(1))) == "singular"
+    assert classify_definiteness(np.diag(tiny)) == "singular"
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     values=st.lists(
@@ -200,7 +244,7 @@ def test_sturm_labels_match_dense_eigvalsh(N, rng):
     expected = []
     for alpha in alphas:
         theta = _dense_tridiagonal(q, alpha * t)
-        threshold = 1e-12 * max(1.0, np.max(np.abs(theta)))
+        threshold = 1e-12 * np.max(np.abs(theta))
         smallest = np.linalg.eigvalsh(theta)[0]
         # eigvalsh error bound; the cases are chosen clear of the +-thr ties
         slack = 64 * N * np.finfo(float).eps * np.max(np.sum(np.abs(theta), axis=1))

@@ -263,6 +263,17 @@ def test_spectral_reconstruction_failure_is_a_value_error():
         spectral_data(np.array([[1.0, 1.0], [0.0, 1.000001]]))
 
 
+def test_conditioning_verdict_is_scale_invariant():
+    """max|Lambda| cancels from the gate: N eps kappa^2 <= 1e-10 max(1, N/64)."""
+    near_defective = np.array([[1.0, 1.0], [0.0, 1.001]])
+    separated = np.array([[1.0, 1.0], [0.0, 2.0]])
+    for scale in (1.0, 1e-6, 1e-12):
+        with pytest.raises(ValueError, match=r"estimate 4\.4e-10 > 1\.0e-10$"):
+            spectral_data(scale * near_defective)
+        data = spectral_data(scale * separated)
+        np.testing.assert_allclose(data.eigenvalues, scale * np.array([1.0, 2.0]), rtol=1e-12)
+
+
 def test_near_defective_verdict_is_monotone():
     """[[1, 1], [0, 1 + delta]] has cond(R) of about 2/delta, 2e2 to 2e7 here.
 
