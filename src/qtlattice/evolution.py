@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._size import _require_size
 from .lattice import BiorthogonalSystem, LatticeHamiltonian, biorthogonal_system
-from .legendre import _require_size
 from .metrics import INTERTWINING_TOL, MetricOperator, _hamiltonian_residual
 
 __all__ = ["EvolutionState", "propagator", "theta_norm", "norm_trajectory", "norm_drift"]

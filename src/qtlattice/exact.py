@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .legendre import _require_size
+from ._size import _require_size
 
 __all__ = [
     "rational_hamiltonian",

@@ -46,8 +46,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._size import _require_size
 from .lattice import build_metric_Q
-from .legendre import _largest_root, _require_size
+from .legendre import _largest_root
 from .metrics import _pivot_threshold, _require_symmetric, _slice_couplings, sturm_count
 from .metrics import tridiagonal_definiteness
 

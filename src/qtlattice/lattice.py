@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .legendre import RootSet, _require_size, eval_P_table, roots_P
+from ._size import _require_size
+from .legendre import RootSet, eval_P_table, roots_P
 
 __all__ = [
     "LatticeHamiltonian",

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._size import _require_size
 from .tridiagonal import sturm_count
 
 __all__ = [
@@ -31,15 +32,6 @@ class RootSet:
     """All real roots of P_N, sorted ascending."""
 
     roots: np.ndarray
-
-
-def _require_size(N, minimum: int = 1) -> int:
-    """N as an int; ValueError unless it is an integer, not a bool, and at least `minimum`."""
-    if isinstance(N, bool) or not isinstance(N, (int, np.integer)):
-        raise ValueError(f"a size must be an integer, not {N!r}")
-    if N < minimum:
-        raise ValueError(f"a size must be at least {minimum}, not {N}")
-    return int(N)
 
 
 def eval_P_table(degree_max: int, x) -> np.ndarray:

@@ -42,8 +42,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._size import _require_size
 from .lattice import BiorthogonalSystem, LatticeHamiltonian, build_hamiltonian, build_metric_Q
-from .legendre import _require_size
 from .tridiagonal import sturm_count
 
 __all__ = [
@@ -120,11 +120,16 @@ def _slice_couplings(N: int, alpha) -> np.ndarray:
     return offdiagonal
 
 
+def _require_square(matrix: np.ndarray, what: str = "matrix") -> None:
+    """Raise, naming `what`, unless the array is a nonempty, square and finite matrix."""
+    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or matrix.size == 0:
+        raise ValueError(f"expected a nonempty square {what}, not one of shape {matrix.shape}")
+    _require_finite(matrix, what)
+
+
 def _require_symmetric(matrix: np.ndarray) -> None:
     """Raise unless M is nonempty, square, finite and max|M - M^T| <= 1e-12 max|M| (no floor)."""
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or matrix.size == 0:
-        raise ValueError(f"expected a nonempty square matrix, not one of shape {matrix.shape}")
-    _require_finite(matrix, "matrix")
+    _require_square(matrix)
     with np.errstate(over="ignore"):  # M - M^T may overflow to inf, which fails the gate
         asymmetry = _relative_max(matrix - matrix.T, np.max(np.abs(matrix)))
     if asymmetry > SYMMETRY_TOL:

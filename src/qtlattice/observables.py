@@ -19,7 +19,7 @@ import numpy as np
 
 from .lattice import BiorthogonalSystem
 from .metrics import KappaVector, MetricOperator, dieudonne_residual
-from .metrics import _require_finite, _require_symmetric
+from .metrics import _require_finite, _require_square, _require_symmetric
 
 __all__ = [
     "ObservableSpectralData",
@@ -96,9 +96,11 @@ def spectral_data(Lambda: np.ndarray) -> ObservableSpectralData:
     max|Lambda| cancelled, the gate (and its error message) reads
     N eps kappa^2 <= 1e-10 max(1, N/64), the same for c Lambda as for Lambda.
     So the verdict is a property of the input, not of how one product rounds.
-    Each failure, a singular R (`LinAlgError`) included, is a `ValueError`.
+    Lambda must be a nonempty, square and finite matrix; each failure, that
+    check and a singular R (`LinAlgError`) included, is a `ValueError`.
     """
     Lambda = np.asarray(Lambda, dtype=complex)
+    _require_square(Lambda, "Lambda")
     N = Lambda.shape[0]
     eigenvalues, right = np.linalg.eig(Lambda)
     order = np.lexsort((eigenvalues.imag, eigenvalues.real))

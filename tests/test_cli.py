@@ -323,10 +323,22 @@ def test_unopenable_out_file_is_a_domain_error(capsys, tmp_path):
 
 def test_import_loads_neither_sympy_nor_mpmath():
     code = (
-        "import sys, qtlattice, qtlattice.cli; "
-        "print([m for m in ('scipy', 'sympy', 'mpmath', 'concurrent.futures') if m in sys.modules])"
+        "import sys, qtlattice, qtlattice.cli; print([m for m in "
+        "('numpy', 'scipy', 'sympy', 'mpmath', 'concurrent.futures') if m in sys.modules])"
     )
     assert _python("-c", code).stdout.strip() == "[]"
+    # parsing and the exact oracle need no numpy: usage errors, --help and verify
+    code = (
+        "import sys; from qtlattice.cli import run; status = run(sys.argv[1:]); "
+        "print(status, 'numpy' in sys.modules, file=sys.stderr)"
+    )
+    for argv, status in [
+        ("verify --n-max 12", 0),
+        ("--help", 0),
+        ("spectrum --n 0", 2),
+        ("spectrum --n 3 --tol-x abc", 2),
+    ]:
+        assert _python("-c", code, *argv.split()).stderr.splitlines()[-1] == f"{status} False"
     # a scan whose points fit in one stack starts no thread pool, and the
     # exact oracle runs without sympy
     code = (
@@ -336,6 +348,28 @@ def test_import_loads_neither_sympy_nor_mpmath():
     )
     for argv in ["scan --n 8 --alpha-min 0 --alpha-max 2 --alpha-steps 1200", "verify --n-max 12"]:
         assert _python("-c", code, *argv.split()).stderr.strip() == "0 []"
+
+
+def test_import_registers_the_library_modules_without_numpy():
+    # a tracer finds the modules in sys.modules; none of them has run yet
+    code = (
+        "import sys, qtlattice; print('numpy' in sys.modules, "
+        "' '.join(sorted(m for m in sys.modules if m.startswith('qtlattice.'))))"
+    )
+    loaded, modules = _python("-c", code).stdout.split(maxsplit=1)
+    assert loaded == "False"
+    library = "tridiagonal legendre lattice metrics horizons observables evolution exact"
+    assert {f"qtlattice.{m}" for m in library.split()} <= set(modules.split())
+
+
+def test_package_names_follow_their_home_module(monkeypatch):
+    # a function replaced in its module after the package import is what the package returns
+    def fake_roots(N):
+        raise AssertionError
+
+    assert qtlattice.roots_P is qtlattice.legendre.roots_P
+    monkeypatch.setattr(qtlattice.legendre, "roots_P", fake_roots)
+    assert qtlattice.roots_P is fake_roots
 
 
 # Every subcommand, with valid input; {k} is the file of a 4 x 4 observable.

@@ -257,6 +257,26 @@ def test_observable_from_hermitian_rejects_non_finite_K_without_a_warning(bad):
             observable_from_hermitian(K, Q_metric(3))
 
 
+@pytest.mark.parametrize(
+    "Lambda, message",
+    [
+        (np.zeros((0, 0)), "nonempty square Lambda"),
+        (np.ones(3), "nonempty square Lambda"),
+        (np.ones((2, 3)), "nonempty square Lambda"),
+        ([[np.nan, 0.0], [0.0, 1.0]], "Lambda is not finite"),
+        ([[np.inf, 0.0], [0.0, 1.0]], "Lambda is not finite"),
+        ([[1.0, 0.0], [-np.inf, 2.0]], "Lambda is not finite"),
+    ],
+)
+def test_spectral_data_names_a_malformed_Lambda(Lambda, message):
+    # checked before numpy sees it: not numpy's LinAlgError or its reduction error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message) as excinfo:
+            spectral_data(Lambda)
+    assert type(excinfo.value) is ValueError
+
+
 def test_spectral_reconstruction_failure_is_a_value_error():
     # kappa = 1/|pairing| = 1e6: the estimate 2 eps kappa^2 max|Lambda| is 4.4e-4
     with pytest.raises(ValueError, match=r"reconstruction error estimate 4\.4e-04 > 1\.0e-10$"):
