@@ -10,7 +10,9 @@ exact-rational oracle pins down the closed forms at small sizes.
 Importing the package runs no numerical code and does not import numpy.
 The eight library modules are registered in `sys.modules` and bound on the
 package through `importlib.util.LazyLoader`; each executes on its first
-attribute access.  Because they are real entries of `sys.modules`, tools
+attribute access; one whose execution fails (say, for want of numpy) is
+put back unexecuted, so every access raises that error, as an eager import
+would on every import.  Because they are real entries of `sys.modules`, tools
 that find the package's modules there (a tracer that wraps their
 functions, `monkeypatch`) and `from . import lattice` work as with eager
 imports.  The public names below are looked up in their home module on
@@ -25,46 +27,22 @@ pool, every module that its workers touch has run.  A caller that spreads
 first accesses over several threads should touch the package first.
 """
 
+# One space-separated string per module: where no bytecode is cached, every
+# import compiles this file, and a string compiles faster than a tuple.
 _EXPORTS = {
-    "legendre": ("RootSet", "roots_P"),
-    "lattice": (
-        "BiorthogonalSystem",
-        "LatticeHamiltonian",
-        "biorthogonal_system",
-        "build_hamiltonian",
-        "build_metric_Q",
-        "ket",
-        "spectrum",
-    ),
-    "metrics": (
-        "ChargeOperator",
-        "KappaVector",
-        "MetricOperator",
-        "charge_operator",
-        "exceptional_kappa",
-        "kappa_from_metric",
-        "metric_from_kappa",
-        "tridiagonal_metric",
-    ),
-    "horizons": ("HorizonReport", "RealityScan", "hidden_horizon_scan", "horizon_gamma"),
-    "observables": (
-        "ObservableSpectralData",
-        "OverlapPair",
-        "criterion_product_hermitian",
-        "dieudonne_residual",
-        "observable_from_hermitian",
-        "overlap_matrices",
-        "spectral_data",
-    ),
-    "evolution": ("EvolutionState", "norm_drift", "norm_trajectory", "propagator", "theta_norm"),
-    "exact": (
-        "exact_exceptional_identity",
-        "exact_intertwining_check",
-        "exact_intertwining_check_factorial",
-        "exact_tridiagonal_solve",
-    ),
+    "legendre": "RootSet roots_P",
+    "lattice": "BiorthogonalSystem LatticeHamiltonian biorthogonal_system build_hamiltonian"
+    " build_metric_Q ket spectrum",
+    "metrics": "ChargeOperator KappaVector MetricOperator charge_operator exceptional_kappa"
+    " kappa_from_metric metric_from_kappa tridiagonal_metric",
+    "horizons": "HorizonReport RealityScan hidden_horizon_scan horizon_gamma",
+    "observables": "ObservableSpectralData OverlapPair criterion_product_hermitian"
+    " dieudonne_residual observable_from_hermitian overlap_matrices spectral_data",
+    "evolution": "EvolutionState norm_drift norm_trajectory propagator theta_norm",
+    "exact": "exact_exceptional_identity exact_intertwining_check"
+    " exact_intertwining_check_factorial exact_tridiagonal_solve",
 }
-_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 
 __all__ = list(_HOME)
 __version__ = "0.1.0"
@@ -76,7 +54,24 @@ def _register_lazily(name: str) -> None:
     import sys
 
     spec = importlib.util.find_spec(f"{__name__}.{name}")
-    spec.loader = importlib.util.LazyLoader(spec.loader)
+    loader, execute = spec.loader, spec.loader.exec_module
+
+    def exec_module(module):
+        # On failure the module goes back to unexecuted and lazy, so that each
+        # access runs it again.  The class is reset first: from Python 3.12 the
+        # loader keeps the lazy class until execution succeeds.
+        initial = dict(module.__dict__)
+        try:
+            execute(module)
+        except BaseException:
+            module.__class__ = type(sys)
+            module.__dict__.clear()
+            module.__dict__.update(initial)
+            importlib.util.LazyLoader(loader).exec_module(module)
+            raise
+
+    loader.exec_module = exec_module
+    spec.loader = importlib.util.LazyLoader(loader)
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module
     spec.loader.exec_module(module)

@@ -112,52 +112,61 @@ def _load_matrix(path: str, N: int):
     return matrix
 
 
-def _parse_kappa(text: str, system) -> metrics.KappaVector:
-    if text == "exceptional":
-        return metrics.exceptional_kappa(system)
-    import numpy as np
+def _resolve_metric(args, system=None):
+    """(Theta, kappa) of --alpha or --kappa at size --n: the CLI's one metric builder.
 
-    values = np.array([float(tok) for tok in text.split(",")])
-    return metrics.KappaVector(system.dimension, values)
-
-
-def _resolve_metric(args, N: int) -> metrics.MetricOperator:
-    if args.alpha is not None and args.kappa is not None:
+    --alpha is the tridiagonal Theta(alpha); --kappa a comma list of weights
+    or "exceptional", whose KappaVector is returned (else None); neither is
+    the diagonal Q, positive-definite by construction and not classified.
+    Both options, or an empty or malformed --kappa, are domain errors.
+    `system` is the eigensystem at size --n, if the caller has built it.
+    """
+    alpha, text = getattr(args, "alpha", None), args.kappa
+    if alpha is not None and text is not None:
         raise ValueError("--alpha and --kappa are mutually exclusive")
-    if args.alpha is not None:
-        return metrics.tridiagonal_metric(N, args.alpha)
-    if args.kappa is not None:
-        system = lattice.biorthogonal_system(N)
-        return metrics.metric_from_kappa(system, _parse_kappa(args.kappa, system))
-    return _diagonal_metric(N)
+    if alpha is not None:
+        return metrics.tridiagonal_metric(args.n, alpha), None
+    if text is None:
+        import numpy as np
+
+        Q = np.diag(lattice.build_metric_Q(args.n))
+        return metrics.MetricOperator(args.n, Q, "positive-definite", "diagonal-Q"), None
+    system = system or lattice.biorthogonal_system(args.n)
+    if text == "exceptional":
+        kappa = metrics.exceptional_kappa(system)
+    else:
+        kappa = metrics.KappaVector(args.n, [float(tok) for tok in text.split(",")])
+    return metrics.metric_from_kappa(system, kappa), kappa
 
 
-def _diagonal_metric(N: int) -> metrics.MetricOperator:
-    import numpy as np
-
-    Q = np.diag(lattice.build_metric_Q(N))
-    return metrics.MetricOperator(N, Q, "positive-definite", "diagonal-Q")
+def _write_csv(out, header: str, *columns) -> None:
+    """A CSV table of columns: the repr of each float, an empty field for NaN, text as it is."""
+    out.write(header + "\n")
+    for row in zip(*columns):
+        fields = (
+            value if isinstance(value, str) else "" if math.isnan(value) else repr(float(value))
+            for value in row
+        )
+        out.write(",".join(fields) + "\n")
 
 
 def _cmd_spectrum(args, out):
     result = lattice.spectrum(lattice.build_hamiltonian(args.n))
     if args.format == "csv":
-        out.write("eigenvalue\n")
-        for value in result.roots:
-            out.write(f"{float(value)!r}\n")
+        _write_csv(out, "eigenvalue", result.roots)
     else:
         _dump_json(result.roots, out)
 
 
 def _cmd_metric(args, out):
-    theta = _resolve_metric(args, args.n)
+    theta, _ = _resolve_metric(args)
     if args.require_positive and theta.definiteness != "positive-definite":
         raise ValueError(f"metric is {theta.definiteness}, not positive-definite")
     _dump_json(vars(theta), out)
 
 
 def _cmd_charge(args, out):
-    theta = _resolve_metric(args, args.n)
+    theta, _ = _resolve_metric(args)
     C = metrics.charge_operator(lattice.build_metric_Q(args.n), theta)
     _dump_json(vars(C), out)
 
@@ -180,17 +189,15 @@ def _cmd_scan(args, out):
         else np.eye(args.n)
     )
     scan = horizons.hidden_horizon_scan(args.n, K, grid)
-    out.write("alpha,max_imag,definiteness\n")
-    for alpha, imag, label in zip(scan.alpha_grid, scan.max_imag, scan.definiteness):
-        imag_text = "" if np.isnan(imag) else repr(float(imag))
-        out.write(f"{float(alpha)!r},{imag_text},{label}\n")
+    _write_csv(
+        out, "alpha,max_imag,definiteness", scan.alpha_grid, scan.max_imag, scan.definiteness
+    )
 
 
 def _cmd_check_observability(args, out):
     Lambda = _load_matrix(args.k_matrix, args.n)
     system = lattice.biorthogonal_system(args.n)
-    kappa = _parse_kappa(args.kappa, system)
-    theta = metrics.metric_from_kappa(system, kappa)
+    theta, kappa = _resolve_metric(args, system)
     residual = observables.dieudonne_residual(Lambda, theta)
     # the default is read here, so that building the parser loads no numerical
     # module; a tolerance given on the command line is positive, never 0
@@ -217,16 +224,11 @@ def _cmd_evolve(args, out):
     if not np.isfinite(args.t_max):
         raise ValueError("--t-max must be finite")
     system = lattice.biorthogonal_system(args.n)
-    if args.kappa:
-        theta = metrics.metric_from_kappa(system, _parse_kappa(args.kappa, system))
-    else:
-        theta = _diagonal_metric(args.n)
+    theta, _ = _resolve_metric(args, system)
     psi0 = evolution.EvolutionState(args.n, np.ones(args.n) / np.sqrt(args.n))
     t_grid = np.linspace(0.0, args.t_max, args.t_steps)
     theta_norms, dirac_norms = evolution.norm_trajectory(system, theta, psi0, t_grid)
-    out.write("t,theta_norm,dirac_norm\n")
-    for row in zip(t_grid.tolist(), theta_norms.tolist(), dirac_norms.tolist()):
-        out.write("%r,%r,%r\n" % row)
+    _write_csv(out, "t,theta_norm,dirac_norm", t_grid, theta_norms, dirac_norms)
 
 
 def _cmd_verify(args, out):
@@ -264,7 +266,8 @@ def run(argv: list[str]) -> int:
                 fh.write(out.getvalue())
         else:
             sys.stdout.write(out.getvalue())
-    except (ValueError, RuntimeError, OSError) as exc:
+    # ImportError: numpy is missing, which only the numerical handlers find out
+    except (ValueError, RuntimeError, OSError, ImportError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DOMAIN_ERROR
     return 0

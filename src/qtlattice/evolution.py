@@ -14,7 +14,7 @@ import numpy as np
 
 from ._size import _require_size
 from .lattice import BiorthogonalSystem, LatticeHamiltonian, biorthogonal_system
-from .metrics import INTERTWINING_TOL, MetricOperator, _hamiltonian_residual
+from .metrics import INTERTWINING_TOL, MetricOperator, _hamiltonian_residual, _require_finite
 
 __all__ = ["EvolutionState", "propagator", "theta_norm", "norm_trajectory", "norm_drift"]
 
@@ -32,8 +32,7 @@ class EvolutionState:
         object.__setattr__(self, "amplitudes", amplitudes)
         if amplitudes.shape != (self.dimension,):
             raise ValueError(f"state of dimension {self.dimension} has shape {amplitudes.shape}")
-        if not np.all(np.isfinite(amplitudes)):
-            raise ValueError("state amplitudes must be finite")
+        _require_finite(amplitudes, "the state")
         if not np.any(amplitudes):
             raise ValueError("state must be nonzero")
 
@@ -46,8 +45,7 @@ def propagator(H: LatticeHamiltonian, t: float) -> np.ndarray:
     real and imaginary parts are two real products, S diag(cos Et) S^{-1} and
     S diag(-sin Et) S^{-1}, written into one complex array.
     """
-    if not np.isfinite(t):
-        raise ValueError("t must be finite")
+    _require_finite(t, "t")
     N = H.dimension
     if t == 0.0:
         return np.eye(N, dtype=complex)
@@ -71,7 +69,7 @@ def _norms(theta: MetricOperator, v: np.ndarray) -> tuple[float, float]:
         raise ValueError("theta must be positive-definite to define a norm")
     with np.errstate(over="ignore", invalid="ignore"):
         norms = float(np.real(v.conj() @ theta.matrix @ v)), float(np.real(v.conj() @ v))
-    if not (np.isfinite(norms).all() and min(norms) > 0):
+    if not all(0.0 < norm < np.inf for norm in norms):  # False for NaN
         raise ValueError("the norms of the state are not finite and positive")
     return norms
 
@@ -95,8 +93,7 @@ def norm_trajectory(
     grid too: there psi0 itself goes through the gate.
     """
     t_grid = np.asarray(t_grid, dtype=float)
-    if not np.all(np.isfinite(t_grid)):
-        raise ValueError("the time grid must be finite")
+    _require_finite(t_grid, "the time grid")
     amplitudes = np.asarray(psi0.amplitudes, dtype=complex)
     if not len(t_grid):
         _norms(theta, amplitudes)

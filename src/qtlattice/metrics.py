@@ -197,9 +197,7 @@ def metric_from_kappa(system: BiorthogonalSystem, kappa: KappaVector) -> MetricO
     with np.errstate(over="ignore"):  # inf entries fail classify_definiteness
         matrix = (system.ketkets * kappa.values[None, :]) @ system.ketkets.T
         matrix = 0.5 * (matrix + matrix.T)
-    return MetricOperator(
-        system.dimension, matrix, classify_definiteness(matrix), "kappa-family"
-    )
+    return MetricOperator.from_matrix(matrix, "kappa-family")
 
 
 def exceptional_kappa(system: BiorthogonalSystem) -> KappaVector:

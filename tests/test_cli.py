@@ -536,3 +536,136 @@ def test_tol_criterion_must_be_positive_and_finite(value, capsys, tmp_path):
     status, out, _ = invoke(argv + ["--tol-criterion", "1e-3"], capsys)
     assert status == 0
     assert json.loads(out)["tolerance"] == 1e-3
+
+
+@pytest.mark.parametrize(
+    "argv",
+    ["metric --n 4", "charge --n 4", "evolve --n 4", "check-observability --n 4 --k-matrix {k}"],
+)
+def test_an_empty_kappa_is_a_domain_error_in_every_subcommand(argv, k_file, capsys):
+    """One resolver reads --kappa everywhere: an empty list is no metric, not "use Q"."""
+    argv = [arg.format(k=k_file) for arg in argv.split()]
+    status, out, err = invoke(argv + ["--kappa="], capsys)
+    assert (status, out) == (1, "")
+    assert err == "error: could not convert string to float: ''\n"
+
+
+def _reference_spectrum(N):
+    roots = qtlattice.spectrum(qtlattice.build_hamiltonian(N)).roots
+    return "eigenvalue\n" + "".join(f"{float(value)!r}\n" for value in roots)
+
+
+def _reference_scan(N, K, grid):
+    import qtlattice as qt
+
+    scan = qt.hidden_horizon_scan(N, K, grid)
+    lines = ["alpha,max_imag,definiteness\n"]
+    for alpha, imag, label in zip(scan.alpha_grid, scan.max_imag, scan.definiteness):
+        imag_text = "" if np.isnan(imag) else repr(float(imag))
+        lines.append(f"{float(alpha)!r},{imag_text},{label}\n")
+    return "".join(lines)
+
+
+def _reference_evolve(N, t_grid, kappa=None):
+    import qtlattice as qt
+
+    system = qt.biorthogonal_system(N)
+    if kappa is None:
+        theta = qt.MetricOperator(N, np.diag(qt.build_metric_Q(N)), "positive-definite", "Q")
+    else:
+        theta = qt.metric_from_kappa(system, qt.KappaVector(N, kappa))
+    psi0 = qt.EvolutionState(N, np.ones(N) / np.sqrt(N))
+    norms = qt.norm_trajectory(system, theta, psi0, t_grid)
+    rows = zip(t_grid.tolist(), norms[0].tolist(), norms[1].tolist())
+    return "t,theta_norm,dirac_norm\n" + "".join("%r,%r,%r\n" % row for row in rows)
+
+
+def _reference_report(Lambda):
+    import qtlattice as qt
+
+    N = len(Lambda)
+    system = qt.biorthogonal_system(N)
+    kappa = qt.exceptional_kappa(system)
+    theta = qt.metric_from_kappa(system, kappa)
+    residual = qt.dieudonne_residual(Lambda, theta)
+    pair = qt.overlap_matrices(system, kappa, qt.spectral_data(Lambda))
+    report = {
+        "dimension": N,
+        "dieudonne_residual": residual,
+        "tolerance": 1e-10,
+        "hermiticity_residual": pair.hermiticity_residual,
+        "product_hermitian": qt.criterion_product_hermitian(pair, 1e-10),
+        "observable": residual <= 1e-10,
+    }
+    return json.dumps(report, indent=2) + "\n"
+
+
+_OBSERVABLE = dense_hamiltonian(4)
+_PERTURBED = _OBSERVABLE + 1e-3 * np.array(
+    [[0.3, -1.0, 0.2, 0.0], [0.5, 0.1, -0.4, 0.7], [0.0, 0.9, -0.2, 0.1], [0.6, 0.0, 0.8, -0.5]]
+)
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        ("spectrum --n 6 --format csv", lambda: _reference_spectrum(6)),
+        # the middle point, alpha = gamma(2), is singular and skipped: an empty field
+        (
+            "scan --n 2 --alpha-min 0 --alpha-max 1.7320508075688772 --alpha-steps 3",
+            lambda: _reference_scan(2, np.eye(2), np.linspace(0.0, 1.7320508075688772, 3)),
+        ),
+        (
+            "scan --n 4 --alpha-min -1 --alpha-max 1 --alpha-steps 9 --k-matrix {k}",
+            lambda: _reference_scan(4, np.eye(4), np.linspace(-1.0, 1.0, 9)),
+        ),
+        (
+            "evolve --n 4 --t-max 3 --t-steps 7",
+            lambda: _reference_evolve(4, np.linspace(0.0, 3.0, 7)),
+        ),
+        (
+            "evolve --n 4 --t-max 3 --t-steps 7 --kappa 1,2,0.5,3",
+            lambda: _reference_evolve(4, np.linspace(0.0, 3.0, 7), [1.0, 2.0, 0.5, 3.0]),
+        ),
+        ("check-observability --n 4 --k-matrix {h}", lambda: _reference_report(_OBSERVABLE)),
+        ("check-observability --n 4 --k-matrix {p}", lambda: _reference_report(_PERTURBED)),
+    ],
+)
+def test_outputs_are_the_library_results_in_the_documented_format(argv, expected, tmp_path, capsys):
+    """CSV: the repr of each float, an empty field for NaN; reports: indented JSON."""
+    paths = {}
+    for name, matrix in {"k": np.eye(4), "h": _OBSERVABLE, "p": _PERTURBED}.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps({"dimension": 4, "matrix": matrix.tolist()}))
+    argv = [arg.format(**paths) for arg in argv.split()]
+    status, out, err = invoke(argv, capsys)
+    assert (status, err) == (0, "")
+    assert out == expected()
+
+
+def test_a_numerical_subcommand_without_numpy_is_one_error_line():
+    code = (
+        "import sys; sys.modules['numpy'] = None; from qtlattice.cli import run; "
+        "print(run(['spectrum', '--n', '3']))"
+    )
+    result = _python("-c", code, check=False)
+    assert (result.returncode, result.stdout) == (0, "1\n")
+    assert result.stderr.splitlines() == ["error: import of numpy halted; None in sys.modules"]
+
+
+def test_a_module_that_failed_to_execute_raises_the_same_error_on_every_access():
+    # a lazy module whose first execution failed is put back unexecuted, as
+    # an eager import leaves no half-initialised module behind
+    code = (
+        "import sys; sys.modules['numpy'] = None; import qtlattice\n"
+        "for name in ('roots_P', 'roots_P', 'legendre.roots_P', 'lattice.spectrum'):\n"
+        "    try:\n"
+        "        eval('qtlattice.' + name)\n"
+        "    except Exception as exc:\n"
+        "        print(type(exc).__name__, exc)\n"
+        "del sys.modules['numpy']\n"
+        "print(qtlattice.legendre.roots_P(3).roots.tolist() == qtlattice.roots_P(3).roots.tolist())"
+    )
+    lines = _python("-c", code).stdout.splitlines()
+    assert lines[:4] == ["ModuleNotFoundError import of numpy halted; None in sys.modules"] * 4
+    assert lines[4:] == ["True"]

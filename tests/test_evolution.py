@@ -141,7 +141,7 @@ def test_non_finite_time_grid_rejected(bad):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_propagator_rejects_non_finite_time(bad):
-    with pytest.raises(ValueError, match="t must be finite"):
+    with pytest.raises(ValueError, match="t is not finite"):
         propagator(build_hamiltonian(3), bad)
 
 
