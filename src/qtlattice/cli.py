@@ -254,7 +254,7 @@ def run(argv: list[str]) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return USAGE_ERROR if exc.code else 0
-    if getattr(args, "n", 1) < 1:
+    if getattr(args, "n", 1) < 1 or getattr(args, "n_max", 1) < 1:
         print("dimension must be at least 1", file=sys.stderr)
         return USAGE_ERROR
     # Buffered, so that a failed command writes nothing and leaves --out untouched.
@@ -266,8 +266,9 @@ def run(argv: list[str]) -> int:
                 fh.write(out.getvalue())
         else:
             sys.stdout.write(out.getvalue())
-    # ImportError: numpy is missing, which only the numerical handlers find out
-    except (ValueError, RuntimeError, OSError, ImportError) as exc:
+    # ImportError: numpy is missing, which only the numerical handlers find out;
+    # MemoryError: an array too large to allocate, such as a grid of 10**15 steps
+    except (ValueError, RuntimeError, OSError, ImportError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DOMAIN_ERROR
     return 0

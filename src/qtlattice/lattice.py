@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._size import _require_size
-from .legendre import RootSet, eval_P_table, roots_P
+from .legendre import RootSet, _legendre_values, roots_P
 
 __all__ = [
     "LatticeHamiltonian",
@@ -90,10 +90,18 @@ def spectrum(H: LatticeHamiltonian) -> RootSet:
 def ket(N: int, E) -> np.ndarray:
     """The length-N Legendre column (P_0(E), ..., P_{N-1}(E)).
 
-    For an array of energies, ket(N, E)[:, j] is the column of E[j].
+    For an array of energies, ket(N, E)[:, j] is the column of E[j].  A NaN or
+    inf energy, or a column that overflows, is a ValueError.
     """
     N = _require_size(N)
-    return eval_P_table(N - 1, E)
+    E = np.asarray(E, dtype=float)
+    kets = np.empty((N, *E.shape))
+    with np.errstate(over="ignore", invalid="ignore"):  # the gate below reads inf and NaN
+        for n, values in zip(range(N), _legendre_values(E)):
+            kets[n] = values
+    if not (np.isfinite(E).all() and np.isfinite(kets).all()):
+        raise ValueError(f"the length-{N} ket is not finite: NaN or inf energy, or overflow")
+    return kets
 
 
 def biorthogonal_system(N: int) -> BiorthogonalSystem:

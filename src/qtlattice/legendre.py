@@ -1,8 +1,8 @@
 """Legendre polynomial evaluation and root finding.
 
 Everything downstream (Hamiltonian spectrum, eigenvectors, metrics) is
-generated by the Legendre three-term recurrence, so this module keeps the
-primitives small: roots are found by bracketed Newton iteration and
+generated by the Legendre three-term recurrence, implemented once here as
+the generator `_legendre_values`.  Roots are found by bracketed Newton and
 certified by Sturm counts on the symmetrized Jacobi matrix of the
 recurrence, whose eigenvalues are exactly the roots.  The certificate uses
 the LDL^T pivot kernel of `tridiagonal` and shares no code with Newton.
@@ -10,6 +10,8 @@ the LDL^T pivot kernel of `tridiagonal` and shares no code with Newton.
 
 from __future__ import annotations
 
+import itertools
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +21,6 @@ from .tridiagonal import sturm_count
 
 __all__ = [
     "RootSet",
-    "eval_P_table",
     "roots_P",
 ]
 
@@ -34,29 +35,18 @@ class RootSet:
     roots: np.ndarray
 
 
-def eval_P_table(degree_max: int, x) -> np.ndarray:
-    """Values P_0(x), ..., P_degree_max(x) by upward recurrence.
-
-    For an array `x`, row n holds P_n at every point, computed by the same
-    operations as for a scalar, so batching the points leaves values unchanged.
-    """
-    degree_max = _require_size(degree_max, 0)
-    x = np.asarray(x, dtype=float)
-    values = np.empty((degree_max + 1,) + x.shape)
-    values[0] = 1.0
-    if degree_max >= 1:
-        values[1] = x
-    for n in range(1, degree_max):
-        values[n + 1] = ((2 * n + 1) * x * values[n] - n * values[n - 1]) / (n + 1)
-    return values
+def _legendre_values(x):
+    """P_0(x), P_1(x), ... at a float or an array of points; each computed when asked for."""
+    p_prev, p = np.ones_like(x), x
+    yield p_prev
+    for k in itertools.count(1):
+        yield p
+        p_prev, p = p, ((2 * k + 1) * x * p - k * p_prev) / (k + 1)
 
 
 def _eval_pair(n: int, x):
-    """(P_n, P_{n-1}) at a float or an array of points, upward recurrence."""
-    p_prev = np.ones_like(x)
-    p = x
-    for k in range(1, n):
-        p_prev, p = p, ((2 * k + 1) * x * p - k * p_prev) / (k + 1)
+    """(P_n, P_{n-1}) at a float or an array of points, two values held at a time."""
+    p_prev, p = deque(itertools.islice(_legendre_values(x), n + 1), maxlen=2)
     return p, p_prev
 
 

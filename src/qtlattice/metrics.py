@@ -206,10 +206,16 @@ def exceptional_kappa(system: BiorthogonalSystem) -> KappaVector:
 
 
 def charge_operator(q: np.ndarray, theta: MetricOperator) -> ChargeOperator:
-    """C = Q^{-1} Theta with Q = diag(q), the factor in Theta = Q C; ValueError unless finite."""
+    """C = Q^{-1} Theta with Q = diag(q), the factor in Theta = Q C.
+
+    ValueError unless q is 1-D, finite and strictly positive, and C is finite.
+    """
     q = np.asarray(q, dtype=float)
     if q.ndim != 1 or np.shape(theta.matrix) != (q.size, q.size):
         raise ValueError("dimension mismatch between Q and theta")
+    _require_finite(q, "q")
+    if np.any(q <= 0):
+        raise ValueError("q must be strictly positive")
     with np.errstate(over="ignore"):
         charge = theta.matrix / q[:, None]
     _require_finite(charge, "the charge operator")

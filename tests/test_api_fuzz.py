@@ -19,6 +19,7 @@ from qtlattice import (
     charge_operator,
     dieudonne_residual,
     hidden_horizon_scan,
+    ket,
     metric_from_kappa,
     norm_drift,
     norm_trajectory,
@@ -149,6 +150,14 @@ def test_hidden_horizon_scan(N, data):
 
 
 @SETTINGS
+@given(N=sizes, E=st.one_of(scalars, arrays()))
+def test_ket(N, E):
+    column = call(ket, N, E)
+    if column is not None:
+        assert valid_size(N) and column.shape == (N, *np.shape(E)) and finite(E, column)
+
+
+@SETTINGS
 @given(N=st.integers(1, 8), t=scalars)
 def test_propagator(N, t):
     U = call(propagator, build_hamiltonian(N), t)
@@ -200,6 +209,15 @@ def test_observables_of_any_metric(N, data):
 
 @SETTINGS
 @given(N=st.integers(2, 6), data=st.data())
+def test_charge_operator_of_any_q(N, data):
+    q = data.draw(st.one_of(arrays(), arrays((N,))))
+    charge = call(charge_operator, q, data.draw(any_metric(N)))
+    if charge is not None:
+        assert q.shape == (N,) and finite(q, charge.matrix) and np.all(q > 0)
+
+
+@SETTINGS
+@given(N=st.integers(2, 6), data=st.data())
 def test_norms_of_any_metric(N, data, system_cache):
     """Every norm path returns finite positive norms of a positive-definite Theta, or raises."""
     theta = data.draw(any_metric(N))
@@ -221,6 +239,7 @@ HUGE = {
     "kappa product": lambda: metric_from_kappa(biorthogonal_system(4), KappaVector(4, [1e308] * 4)),
     "scan alpha t": lambda: hidden_horizon_scan(4, np.eye(4), [0.1, 1e308]),
     "scan tau": lambda: hidden_horizon_scan(4, np.eye(4), [5e307]),
+    "Legendre column": lambda: ket(1024, 2.0),
     "K - K^T": lambda: hidden_horizon_scan(2, [[0.0, 1e308], [-1e308, 0.0]], [0.1]),
     "state norm": lambda: norm_drift(
         build_hamiltonian(2), tridiagonal_metric(2, 0.0), EvolutionState(2, [1e308, 0.0]), [0.0]

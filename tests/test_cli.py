@@ -313,6 +313,21 @@ def test_failed_command_leaves_out_file_untouched(capsys, tmp_path):
     assert out_file.read_text() == '{"kept": true}\n'
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "evolve --n 4 --t-steps 1000000000000000",
+        "scan --n 4 --alpha-min 0 --alpha-max 1 --alpha-steps 1000000000000000",
+    ],
+)
+def test_an_impossible_allocation_is_one_error_line(argv, capsys):
+    # 10**15 float64 steps need 7.1 PiB, beyond the address space, so the
+    # allocation fails at once and maps no memory
+    status, out, err = invoke(argv.split(), capsys)
+    assert (status, out) == (1, "")
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
 def test_unopenable_out_file_is_a_domain_error(capsys, tmp_path):
     status, out, err = invoke(
         ["spectrum", "--n", "2", "--out", str(tmp_path / "missing" / "x")], capsys
@@ -336,6 +351,8 @@ def test_import_loads_neither_sympy_nor_mpmath():
         ("verify --n-max 12", 0),
         ("--help", 0),
         ("spectrum --n 0", 2),
+        ("verify --n-max 0", 2),
+        ("verify --n-max -5", 2),
         ("spectrum --n 3 --tol-x abc", 2),
     ]:
         assert _python("-c", code, *argv.split()).stderr.splitlines()[-1] == f"{status} False"

@@ -13,7 +13,7 @@ from qtlattice import (
     lattice,
     spectrum,
 )
-from qtlattice.legendre import eval_P_table, roots_P
+from qtlattice.legendre import roots_P
 
 
 def test_hamiltonian_entries_small():
@@ -78,6 +78,15 @@ def test_ket_values():
     np.testing.assert_allclose(ket(4, 0.5), [1.0, 0.5, -0.125, -0.4375], atol=1e-16)
 
 
+@pytest.mark.parametrize(
+    "N, E", [(3, np.nan), (1, np.nan), (3, -np.inf), (2, [0.5, np.inf]), (5, 1e300), (1024, 2.0)]
+)
+def test_ket_rejects_non_finite_energies_and_overflow(N, E):
+    # P_1023(2) is about 1e585; the gate raises before numpy warns
+    with pytest.raises(ValueError, match=f"the length-{N} ket is not finite"):
+        ket(N, E)
+
+
 def test_biorthogonal_system_trivial():
     system = biorthogonal_system(1)
     assert system.eigenvalues.roots.tolist() == [0.0]
@@ -104,7 +113,7 @@ def test_resolution_of_identity(N, system_cache):
 def test_truncation_condition(N, system_cache):
     # the (N+1)-th component of the extended ket must vanish at eigenvalues
     for E in system_cache(N).eigenvalues.roots:
-        assert abs(eval_P_table(N, E)[N]) <= 1e-12
+        assert abs(ket(N + 1, E)[N]) <= 1e-12
 
 
 @pytest.mark.parametrize("N", [2, 6, 24])
@@ -126,7 +135,7 @@ def test_spectrum_is_roots_P(N, system_cache):
 def test_kets_equal_per_root_recurrence(N, system_cache):
     system = system_cache(N)
     reference = np.column_stack(
-        [eval_P_table(N - 1, E) for E in system.eigenvalues.roots]
+        [ket(N, E) for E in system.eigenvalues.roots]
     )
     np.testing.assert_array_equal(system.kets, reference, strict=True)
     np.testing.assert_array_equal(ket(N, system.eigenvalues.roots), reference, strict=True)
@@ -186,7 +195,7 @@ def test_gate_failures_report_residual_gate_and_size(monkeypatch):
 
 @pytest.mark.parametrize("bad", [2.5, True, np.float64(2.0)])
 @pytest.mark.parametrize("call", [roots_P, biorthogonal_system, lambda N: ket(N, 0.3),
-                                  lambda N: eval_P_table(N, 0.3)])
+                                  lambda N: ket(N, [0.3, -0.3])])
 def test_sizes_must_be_integers(call, bad):
     with pytest.raises(ValueError, match="integer"):
         call(bad)

@@ -6,18 +6,18 @@ from scipy.linalg import eigvalsh_tridiagonal
 from scipy.special import roots_legendre
 
 from qtlattice import legendre
+from qtlattice.lattice import ket
 from qtlattice.legendre import (
     _certify_roots,
     _derivative_from_pair,
     _eval_pair,
     _largest_root,
-    eval_P_table,
     roots_P,
 )
 
 
 def _P(n, x):
-    return float(eval_P_table(n, x)[n])
+    return float(ket(n + 1, x)[n])
 
 
 def _P_derivative(n, x):
@@ -32,7 +32,7 @@ def test_low_degree_values():
 
 
 def test_table_invariants():
-    table = eval_P_table(6, 0.3)
+    table = ket(7, 0.3)
     assert table[0] == 1.0
     assert table[1] == 0.3
 
@@ -59,7 +59,7 @@ def test_derivative_matches_finite_differences(rng):
     x=st.floats(min_value=-2.0, max_value=2.0, allow_nan=False),
 )
 def test_recurrence_residual(n, x):
-    table = eval_P_table(n + 1, x)
+    table = ket(n + 2, x)
     residual = abs((n + 1) * table[n + 1] - (2 * n + 1) * x * table[n] + n * table[n - 1])
     assert residual <= 1e-12 * max(1.0, abs(table[n + 1]))
 
@@ -91,7 +91,7 @@ def test_root_properties(N):
     np.testing.assert_array_equal(roots, -roots[::-1])
     if N % 2 == 1:
         assert roots[N // 2] == 0.0
-    assert np.max(np.abs(eval_P_table(N, roots)[N])) <= 1e-12
+    assert np.max(np.abs(ket(N + 1, roots)[N])) <= 1e-12
 
 
 @pytest.mark.parametrize("N", [3, 8, 21, 64])

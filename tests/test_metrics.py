@@ -109,6 +109,16 @@ def test_charge_similar_to_kappa_n_diagonal(N, system_cache, rng):
     np.testing.assert_allclose(eigenvalues, expected, atol=1e-9)
 
 
+@pytest.mark.parametrize(
+    "entry, message",
+    [(0.0, "positive"), (-1.5, "positive"), (np.inf, "finite"), (-np.inf, "finite")],
+)
+def test_charge_operator_requires_a_finite_positive_q(entry, message):
+    theta = MetricOperator.from_matrix(np.diag(build_metric_Q(3)), "diagonal-Q")
+    with pytest.raises(ValueError, match=f"^q .*{message}"):
+        charge_operator([0.5, entry, 2.5], theta)
+
+
 def test_kappa_from_metric_identities(system_cache):
     system = system_cache(4)
     Q = MetricOperator.from_matrix(np.diag(build_metric_Q(4)), "diagonal-Q")
