@@ -14,9 +14,8 @@ import numpy as np
 
 from ._size import _require_size
 from .lattice import BiorthogonalSystem, LatticeHamiltonian, biorthogonal_system
-from .metrics import INTERTWINING_TOL, MetricOperator, _hamiltonian_residual, _require_finite
-
-__all__ = ["EvolutionState", "propagator", "theta_norm", "norm_trajectory", "norm_drift"]
+from .metrics import INTERTWINING_TOL, MetricOperator, _as_real, _hamiltonian_residual
+from .metrics import _require_finite
 
 
 @dataclass(frozen=True)
@@ -45,6 +44,7 @@ def propagator(H: LatticeHamiltonian, t: float) -> np.ndarray:
     real and imaginary parts are two real products, S diag(cos Et) S^{-1} and
     S diag(-sin Et) S^{-1}, written into one complex array.
     """
+    t = _as_real(t, "t")
     _require_finite(t, "t")
     N = H.dimension
     if t == 0.0:
@@ -63,10 +63,12 @@ def _norms(theta: MetricOperator, v: np.ndarray) -> tuple[float, float]:
     """(Re v^H Theta v, Re v^H v): the squared Theta-norm and Dirac norm of v.
 
     The one positivity gate of every norm path: ValueError unless theta is
-    labelled positive-definite and both norms are finite and positive.
+    labelled positive-definite and holds finite numbers, and both norms are
+    finite and positive.
     """
     if theta.definiteness != "positive-definite":
         raise ValueError("theta must be positive-definite to define a norm")
+    _require_finite(theta.matrix, "theta")
     with np.errstate(over="ignore", invalid="ignore"):
         norms = float(np.real(v.conj() @ theta.matrix @ v)), float(np.real(v.conj() @ v))
     if not all(0.0 < norm < np.inf for norm in norms):  # False for NaN
@@ -92,7 +94,7 @@ def norm_trajectory(
     and so does every Theta or norm that `theta_norm` rejects, on an empty
     grid too: there psi0 itself goes through the gate.
     """
-    t_grid = np.asarray(t_grid, dtype=float)
+    t_grid = _as_real(t_grid, "the time grid")
     _require_finite(t_grid, "the time grid")
     amplitudes = np.asarray(psi0.amplitudes, dtype=complex)
     if not len(t_grid):

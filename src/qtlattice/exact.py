@@ -15,16 +15,6 @@ from math import factorial
 
 from ._size import _require_size
 
-__all__ = [
-    "rational_hamiltonian",
-    "rational_metric_Q",
-    "factorial_diagonal",
-    "exact_intertwining_check",
-    "exact_intertwining_check_factorial",
-    "exact_tridiagonal_solve",
-    "exact_exceptional_identity",
-]
-
 INTERTWINING_N_MAX = 12
 
 

@@ -1,18 +1,15 @@
 """Positivity horizons of the tridiagonal metric slice and hidden horizons.
 
 The tridiagonal metric Theta(alpha) = Q + alpha T stays positive-definite
-only on a finite interval (-gamma, gamma).  Its couplings are
-t_n = n + 1 = 2 q_n H_{n,n+1} = 2 q_{n+1} H_{n+1,n}, so T = 2 Q H and
-Theta(alpha) = Q (I + 2 alpha H) = Q^{1/2} (I + 2 alpha J) Q^{1/2}, with J
-the symmetrized H.  Theta(alpha) is therefore positive-definite exactly
-while every 1 + 2 alpha E_j > 0; the spectrum of H (the roots of P_N) is
-symmetric about 0, so gamma = 1/(2 x_max), x_max the largest root of P_N,
-found by Newton's method on the Legendre recurrence
-(`legendre._largest_root`).  The cross-check shares no code with it: a
-bisection on one O(N) Sturm count of Theta(alpha) per step (the LDL^T
-pivots), O(N log 1/eps) in all; the two must agree tightly.  The bisection
-and the scan read the slice as two arrays, q = `build_metric_Q(N)` and
-t = 1, ..., N - 1, and form alpha t themselves.
+only on a finite interval (-gamma, gamma): as `metrics` derives, T = 2 Q H,
+so Theta(alpha) is positive-definite exactly while every 1 + 2 alpha E_j > 0.
+The spectrum of H (the roots of P_N) is symmetric about 0, so
+gamma = 1/(2 x_max), x_max the largest root of P_N, found by Newton's method
+on the Legendre recurrence (`legendre._largest_root`).  The cross-check
+shares no code with it: a bisection on one O(N) Sturm count of Theta(alpha)
+per step (the LDL^T pivots), O(N log 1/eps) in all; the two must agree
+tightly.  The bisection and the scan take the slice, its dense matrices and
+its Sturm test from `metrics`.
 
 The bisection finds where the smallest eigenvalue of Theta(alpha) crosses
 thr = 1e-12 max|Theta| (see `metrics`), not zero.  That moves its result
@@ -47,17 +44,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._size import _require_size
-from .lattice import build_metric_Q
 from .legendre import _largest_root
-from .metrics import _pivot_threshold, _require_symmetric, _slice_couplings, sturm_count
+from .metrics import _as_real, _none_below_threshold, _require_symmetric, _slice, _slice_matrix
 from .metrics import tridiagonal_definiteness
-
-__all__ = [
-    "HorizonReport",
-    "RealityScan",
-    "horizon_gamma",
-    "hidden_horizon_scan",
-]
+from .tridiagonal import sturm_count
 
 CROSS_CHECK_TOL = 1e-10
 BISECTION_WIDTH = 1e-12
@@ -99,16 +89,15 @@ def _usable_cpus() -> int:
 def _gamma_bisection(N: int) -> tuple[float, int]:
     """Bisection on the positive-definiteness of Theta(alpha).
 
-    Each step runs the O(N) pivot recurrence (`sturm_count`) once, at +thr:
-    Theta(alpha) is positive-definite when no eigenvalue lies below it.
+    Each step runs the O(N) pivot recurrence once, at +thr: Theta(alpha) is
+    positive-definite when no eigenvalue lies below it (`metrics`).
     """
-    q, t = build_metric_Q(N), np.arange(1, N, dtype=float)
+    q, t = _slice(N, 1.0)
     iterations = 0
     lo, hi = 0.0, 1.0  # x_max grows with N, so gamma <= gamma(2) = sqrt(3)/2 < 1
     while hi - lo > BISECTION_WIDTH:
         mid = 0.5 * (lo + hi)
-        offdiagonal = mid * t
-        if sturm_count(q, offdiagonal, _pivot_threshold(q, offdiagonal)) == 0:
+        if _none_below_threshold(q, mid * t):
             lo = mid
         else:
             hi = mid
@@ -169,15 +158,15 @@ def hidden_horizon_scan(N: int, K: np.ndarray, alpha_grid: np.ndarray) -> Realit
     1.1e-15 max|Theta| (see `metrics`), so lambda_min(Theta) > 0.
     """
     N = _require_size(N, 2)
-    K = np.asarray(K, dtype=float)
-    alpha_grid = np.asarray(alpha_grid, dtype=float)
+    K = _as_real(K, "K")
+    alpha_grid = _as_real(alpha_grid, "the alpha grid")
     if alpha_grid.ndim != 1:
         raise ValueError(f"the alpha grid must be one-dimensional, not {alpha_grid.shape}")
     if K.shape != (N, N):
         raise ValueError("K has wrong shape")
     _require_symmetric(K)
-    q, t = build_metric_Q(N), np.arange(1, N, dtype=float)
-    offdiagonal = _slice_couplings(N, alpha_grid)
+    q, t = _slice(N, 1.0)
+    offdiagonal = _slice(N, alpha_grid)[1]
     definiteness = tridiagonal_definiteness(q, offdiagonal)
     row_couplings = np.max(np.r_[t, 0.0] + np.r_[0.0, t])
     with np.errstate(over="ignore"):  # an infinite tau makes sturm_count raise ValueError
@@ -186,10 +175,9 @@ def hidden_horizon_scan(N: int, K: np.ndarray, alpha_grid: np.ndarray) -> Realit
     positive = definiteness == "positive-definite"
     max_imag = np.where(positive & ~skip, 0.0, np.nan)
     solved = np.flatnonzero(~positive & ~skip)
-    diagonal, coupling = np.diag(q), np.diag(t, 1) + np.diag(t, -1)
 
     def solve_stack(points):
-        thetas = diagonal + alpha_grid[points, None, None] * coupling
+        thetas = _slice_matrix(q, offdiagonal[:, points])
         eigenvalues = np.linalg.eigvals(np.linalg.solve(thetas, K))
         max_imag[points] = np.max(np.abs(eigenvalues.imag), axis=-1)
 

@@ -18,16 +18,6 @@ import numpy as np
 from ._size import _require_size
 from .legendre import RootSet, _legendre_values, roots_P
 
-__all__ = [
-    "LatticeHamiltonian",
-    "BiorthogonalSystem",
-    "build_hamiltonian",
-    "build_metric_Q",
-    "spectrum",
-    "ket",
-    "biorthogonal_system",
-]
-
 EIGEN_RESIDUAL_TOL = 1e-12
 
 
@@ -94,7 +84,10 @@ def ket(N: int, E) -> np.ndarray:
     inf energy, or a column that overflows, is a ValueError.
     """
     N = _require_size(N)
-    E = np.asarray(E, dtype=float)
+    E = np.asarray(E)
+    if E.dtype.kind not in "biuf":  # the check of metrics._as_real, which imports this module
+        raise ValueError(f"E must be real numbers, not {E.dtype} input")
+    E = E.astype(float, copy=False)
     kets = np.empty((N, *E.shape))
     with np.errstate(over="ignore", invalid="ignore"):  # the gate below reads inf and NaN
         for n, values in zip(range(N), _legendre_values(E)):

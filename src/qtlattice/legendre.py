@@ -19,11 +19,6 @@ import numpy as np
 from ._size import _require_size
 from .tridiagonal import sturm_count
 
-__all__ = [
-    "RootSet",
-    "roots_P",
-]
-
 ROOT_TOL = 1e-14
 CROSS_CHECK_TOL = 1e-12
 

@@ -11,9 +11,9 @@ relation with diagonal part Q and t_0 = 1 (verified exactly in the
 and Theta(alpha) = Q (I + 2 alpha H): the slice is the family member with
 kappa_j = (1 + 2 alpha E_j)/n_j, its charge is C = I + 2 alpha H, and it is
 positive-definite exactly for |alpha| < 1/(2 max E_j) (see `horizons`).
-The slice is held as two arrays, its diagonal q = `build_metric_Q(N)` and its
-couplings t = 1, ..., N - 1; `tridiagonal_metric` and `horizons` build
-Theta(alpha) from them.
+`_slice` gives its q = `build_metric_Q(N)` and alpha t, `_slice_matrix` the
+dense Theta(alpha) or a stack of them, and `_none_below_threshold` its
+positive-definiteness test; `horizons` uses these too.
 
 Definiteness comes from one of two paths.  The tridiagonal slice is
 classified in O(N) by Sturm counts (`sturm_count`, the LDL^T pivot kernel of
@@ -46,21 +46,6 @@ from ._size import _require_size
 from .lattice import BiorthogonalSystem, LatticeHamiltonian, build_hamiltonian, build_metric_Q
 from .tridiagonal import sturm_count
 
-__all__ = [
-    "KappaVector",
-    "MetricOperator",
-    "ChargeOperator",
-    "metric_from_kappa",
-    "exceptional_kappa",
-    "charge_operator",
-    "kappa_from_metric",
-    "dieudonne_residual",
-    "tridiagonal_metric",
-    "classify_definiteness",
-    "sturm_count",
-    "tridiagonal_definiteness",
-]
-
 SYMMETRY_TOL = 1e-12
 PIVOT_TOL = 1e-12
 INTERTWINING_TOL = 1e-10
@@ -74,7 +59,7 @@ class KappaVector:
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
+        values = _as_real(self.values, "kappa")
         object.__setattr__(self, "values", values)
         if values.shape != (_require_size(self.dimension),):
             raise ValueError("kappa length does not match dimension")
@@ -91,7 +76,7 @@ class MetricOperator:
 
     @classmethod
     def from_matrix(cls, matrix: np.ndarray, provenance: str = "external") -> "MetricOperator":
-        matrix = np.asarray(matrix, dtype=float)
+        matrix = _as_real(matrix, "the matrix")
         definiteness = classify_definiteness(matrix)
         return cls(len(matrix), matrix, definiteness, provenance)
 
@@ -104,20 +89,41 @@ class ChargeOperator:
     matrix: np.ndarray
 
 
+def _as_real(value, what: str) -> np.ndarray:
+    """value as a float array; ValueError, naming `what`, for complex, text or object input."""
+    array = np.asarray(value)
+    if array.dtype.kind not in "biuf":
+        raise ValueError(f"{what} must be real numbers, not {array.dtype} input")
+    return array.astype(float, copy=False)
+
+
 def _require_finite(value, what: str) -> None:
-    """Raise unless every entry of value is finite."""
+    """Raise unless value holds numbers (complex ones too) that are all finite."""
+    value = np.asarray(value)
+    if value.dtype.kind not in "biufc":
+        raise ValueError(f"{what} must be numbers, not {value.dtype} input")
     if not np.isfinite(value).all():
         raise ValueError(f"{what} is not finite (NaN or inf)")
 
 
-def _slice_couplings(N: int, alpha) -> np.ndarray:
-    """alpha t with t_n = n + 1: the couplings of Theta(alpha) on axis 0, then the axes of alpha."""
-    alpha = np.asarray(alpha, dtype=float)
+def _slice(N: int, alpha) -> tuple[np.ndarray, np.ndarray]:
+    """q and alpha t of Theta(alpha) = Q + alpha T, t_n = n + 1 on axis 0 before alpha's axes."""
+    alpha = _as_real(alpha, "alpha")
     _require_finite(alpha, "alpha")
     with np.errstate(over="ignore"):
         offdiagonal = np.multiply.outer(np.arange(1, N, dtype=float), alpha)
     _require_finite(offdiagonal, "alpha t")
-    return offdiagonal
+    return build_metric_Q(N), offdiagonal
+
+
+def _slice_matrix(q: np.ndarray, offdiagonal: np.ndarray) -> np.ndarray:
+    """The dense Theta(alpha) of `_slice`, or a stack over the trailing axes of alpha t."""
+    N, batch = len(q), offdiagonal.shape[1:]
+    flat, couplings = np.zeros((*batch, N * N)), np.moveaxis(offdiagonal, 0, -1)
+    flat[..., :: N + 1] = q
+    flat[..., 1 :: N + 1] += couplings  # added to zeros, a -0.0 coupling is stored as +0.0
+    flat[..., N :: N + 1] += couplings
+    return flat.reshape(*batch, N, N)
 
 
 def _require_square(matrix: np.ndarray, what: str = "matrix") -> None:
@@ -142,6 +148,11 @@ def _pivot_threshold(diagonal, offdiagonal=()) -> np.ndarray:
     return PIVOT_TOL * np.abs(offdiagonal).max(axis=0, initial=np.abs(diagonal).max())
 
 
+def _none_below_threshold(diagonal, offdiagonal) -> np.ndarray:
+    """True where no eigenvalue lies below thr: positive-definite, by one Sturm count per matrix."""
+    return sturm_count(diagonal, offdiagonal, _pivot_threshold(diagonal, offdiagonal)) == 0
+
+
 def tridiagonal_definiteness(diagonal, offdiagonal) -> np.ndarray:
     """Definiteness labels of symmetric tridiagonal matrices from Sturm counts.
 
@@ -153,7 +164,7 @@ def tridiagonal_definiteness(diagonal, offdiagonal) -> np.ndarray:
     threshold = _pivot_threshold(diagonal, offdiagonal)
     singular = (sturm_count(diagonal, offdiagonal, -threshold) == 0) | (threshold == 0)
     return np.where(
-        sturm_count(diagonal, offdiagonal, threshold) == 0,
+        _none_below_threshold(diagonal, offdiagonal),
         "positive-definite",
         np.where(singular, "singular", "indefinite"),
     )
@@ -208,36 +219,20 @@ def exceptional_kappa(system: BiorthogonalSystem) -> KappaVector:
 def charge_operator(q: np.ndarray, theta: MetricOperator) -> ChargeOperator:
     """C = Q^{-1} Theta with Q = diag(q), the factor in Theta = Q C.
 
-    ValueError unless q is 1-D, finite and strictly positive, and C is finite.
+    ValueError unless q is 1-D, finite and strictly positive, Theta holds finite
+    numbers, and C is finite.
     """
-    q = np.asarray(q, dtype=float)
+    q = _as_real(q, "q")
     if q.ndim != 1 or np.shape(theta.matrix) != (q.size, q.size):
         raise ValueError("dimension mismatch between Q and theta")
     _require_finite(q, "q")
     if np.any(q <= 0):
         raise ValueError("q must be strictly positive")
+    _require_finite(theta.matrix, "theta")
     with np.errstate(over="ignore"):
         charge = theta.matrix / q[:, None]
     _require_finite(charge, "the charge operator")
     return ChargeOperator(theta.dimension, charge)
-
-
-def dieudonne_residual(Lambda: np.ndarray, theta: MetricOperator) -> float:
-    """max|Lambda^dagger Theta - Theta Lambda| / (max|Theta| max|Lambda|); ValueError unless finite.
-
-    The scale has no floor, so the residual, and a verdict drawn from it, is
-    the same up to rounding when Theta or Lambda is rescaled.  A zero residual
-    is 0, also for a zero Theta or Lambda.
-    """
-    Lambda = np.asarray(Lambda)
-    if Lambda.shape != theta.matrix.shape:
-        raise ValueError("dimension mismatch between Lambda and theta")
-    with np.errstate(over="ignore", invalid="ignore"):  # NaN or inf input: a NaN residual
-        residual = Lambda.conj().T @ theta.matrix - theta.matrix @ Lambda
-        scale = np.max(np.abs(theta.matrix)) * np.max(np.abs(Lambda))
-        residual = _relative_max(residual, scale)
-    _require_finite(residual, "the Dieudonne residual")
-    return residual
 
 
 def _relative_max(residual: np.ndarray, scale) -> float:
@@ -247,14 +242,14 @@ def _relative_max(residual: np.ndarray, scale) -> float:
 
 
 def _hamiltonian_residual(H: LatticeHamiltonian, theta: MetricOperator) -> float:
-    """dieudonne_residual of the dense H against theta, from the two bands of H.
+    """`observables.dieudonne_residual` of the dense H against theta, from the two bands of H.
 
     (H^T Theta)_{ij} = u_{i-1} Theta_{i-1,j} + l_i Theta_{i+1,j} and
     (Theta H)_{ij} = Theta_{i,j-1} u_{j-1} + Theta_{i,j+1} l_j, with u and l
     the super- and subdiagonal of H: O(N^2) in place of two dense products.
     NaN or inf in Theta gives a NaN residual, which no `<=` gate passes.
     """
-    matrix = np.asarray(theta.matrix, dtype=float)
+    matrix = _as_real(theta.matrix, "theta")
     if matrix.shape != (H.dimension, H.dimension):
         raise ValueError("dimension mismatch between H and theta")
     up, down = H.superdiagonal, H.subdiagonal
@@ -286,9 +281,10 @@ def kappa_from_metric(system: BiorthogonalSystem, theta: MetricOperator) -> Kapp
 
 
 def tridiagonal_metric(N: int, alpha: float) -> MetricOperator:
-    """Theta(alpha) = Q + alpha T for the unique tridiagonal-ansatz couplings."""
+    """Theta(alpha) = Q + alpha T for the unique tridiagonal-ansatz couplings, at one real alpha."""
     N = _require_size(N, 2)
-    q, offdiagonal = build_metric_Q(N), _slice_couplings(N, alpha)
-    matrix = np.diag(q) + np.diag(offdiagonal, 1) + np.diag(offdiagonal, -1)
+    q, offdiagonal = _slice(N, alpha)
+    if offdiagonal.ndim != 1:
+        raise ValueError(f"alpha must be one number, not an array of shape {offdiagonal.shape[1:]}")
     definiteness = str(tridiagonal_definiteness(q, offdiagonal))
-    return MetricOperator(N, matrix, definiteness, "tridiagonal-family")
+    return MetricOperator(N, _slice_matrix(q, offdiagonal), definiteness, "tridiagonal-family")

@@ -2,7 +2,7 @@
 
 An operator Lambda is an observable with respect to a metric Theta when
 Lambda^dagger Theta = Theta Lambda.  This module provides the direct
-residual test (`dieudonne_residual`, defined in `metrics`), a constructor
+residual test (`dieudonne_residual`), a constructor
 of certified observables (Theta^{-1} K for symmetric K), and the
 overlap-matrix reformulation: with kets renormalized to unit Q-norm, the
 product M = U V of the two overlap matrices is Hermitian exactly when the
@@ -18,18 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import BiorthogonalSystem
-from .metrics import KappaVector, MetricOperator, dieudonne_residual
-from .metrics import _require_finite, _require_square, _require_symmetric
-
-__all__ = [
-    "ObservableSpectralData",
-    "OverlapPair",
-    "dieudonne_residual",
-    "observable_from_hermitian",
-    "spectral_data",
-    "overlap_matrices",
-    "criterion_product_hermitian",
-]
+from .metrics import KappaVector, MetricOperator, _as_real, _relative_max, _require_finite
+from .metrics import _require_square, _require_symmetric
 
 GAP_TOL = 1e-10
 DEFAULT_CRITERION_TOL = 1e-10
@@ -60,9 +50,30 @@ class OverlapPair:
     hermiticity_residual: float
 
 
+def dieudonne_residual(Lambda: np.ndarray, theta: MetricOperator) -> float:
+    """max|Lambda^dagger Theta - Theta Lambda| / (max|Theta| max|Lambda|).
+
+    ValueError unless Lambda and Theta hold finite numbers (complex ones too)
+    and the residual is finite.  The scale has no floor, so the residual, and
+    a verdict drawn from it, is the same up to rounding when Theta or Lambda
+    is rescaled.  A zero residual is 0, also for a zero Theta or Lambda.
+    """
+    Lambda = np.asarray(Lambda)
+    if Lambda.shape != theta.matrix.shape:
+        raise ValueError("dimension mismatch between Lambda and theta")
+    _require_finite(Lambda, "Lambda")
+    _require_finite(theta.matrix, "theta")
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow: an inf or NaN residual
+        residual = Lambda.conj().T @ theta.matrix - theta.matrix @ Lambda
+        scale = np.max(np.abs(theta.matrix)) * np.max(np.abs(Lambda))
+        residual = _relative_max(residual, scale)
+    _require_finite(residual, "the Dieudonne residual")
+    return residual
+
+
 def observable_from_hermitian(K: np.ndarray, theta: MetricOperator) -> np.ndarray:
     """Lambda = Theta^{-1} K for finite symmetric K, an observable for Theta by construction."""
-    K = np.asarray(K, dtype=float)
+    K = _as_real(K, "K")
     _require_symmetric(K)
     _require_finite(theta.matrix, "theta")
     if 1.0 / np.linalg.cond(theta.matrix) < 1e-13:
@@ -96,11 +107,13 @@ def spectral_data(Lambda: np.ndarray) -> ObservableSpectralData:
     max|Lambda| cancelled, the gate (and its error message) reads
     N eps kappa^2 <= 1e-10 max(1, N/64), the same for c Lambda as for Lambda.
     So the verdict is a property of the input, not of how one product rounds.
-    Lambda must be a nonempty, square and finite matrix; each failure, that
-    check and a singular R (`LinAlgError`) included, is a `ValueError`.
+    Lambda must be a nonempty, square and finite matrix of numbers (complex
+    ones too, not text); each failure, that check and a singular R
+    (`LinAlgError`) included, is a `ValueError`.
     """
-    Lambda = np.asarray(Lambda, dtype=complex)
+    Lambda = np.asarray(Lambda)
     _require_square(Lambda, "Lambda")
+    Lambda = Lambda.astype(complex)
     N = Lambda.shape[0]
     eigenvalues, right = np.linalg.eig(Lambda)
     order = np.lexsort((eigenvalues.imag, eigenvalues.real))

@@ -11,8 +11,6 @@ import math
 
 import numpy as np
 
-__all__ = ["sturm_count"]
-
 _TINY = float(np.finfo(float).tiny)
 _SCALE_ABOVE = 2.0**500
 

@@ -1,7 +1,8 @@
 """Hypothesis fuzz over the public API: the counterpart of the CLI fuzz.
 
 Every call either raises ValueError or returns finite values, and no
-non-finite input comes back labelled positive-definite.
+non-finite input comes back labelled positive-definite.  Complex and text
+input is a ValueError wherever the library takes real numbers.
 """
 
 import numpy as np
@@ -30,20 +31,33 @@ from qtlattice import (
 )
 
 SPECIAL = [np.nan, np.inf, -np.inf, -1.0, 0.0, 2.5, 1e308, -1e308]
+TEXT = ["0.1", "2", "nan", "x", ""]
 sizes = st.one_of(st.integers(-1, 8), st.sampled_from([2.5, True, False, np.int64(3)]))
-scalars = st.one_of(st.floats(-10.0, 10.0), st.sampled_from(SPECIAL))
+scalars = st.one_of(
+    st.floats(-10.0, 10.0),
+    st.sampled_from(SPECIAL),
+    st.complex_numbers(max_magnitude=10.0),
+    st.sampled_from(TEXT),
+)
 shapes = st.sampled_from([(), (0,), (1,), (2,), (3,), (2, 2), (3, 3), (2, 3), (2, 2, 2)])
 
 
 @st.composite
 def arrays(draw, shape=None):
-    """Finite entries, one of them replaced by a special value a third of the time."""
+    """Finite entries, one of them replaced by a special value a third of the time.
+
+    One array in five is complex (its imaginary parts may all be zero), and one in five is text.
+    """
     shape = draw(shapes) if shape is None else shape
     size = int(np.prod(shape))
     values = draw(st.lists(st.floats(-10.0, 10.0), min_size=size, max_size=size))
     if size and draw(st.integers(0, 2)) == 0:
         values[draw(st.integers(0, size - 1))] = draw(st.sampled_from(SPECIAL))
-    return np.array(values, dtype=float).reshape(shape)
+    array = np.array(values, dtype=float).reshape(shape)
+    kind = draw(st.integers(0, 4))
+    if kind == 0:
+        return array + 1j * draw(st.floats(-10.0, 10.0))
+    return array.astype(str) if kind == 1 else array
 
 
 @st.composite
@@ -64,6 +78,11 @@ def any_metric(draw, N):
         return tridiagonal_metric(N, draw(st.floats(-2.0, 2.0)))
     label = draw(st.sampled_from(["positive-definite", "indefinite"]))
     return MetricOperator(N, draw(square_or_not(N)), label, "external")
+
+
+def real(value):
+    """True for real numbers: what the library takes where it converts to float."""
+    return np.asarray(value).dtype.kind in "biuf"
 
 
 def finite(*values):
@@ -108,7 +127,7 @@ def test_build_hamiltonian(N):
 def test_tridiagonal_metric(N, alpha):
     theta = call(tridiagonal_metric, N, alpha)
     if theta is not None:
-        assert valid_size(N, 2) and theta.matrix.shape == (N, N)
+        assert valid_size(N, 2) and real(alpha) and theta.matrix.shape == (N, N)
         assert_honest(theta, alpha)
 
 
@@ -119,6 +138,7 @@ def test_metric_from_kappa(N, data, system_cache):
     kappa = call(KappaVector, N, values)
     if kappa is None:
         return
+    assert real(values)
     theta = call(metric_from_kappa, system_cache(N), kappa)
     if theta is not None:
         assert_honest(theta, values)
@@ -131,6 +151,7 @@ def test_from_matrix(data):
     theta = call(MetricOperator.from_matrix, matrix)
     if theta is not None:
         assert theta.matrix.shape == (theta.dimension, theta.dimension) and theta.dimension >= 1
+        assert real(matrix)
         assert_honest(theta, matrix)
 
 
@@ -142,6 +163,7 @@ def test_hidden_horizon_scan(N, data):
     scan = call(hidden_horizon_scan, N, K, grid)
     if scan is None:
         return
+    assert real(K) and real(grid)
     assert finite(K, grid) and scan.max_imag.shape == scan.alpha_grid.shape == (len(grid),)
     skipped = np.isin(scan.alpha_grid, scan.skipped_singular)
     assert finite(scan.max_imag[~skipped]) and np.all(np.isnan(scan.max_imag[skipped]))
@@ -154,14 +176,14 @@ def test_hidden_horizon_scan(N, data):
 def test_ket(N, E):
     column = call(ket, N, E)
     if column is not None:
-        assert valid_size(N) and column.shape == (N, *np.shape(E)) and finite(E, column)
+        assert valid_size(N) and real(E) and column.shape == (N, *np.shape(E)) and finite(E, column)
 
 
 @SETTINGS
 @given(N=st.integers(1, 8), t=scalars)
 def test_propagator(N, t):
     U = call(propagator, build_hamiltonian(N), t)
-    assert (U is None) == (not np.isfinite(t))
+    assert (U is None) == (not (real(t) and np.isfinite(t)))
     if U is not None:
         assert U.shape == (N, N) and finite(U)
 
@@ -191,7 +213,7 @@ def test_norm_drift(N, data):
         return
     drift = call(norm_drift, build_hamiltonian(N), theta, psi0, t_grid)
     if drift is not None:
-        assert theta.definiteness == "positive-definite"
+        assert theta.definiteness == "positive-definite" and real(theta.matrix) and real(t_grid)
         assert finite(theta.matrix, t_grid, drift)
 
 
@@ -213,7 +235,7 @@ def test_charge_operator_of_any_q(N, data):
     q = data.draw(st.one_of(arrays(), arrays((N,))))
     charge = call(charge_operator, q, data.draw(any_metric(N)))
     if charge is not None:
-        assert q.shape == (N,) and finite(q, charge.matrix) and np.all(q > 0)
+        assert q.shape == (N,) and real(q) and finite(q, charge.matrix) and np.all(q > 0)
 
 
 @SETTINGS
@@ -261,6 +283,50 @@ def test_overflow_is_a_value_error_without_a_warning(case):
     """Finite inputs whose products overflow (or underflow to a zero norm)."""
     with pytest.raises(ValueError):
         HUGE[case]()
+
+
+# Each entry point that takes real numbers, with one entry of the named argument replaced.
+REAL_ARGUMENTS = {
+    "tridiagonal_metric alpha": ("alpha", lambda x: tridiagonal_metric(3, x)),
+    "KappaVector values": ("kappa", lambda x: KappaVector(2, [x, 1.0])),
+    "ket E": ("E", lambda x: ket(3, x)),
+    "propagator t": ("t", lambda x: propagator(build_hamiltonian(4), x)),
+    "charge_operator q": ("q", lambda x: charge_operator([x, 1.5], tridiagonal_metric(2, 0.1))),
+    "hidden_horizon_scan K": ("K", lambda x: hidden_horizon_scan(2, [[x, 0.0], [0.0, 1.0]], [0.1])),
+    "hidden_horizon_scan grid": ("alpha grid", lambda x: hidden_horizon_scan(2, np.eye(2), [0.1, x])),
+    "MetricOperator.from_matrix": ("matrix", lambda x: MetricOperator.from_matrix([[x, 0.0], [0.0, 1.0]])),
+    "observable_from_hermitian K": (
+        "K", lambda x: observable_from_hermitian([[x, 0.0], [0.0, 1.0]], tridiagonal_metric(2, 0.1))
+    ),
+    "norm_trajectory t_grid": (
+        "time grid",
+        lambda x: norm_trajectory(
+            biorthogonal_system(2), tridiagonal_metric(2, 0.1), EvolutionState(2, [1.0, 0.0]), [0.0, x]
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("value", [0.1 + 2j, 0.1 + 0j, "0.1"], ids=["complex", "zero-imag", "text"])
+@pytest.mark.parametrize("entry", REAL_ARGUMENTS)
+def test_complex_and_text_are_a_value_error_naming_the_argument(entry, value):
+    """Never the real part (with only numpy's ComplexWarning) and never text parsed as a number."""
+    name, function = REAL_ARGUMENTS[entry]
+    with pytest.raises(ValueError, match=f"{name} must be real numbers"):
+        function(value)
+
+
+def test_exports_are_defined_in_their_home_module():
+    """Each public name lives in the one module that `_EXPORTS` lists it under."""
+    import qtlattice
+
+    misplaced = [
+        (name, getattr(qtlattice, name).__module__)
+        for module, names in qtlattice._EXPORTS.items()
+        for name in names.split()
+        if getattr(qtlattice, name).__module__ != f"qtlattice.{module}"
+    ]
+    assert misplaced == []
 
 
 def test_public_names_are_pinned():

@@ -10,7 +10,7 @@ from qtlattice import (
     tridiagonal_metric,
 )
 from qtlattice.legendre import _largest_root
-from qtlattice.metrics import sturm_count
+from qtlattice.tridiagonal import sturm_count
 
 
 def test_gamma_closed_forms():

@@ -10,13 +10,15 @@ from qtlattice import (
     build_hamiltonian,
     build_metric_Q,
     charge_operator,
+    dieudonne_residual,
     exceptional_kappa,
     kappa_from_metric,
     metric_from_kappa,
     observable_from_hermitian,
     tridiagonal_metric,
 )
-from qtlattice.metrics import classify_definiteness, sturm_count, tridiagonal_definiteness
+from qtlattice.metrics import classify_definiteness, tridiagonal_definiteness
+from qtlattice.tridiagonal import sturm_count
 
 
 def dieudonne_max_residual(matrix, N):
@@ -165,6 +167,23 @@ def test_tridiagonal_metric_is_q_plus_alpha_t():
     expected = np.diag(build_metric_Q(5)) + 0.25 * (np.diag(t, 1) + np.diag(t, -1))
     np.testing.assert_array_equal(theta.matrix, expected)
     assert (theta.dimension, theta.provenance) == (5, "tridiagonal-family")
+    assert not np.signbit(tridiagonal_metric(5, -0.0).matrix).any()
+
+
+@pytest.mark.parametrize("shape", [(1,), (2,), (3,), (2, 2)])
+def test_tridiagonal_metric_takes_one_alpha(shape):
+    with pytest.raises(ValueError, match="alpha must be one number"):
+        tridiagonal_metric(3, np.full(shape, 0.1))
+
+
+def test_slice_stack_holds_the_single_matrices():
+    from qtlattice.metrics import _slice, _slice_matrix
+
+    alphas = np.array([[-0.7, 0.0], [0.3, 2.0]])
+    stack = _slice_matrix(*_slice(6, alphas))
+    assert stack.shape == (2, 2, 6, 6)
+    for index in np.ndindex(alphas.shape):
+        np.testing.assert_array_equal(stack[index], tridiagonal_metric(6, alphas[index]).matrix)
 
 
 def test_definiteness_classification():
@@ -354,7 +373,7 @@ def test_tridiagonal_charge_is_one_plus_two_alpha_H(N, alpha):
 
 @pytest.mark.parametrize("N", [2, 8, 64, 257])
 def test_banded_residual_matches_dense(N, rng):
-    from qtlattice.metrics import _hamiltonian_residual, dieudonne_residual
+    from qtlattice.metrics import _hamiltonian_residual
 
     H = build_hamiltonian(N)
     random = rng.normal(size=(N, N))

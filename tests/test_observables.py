@@ -266,6 +266,8 @@ def test_observable_from_hermitian_rejects_non_finite_K_without_a_warning(bad):
         ([[np.nan, 0.0], [0.0, 1.0]], "Lambda is not finite"),
         ([[np.inf, 0.0], [0.0, 1.0]], "Lambda is not finite"),
         ([[1.0, 0.0], [-np.inf, 2.0]], "Lambda is not finite"),
+        ([["1", "0"], ["0", "2"]], "Lambda must be numbers"),
+        ([[1.0, None], [0.0, 2.0]], "Lambda must be numbers"),
     ],
 )
 def test_spectral_data_names_a_malformed_Lambda(Lambda, message):
