@@ -95,20 +95,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_matrix(path: str, N: int):
-    import numpy as np
+    from ._size import _as_real
 
     with open(path) as fh:
         payload = json.load(fh)
     if not isinstance(payload, dict) or "matrix" not in payload:
         raise ValueError(f'{path} is not a JSON object with a "matrix" key')
-    try:
-        matrix = np.asarray(payload["matrix"], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"matrix in {path} is not numeric: {exc}") from exc
+    matrix = _as_real(payload["matrix"], f"the matrix in {path}", 2)
     if payload.get("dimension") != N or matrix.shape != (N, N):
-        raise ValueError(f"matrix in {path} does not have dimension {N}")
-    if not np.isfinite(matrix).all():
-        raise ValueError(f"matrix in {path} has non-finite entries")
+        raise ValueError(f"the matrix in {path} does not have dimension {N}")
     return matrix
 
 

@@ -12,10 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._size import _require_size
+from ._size import _as_real, _require_finite, _require_size
 from .lattice import BiorthogonalSystem, LatticeHamiltonian, biorthogonal_system
-from .metrics import INTERTWINING_TOL, MetricOperator, _as_real, _hamiltonian_residual
-from .metrics import _require_finite
+from .metrics import INTERTWINING_TOL, MetricOperator, _hamiltonian_residual
 
 
 @dataclass(frozen=True)
@@ -37,15 +36,14 @@ class EvolutionState:
 
 
 def propagator(H: LatticeHamiltonian, t: float) -> np.ndarray:
-    """exp(-i H t) via the spectral decomposition of H; a non-finite t raises ValueError.
+    """exp(-i H t) via the spectral decomposition of H, at one real and finite t.
 
     The eigensystem comes from `biorthogonal_system`, which is built once per
     size, so repeated calls at one N share it.  S and S^{-1} are real, so the
     real and imaginary parts are two real products, S diag(cos Et) S^{-1} and
     S diag(-sin Et) S^{-1}, written into one complex array.
     """
-    t = _as_real(t, "t")
-    _require_finite(t, "t")
+    t = _as_real(t, "t", 0)
     N = H.dimension
     if t == 0.0:
         return np.eye(N, dtype=complex)
@@ -90,12 +88,11 @@ def norm_trajectory(
     """Theta-norm and Dirac norm of exp(-i H t) psi0 at each t of t_grid.
 
     psi0 is expanded once in the eigenbasis of `system`; each time step is
-    then a phase twist of the coefficients.  A non-finite t raises ValueError,
-    and so does every Theta or norm that `theta_norm` rejects, on an empty
-    grid too: there psi0 itself goes through the gate.
+    then a phase twist of the coefficients.  A grid that is not 1-D, real and
+    finite raises ValueError, and so does every Theta or norm that `theta_norm`
+    rejects, on an empty grid too: there psi0 itself goes through the gate.
     """
-    t_grid = _as_real(t_grid, "the time grid")
-    _require_finite(t_grid, "the time grid")
+    t_grid = _as_real(t_grid, "the time grid", 1)
     amplitudes = np.asarray(psi0.amplitudes, dtype=complex)
     if not len(t_grid):
         _norms(theta, amplitudes)

@@ -43,9 +43,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._size import _require_size
+from ._size import _as_real, _require_size
 from .legendre import _largest_root
-from .metrics import _as_real, _none_below_threshold, _require_symmetric, _slice, _slice_matrix
+from .metrics import _none_below_threshold, _require_symmetric, _slice, _slice_matrix
 from .metrics import tridiagonal_definiteness
 from .tridiagonal import sturm_count
 
@@ -159,12 +159,10 @@ def hidden_horizon_scan(N: int, K: np.ndarray, alpha_grid: np.ndarray) -> Realit
     """
     N = _require_size(N, 2)
     K = _as_real(K, "K")
-    alpha_grid = _as_real(alpha_grid, "the alpha grid")
-    if alpha_grid.ndim != 1:
-        raise ValueError(f"the alpha grid must be one-dimensional, not {alpha_grid.shape}")
+    alpha_grid = _as_real(alpha_grid, "the alpha grid", 1)
     if K.shape != (N, N):
         raise ValueError("K has wrong shape")
-    _require_symmetric(K)
+    _require_symmetric(K, "K")
     q, t = _slice(N, 1.0)
     offdiagonal = _slice(N, alpha_grid)[1]
     definiteness = tridiagonal_definiteness(q, offdiagonal)

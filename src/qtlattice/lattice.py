@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._size import _require_size
+from ._size import _as_real, _require_finite, _require_size
 from .legendre import RootSet, _legendre_values, roots_P
 
 EIGEN_RESIDUAL_TOL = 1e-12
@@ -80,20 +80,16 @@ def spectrum(H: LatticeHamiltonian) -> RootSet:
 def ket(N: int, E) -> np.ndarray:
     """The length-N Legendre column (P_0(E), ..., P_{N-1}(E)).
 
-    For an array of energies, ket(N, E)[:, j] is the column of E[j].  A NaN or
-    inf energy, or a column that overflows, is a ValueError.
+    For an array of energies, ket(N, E)[:, j] is the column of E[j].  E must be
+    real and finite (`_size._as_real`), and a column that overflows is a ValueError.
     """
     N = _require_size(N)
-    E = np.asarray(E)
-    if E.dtype.kind not in "biuf":  # the check of metrics._as_real, which imports this module
-        raise ValueError(f"E must be real numbers, not {E.dtype} input")
-    E = E.astype(float, copy=False)
+    E = _as_real(E, "E")
     kets = np.empty((N, *E.shape))
-    with np.errstate(over="ignore", invalid="ignore"):  # the gate below reads inf and NaN
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow: the gate below reads it
         for n, values in zip(range(N), _legendre_values(E)):
             kets[n] = values
-    if not (np.isfinite(E).all() and np.isfinite(kets).all()):
-        raise ValueError(f"the length-{N} ket is not finite: NaN or inf energy, or overflow")
+    _require_finite(kets, f"the length-{N} ket")
     return kets
 
 

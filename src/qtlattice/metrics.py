@@ -13,7 +13,8 @@ kappa_j = (1 + 2 alpha E_j)/n_j, its charge is C = I + 2 alpha H, and it is
 positive-definite exactly for |alpha| < 1/(2 max E_j) (see `horizons`).
 `_slice` gives its q = `build_metric_Q(N)` and alpha t, `_slice_matrix` the
 dense Theta(alpha) or a stack of them, and `_none_below_threshold` its
-positive-definiteness test; `horizons` uses these too.
+positive-definiteness test; `horizons` uses these too.  Each entry point reads
+its real input once through `_size._as_real` (dtype, finiteness, rank).
 
 Definiteness comes from one of two paths.  The tridiagonal slice is
 classified in O(N) by Sturm counts (`sturm_count`, the LDL^T pivot kernel of
@@ -42,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._size import _require_size
+from ._size import _as_real, _require_finite, _require_size
 from .lattice import BiorthogonalSystem, LatticeHamiltonian, build_hamiltonian, build_metric_Q
 from .tridiagonal import sturm_count
 
@@ -59,7 +60,7 @@ class KappaVector:
     values: np.ndarray
 
     def __post_init__(self):
-        values = _as_real(self.values, "kappa")
+        values = _as_real(self.values, "kappa", 1)
         object.__setattr__(self, "values", values)
         if values.shape != (_require_size(self.dimension),):
             raise ValueError("kappa length does not match dimension")
@@ -89,27 +90,9 @@ class ChargeOperator:
     matrix: np.ndarray
 
 
-def _as_real(value, what: str) -> np.ndarray:
-    """value as a float array; ValueError, naming `what`, for complex, text or object input."""
-    array = np.asarray(value)
-    if array.dtype.kind not in "biuf":
-        raise ValueError(f"{what} must be real numbers, not {array.dtype} input")
-    return array.astype(float, copy=False)
-
-
-def _require_finite(value, what: str) -> None:
-    """Raise unless value holds numbers (complex ones too) that are all finite."""
-    value = np.asarray(value)
-    if value.dtype.kind not in "biufc":
-        raise ValueError(f"{what} must be numbers, not {value.dtype} input")
-    if not np.isfinite(value).all():
-        raise ValueError(f"{what} is not finite (NaN or inf)")
-
-
 def _slice(N: int, alpha) -> tuple[np.ndarray, np.ndarray]:
-    """q and alpha t of Theta(alpha) = Q + alpha T, t_n = n + 1 on axis 0 before alpha's axes."""
-    alpha = _as_real(alpha, "alpha")
-    _require_finite(alpha, "alpha")
+    """q and alpha t of Theta(alpha) = Q + alpha T, t_n = n + 1 on axis 0 before the axes of
+    alpha, a number or array that has passed `_as_real`."""
     with np.errstate(over="ignore"):
         offdiagonal = np.multiply.outer(np.arange(1, N, dtype=float), alpha)
     _require_finite(offdiagonal, "alpha t")
@@ -127,19 +110,19 @@ def _slice_matrix(q: np.ndarray, offdiagonal: np.ndarray) -> np.ndarray:
 
 
 def _require_square(matrix: np.ndarray, what: str = "matrix") -> None:
-    """Raise, naming `what`, unless the array is a nonempty, square and finite matrix."""
+    """Raise, naming `what`, unless the array is a nonempty square matrix."""
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or matrix.size == 0:
         raise ValueError(f"expected a nonempty square {what}, not one of shape {matrix.shape}")
-    _require_finite(matrix, what)
 
 
-def _require_symmetric(matrix: np.ndarray) -> None:
-    """Raise unless M is nonempty, square, finite and max|M - M^T| <= 1e-12 max|M| (no floor)."""
-    _require_square(matrix)
+def _require_symmetric(matrix: np.ndarray, what: str = "matrix") -> None:
+    """Raise, naming `what`, unless M is nonempty, square and max|M - M^T| <= 1e-12 max|M|
+    (no floor)."""
+    _require_square(matrix, what)
     with np.errstate(over="ignore"):  # M - M^T may overflow to inf, which fails the gate
         asymmetry = _relative_max(matrix - matrix.T, np.max(np.abs(matrix)))
     if asymmetry > SYMMETRY_TOL:
-        raise ValueError("matrix is not symmetric within tolerance")
+        raise ValueError(f"{what} is not symmetric within tolerance")
 
 
 def _pivot_threshold(diagonal, offdiagonal=()) -> np.ndarray:
@@ -180,7 +163,7 @@ def classify_definiteness(matrix: np.ndarray) -> str:
     within thr of zero, or any eigenvalue where thr = 0, is singular, below
     it indefinite.
     """
-    matrix = np.asarray(matrix, dtype=float)
+    matrix = _as_real(matrix, "the matrix")
     _require_symmetric(matrix)
     threshold = _pivot_threshold(matrix)
     try:
@@ -202,10 +185,9 @@ def metric_from_kappa(system: BiorthogonalSystem, kappa: KappaVector) -> MetricO
     """
     if kappa.dimension != system.dimension:
         raise ValueError("kappa dimension does not match system")
-    _require_finite(kappa.values, "kappa")
     if np.any(kappa.values <= 0):
         raise ValueError("kappa must be strictly positive")
-    with np.errstate(over="ignore"):  # inf entries fail classify_definiteness
+    with np.errstate(over="ignore"):  # inf entries fail the gate of from_matrix
         matrix = (system.ketkets * kappa.values[None, :]) @ system.ketkets.T
         matrix = 0.5 * (matrix + matrix.T)
     return MetricOperator.from_matrix(matrix, "kappa-family")
@@ -222,10 +204,9 @@ def charge_operator(q: np.ndarray, theta: MetricOperator) -> ChargeOperator:
     ValueError unless q is 1-D, finite and strictly positive, Theta holds finite
     numbers, and C is finite.
     """
-    q = _as_real(q, "q")
-    if q.ndim != 1 or np.shape(theta.matrix) != (q.size, q.size):
+    q = _as_real(q, "q", 1)
+    if np.shape(theta.matrix) != (q.size, q.size):
         raise ValueError("dimension mismatch between Q and theta")
-    _require_finite(q, "q")
     if np.any(q <= 0):
         raise ValueError("q must be strictly positive")
     _require_finite(theta.matrix, "theta")
@@ -247,7 +228,8 @@ def _hamiltonian_residual(H: LatticeHamiltonian, theta: MetricOperator) -> float
     (H^T Theta)_{ij} = u_{i-1} Theta_{i-1,j} + l_i Theta_{i+1,j} and
     (Theta H)_{ij} = Theta_{i,j-1} u_{j-1} + Theta_{i,j+1} l_j, with u and l
     the super- and subdiagonal of H: O(N^2) in place of two dense products.
-    NaN or inf in Theta gives a NaN residual, which no `<=` gate passes.
+    Theta must be real and finite (`_as_real`); an overflow gives an inf or NaN
+    residual, which no `<=` gate passes.
     """
     matrix = _as_real(theta.matrix, "theta")
     if matrix.shape != (H.dimension, H.dimension):
@@ -270,7 +252,7 @@ def kappa_from_metric(system: BiorthogonalSystem, theta: MetricOperator) -> Kapp
     meaningless: unless dieudonne_residual(H, theta) <= 1e-10, which is
     max|H^T Theta - Theta H| <= 1e-10 max|Theta| because max|H| = H[0, 1] = 1
     for N >= 2 (at N = 1 both residuals are 0).  A Theta with NaN or inf
-    entries fails the gate.
+    entries is a ValueError too.
     """
     if theta.dimension != system.dimension:
         raise ValueError("dimension mismatch")
@@ -283,8 +265,6 @@ def kappa_from_metric(system: BiorthogonalSystem, theta: MetricOperator) -> Kapp
 def tridiagonal_metric(N: int, alpha: float) -> MetricOperator:
     """Theta(alpha) = Q + alpha T for the unique tridiagonal-ansatz couplings, at one real alpha."""
     N = _require_size(N, 2)
-    q, offdiagonal = _slice(N, alpha)
-    if offdiagonal.ndim != 1:
-        raise ValueError(f"alpha must be one number, not an array of shape {offdiagonal.shape[1:]}")
+    q, offdiagonal = _slice(N, _as_real(alpha, "alpha", 0))
     definiteness = str(tridiagonal_definiteness(q, offdiagonal))
     return MetricOperator(N, _slice_matrix(q, offdiagonal), definiteness, "tridiagonal-family")

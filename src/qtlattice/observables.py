@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._size import _as_real, _require_finite
 from .lattice import BiorthogonalSystem
-from .metrics import KappaVector, MetricOperator, _as_real, _relative_max, _require_finite
-from .metrics import _require_square, _require_symmetric
+from .metrics import KappaVector, MetricOperator, _relative_max, _require_square, _require_symmetric
 
 GAP_TOL = 1e-10
 DEFAULT_CRITERION_TOL = 1e-10
@@ -74,7 +74,7 @@ def dieudonne_residual(Lambda: np.ndarray, theta: MetricOperator) -> float:
 def observable_from_hermitian(K: np.ndarray, theta: MetricOperator) -> np.ndarray:
     """Lambda = Theta^{-1} K for finite symmetric K, an observable for Theta by construction."""
     K = _as_real(K, "K")
-    _require_symmetric(K)
+    _require_symmetric(K, "K")
     _require_finite(theta.matrix, "theta")
     if 1.0 / np.linalg.cond(theta.matrix) < 1e-13:
         raise ValueError("theta is numerically singular")
@@ -113,6 +113,7 @@ def spectral_data(Lambda: np.ndarray) -> ObservableSpectralData:
     """
     Lambda = np.asarray(Lambda)
     _require_square(Lambda, "Lambda")
+    _require_finite(Lambda, "Lambda")
     Lambda = Lambda.astype(complex)
     N = Lambda.shape[0]
     eigenvalues, right = np.linalg.eig(Lambda)

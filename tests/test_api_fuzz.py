@@ -1,8 +1,9 @@
 """Hypothesis fuzz over the public API: the counterpart of the CLI fuzz.
 
 Every call either raises ValueError or returns finite values, and no
-non-finite input comes back labelled positive-definite.  Complex and text
-input is a ValueError wherever the library takes real numbers.
+non-finite input comes back labelled positive-definite.  Complex, text, NaN
+and inf input, and input of the wrong rank, is a ValueError naming the
+argument wherever the library takes real numbers.
 """
 
 import numpy as np
@@ -20,6 +21,7 @@ from qtlattice import (
     charge_operator,
     dieudonne_residual,
     hidden_horizon_scan,
+    kappa_from_metric,
     ket,
     metric_from_kappa,
     norm_drift,
@@ -304,6 +306,12 @@ REAL_ARGUMENTS = {
             biorthogonal_system(2), tridiagonal_metric(2, 0.1), EvolutionState(2, [1.0, 0.0]), [0.0, x]
         ),
     ),
+    "kappa_from_metric theta": (
+        "theta",
+        lambda x: kappa_from_metric(
+            biorthogonal_system(2), MetricOperator(2, [[x, 0.0], [0.0, 1.5]], "positive-definite", "")
+        ),
+    ),
 }
 
 
@@ -314,6 +322,57 @@ def test_complex_and_text_are_a_value_error_naming_the_argument(entry, value):
     name, function = REAL_ARGUMENTS[entry]
     with pytest.raises(ValueError, match=f"{name} must be real numbers"):
         function(value)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("entry", REAL_ARGUMENTS)
+def test_nan_and_inf_are_a_value_error_naming_the_argument(entry, value):
+    name, function = REAL_ARGUMENTS[entry]
+    with pytest.raises(ValueError, match=f"{name} is not finite"):
+        function(value)
+
+
+# The same entry points, each with its argument at a wrong rank (ket takes energies of any shape).
+WRONG_RANKS = {
+    "tridiagonal_metric alpha": ("alpha must be one number", lambda: tridiagonal_metric(3, [0.1])),
+    "KappaVector values": ("kappa must be one-dimensional", lambda: KappaVector(2, [[1.0, 2.0]])),
+    "propagator t": ("t must be one number", lambda: propagator(build_hamiltonian(4), [[0.1]])),
+    "charge_operator q": (
+        "q must be one-dimensional", lambda: charge_operator(0.5, tridiagonal_metric(2, 0.1))
+    ),
+    "hidden_horizon_scan K": (
+        "K has wrong shape", lambda: hidden_horizon_scan(2, [1.0, 0.0], [0.1])
+    ),
+    "hidden_horizon_scan grid": (
+        "alpha grid must be one-dimensional", lambda: hidden_horizon_scan(2, np.eye(2), [[0.1, 0.2]])
+    ),
+    "MetricOperator.from_matrix": (
+        "nonempty square matrix", lambda: MetricOperator.from_matrix([1.0, 0.0])
+    ),
+    "observable_from_hermitian K": (
+        "nonempty square K",
+        lambda: observable_from_hermitian(np.ones((2, 2, 2)), tridiagonal_metric(2, 0.1)),
+    ),
+    "norm_trajectory t_grid": (
+        "time grid must be one-dimensional",
+        lambda: norm_trajectory(
+            biorthogonal_system(2), tridiagonal_metric(2, 0.1), EvolutionState(2, [1.0, 0.0]), 0.5
+        ),
+    ),
+    "kappa_from_metric theta": (
+        "dimension mismatch between H and theta",
+        lambda: kappa_from_metric(
+            biorthogonal_system(2), MetricOperator(2, [1.0, 0.0], "positive-definite", "")
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", WRONG_RANKS)
+def test_a_wrong_rank_is_a_value_error_naming_the_argument(entry):
+    message, call = WRONG_RANKS[entry]
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_exports_are_defined_in_their_home_module():

@@ -242,7 +242,30 @@ def test_non_finite_matrix_file_is_a_domain_error(capsys, tmp_path):
     ):
         status, out, err = invoke(argv, capsys)
         assert (status, out) == (1, "")
-        assert "non-finite" in err
+        assert "is not finite" in err
+
+
+@pytest.mark.parametrize(
+    "matrix, message",
+    [('[["1.0", "0"], ["0", "2"]]', "must be real numbers, not <U3 input"),
+     ("[[1.0, 0.0], [0.0]]", "must be real numbers, not ragged input"),
+     ("[1.0, 0.0]", "must be two-dimensional, not one of shape (2,)"),
+     (f"[[1{'0' * 400}, 0], [0, 1]]", "must be real numbers, not object input")],
+    ids=["numeric-text", "ragged", "one-row", "huge-integer"],
+)
+def test_matrix_file_must_hold_a_real_matrix(matrix, message, capsys, tmp_path):
+    """Numeric text is not parsed as numbers, and an integer beyond float range is no
+    OverflowError traceback: the gate of the library reads the file."""
+    matrix_file = tmp_path / "k.json"
+    matrix_file.write_text(f'{{"dimension": 2, "matrix": {matrix}}}')
+    for argv in (
+        ["check-observability", "--n", "2", "--k-matrix", str(matrix_file)],
+        ["scan", "--n", "2", "--alpha-min", "0", "--alpha-max", "1", "--alpha-steps", "3",
+         "--k-matrix", str(matrix_file)],
+    ):
+        status, out, err = invoke(argv, capsys)
+        assert (status, out) == (1, "")
+        assert err == f"error: the matrix in {matrix_file} {message}\n"
 
 
 @pytest.mark.parametrize(

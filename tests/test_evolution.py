@@ -145,6 +145,24 @@ def test_propagator_rejects_non_finite_time(bad):
         propagator(build_hamiltonian(3), bad)
 
 
+@pytest.mark.parametrize("t", [[0.1, 0.2], [0.1]])
+def test_propagator_takes_one_time(t):
+    # one exp(-iHt) per call: an array of times is a ValueError naming t, with one entry too
+    with pytest.raises(ValueError, match=r"^t must be one number, not an array of shape"):
+        propagator(build_hamiltonian(3), t)
+
+
+def test_norm_trajectory_takes_a_one_dimensional_grid():
+    # one norm pair per time: a 2-D grid is not read row by row
+    with pytest.raises(ValueError, match="^the time grid must be one-dimensional"):
+        norm_trajectory(
+            biorthogonal_system(2),
+            tridiagonal_metric(2, 0.1),
+            EvolutionState(2, [1.0, 0.0]),
+            [[0.0, 1.0]],
+        )
+
+
 @pytest.mark.parametrize(
     "dimension, amplitudes",
     [
@@ -172,7 +190,7 @@ def test_norm_drift_rejects_nan_metric():
     matrix = np.diag(build_metric_Q(3))
     matrix[0, 0] = np.nan
     theta = MetricOperator(3, matrix, "positive-definite", "external")
-    with pytest.raises(ValueError, match="intertwine"):
+    with pytest.raises(ValueError, match="theta is not finite"):
         norm_drift(build_hamiltonian(3), theta, EvolutionState(3, np.ones(3)), np.linspace(0, 1, 5))
 
 

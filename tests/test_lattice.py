@@ -82,8 +82,10 @@ def test_ket_values():
     "N, E", [(3, np.nan), (1, np.nan), (3, -np.inf), (2, [0.5, np.inf]), (5, 1e300), (1024, 2.0)]
 )
 def test_ket_rejects_non_finite_energies_and_overflow(N, E):
-    # P_1023(2) is about 1e585; the gate raises before numpy warns
-    with pytest.raises(ValueError, match=f"the length-{N} ket is not finite"):
+    # a NaN or inf energy fails the gate of real input; P_1023(2) is about 1e585,
+    # and the gate on the column raises before numpy warns
+    what = "E" if not np.isfinite(E).all() else f"the length-{N} ket"
+    with pytest.raises(ValueError, match=f"^{what} is not finite"):
         ket(N, E)
 
 

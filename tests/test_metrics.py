@@ -391,7 +391,7 @@ def _nan_labelled_positive(N):
 
 
 def test_kappa_from_metric_rejects_nan_metric(system_cache):
-    with pytest.raises(ValueError, match="intertwine"):
+    with pytest.raises(ValueError, match="theta is not finite"):
         kappa_from_metric(system_cache(3), _nan_labelled_positive(3))
 
 
