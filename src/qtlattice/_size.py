@@ -4,7 +4,7 @@
 with the numerical modules must too.  numpy's integer scalars register as
 `numbers.Integral` and pass; bools are rejected.  The array checks import
 numpy when called: `_as_real` for real input (dtype, finiteness, rank), and
-`_require_finite` for input that may be complex and for computed values.
+`_require_finite` for input that may be complex, computed values and CLI ranges.
 """
 
 from __future__ import annotations

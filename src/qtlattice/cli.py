@@ -18,6 +18,7 @@ import math
 import sys
 
 from . import evolution, exact, horizons, lattice, metrics, observables
+from ._size import _as_real, _require_finite
 
 USAGE_ERROR = 2
 DOMAIN_ERROR = 1
@@ -95,8 +96,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_matrix(path: str, N: int):
-    from ._size import _as_real
-
     with open(path) as fh:
         payload = json.load(fh)
     if not isinstance(payload, dict) or "matrix" not in payload:
@@ -107,14 +106,13 @@ def _load_matrix(path: str, N: int):
     return matrix
 
 
-def _resolve_metric(args, system=None):
+def _resolve_metric(args):
     """(Theta, kappa) of --alpha or --kappa at size --n: the CLI's one metric builder.
 
     --alpha is the tridiagonal Theta(alpha); --kappa a comma list of weights
     or "exceptional", whose KappaVector is returned (else None); neither is
     the diagonal Q, positive-definite by construction and not classified.
     Both options, or an empty or malformed --kappa, are domain errors.
-    `system` is the eigensystem at size --n, if the caller has built it.
     """
     alpha, text = getattr(args, "alpha", None), args.kappa
     if alpha is not None and text is not None:
@@ -126,7 +124,7 @@ def _resolve_metric(args, system=None):
 
         Q = np.diag(lattice.build_metric_Q(args.n))
         return metrics.MetricOperator(args.n, Q, "positive-definite", "diagonal-Q"), None
-    system = system or lattice.biorthogonal_system(args.n)
+    system = lattice.biorthogonal_system(args.n)
     if text == "exceptional":
         kappa = metrics.exceptional_kappa(system)
     else:
@@ -175,8 +173,8 @@ def _cmd_scan(args, out):
 
     if args.alpha_steps < 2:
         raise ValueError("--alpha-steps must be at least 2")
-    if not np.isfinite([args.alpha_min, args.alpha_max]).all():
-        raise ValueError("--alpha-min and --alpha-max must be finite")
+    _require_finite(args.alpha_min, "--alpha-min")
+    _require_finite(args.alpha_max, "--alpha-max")
     grid = np.linspace(args.alpha_min, args.alpha_max, args.alpha_steps)
     K = (
         _load_matrix(args.k_matrix, args.n)
@@ -192,7 +190,7 @@ def _cmd_scan(args, out):
 def _cmd_check_observability(args, out):
     Lambda = _load_matrix(args.k_matrix, args.n)
     system = lattice.biorthogonal_system(args.n)
-    theta, kappa = _resolve_metric(args, system)
+    theta, kappa = _resolve_metric(args)
     residual = observables.dieudonne_residual(Lambda, theta)
     # the default is read here, so that building the parser loads no numerical
     # module; a tolerance given on the command line is positive, never 0
@@ -216,10 +214,9 @@ def _cmd_check_observability(args, out):
 def _cmd_evolve(args, out):
     import numpy as np
 
-    if not np.isfinite(args.t_max):
-        raise ValueError("--t-max must be finite")
+    _require_finite(args.t_max, "--t-max")
     system = lattice.biorthogonal_system(args.n)
-    theta, _ = _resolve_metric(args, system)
+    theta, _ = _resolve_metric(args)
     psi0 = evolution.EvolutionState(args.n, np.ones(args.n) / np.sqrt(args.n))
     t_grid = np.linspace(0.0, args.t_max, args.t_steps)
     theta_norms, dirac_norms = evolution.norm_trajectory(system, theta, psi0, t_grid)

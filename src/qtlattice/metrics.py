@@ -201,11 +201,11 @@ def exceptional_kappa(system: BiorthogonalSystem) -> KappaVector:
 def charge_operator(q: np.ndarray, theta: MetricOperator) -> ChargeOperator:
     """C = Q^{-1} Theta with Q = diag(q), the factor in Theta = Q C.
 
-    ValueError unless q is 1-D, finite and strictly positive, Theta holds finite
-    numbers, and C is finite.
+    ValueError unless q is 1-D, finite and strictly positive, Theta is of its
+    size and holds finite numbers, and C is finite.
     """
     q = _as_real(q, "q", 1)
-    if np.shape(theta.matrix) != (q.size, q.size):
+    if theta.dimension != q.size or np.shape(theta.matrix) != (q.size, q.size):
         raise ValueError("dimension mismatch between Q and theta")
     if np.any(q <= 0):
         raise ValueError("q must be strictly positive")

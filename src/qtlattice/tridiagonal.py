@@ -2,7 +2,8 @@
 
 The one O(N) kernel behind the Legendre root certificate (`legendre`) and the
 definiteness labels of the tridiagonal metric family (`metrics`).  It sits at
-the bottom of the import graph and depends on numpy alone.
+the bottom of the import graph, above `_size`, whose gate `_as_real` checks
+each of its three inputs under its own name, and depends on numpy.
 """
 
 from __future__ import annotations
@@ -10,6 +11,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from ._size import _as_real
 
 _TINY = float(np.finfo(float).tiny)
 _SCALE_ABOVE = 2.0**500
@@ -37,16 +40,14 @@ def sturm_count(diagonal, offdiagonal, shift):
     back as an integer array of the batch shape.  Without a batch the count
     runs on Python floats, which is faster than numpy for one matrix.
     """
-    diagonal = np.asarray(diagonal, dtype=float)
-    offdiagonal = np.asarray(offdiagonal, dtype=float)
-    shift = np.asarray(shift, dtype=float)
-    if diagonal.ndim != 1 or len(diagonal) < 1 or offdiagonal.shape[:1] != (len(diagonal) - 1,):
+    diagonal = _as_real(diagonal, "the diagonal", 1)
+    offdiagonal = _as_real(offdiagonal, "the off-diagonal")
+    shift = _as_real(shift, "the shift")
+    if len(diagonal) < 1 or offdiagonal.shape[:1] != (len(diagonal) - 1,):
         raise ValueError("need N >= 1 diagonal entries and N - 1 off-diagonal entries")
-    extents = [float(np.abs(x).max(initial=0.0)) for x in (diagonal, offdiagonal, shift)]
-    if not all(map(math.isfinite, extents)):
-        raise ValueError("input has non-finite (NaN or inf) entries")
-    if max(extents) > _SCALE_ABOVE:
-        scale = math.ldexp(1.0, -math.frexp(max(extents))[1])
+    extent = max(float(np.abs(x).max(initial=0.0)) for x in (diagonal, offdiagonal, shift))
+    if extent > _SCALE_ABOVE:
+        scale = math.ldexp(1.0, -math.frexp(extent)[1])
         diagonal, offdiagonal, shift = diagonal * scale, offdiagonal * scale, shift * scale
     squared = offdiagonal**2
     zero_pivot = -_TINY * float(squared.max(initial=1.0))  # b^2 / zero_pivot stays finite

@@ -321,7 +321,7 @@ def test_evolve_infinite_t_max_prints_only_the_error():
     # numpy's linspace warns on an infinite endpoint, so the check must come first
     result = _python("-m", "qtlattice.cli", "evolve", "--n", "3", "--t-max", "inf", check=False)
     assert (result.returncode, result.stdout) == (1, "")
-    assert result.stderr.splitlines() == ["error: --t-max must be finite"]
+    assert result.stderr.splitlines() == ["error: --t-max is not finite (NaN or inf)"]
 
 
 def test_failed_command_leaves_out_file_untouched(capsys, tmp_path):

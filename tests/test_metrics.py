@@ -121,6 +121,12 @@ def test_charge_operator_requires_a_finite_positive_q(entry, message):
         charge_operator([0.5, entry, 2.5], theta)
 
 
+def test_charge_operator_requires_theta_of_the_size_of_q():
+    theta = MetricOperator(5, np.eye(2), "positive-definite", "x")
+    with pytest.raises(ValueError, match="theta"):
+        charge_operator(build_metric_Q(2), theta)
+
+
 def test_kappa_from_metric_identities(system_cache):
     system = system_cache(4)
     Q = MetricOperator.from_matrix(np.diag(build_metric_Q(4)), "diagonal-Q")
@@ -330,13 +336,31 @@ def test_sturm_count_huge_entries_exact():
     assert tridiagonal_metric(3, 1e200).definiteness == "indefinite"
 
 
+@pytest.mark.parametrize("batched", [False, True], ids=["scalar", "batched"])
+@pytest.mark.parametrize(
+    "diagonal, offdiagonal, shift, what",
+    [
+        (np.array(["-1", "2"]), ["0.5"], "0", "the diagonal"),
+        (np.array([1 + 5j, 2]), [0.5], 0.0, "the diagonal"),
+        (np.array([-1.0, 2.0], dtype=object), [0.5], 0.0, "the diagonal"),
+        ([1.0, 2.0], [[0.5], [0.5, 0.5]], 0.0, "the off-diagonal"),
+        ([1.0, 2.0], [0.5], "0", "the shift"),
+        ([1.0, 2.0], [0.5], 1j, "the shift"),
+    ],
+    ids=["text", "complex", "object", "ragged", "text-shift", "complex-shift"],
+)
+def test_sturm_count_takes_real_numbers_only(diagonal, offdiagonal, shift, what, batched):
+    with pytest.raises(ValueError, match=f"^{what} must be real numbers"):
+        sturm_count(diagonal, offdiagonal, np.full(2, shift) if batched else shift)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_input_is_a_domain_error(bad, system_cache):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="is not finite"):
         sturm_count([1.0, bad], [0.5], 0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="is not finite"):
         sturm_count([1.0, 2.0], [bad], 0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="is not finite"):
         sturm_count([1.0, 2.0], [0.5], np.array([0.0, bad]))
     with pytest.raises(ValueError):
         classify_definiteness(np.array([[1.0, bad], [bad, 1.0]]))
