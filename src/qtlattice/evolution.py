@@ -61,12 +61,13 @@ def _norms(theta: MetricOperator, v: np.ndarray) -> tuple[float, float]:
     """(Re v^H Theta v, Re v^H v): the squared Theta-norm and Dirac norm of v.
 
     The one positivity gate of every norm path: ValueError unless theta is
-    labelled positive-definite and holds finite numbers, and both norms are
-    finite and positive.
+    labelled positive-definite and of the size of v, and both norms are finite
+    and positive.
     """
     if theta.definiteness != "positive-definite":
         raise ValueError("theta must be positive-definite to define a norm")
-    _require_finite(theta.matrix, "theta")
+    if v.shape != (theta.dimension,):
+        raise ValueError("dimension mismatch between theta and the state")
     with np.errstate(over="ignore", invalid="ignore"):
         norms = float(np.real(v.conj() @ theta.matrix @ v)), float(np.real(v.conj() @ v))
     if not all(0.0 < norm < np.inf for norm in norms):  # False for NaN
@@ -89,9 +90,12 @@ def norm_trajectory(
 
     psi0 is expanded once in the eigenbasis of `system`; each time step is
     then a phase twist of the coefficients.  A grid that is not 1-D, real and
-    finite raises ValueError, and so does every Theta or norm that `theta_norm`
-    rejects, on an empty grid too: there psi0 itself goes through the gate.
+    finite raises ValueError, and so do a system, Theta and psi0 of different
+    sizes and every Theta or norm that `theta_norm` rejects, on an empty grid
+    too: there psi0 itself goes through the gate.
     """
+    if not (system.dimension == theta.dimension == psi0.dimension):
+        raise ValueError("dimension mismatch between the system, theta and the state")
     t_grid = _as_real(t_grid, "the time grid", 1)
     amplitudes = np.asarray(psi0.amplitudes, dtype=complex)
     if not len(t_grid):

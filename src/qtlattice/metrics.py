@@ -14,7 +14,7 @@ positive-definite exactly for |alpha| < 1/(2 max E_j) (see `horizons`).
 `_slice` gives its q = `build_metric_Q(N)` and alpha t, `_slice_matrix` the
 dense Theta(alpha) or a stack of them, and `_none_below_threshold` its
 positive-definiteness test; `horizons` uses these too.  Each entry point reads
-its real input once through `_size._as_real` (dtype, finiteness, rank).
+its real input once through `_size._as_real`; a `MetricOperator` its matrix when built.
 
 Definiteness comes from one of two paths.  The tridiagonal slice is
 classified in O(N) by Sturm counts (`sturm_count`, the LDL^T pivot kernel of
@@ -68,16 +68,22 @@ class KappaVector:
 
 @dataclass(frozen=True)
 class MetricOperator:
-    """A symmetric candidate metric with an honest definiteness label."""
+    """A symmetric candidate metric with an honest definiteness label.  Its matrix is checked
+    once, when built: real, finite and (dimension, dimension), else a ValueError naming theta."""
 
     dimension: int
     matrix: np.ndarray
     definiteness: str  # positive-definite | singular | indefinite
     provenance: str  # diagonal-Q | kappa-family | tridiagonal-family | external
 
+    def __post_init__(self):
+        matrix = _as_real(self.matrix, "theta", 2)
+        object.__setattr__(self, "matrix", matrix)
+        if matrix.shape != (_require_size(self.dimension),) * 2:
+            raise ValueError(f"theta of dimension {self.dimension} has shape {matrix.shape}")
+
     @classmethod
     def from_matrix(cls, matrix: np.ndarray, provenance: str = "external") -> "MetricOperator":
-        matrix = _as_real(matrix, "the matrix")
         definiteness = classify_definiteness(matrix)
         return cls(len(matrix), matrix, definiteness, provenance)
 
@@ -202,14 +208,13 @@ def charge_operator(q: np.ndarray, theta: MetricOperator) -> ChargeOperator:
     """C = Q^{-1} Theta with Q = diag(q), the factor in Theta = Q C.
 
     ValueError unless q is 1-D, finite and strictly positive, Theta is of its
-    size and holds finite numbers, and C is finite.
+    size, and C is finite.
     """
     q = _as_real(q, "q", 1)
-    if theta.dimension != q.size or np.shape(theta.matrix) != (q.size, q.size):
+    if theta.dimension != q.size:
         raise ValueError("dimension mismatch between Q and theta")
     if np.any(q <= 0):
         raise ValueError("q must be strictly positive")
-    _require_finite(theta.matrix, "theta")
     with np.errstate(over="ignore"):
         charge = theta.matrix / q[:, None]
     _require_finite(charge, "the charge operator")
@@ -228,13 +233,12 @@ def _hamiltonian_residual(H: LatticeHamiltonian, theta: MetricOperator) -> float
     (H^T Theta)_{ij} = u_{i-1} Theta_{i-1,j} + l_i Theta_{i+1,j} and
     (Theta H)_{ij} = Theta_{i,j-1} u_{j-1} + Theta_{i,j+1} l_j, with u and l
     the super- and subdiagonal of H: O(N^2) in place of two dense products.
-    Theta must be real and finite (`_as_real`); an overflow gives an inf or NaN
-    residual, which no `<=` gate passes.
+    ValueError unless Theta is of the size of H; an overflow gives an inf or
+    NaN residual, which no `<=` gate passes.
     """
-    matrix = _as_real(theta.matrix, "theta")
-    if matrix.shape != (H.dimension, H.dimension):
+    if theta.dimension != H.dimension:
         raise ValueError("dimension mismatch between H and theta")
-    up, down = H.superdiagonal, H.subdiagonal
+    matrix, up, down = theta.matrix, H.superdiagonal, H.subdiagonal
     residual = np.zeros_like(matrix)
     with np.errstate(invalid="ignore", over="ignore"):
         residual[1:] += up[:, None] * matrix[:-1]
@@ -251,11 +255,8 @@ def kappa_from_metric(system: BiorthogonalSystem, theta: MetricOperator) -> Kapp
     Rejects matrices outside the family, for which the projection would be
     meaningless: unless dieudonne_residual(H, theta) <= 1e-10, which is
     max|H^T Theta - Theta H| <= 1e-10 max|Theta| because max|H| = H[0, 1] = 1
-    for N >= 2 (at N = 1 both residuals are 0).  A Theta with NaN or inf
-    entries is a ValueError too.
+    for N >= 2 (at N = 1 both residuals are 0), and of the size of the system.
     """
-    if theta.dimension != system.dimension:
-        raise ValueError("dimension mismatch")
     if not _hamiltonian_residual(build_hamiltonian(system.dimension), theta) <= INTERTWINING_TOL:
         raise ValueError("matrix does not intertwine with H: not in the metric family")
     quad = np.einsum("ij,ij->j", system.kets, theta.matrix @ system.kets)

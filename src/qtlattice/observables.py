@@ -53,8 +53,8 @@ class OverlapPair:
 def dieudonne_residual(Lambda: np.ndarray, theta: MetricOperator) -> float:
     """max|Lambda^dagger Theta - Theta Lambda| / (max|Theta| max|Lambda|).
 
-    ValueError unless Lambda and Theta hold finite numbers (complex ones too)
-    and the residual is finite.  The scale has no floor, so the residual, and
+    ValueError unless Lambda is of the shape of Theta and finite (complex ones
+    too), and the residual is finite.  The scale has no floor, so the residual, and
     a verdict drawn from it, is the same up to rounding when Theta or Lambda
     is rescaled.  A zero residual is 0, also for a zero Theta or Lambda.
     """
@@ -62,7 +62,6 @@ def dieudonne_residual(Lambda: np.ndarray, theta: MetricOperator) -> float:
     if Lambda.shape != theta.matrix.shape:
         raise ValueError("dimension mismatch between Lambda and theta")
     _require_finite(Lambda, "Lambda")
-    _require_finite(theta.matrix, "theta")
     with np.errstate(over="ignore", invalid="ignore"):  # overflow: an inf or NaN residual
         residual = Lambda.conj().T @ theta.matrix - theta.matrix @ Lambda
         scale = np.max(np.abs(theta.matrix)) * np.max(np.abs(Lambda))
@@ -75,7 +74,8 @@ def observable_from_hermitian(K: np.ndarray, theta: MetricOperator) -> np.ndarra
     """Lambda = Theta^{-1} K for finite symmetric K, an observable for Theta by construction."""
     K = _as_real(K, "K")
     _require_symmetric(K, "K")
-    _require_finite(theta.matrix, "theta")
+    if K.shape != theta.matrix.shape:
+        raise ValueError("dimension mismatch between K and theta")
     if 1.0 / np.linalg.cond(theta.matrix) < 1e-13:
         raise ValueError("theta is numerically singular")
     Lambda = np.linalg.solve(theta.matrix, K)

@@ -21,7 +21,6 @@ from qtlattice import (
     charge_operator,
     dieudonne_residual,
     hidden_horizon_scan,
-    kappa_from_metric,
     ket,
     metric_from_kappa,
     norm_drift,
@@ -75,11 +74,17 @@ def square_or_not(draw, N):
 
 @st.composite
 def any_metric(draw, N):
-    """A tridiagonal family member, or any array under either label, NaN ones included."""
+    """A tridiagonal family member, or any array under either label; None where the array,
+    a NaN one for instance, does not build a MetricOperator."""
     if draw(st.booleans()):
         return tridiagonal_metric(N, draw(st.floats(-2.0, 2.0)))
     label = draw(st.sampled_from(["positive-definite", "indefinite"]))
-    return MetricOperator(N, draw(square_or_not(N)), label, "external")
+    matrix = draw(square_or_not(N))
+    theta = call(MetricOperator, N, matrix, label, "external")
+    if theta is not None:  # built: a real, finite N x N matrix, whatever its label
+        assert real(matrix) and theta.matrix.dtype == float and theta.matrix.shape == (N, N)
+        assert finite(theta.matrix)
+    return theta
 
 
 def real(value):
@@ -202,16 +207,12 @@ def test_evolution_state(dimension, amplitudes):
 @SETTINGS
 @given(N=st.integers(2, 6), data=st.data())
 def test_norm_drift(N, data):
-    """Metrics of every kind, including NaN ones labelled positive-definite."""
-    label = data.draw(st.sampled_from(["positive-definite", "indefinite"]))
-    if data.draw(st.booleans()):
-        theta = tridiagonal_metric(N, data.draw(st.floats(-2.0, 2.0)))
-    else:
-        theta = MetricOperator(N, data.draw(square_or_not(N)), label, "external")
+    """Metrics of every kind, any real finite matrix labelled positive-definite among them."""
+    theta = data.draw(any_metric(N))
     amplitudes = data.draw(arrays((N,)))
     psi0 = call(EvolutionState, N, amplitudes)
     t_grid = data.draw(st.integers(1, 4).flatmap(lambda k: arrays((k,))))
-    if psi0 is None:
+    if theta is None or psi0 is None:
         return
     drift = call(norm_drift, build_hamiltonian(N), theta, psi0, t_grid)
     if drift is not None:
@@ -223,6 +224,8 @@ def test_norm_drift(N, data):
 @given(N=st.integers(2, 6), data=st.data())
 def test_observables_of_any_metric(N, data):
     theta = data.draw(any_metric(N))
+    if theta is None:
+        return
     observable = call(observable_from_hermitian, data.draw(square_or_not(N)), theta)
     residual = call(dieudonne_residual, data.draw(square_or_not(N)), theta)
     charge = call(charge_operator, build_metric_Q(N), theta)
@@ -234,8 +237,8 @@ def test_observables_of_any_metric(N, data):
 @SETTINGS
 @given(N=st.integers(2, 6), data=st.data())
 def test_charge_operator_of_any_q(N, data):
-    q = data.draw(st.one_of(arrays(), arrays((N,))))
-    charge = call(charge_operator, q, data.draw(any_metric(N)))
+    q, theta = data.draw(st.one_of(arrays(), arrays((N,)))), data.draw(any_metric(N))
+    charge = None if theta is None else call(charge_operator, q, theta)
     if charge is not None:
         assert q.shape == (N,) and real(q) and finite(q, charge.matrix) and np.all(q > 0)
 
@@ -247,7 +250,7 @@ def test_norms_of_any_metric(N, data, system_cache):
     theta = data.draw(any_metric(N))
     psi0 = call(EvolutionState, N, data.draw(arrays((N,))))
     t_grid = data.draw(st.integers(1, 4).flatmap(lambda k: arrays((k,))))
-    if psi0 is None:
+    if theta is None or psi0 is None:
         return
     for norms in (
         call(theta_norm, theta, psi0),
@@ -306,11 +309,8 @@ REAL_ARGUMENTS = {
             biorthogonal_system(2), tridiagonal_metric(2, 0.1), EvolutionState(2, [1.0, 0.0]), [0.0, x]
         ),
     ),
-    "kappa_from_metric theta": (
-        "theta",
-        lambda x: kappa_from_metric(
-            biorthogonal_system(2), MetricOperator(2, [[x, 0.0], [0.0, 1.5]], "positive-definite", "")
-        ),
+    "MetricOperator matrix": (
+        "theta", lambda x: MetricOperator(2, [[x, 0.0], [0.0, 1.5]], "positive-definite", "")
     ),
 }
 
@@ -332,7 +332,8 @@ def test_nan_and_inf_are_a_value_error_naming_the_argument(entry, value):
         function(value)
 
 
-# The same entry points, each with its argument at a wrong rank (ket takes energies of any shape).
+# The same entry points, each with its argument at a wrong rank (ket takes energies of any shape),
+# and a MetricOperator whose matrix is not square or not of its dimension.
 WRONG_RANKS = {
     "tridiagonal_metric alpha": ("alpha must be one number", lambda: tridiagonal_metric(3, [0.1])),
     "KappaVector values": ("kappa must be one-dimensional", lambda: KappaVector(2, [[1.0, 2.0]])),
@@ -359,11 +360,21 @@ WRONG_RANKS = {
             biorthogonal_system(2), tridiagonal_metric(2, 0.1), EvolutionState(2, [1.0, 0.0]), 0.5
         ),
     ),
-    "kappa_from_metric theta": (
-        "dimension mismatch between H and theta",
-        lambda: kappa_from_metric(
-            biorthogonal_system(2), MetricOperator(2, [1.0, 0.0], "positive-definite", "")
-        ),
+    "MetricOperator matrix 1-D": (
+        "theta must be two-dimensional",
+        lambda: MetricOperator(2, [1.0, 0.0], "positive-definite", ""),
+    ),
+    "MetricOperator matrix 3-D": (
+        "theta must be two-dimensional",
+        lambda: MetricOperator(2, np.ones((2, 2, 2)), "positive-definite", ""),
+    ),
+    "MetricOperator matrix not square": (
+        "theta of dimension 2 has shape",
+        lambda: MetricOperator(2, np.ones((2, 3)), "indefinite", ""),
+    ),
+    "MetricOperator matrix of another dimension": (
+        "theta of dimension 3 has shape",
+        lambda: MetricOperator(3, np.eye(2), "positive-definite", ""),
     ),
 }
 

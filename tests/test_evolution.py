@@ -187,11 +187,47 @@ def test_theta_norm_of_a_state_built_from_a_list():
 
 
 def test_norm_drift_rejects_nan_metric():
+    """A NaN Theta never reaches norm_drift: it is rejected when it is built."""
     matrix = np.diag(build_metric_Q(3))
     matrix[0, 0] = np.nan
-    theta = MetricOperator(3, matrix, "positive-definite", "external")
     with pytest.raises(ValueError, match="theta is not finite"):
-        norm_drift(build_hamiltonian(3), theta, EvolutionState(3, np.ones(3)), np.linspace(0, 1, 5))
+        MetricOperator(3, matrix, "positive-definite", "external")
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda: theta_norm(tridiagonal_metric(4, 0.1), EvolutionState(3, np.ones(3))),
+            "theta and the state",
+        ),
+        (
+            lambda: norm_trajectory(
+                biorthogonal_system(3), tridiagonal_metric(3, 0.1), EvolutionState(4, np.ones(4)),
+                [0.0, 1.0],
+            ),
+            "the system, theta and the state",
+        ),
+        (
+            lambda: norm_trajectory(
+                biorthogonal_system(3), tridiagonal_metric(4, 0.1), EvolutionState(3, np.ones(3)),
+                [0.0, 1.0],
+            ),
+            "the system, theta and the state",
+        ),
+        (
+            lambda: norm_drift(
+                build_hamiltonian(3), tridiagonal_metric(3, 0.1), EvolutionState(4, np.ones(4)),
+                [0.0, 1.0],
+            ),
+            "theta and the state",
+        ),
+    ],
+    ids=["theta_norm", "norm_trajectory state", "norm_trajectory theta", "norm_drift state"],
+)
+def test_norm_paths_name_a_size_mismatch(call, message):
+    with pytest.raises(ValueError, match=f"dimension mismatch between {message}$"):
+        call()
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e-6, 1e-11])

@@ -122,8 +122,8 @@ def test_charge_operator_requires_a_finite_positive_q(entry, message):
 
 
 def test_charge_operator_requires_theta_of_the_size_of_q():
-    theta = MetricOperator(5, np.eye(2), "positive-definite", "x")
-    with pytest.raises(ValueError, match="theta"):
+    theta = tridiagonal_metric(3, 0.1)
+    with pytest.raises(ValueError, match="dimension mismatch between Q and theta"):
         charge_operator(build_metric_Q(2), theta)
 
 
@@ -408,15 +408,17 @@ def test_banded_residual_matches_dense(N, rng):
         assert gap <= 8 * np.finfo(float).eps
 
 
-def _nan_labelled_positive(N):
-    matrix = np.diag(build_metric_Q(N))
+def test_kappa_from_metric_rejects_nan_metric():
+    """A NaN Theta labelled positive-definite is rejected when it is built, before any use."""
+    matrix = np.diag(build_metric_Q(3))
     matrix[0, 0] = np.nan
-    return MetricOperator(N, matrix, "positive-definite", "external")
-
-
-def test_kappa_from_metric_rejects_nan_metric(system_cache):
     with pytest.raises(ValueError, match="theta is not finite"):
-        kappa_from_metric(system_cache(3), _nan_labelled_positive(3))
+        MetricOperator(3, matrix, "positive-definite", "external")
+
+
+def test_kappa_from_metric_requires_theta_of_the_size_of_the_system(system_cache):
+    with pytest.raises(ValueError, match="dimension mismatch between H and theta"):
+        kappa_from_metric(system_cache(3), tridiagonal_metric(4, 0.1))
 
 
 @pytest.mark.parametrize(

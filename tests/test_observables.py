@@ -16,6 +16,7 @@ from qtlattice import (
     observable_from_hermitian,
     overlap_matrices,
     spectral_data,
+    tridiagonal_metric,
 )
 from qtlattice.observables import ObservableSpectralData
 
@@ -58,15 +59,32 @@ def test_observable_from_hermitian_certified(rng):
 
 
 def test_observable_from_hermitian_rejects_singular():
-    # a NaN or inf Theta is named as such, not reported by the SVD or as singular
-    for matrix, message in [
-        (np.zeros((2, 2)), "theta is numerically singular"),
-        (np.diag([np.nan, 1.0]), "theta is not finite"),
-        (np.diag([np.inf, 1.0]), "theta is not finite"),
-    ]:
-        theta = MetricOperator(2, matrix, "singular", "external")
-        with pytest.raises(ValueError, match=message):
-            observable_from_hermitian(np.eye(2), theta)
+    theta = MetricOperator(2, np.zeros((2, 2)), "singular", "external")
+    with pytest.raises(ValueError, match="theta is numerically singular"):
+        observable_from_hermitian(np.eye(2), theta)
+    # a NaN or inf Theta is named as such when it is built, so it never reaches the SVD
+    for entry in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="theta is not finite"):
+            MetricOperator(2, np.diag([entry, 1.0]), "singular", "external")
+
+
+def test_observable_from_hermitian_names_a_size_mismatch():
+    with pytest.raises(ValueError, match="dimension mismatch between K and theta"):
+        observable_from_hermitian(np.eye(2), tridiagonal_metric(3, 0.1))
+
+
+def test_dieudonne_residual_of_a_theta_built_from_lists():
+    theta = MetricOperator(2, [[1.0, 0.0], [0.0, 2.0]], "positive-definite", "x")
+    assert isinstance(theta.matrix, np.ndarray)
+    assert dieudonne_residual(np.eye(2), theta) == 0.0
+
+
+def test_dieudonne_residual_never_sees_a_theta_that_is_not_a_matrix():
+    """A 3-D Theta is not a matrix: no residual, and so no "observable" verdict, for it."""
+    with pytest.raises(ValueError, match="theta must be two-dimensional"):
+        dieudonne_residual(
+            np.ones((2, 2, 2)), MetricOperator(2, np.ones((2, 2, 2)), "positive-definite", "x")
+        )
 
 
 def test_spectral_data_diagonal():
