@@ -18,7 +18,7 @@ from qtlattice import (
 
 def main():
     N = 4
-    theta = MetricOperator.from_matrix(np.diag(build_metric_Q(N)), "diagonal-Q")
+    theta = MetricOperator(np.diag(build_metric_Q(N)), "diagonal-Q")
     psi0 = EvolutionState(N, np.ones(N) / 2.0)
     drift_theta, drift_dirac = norm_drift(
         build_hamiltonian(N), theta, psi0, np.linspace(0.0, 10.0, 101)

@@ -12,6 +12,7 @@ exact oracle of `verify` never import numpy.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import io
 import json
 import math
@@ -111,8 +112,7 @@ def _resolve_metric(args):
 
     --alpha is the tridiagonal Theta(alpha); --kappa a comma list of weights
     or "exceptional", whose KappaVector is returned (else None); neither is
-    the diagonal Q, positive-definite by construction and not classified.
-    Both options, or an empty or malformed --kappa, are domain errors.
+    the diagonal Q.  Both options, or an empty or malformed --kappa, are domain errors.
     """
     alpha, text = getattr(args, "alpha", None), args.kappa
     if alpha is not None and text is not None:
@@ -122,8 +122,7 @@ def _resolve_metric(args):
     if text is None:
         import numpy as np
 
-        Q = np.diag(lattice.build_metric_Q(args.n))
-        return metrics.MetricOperator(args.n, Q, "positive-definite", "diagonal-Q"), None
+        return metrics.MetricOperator(np.diag(lattice.build_metric_Q(args.n)), "diagonal-Q"), None
     system = lattice.biorthogonal_system(args.n)
     if text == "exceptional":
         kappa = metrics.exceptional_kappa(system)
@@ -155,17 +154,17 @@ def _cmd_metric(args, out):
     theta, _ = _resolve_metric(args)
     if args.require_positive and theta.definiteness != "positive-definite":
         raise ValueError(f"metric is {theta.definiteness}, not positive-definite")
-    _dump_json(vars(theta), out)
+    _dump_json(dataclasses.asdict(theta), out)
 
 
 def _cmd_charge(args, out):
     theta, _ = _resolve_metric(args)
     C = metrics.charge_operator(lattice.build_metric_Q(args.n), theta)
-    _dump_json(vars(C), out)
+    _dump_json(dataclasses.asdict(C), out)
 
 
 def _cmd_horizon(args, out):
-    _dump_json(vars(horizons.horizon_gamma(args.n)), out)
+    _dump_json(dataclasses.asdict(horizons.horizon_gamma(args.n)), out)
 
 
 def _cmd_scan(args, out):
@@ -215,6 +214,8 @@ def _cmd_evolve(args, out):
     import numpy as np
 
     _require_finite(args.t_max, "--t-max")
+    if args.t_steps < 0:
+        raise ValueError("--t-steps must be at least 0")
     system = lattice.biorthogonal_system(args.n)
     theta, _ = _resolve_metric(args)
     psi0 = evolution.EvolutionState(args.n, np.ones(args.n) / np.sqrt(args.n))

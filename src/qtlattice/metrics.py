@@ -16,14 +16,14 @@ dense Theta(alpha) or a stack of them, and `_none_below_threshold` its
 positive-definiteness test; `horizons` uses these too.  Each entry point reads
 its real input once through `_size._as_real`; a `MetricOperator` its matrix when built.
 
-Definiteness comes from one of two paths.  The tridiagonal slice is
+Definiteness comes from one of two paths, chosen by the band structure of Theta.
+A Theta with no nonzero entry off its three central diagonals (the slice, Q) is
 classified in O(N) by Sturm counts (`sturm_count`, the LDL^T pivot kernel of
 the `tridiagonal` module that also certifies the Legendre roots): by
 Sylvester's law of inertia the number of negative pivots of Theta - sigma I
 is the number of eigenvalues below sigma, and counts at sigma = +thr and
--thr give the three labels.  Dense metrics (kappa-family and external) are
-classified by one Cholesky factorization of Theta - thr I with an
-eigenvalue tie-break.
+-thr give the three labels.  Any other Theta (the kappa family) is labelled by
+one Cholesky factorization of Theta - thr I with an eigenvalue tie-break.
 
 Error model of the threshold thr = 1e-12 max|Theta| (`_pivot_threshold`, both
 paths): the computed pivots are the exact pivots of a matrix with the same
@@ -39,7 +39,7 @@ underflows), both paths read singular unless positive-definite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -68,24 +68,21 @@ class KappaVector:
 
 @dataclass(frozen=True)
 class MetricOperator:
-    """A symmetric candidate metric with an honest definiteness label.  Its matrix is checked
-    once, when built: real, finite and (dimension, dimension), else a ValueError naming theta."""
+    """A symmetric candidate metric, labelled by its matrix alone.  The matrix is checked once,
+    when built: real, finite, nonempty, square and symmetric, else a ValueError naming theta;
+    `dimension` and `definiteness` (from `classify_definiteness`) are derived from it."""
 
-    dimension: int
+    dimension: int = field(init=False)
     matrix: np.ndarray
-    definiteness: str  # positive-definite | singular | indefinite
-    provenance: str  # diagonal-Q | kappa-family | tridiagonal-family | external
+    definiteness: str = field(init=False)  # positive-definite | singular | indefinite
+    provenance: str = "external"  # diagonal-Q | kappa-family | tridiagonal-family | external
 
     def __post_init__(self):
         matrix = _as_real(self.matrix, "theta", 2)
+        _require_symmetric(matrix, "theta")
         object.__setattr__(self, "matrix", matrix)
-        if matrix.shape != (_require_size(self.dimension),) * 2:
-            raise ValueError(f"theta of dimension {self.dimension} has shape {matrix.shape}")
-
-    @classmethod
-    def from_matrix(cls, matrix: np.ndarray, provenance: str = "external") -> "MetricOperator":
-        definiteness = classify_definiteness(matrix)
-        return cls(len(matrix), matrix, definiteness, provenance)
+        object.__setattr__(self, "dimension", len(matrix))
+        object.__setattr__(self, "definiteness", classify_definiteness(matrix))
 
 
 @dataclass(frozen=True)
@@ -160,17 +157,20 @@ def tridiagonal_definiteness(diagonal, offdiagonal) -> np.ndarray:
 
 
 def classify_definiteness(matrix: np.ndarray) -> str:
-    """Classify a dense symmetric matrix as positive-definite, singular or indefinite.
+    """Label a matrix that passed the `MetricOperator` gate: with no nonzero entry off its three
+    central diagonals, in O(N) by `tridiagonal_definiteness` of its diagonal and lower band (the
+    triangle that Cholesky reads); any other by `_cholesky_definiteness`."""
+    band = [np.diagonal(matrix, k) for k in (-1, 0, 1)]
+    if np.count_nonzero(matrix) == sum(map(np.count_nonzero, band)):
+        return str(tridiagonal_definiteness(band[1], band[0]))
+    return _cholesky_definiteness(matrix)
 
-    The path for kappa-family and external metrics; the tridiagonal family
-    uses `tridiagonal_definiteness`.  Positive-definite when the Cholesky
-    factorization of Theta - thr I succeeds, thr = 1e-12 max|Theta|
-    (`_pivot_threshold`); otherwise the smallest eigenvalue breaks the tie:
-    within thr of zero, or any eigenvalue where thr = 0, is singular, below
-    it indefinite.
-    """
-    matrix = _as_real(matrix, "the matrix")
-    _require_symmetric(matrix)
+
+def _cholesky_definiteness(matrix: np.ndarray) -> str:
+    """Positive-definite when the Cholesky factorization of Theta - thr I succeeds,
+    thr = 1e-12 max|Theta| (`_pivot_threshold`); otherwise the smallest eigenvalue breaks
+    the tie: within thr of zero, or any eigenvalue where thr = 0, is singular, below it
+    indefinite."""
     threshold = _pivot_threshold(matrix)
     try:
         np.linalg.cholesky(matrix - threshold * np.eye(len(matrix)))
@@ -186,17 +186,16 @@ def classify_definiteness(matrix: np.ndarray) -> str:
 def metric_from_kappa(system: BiorthogonalSystem, kappa: KappaVector) -> MetricOperator:
     """Theta = sum_j (Q psi_j) kappa_j (Q psi_j)^T; ValueError unless every kappa_j is positive.
 
-    Positive-definite in exact arithmetic.  The label still comes from
-    `classify_definiteness`, so weights of very different sizes can read singular.
+    Positive-definite in exact arithmetic, but weights of very different sizes can read singular.
     """
     if kappa.dimension != system.dimension:
         raise ValueError("kappa dimension does not match system")
     if np.any(kappa.values <= 0):
         raise ValueError("kappa must be strictly positive")
-    with np.errstate(over="ignore"):  # inf entries fail the gate of from_matrix
+    with np.errstate(over="ignore"):  # inf entries fail the gate of MetricOperator
         matrix = (system.ketkets * kappa.values[None, :]) @ system.ketkets.T
         matrix = 0.5 * (matrix + matrix.T)
-    return MetricOperator.from_matrix(matrix, "kappa-family")
+    return MetricOperator(matrix, "kappa-family")
 
 
 def exceptional_kappa(system: BiorthogonalSystem) -> KappaVector:
@@ -267,5 +266,4 @@ def tridiagonal_metric(N: int, alpha: float) -> MetricOperator:
     """Theta(alpha) = Q + alpha T for the unique tridiagonal-ansatz couplings, at one real alpha."""
     N = _require_size(N, 2)
     q, offdiagonal = _slice(N, _as_real(alpha, "alpha", 0))
-    definiteness = str(tridiagonal_definiteness(q, offdiagonal))
-    return MetricOperator(N, _slice_matrix(q, offdiagonal), definiteness, "tridiagonal-family")
+    return MetricOperator(_slice_matrix(q, offdiagonal), "tridiagonal-family")

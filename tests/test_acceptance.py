@@ -151,7 +151,7 @@ def test_criterion_08_observability_criterion(system_cache):
 
 
 def test_criterion_09_unitarity():
-    theta = qt.MetricOperator.from_matrix(np.diag(qt.build_metric_Q(4)), "diagonal-Q")
+    theta = qt.MetricOperator(np.diag(qt.build_metric_Q(4)), "diagonal-Q")
     drift_theta, drift_dirac = qt.norm_drift(
         qt.build_hamiltonian(4),
         theta,

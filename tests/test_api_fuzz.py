@@ -74,16 +74,15 @@ def square_or_not(draw, N):
 
 @st.composite
 def any_metric(draw, N):
-    """A tridiagonal family member, or any array under either label; None where the array,
-    a NaN one for instance, does not build a MetricOperator."""
+    """A tridiagonal family member, or any array; None where the array, a NaN or an
+    asymmetric one for instance, does not build a MetricOperator."""
     if draw(st.booleans()):
         return tridiagonal_metric(N, draw(st.floats(-2.0, 2.0)))
-    label = draw(st.sampled_from(["positive-definite", "indefinite"]))
     matrix = draw(square_or_not(N))
-    theta = call(MetricOperator, N, matrix, label, "external")
-    if theta is not None:  # built: a real, finite N x N matrix, whatever its label
+    theta = call(MetricOperator, matrix)
+    if theta is not None:  # built: a real, finite, square matrix with the label it earns
         assert real(matrix) and theta.matrix.dtype == float and theta.matrix.shape == (N, N)
-        assert finite(theta.matrix)
+        assert_honest(theta, matrix)
     return theta
 
 
@@ -153,9 +152,9 @@ def test_metric_from_kappa(N, data, system_cache):
 
 @SETTINGS
 @given(data=st.data())
-def test_from_matrix(data):
+def test_metric_operator(data):
     matrix = data.draw(st.one_of(arrays(), square_or_not(data.draw(st.integers(1, 4)))))
-    theta = call(MetricOperator.from_matrix, matrix)
+    theta = call(MetricOperator, matrix)
     if theta is not None:
         assert theta.matrix.shape == (theta.dimension, theta.dimension) and theta.dimension >= 1
         assert real(matrix)
@@ -207,7 +206,7 @@ def test_evolution_state(dimension, amplitudes):
 @SETTINGS
 @given(N=st.integers(2, 6), data=st.data())
 def test_norm_drift(N, data):
-    """Metrics of every kind, any real finite matrix labelled positive-definite among them."""
+    """Metrics of every kind, any real finite symmetric matrix among them."""
     theta = data.draw(any_metric(N))
     amplitudes = data.draw(arrays((N,)))
     psi0 = call(EvolutionState, N, amplitudes)
@@ -276,7 +275,7 @@ HUGE = {
     ),
     "zero metric": lambda: norm_drift(
         build_hamiltonian(2),
-        MetricOperator(2, np.zeros((2, 2)), "positive-definite", "external"),
+        MetricOperator(np.zeros((2, 2))),
         EvolutionState(2, [1.0, 0.0]),
         [0.0],
     ),
@@ -299,7 +298,6 @@ REAL_ARGUMENTS = {
     "charge_operator q": ("q", lambda x: charge_operator([x, 1.5], tridiagonal_metric(2, 0.1))),
     "hidden_horizon_scan K": ("K", lambda x: hidden_horizon_scan(2, [[x, 0.0], [0.0, 1.0]], [0.1])),
     "hidden_horizon_scan grid": ("alpha grid", lambda x: hidden_horizon_scan(2, np.eye(2), [0.1, x])),
-    "MetricOperator.from_matrix": ("matrix", lambda x: MetricOperator.from_matrix([[x, 0.0], [0.0, 1.0]])),
     "observable_from_hermitian K": (
         "K", lambda x: observable_from_hermitian([[x, 0.0], [0.0, 1.0]], tridiagonal_metric(2, 0.1))
     ),
@@ -309,9 +307,7 @@ REAL_ARGUMENTS = {
             biorthogonal_system(2), tridiagonal_metric(2, 0.1), EvolutionState(2, [1.0, 0.0]), [0.0, x]
         ),
     ),
-    "MetricOperator matrix": (
-        "theta", lambda x: MetricOperator(2, [[x, 0.0], [0.0, 1.5]], "positive-definite", "")
-    ),
+    "MetricOperator matrix": ("theta", lambda x: MetricOperator([[x, 0.0], [0.0, 1.5]])),
 }
 
 
@@ -333,7 +329,7 @@ def test_nan_and_inf_are_a_value_error_naming_the_argument(entry, value):
 
 
 # The same entry points, each with its argument at a wrong rank (ket takes energies of any shape),
-# and a MetricOperator whose matrix is not square or not of its dimension.
+# and a MetricOperator whose matrix is not square.
 WRONG_RANKS = {
     "tridiagonal_metric alpha": ("alpha must be one number", lambda: tridiagonal_metric(3, [0.1])),
     "KappaVector values": ("kappa must be one-dimensional", lambda: KappaVector(2, [[1.0, 2.0]])),
@@ -347,9 +343,6 @@ WRONG_RANKS = {
     "hidden_horizon_scan grid": (
         "alpha grid must be one-dimensional", lambda: hidden_horizon_scan(2, np.eye(2), [[0.1, 0.2]])
     ),
-    "MetricOperator.from_matrix": (
-        "nonempty square matrix", lambda: MetricOperator.from_matrix([1.0, 0.0])
-    ),
     "observable_from_hermitian K": (
         "nonempty square K",
         lambda: observable_from_hermitian(np.ones((2, 2, 2)), tridiagonal_metric(2, 0.1)),
@@ -361,20 +354,13 @@ WRONG_RANKS = {
         ),
     ),
     "MetricOperator matrix 1-D": (
-        "theta must be two-dimensional",
-        lambda: MetricOperator(2, [1.0, 0.0], "positive-definite", ""),
+        "theta must be two-dimensional", lambda: MetricOperator([1.0, 0.0])
     ),
     "MetricOperator matrix 3-D": (
-        "theta must be two-dimensional",
-        lambda: MetricOperator(2, np.ones((2, 2, 2)), "positive-definite", ""),
+        "theta must be two-dimensional", lambda: MetricOperator(np.ones((2, 2, 2)))
     ),
     "MetricOperator matrix not square": (
-        "theta of dimension 2 has shape",
-        lambda: MetricOperator(2, np.ones((2, 3)), "indefinite", ""),
-    ),
-    "MetricOperator matrix of another dimension": (
-        "theta of dimension 3 has shape",
-        lambda: MetricOperator(3, np.eye(2), "positive-definite", ""),
+        "expected a nonempty square theta", lambda: MetricOperator(np.ones((2, 3)))
     ),
 }
 

@@ -63,6 +63,20 @@ def test_metric_kappa_exceptional(capsys):
     assert payload["definiteness"] == "positive-definite"
 
 
+@pytest.mark.parametrize(
+    "argv, provenance",
+    [([], "diagonal-Q"), (["--alpha", "0.1"], "tridiagonal-family"),
+     (["--kappa", "exceptional"], "kappa-family")],
+)
+def test_metric_json_keys_and_the_label_of_diagonal_q(argv, provenance, capsys):
+    """The diagonal Q is labelled by the classifier too, and the keys keep their order."""
+    status, out, _ = invoke(["metric", "--n", "4", "--require-positive", *argv], capsys)
+    payload = json.loads(out)
+    assert status == 0 and list(payload) == ["dimension", "matrix", "definiteness", "provenance"]
+    assert (payload["dimension"], payload["definiteness"]) == (4, "positive-definite")
+    assert payload["provenance"] == provenance
+
+
 def test_charge_exceptional_is_identity(capsys):
     status, out, _ = invoke(["charge", "--n", "3", "--kappa", "exceptional"], capsys)
     assert status == 0
@@ -295,6 +309,12 @@ def test_evolve_bad_time_grid_is_a_domain_error_without_output(argv, capsys):
     status, out, err = invoke(["evolve", "--n", "3", *argv], capsys)
     assert (status, out) == (1, "")
     assert err.startswith("error: ")
+
+
+def test_evolve_negative_t_steps_is_one_error_line_naming_the_option(capsys):
+    status, out, err = invoke(["evolve", "--n", "3", "--t-steps", "-1"], capsys)
+    assert (status, out) == (1, "")
+    assert err.count("\n") == 1 and "--t-steps" in err
 
 
 @pytest.mark.parametrize(
@@ -611,7 +631,7 @@ def _reference_evolve(N, t_grid, kappa=None):
 
     system = qt.biorthogonal_system(N)
     if kappa is None:
-        theta = qt.MetricOperator(N, np.diag(qt.build_metric_Q(N)), "positive-definite", "Q")
+        theta = qt.MetricOperator(np.diag(qt.build_metric_Q(N)), "diagonal-Q")
     else:
         theta = qt.metric_from_kappa(system, qt.KappaVector(N, kappa))
     psi0 = qt.EvolutionState(N, np.ones(N) / np.sqrt(N))

@@ -19,7 +19,7 @@ from qtlattice import (
 
 
 def Q_metric(N):
-    return MetricOperator.from_matrix(np.diag(build_metric_Q(N)), "diagonal-Q")
+    return MetricOperator(np.diag(build_metric_Q(N)), "diagonal-Q")
 
 
 def test_propagator_at_zero_is_identity():
@@ -64,13 +64,13 @@ def test_theta_norm_values():
     Q = Q_metric(2)
     assert theta_norm(Q, EvolutionState(2, np.array([1.0, 0.0]))) == 0.5
     assert theta_norm(Q, EvolutionState(2, np.array([0.0, 1.0]))) == 1.5
-    identity = MetricOperator.from_matrix(np.eye(2), "external")
+    identity = MetricOperator(np.eye(2))
     assert theta_norm(identity, EvolutionState(2, np.array([0.6, 0.8]))) == pytest.approx(1.0)
 
 
 def test_theta_norm_rejects_indefinite():
-    indefinite = MetricOperator.from_matrix(np.diag([1.0, -1.0]), "external")
-    with pytest.raises(ValueError):
+    indefinite = MetricOperator(np.diag([1.0, -1.0]), "x")
+    with pytest.raises(ValueError, match="positive-definite"):
         theta_norm(indefinite, EvolutionState(2, np.array([1.0, 0.0])))
 
 
@@ -100,7 +100,7 @@ def test_standard_demo_drifts():
 
 
 def test_incompatible_metric_rejected():
-    theta = MetricOperator.from_matrix(np.diag([1.0, 2.0]), "external")
+    theta = MetricOperator(np.diag([1.0, 2.0]))
     with pytest.raises(ValueError):
         norm_drift(
             build_hamiltonian(2), theta, EvolutionState(2, np.array([1.0, 1.0])),
@@ -191,7 +191,7 @@ def test_norm_drift_rejects_nan_metric():
     matrix = np.diag(build_metric_Q(3))
     matrix[0, 0] = np.nan
     with pytest.raises(ValueError, match="theta is not finite"):
-        MetricOperator(3, matrix, "positive-definite", "external")
+        MetricOperator(matrix)
 
 
 @pytest.mark.parametrize(
@@ -233,7 +233,7 @@ def test_norm_paths_name_a_size_mismatch(call, message):
 @pytest.mark.parametrize("scale", [1.0, 1e-6, 1e-11])
 def test_norm_drift_gate_is_relative_to_theta(scale):
     """Theta = c I does not intertwine with H at any scale c: residual max|H^T - H| / max|H|."""
-    theta = MetricOperator.from_matrix(scale * np.eye(4), "x")
+    theta = MetricOperator(scale * np.eye(4), "x")
     with pytest.raises(ValueError, match="intertwine"):
         norm_drift(build_hamiltonian(4), theta, EvolutionState(4, np.ones(4)), np.linspace(0, 5, 11))
 
@@ -267,7 +267,13 @@ def test_norm_trajectory_gates_an_empty_grid():
     assert theta_norms.shape == dirac_norms.shape == (0,)
 
 
-def test_theta_norm_rejects_a_zero_metric_labelled_positive_definite():
-    zero = MetricOperator(2, np.zeros((2, 2)), "positive-definite", "external")
-    with pytest.raises(ValueError, match="finite and positive"):
-        theta_norm(zero, EvolutionState(2, [1.0, 0.0]))
+def test_a_zero_metric_reads_singular_and_every_norm_path_rejects_it():
+    zero, psi = MetricOperator(np.zeros((2, 2))), EvolutionState(2, [1.0, 0.0])
+    assert zero.definiteness == "singular"
+    for call in (
+        lambda: theta_norm(zero, psi),
+        lambda: norm_trajectory(biorthogonal_system(2), zero, psi, [0.0, 1.0]),
+        lambda: norm_drift(build_hamiltonian(2), zero, psi, [0.0, 1.0]),
+    ):
+        with pytest.raises(ValueError, match="positive-definite"):
+            call()

@@ -12,12 +12,13 @@ from qtlattice import (
     charge_operator,
     dieudonne_residual,
     exceptional_kappa,
+    horizon_gamma,
     kappa_from_metric,
     metric_from_kappa,
     observable_from_hermitian,
     tridiagonal_metric,
 )
-from qtlattice.metrics import classify_definiteness, tridiagonal_definiteness
+from qtlattice.metrics import _cholesky_definiteness, classify_definiteness, tridiagonal_definiteness
 from qtlattice.tridiagonal import sturm_count
 
 
@@ -81,7 +82,7 @@ def test_random_kappa_family(N, system_cache, rng):
 
 def test_charge_trivial_cases(system_cache):
     Q = build_metric_Q(3)
-    theta_Q = MetricOperator.from_matrix(np.diag(Q), "diagonal-Q")
+    theta_Q = MetricOperator(np.diag(Q), "diagonal-Q")
     C = charge_operator(Q, theta_Q)
     np.testing.assert_array_equal(C.matrix, np.eye(3))
 
@@ -116,7 +117,7 @@ def test_charge_similar_to_kappa_n_diagonal(N, system_cache, rng):
     [(0.0, "positive"), (-1.5, "positive"), (np.inf, "finite"), (-np.inf, "finite")],
 )
 def test_charge_operator_requires_a_finite_positive_q(entry, message):
-    theta = MetricOperator.from_matrix(np.diag(build_metric_Q(3)), "diagonal-Q")
+    theta = MetricOperator(np.diag(build_metric_Q(3)), "diagonal-Q")
     with pytest.raises(ValueError, match=f"^q .*{message}"):
         charge_operator([0.5, entry, 2.5], theta)
 
@@ -129,11 +130,11 @@ def test_charge_operator_requires_theta_of_the_size_of_q():
 
 def test_kappa_from_metric_identities(system_cache):
     system = system_cache(4)
-    Q = MetricOperator.from_matrix(np.diag(build_metric_Q(4)), "diagonal-Q")
+    Q = MetricOperator(np.diag(build_metric_Q(4)), "diagonal-Q")
     np.testing.assert_allclose(
         kappa_from_metric(system, Q).values, exceptional_kappa(system).values, rtol=1e-12
     )
-    Q3 = MetricOperator.from_matrix(3.0 * np.diag(build_metric_Q(4)), "external")
+    Q3 = MetricOperator(3.0 * np.diag(build_metric_Q(4)))
     np.testing.assert_allclose(
         kappa_from_metric(system, Q3).values,
         3.0 * exceptional_kappa(system).values,
@@ -145,7 +146,7 @@ def test_kappa_from_metric_identities(system_cache):
 
 
 def test_kappa_from_metric_rejects_non_members(system_cache):
-    bad = MetricOperator.from_matrix(np.diag([1.0, 2.0, 3.0]), "external")
+    bad = MetricOperator(np.diag([1.0, 2.0, 3.0]))
     with pytest.raises(ValueError):
         kappa_from_metric(system_cache(3), bad)
 
@@ -199,9 +200,17 @@ def test_definiteness_classification():
     assert classify_definiteness(tridiagonal_metric(2, 0.5).matrix) == "positive-definite"
 
 
-def test_classification_rejects_asymmetric():
-    with pytest.raises(ValueError):
-        classify_definiteness(np.array([[1.0, 0.5], [0.0, 1.0]]))
+def test_metric_operator_rejects_asymmetric():
+    with pytest.raises(ValueError, match="^theta is not symmetric"):
+        MetricOperator([[1.0, 5.0], [0.0, 1.0]], "x")
+
+
+def test_metric_operator_labels_itself():
+    """No caller sets the label: an indefinite Theta reads indefinite whatever its provenance."""
+    assert MetricOperator(np.diag([1.0, -1.0]), "x").definiteness == "indefinite"
+    assert MetricOperator(np.zeros((2, 2))).definiteness == "singular"
+    theta = MetricOperator(np.diag(build_metric_Q(3)), "diagonal-Q")
+    assert (theta.dimension, theta.definiteness) == (3, "positive-definite")
 
 
 def test_symmetry_gate_is_scale_invariant(rng):
@@ -211,10 +220,10 @@ def test_symmetry_gate_is_scale_invariant(rng):
     skewed = S + 1e-10 * rng.normal(size=(4, 4))
     theta = tridiagonal_metric(4, 0.1)
     for scale in (1.0, 1e-6, 1e-12):
-        assert classify_definiteness(scale * S) == classify_definiteness(S)
+        assert MetricOperator(scale * S).definiteness == MetricOperator(S).definiteness
         observable_from_hermitian(scale * S, theta)
         with pytest.raises(ValueError, match="not symmetric"):
-            classify_definiteness(scale * skewed)
+            MetricOperator(scale * skewed)
         with pytest.raises(ValueError, match="not symmetric"):
             observable_from_hermitian(scale * skewed, theta)
 
@@ -225,7 +234,10 @@ def test_definiteness_label_is_scale_invariant():
     q, t = build_metric_Q(N), np.arange(1.0, N)
     gamma = 0.5 / np.linalg.eigvals(dense_hamiltonian(N)).real.max()
     alphas = np.array([0.0, 0.5 * gamma, -0.9 * gamma, gamma, 1.1 * gamma, -3 * gamma])
-    dense = [np.eye(3), np.diag([2.0, 0.0, 1.0]), np.diag([1.0, -1.0, 2.0])]
+    reflection = np.eye(3) - 2 / 3  # I - 2 v v^T / v^T v for v = (1, 1, 1)
+    spectra = ([1.0, 2.0, 4.0], [2.0, 0.0, 1.0], [1.0, -1.0, 2.0])
+    dense = [reflection @ np.diag(spectrum) @ reflection for spectrum in spectra]
+    assert all(theta[0, 2] for theta in dense)  # off the band: the Cholesky path
     expected = ["positive-definite", "singular", "indefinite"]
     sturm = tridiagonal_definiteness(q, np.multiply.outer(t, alphas)).tolist()
     assert sturm == ["positive-definite"] * 3 + ["singular"] + ["indefinite"] * 2
@@ -239,12 +251,14 @@ def test_zero_metric_reads_singular_on_both_paths():
     # thr = 0: the Sturm counts at +-0 count every zero pivot as negative
     assert str(tridiagonal_definiteness(np.zeros(3), np.zeros(2))) == "singular"
     assert tridiagonal_definiteness(np.zeros(3), np.zeros((2, 4))).tolist() == ["singular"] * 4
-    assert classify_definiteness(np.zeros((3, 3))) == "singular"
-    assert MetricOperator.from_matrix(np.zeros((1, 1))).definiteness == "singular"
+    zero = np.zeros((3, 3))
+    assert classify_definiteness(zero) == _cholesky_definiteness(zero) == "singular"
+    assert MetricOperator(np.zeros((1, 1))).definiteness == "singular"
     # thr = 1e-12 max|Theta| underflows to 0 here: both paths read singular
     tiny = np.array([1e-315, -1e-315])
     assert str(tridiagonal_definiteness(tiny, np.zeros(1))) == "singular"
-    assert classify_definiteness(np.diag(tiny)) == "singular"
+    assert classify_definiteness(np.diag(tiny)) == _cholesky_definiteness(np.diag(tiny)) == "singular"
+    assert classify_definiteness(np.full((3, 3), -1e-315)) == "singular"
 
 
 @settings(max_examples=30, deadline=None)
@@ -264,6 +278,37 @@ def test_positive_kappa_always_positive_definite(values):
 
 def _dense_tridiagonal(diagonal, offdiagonal):
     return np.diag(diagonal) + np.diag(offdiagonal, 1) + np.diag(offdiagonal, -1)
+
+
+@pytest.mark.parametrize("N", [2, 3, 8, 64, 256])
+def test_sturm_and_cholesky_paths_agree_on_the_slice(N):
+    """301 alpha over +-3 gamma, +-gamma and the floats next to gamma: both paths, one label."""
+    gamma = horizon_gamma(N).gamma
+    alphas = [*np.linspace(-3 * gamma, 3 * gamma, 301), gamma, -gamma]
+    alphas += [np.nextafter(gamma, 0.0), np.nextafter(gamma, 1.0)]
+    for alpha in alphas:
+        theta = tridiagonal_metric(N, float(alpha))
+        assert theta.definiteness == _cholesky_definiteness(theta.matrix), alpha
+
+
+def test_sturm_and_cholesky_paths_agree_on_random_band_matrices(rng):
+    """Diagonal and tridiagonal matrices, a third of them singular, at scales 1e-6 to 1e6."""
+    labels = []
+    for _ in range(400):
+        N = int(rng.integers(1, 13))
+        diagonal, offdiagonal = rng.normal(size=N), rng.normal(size=N - 1) * rng.integers(0, 2)
+        if rng.random() < 1 / 3:  # an eigenvalue at zero, up to rounding
+            diagonal -= np.linalg.eigvalsh(_dense_tridiagonal(diagonal, offdiagonal))[rng.integers(N)]
+        theta = 10.0 ** rng.uniform(-6, 6) * _dense_tridiagonal(diagonal, offdiagonal)
+        threshold, smallest = 1e-12 * np.max(np.abs(theta)), np.linalg.eigvalsh(theta)[0]
+        slack = 64 * N * np.finfo(float).eps * np.max(np.sum(np.abs(theta), axis=1))
+        if min(abs(smallest - threshold), abs(smallest + threshold)) <= slack:
+            continue  # too close to +-thr for eigvalsh to say which side
+        expected = "positive-definite" if smallest > threshold else "indefinite"
+        expected = "singular" if abs(smallest) <= threshold else expected
+        assert classify_definiteness(theta) == _cholesky_definiteness(theta) == expected
+        labels.append(expected)
+    assert len(labels) > 300 and set(labels) == {"positive-definite", "singular", "indefinite"}
 
 
 @pytest.mark.parametrize("N", [1, 2, 3, 17, 64, 1024])
@@ -362,8 +407,8 @@ def test_non_finite_input_is_a_domain_error(bad, system_cache):
         sturm_count([1.0, 2.0], [bad], 0.0)
     with pytest.raises(ValueError, match="is not finite"):
         sturm_count([1.0, 2.0], [0.5], np.array([0.0, bad]))
-    with pytest.raises(ValueError):
-        classify_definiteness(np.array([[1.0, bad], [bad, 1.0]]))
+    with pytest.raises(ValueError, match="theta is not finite"):
+        MetricOperator(np.array([[1.0, bad], [bad, 1.0]]))
     with pytest.raises(ValueError):
         tridiagonal_metric(3, bad)
     with pytest.raises(ValueError):
@@ -402,18 +447,18 @@ def test_banded_residual_matches_dense(N, rng):
     H = build_hamiltonian(N)
     random = rng.normal(size=(N, N))
     for matrix in (random + random.T, tridiagonal_metric(N, 0.3).matrix):
-        theta = MetricOperator(N, matrix, "indefinite", "external")
+        theta = MetricOperator(matrix)
         # both are divided by max|Theta| max|H|, with no floor: within 8 eps of that scale
         gap = abs(_hamiltonian_residual(H, theta) - dieudonne_residual(dense_hamiltonian(N), theta))
         assert gap <= 8 * np.finfo(float).eps
 
 
 def test_kappa_from_metric_rejects_nan_metric():
-    """A NaN Theta labelled positive-definite is rejected when it is built, before any use."""
+    """A NaN Theta is rejected when it is built, before any use."""
     matrix = np.diag(build_metric_Q(3))
     matrix[0, 0] = np.nan
     with pytest.raises(ValueError, match="theta is not finite"):
-        MetricOperator(3, matrix, "positive-definite", "external")
+        MetricOperator(matrix)
 
 
 def test_kappa_from_metric_requires_theta_of_the_size_of_the_system(system_cache):
@@ -424,9 +469,9 @@ def test_kappa_from_metric_requires_theta_of_the_size_of_the_system(system_cache
 @pytest.mark.parametrize(
     "matrix", [np.ones(3), np.ones((2, 3)), np.zeros((0, 0)), 1.0, np.ones((2, 2, 2))]
 )
-def test_from_matrix_rejects_non_square_shapes(matrix):
-    with pytest.raises(ValueError, match="square"):
-        MetricOperator.from_matrix(matrix)
+def test_metric_operator_rejects_non_square_shapes(matrix):
+    with pytest.raises(ValueError, match="^(expected a nonempty square theta|theta must be two-dim)"):
+        MetricOperator(matrix)
 
 
 @pytest.mark.parametrize("bad", [2.5, True, np.float64(3.0), "3", None])
@@ -451,7 +496,7 @@ def test_kappa_from_metric_gate_is_1e_10(system_cache):
 
     matrix = np.diag(build_metric_Q(3))
     matrix[0, 0] += 1.25e-9  # residual 1.25e-9 / max|Q| = 5e-10, since max|H| = H[0, 1] = 1
-    theta = MetricOperator.from_matrix(matrix)
+    theta = MetricOperator(matrix)
     assert 1e-10 < _hamiltonian_residual(build_hamiltonian(3), theta) < 1e-9
     with pytest.raises(ValueError, match="intertwine"):
         kappa_from_metric(system_cache(3), theta)

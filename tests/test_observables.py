@@ -22,7 +22,7 @@ from qtlattice.observables import ObservableSpectralData
 
 
 def Q_metric(N):
-    return MetricOperator.from_matrix(np.diag(build_metric_Q(N)), "diagonal-Q")
+    return MetricOperator(np.diag(build_metric_Q(N)), "diagonal-Q")
 
 
 def test_residual_trivial_cases():
@@ -59,13 +59,13 @@ def test_observable_from_hermitian_certified(rng):
 
 
 def test_observable_from_hermitian_rejects_singular():
-    theta = MetricOperator(2, np.zeros((2, 2)), "singular", "external")
+    theta = MetricOperator(np.zeros((2, 2)))
     with pytest.raises(ValueError, match="theta is numerically singular"):
         observable_from_hermitian(np.eye(2), theta)
     # a NaN or inf Theta is named as such when it is built, so it never reaches the SVD
     for entry in (np.nan, np.inf):
         with pytest.raises(ValueError, match="theta is not finite"):
-            MetricOperator(2, np.diag([entry, 1.0]), "singular", "external")
+            MetricOperator(np.diag([entry, 1.0]))
 
 
 def test_observable_from_hermitian_names_a_size_mismatch():
@@ -74,7 +74,7 @@ def test_observable_from_hermitian_names_a_size_mismatch():
 
 
 def test_dieudonne_residual_of_a_theta_built_from_lists():
-    theta = MetricOperator(2, [[1.0, 0.0], [0.0, 2.0]], "positive-definite", "x")
+    theta = MetricOperator([[1.0, 0.0], [0.0, 2.0]], "x")
     assert isinstance(theta.matrix, np.ndarray)
     assert dieudonne_residual(np.eye(2), theta) == 0.0
 
@@ -82,9 +82,7 @@ def test_dieudonne_residual_of_a_theta_built_from_lists():
 def test_dieudonne_residual_never_sees_a_theta_that_is_not_a_matrix():
     """A 3-D Theta is not a matrix: no residual, and so no "observable" verdict, for it."""
     with pytest.raises(ValueError, match="theta must be two-dimensional"):
-        dieudonne_residual(
-            np.ones((2, 2, 2)), MetricOperator(2, np.ones((2, 2, 2)), "positive-definite", "x")
-        )
+        dieudonne_residual(np.ones((2, 2, 2)), MetricOperator(np.ones((2, 2, 2)), "x"))
 
 
 def test_spectral_data_diagonal():
@@ -249,7 +247,7 @@ def test_dieudonne_verdict_scale_invariant(system_cache, rng):
     Lam = observable_from_hermitian(0.5 * (K + K.T), theta)
     bad = rng.normal(size=(4, 4))
     for scale in (1.0, 1e-6, 1e-12):
-        small = MetricOperator(4, scale * theta.matrix, theta.definiteness, theta.provenance)
+        small = MetricOperator(scale * theta.matrix, theta.provenance)
         for candidate, observable in ((Lam, True), (bad, False)):
             residuals = [dieudonne_residual(scale * candidate, theta),
                          dieudonne_residual(candidate, small)]
