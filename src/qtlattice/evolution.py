@@ -13,19 +13,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._size import _as_real, _require_finite, _require_size
-from .lattice import BiorthogonalSystem, LatticeHamiltonian, biorthogonal_system
+from .lattice import BiorthogonalSystem, LatticeHamiltonian, biorthogonal_system, build_metric_Q
 from .metrics import INTERTWINING_TOL, MetricOperator, _hamiltonian_residual
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EvolutionState:
-    """A nonzero state vector of finite amplitudes, `dimension` of them."""
+    """A nonzero state vector of finite amplitudes, `dimension` (an int) of them."""
 
     dimension: int
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        _require_size(self.dimension)
+        object.__setattr__(self, "dimension", _require_size(self.dimension))
         amplitudes = np.asarray(self.amplitudes)
         object.__setattr__(self, "amplitudes", amplitudes)
         if amplitudes.shape != (self.dimension,):
@@ -49,8 +49,9 @@ def propagator(H: LatticeHamiltonian, t: float) -> np.ndarray:
         return np.eye(N, dtype=complex)
     system = biorthogonal_system(N)
     Et = system.eigenvalues.roots * t
-    # S^{-1} = diag(1/n_j) S^T Q, i.e. rows are ketkets^T / n_j
-    S_inv = system.ketkets.T / system.q_norms[:, None]
+    # S^{-1} = diag(1/n_j) S^T Q, i.e. rows are (Q kets)^T / n_j
+    S_inv = system.kets.T * build_metric_Q(N)
+    S_inv /= system.q_norms[:, None]
     U = np.empty((N, N), dtype=complex)
     U.real = (system.kets * np.cos(Et)[None, :]) @ S_inv
     U.imag = (system.kets * -np.sin(Et)[None, :]) @ S_inv

@@ -67,7 +67,7 @@ class HorizonReport:
     bisection_iterations: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RealityScan:
     """Largest imaginary eigenvalue part of a companion observable per alpha."""
 

@@ -11,7 +11,7 @@ Legendre values (P_0(E), ..., P_{N-1}(E)) at the roots E of P_N.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,40 +21,48 @@ from .legendre import RootSet, _legendre_values, roots_P
 EIGEN_RESIDUAL_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LatticeHamiltonian:
-    """Tridiagonal N x N lattice Hamiltonian with zero diagonal."""
+    """The N x N truncated Legendre recurrence matrix, zero on its diagonal: N fixes both bands."""
 
     dimension: int
-    superdiagonal: np.ndarray
-    subdiagonal: np.ndarray
+    superdiagonal: np.ndarray = field(init=False)
+    subdiagonal: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        N = _require_size(self.dimension)
+        n = np.arange(N - 1, dtype=float)
+        object.__setattr__(self, "dimension", N)
+        object.__setattr__(self, "superdiagonal", (n + 1) / (2 * n + 1))
+        object.__setattr__(self, "subdiagonal", (n + 1) / (2 * n + 3))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BiorthogonalSystem:
-    """Eigenvalues, kets, ketkets (Q kets) and Q-norms of the lattice model.
+    """Eigenvalues, kets and Q-norms of the lattice model; `dimension` and `ketkets` are derived.
 
     kets[:, j] has components (P_0(E_j), ..., P_{N-1}(E_j)); ketkets are
     Q kets; q_norms[j] = kets[:, j]^T Q kets[:, j].  Together they resolve
     the identity: sum_j kets_j (1/q_norms_j) kets_j^T Q = I.
     """
 
-    dimension: int
+    dimension: int = field(init=False)
     eigenvalues: RootSet
     kets: np.ndarray
-    ketkets: np.ndarray
     q_norms: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "dimension", len(self.kets))
+
+    @property
+    def ketkets(self) -> np.ndarray:
+        """Q kets, formed anew on each access: a new, writable N x N array."""
+        return build_metric_Q(self.dimension)[:, None] * self.kets
 
 
 def build_hamiltonian(N: int) -> LatticeHamiltonian:
-    """N x N truncation of the Legendre recurrence matrix."""
-    N = _require_size(N)
-    n = np.arange(N - 1, dtype=float)
-    return LatticeHamiltonian(
-        dimension=N,
-        superdiagonal=(n + 1) / (2 * n + 1),
-        subdiagonal=(n + 1) / (2 * n + 3),
-    )
+    """N x N truncation of the Legendre recurrence matrix: `LatticeHamiltonian(N)`."""
+    return LatticeHamiltonian(N)
 
 
 def build_metric_Q(N: int) -> np.ndarray:
@@ -102,15 +110,15 @@ def biorthogonal_system(N: int) -> BiorthogonalSystem:
     Both checks share one N x N work buffer.
 
     The system is built once per size: the last one is kept, and a call with
-    the same N returns it again (a new N replaces it).  So its kets, ketkets
-    and q_norms are read-only, and the kept system holds 16 N^2 bytes.
+    the same N returns it again (a new N replaces it).  So its kets and q_norms
+    are read-only; it holds 8 N^2 bytes, and forms its ketkets on each access.
     """
     return _build_system(_require_size(N))
 
 
 @functools.lru_cache(maxsize=1)
 def _build_system(N: int) -> BiorthogonalSystem:
-    H = build_hamiltonian(N)
+    H = LatticeHamiltonian(N)
     eigenvalues = spectrum(H)
     kets = ket(N, eigenvalues.roots)
     ketkets = build_metric_Q(N)[:, None] * kets
@@ -127,6 +135,6 @@ def _build_system(N: int) -> BiorthogonalSystem:
     off, gate = np.abs(gram, out=gram).max(), 1e-12 * np.max(q_norms)
     if off > gate:
         raise RuntimeError(f"biorthogonality: Gram off-diagonal {off:.3e} > {gate:.3e} at N={N}")
-    for array in (kets, ketkets, q_norms):
+    for array in (kets, q_norms):
         array.setflags(write=False)
-    return BiorthogonalSystem(N, eigenvalues, kets, ketkets, q_norms)
+    return BiorthogonalSystem(eigenvalues, kets, q_norms)

@@ -23,7 +23,7 @@ ROOT_TOL = 1e-14
 CROSS_CHECK_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RootSet:
     """All real roots of P_N, sorted ascending."""
 

@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._size import _as_real, _require_finite, _require_size
-from .lattice import BiorthogonalSystem, LatticeHamiltonian, build_hamiltonian, build_metric_Q
+from .lattice import BiorthogonalSystem, LatticeHamiltonian, build_metric_Q
 from .tridiagonal import sturm_count
 
 SYMMETRY_TOL = 1e-12
@@ -52,9 +52,9 @@ PIVOT_TOL = 1e-12
 INTERTWINING_TOL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KappaVector:
-    """Weights selecting one metric out of the quasi-Hermitian family."""
+    """Weights selecting one metric of the quasi-Hermitian family, `dimension` (an int) of them."""
 
     dimension: int
     values: np.ndarray
@@ -62,11 +62,12 @@ class KappaVector:
     def __post_init__(self):
         values = _as_real(self.values, "kappa", 1)
         object.__setattr__(self, "values", values)
-        if values.shape != (_require_size(self.dimension),):
+        object.__setattr__(self, "dimension", _require_size(self.dimension))
+        if values.shape != (self.dimension,):
             raise ValueError("kappa length does not match dimension")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MetricOperator:
     """A symmetric candidate metric, labelled by its matrix alone.  The matrix is checked once,
     when built: real, finite, nonempty, square and symmetric, else a ValueError naming theta;
@@ -85,12 +86,15 @@ class MetricOperator:
         object.__setattr__(self, "definiteness", classify_definiteness(matrix))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChargeOperator:
-    """The factor C in the decomposition Theta = Q C."""
+    """The factor C in the decomposition Theta = Q C; `dimension` is derived from it."""
 
-    dimension: int
+    dimension: int = field(init=False)
     matrix: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "dimension", len(self.matrix))
 
 
 def _slice(N: int, alpha) -> tuple[np.ndarray, np.ndarray]:
@@ -192,8 +196,10 @@ def metric_from_kappa(system: BiorthogonalSystem, kappa: KappaVector) -> MetricO
         raise ValueError("kappa dimension does not match system")
     if np.any(kappa.values <= 0):
         raise ValueError("kappa must be strictly positive")
+    ketkets = system.ketkets
     with np.errstate(over="ignore"):  # inf entries fail the gate of MetricOperator
-        matrix = (system.ketkets * kappa.values[None, :]) @ system.ketkets.T
+        matrix = (ketkets * kappa.values[None, :]) @ ketkets.T
+        del ketkets  # not held through the symmetrization and the gate of MetricOperator
         matrix = 0.5 * (matrix + matrix.T)
     return MetricOperator(matrix, "kappa-family")
 
@@ -217,7 +223,7 @@ def charge_operator(q: np.ndarray, theta: MetricOperator) -> ChargeOperator:
     with np.errstate(over="ignore"):
         charge = theta.matrix / q[:, None]
     _require_finite(charge, "the charge operator")
-    return ChargeOperator(theta.dimension, charge)
+    return ChargeOperator(charge)
 
 
 def _relative_max(residual: np.ndarray, scale) -> float:
@@ -256,7 +262,7 @@ def kappa_from_metric(system: BiorthogonalSystem, theta: MetricOperator) -> Kapp
     max|H^T Theta - Theta H| <= 1e-10 max|Theta| because max|H| = H[0, 1] = 1
     for N >= 2 (at N = 1 both residuals are 0), and of the size of the system.
     """
-    if not _hamiltonian_residual(build_hamiltonian(system.dimension), theta) <= INTERTWINING_TOL:
+    if not _hamiltonian_residual(LatticeHamiltonian(system.dimension), theta) <= INTERTWINING_TOL:
         raise ValueError("matrix does not intertwine with H: not in the metric family")
     quad = np.einsum("ij,ij->j", system.kets, theta.matrix @ system.kets)
     return KappaVector(system.dimension, quad / system.q_norms**2)

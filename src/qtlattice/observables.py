@@ -13,7 +13,7 @@ inverse of the right-vector matrix for its left vectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,9 +25,9 @@ GAP_TOL = 1e-10
 DEFAULT_CRITERION_TOL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ObservableSpectralData:
-    """Left/right eigensystem of a candidate observable.
+    """Left/right eigensystem of a candidate observable; `dimension` is the number of eigenvalues.
 
     right_vectors[:, j] and left_vectors[:, j] (eigenvectors of the
     transpose, Lambda^T l = lambda l) share eigenvalue eigenvalues[j];
@@ -35,19 +35,26 @@ class ObservableSpectralData:
     spectral reconstruction reads Lambda = sum_j right_j (lambda_j / pairing_j) left_j^T.
     """
 
-    dimension: int
+    dimension: int = field(init=False)
     eigenvalues: np.ndarray
     right_vectors: np.ndarray
     left_vectors: np.ndarray
     pairing_norms: np.ndarray
 
+    def __post_init__(self):
+        object.__setattr__(self, "dimension", len(self.eigenvalues))
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class OverlapPair:
-    """The product M = U V of the two overlap matrices, with its asymmetry."""
+    """The product M = U V of the two overlap matrices, and its asymmetry max|M - M^H|."""
 
     M: np.ndarray
-    hermiticity_residual: float
+    hermiticity_residual: float = field(init=False)
+
+    def __post_init__(self):
+        residual = float(np.max(np.abs(self.M - self.M.conj().T)))
+        object.__setattr__(self, "hermiticity_residual", residual)
 
 
 def dieudonne_residual(Lambda: np.ndarray, theta: MetricOperator) -> float:
@@ -134,7 +141,7 @@ def spectral_data(Lambda: np.ndarray) -> ObservableSpectralData:
         raise ValueError(
             f"eigenvectors too ill-conditioned: reconstruction error estimate {estimate:.1e} > {tol:.1e}"
         )
-    return ObservableSpectralData(N, eigenvalues, right, left, pairing)
+    return ObservableSpectralData(eigenvalues, right, left, pairing)
 
 
 def overlap_matrices(
@@ -159,9 +166,7 @@ def overlap_matrices(
     V = ((data.eigenvalues / data.pairing_norms)[:, None]) * (
         data.right_vectors.T @ ketkets_hat
     )
-    M = U @ V
-    residual = float(np.max(np.abs(M - M.conj().T)))
-    return OverlapPair(M, residual)
+    return OverlapPair(U @ V)
 
 
 def criterion_product_hermitian(

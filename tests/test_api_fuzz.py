@@ -6,6 +6,8 @@ and inf input, and input of the wrong rank, is a ValueError naming the
 argument wherever the library takes real numbers.
 """
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -81,7 +83,8 @@ def any_metric(draw, N):
     matrix = draw(square_or_not(N))
     theta = call(MetricOperator, matrix)
     if theta is not None:  # built: a real, finite, square matrix with the label it earns
-        assert real(matrix) and theta.matrix.dtype == float and theta.matrix.shape == (N, N)
+        assert real(matrix) and theta.matrix.dtype == float
+        assert theta.matrix.shape == (theta.dimension,) * 2 == np.shape(matrix)
         assert_honest(theta, matrix)
     return theta
 
@@ -383,6 +386,48 @@ def test_exports_are_defined_in_their_home_module():
         if getattr(qtlattice, name).__module__ != f"qtlattice.{module}"
     ]
     assert misplaced == []
+
+
+def _value_types():
+    """One instance of each public type that holds an array."""
+    import qtlattice as qt
+
+    system = qt.biorthogonal_system(3)
+    kappa = qt.exceptional_kappa(system)
+    H = qt.build_hamiltonian(3)
+    data = qt.spectral_data(np.diag(H.superdiagonal, 1) + np.diag(H.subdiagonal, -1))
+    return {
+        "RootSet": qt.roots_P(3),
+        "LatticeHamiltonian": qt.LatticeHamiltonian(3),
+        "BiorthogonalSystem": system,
+        "KappaVector": kappa,
+        "MetricOperator": qt.MetricOperator(np.eye(2)),
+        "ChargeOperator": qt.charge_operator(qt.build_metric_Q(3), qt.tridiagonal_metric(3, 0.1)),
+        "RealityScan": qt.hidden_horizon_scan(2, np.eye(2), [0.0, 1.0]),
+        "ObservableSpectralData": data,
+        "OverlapPair": qt.overlap_matrices(system, kappa, data),
+        "EvolutionState": qt.EvolutionState(2, [1.0, 0.0]),
+    }
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["RootSet", "LatticeHamiltonian", "BiorthogonalSystem", "KappaVector", "MetricOperator",
+     "ChargeOperator", "RealityScan", "ObservableSpectralData", "OverlapPair", "EvolutionState"],
+)
+def test_value_types_compare_by_identity(name):
+    """An array field has no truth value, so these types compare and hash by identity."""
+    value = _value_types()[name]
+    assert type(value).__name__ == name
+    assert value == value and value != copy.copy(value)
+    assert {value, value} == {value} and hash(value) == hash(value)
+
+
+def test_horizon_report_compares_by_value():
+    import qtlattice as qt
+
+    report = qt.horizon_gamma(4)
+    assert report == copy.copy(report) and hash(report) == hash(copy.copy(report))
 
 
 def test_public_names_are_pinned():

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -6,6 +7,7 @@ from conftest import dense_hamiltonian
 from scipy.special import eval_legendre
 
 from qtlattice import (
+    LatticeHamiltonian,
     biorthogonal_system,
     build_hamiltonian,
     build_metric_Q,
@@ -184,6 +186,21 @@ def test_eigensystem_gates_share_one_buffer():
     assert 4 * 8 * N**2 <= peak <= 4.5 * 8 * N**2  # a cold build, not a memo hit
 
 
+def test_kept_system_holds_one_array():
+    """Roots warm, the system that biorthogonal_system(256) returns holds its kets and
+    q_norms: 1.00 arrays of 8 N^2 bytes (2.01 while it kept its Q kets as well)."""
+    N = 256
+    roots_P(N)
+    tracemalloc.start()
+    try:
+        system = biorthogonal_system(N)
+        current = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert system.dimension == N
+    assert 8 * N**2 <= current <= 1.1 * 8 * N**2
+
+
 def test_gate_failures_report_residual_gate_and_size(monkeypatch):
     monkeypatch.setattr(lattice, "EIGEN_RESIDUAL_TOL", 0.0)
     with pytest.raises(RuntimeError, match=r"eigen residual \S+e-\d+ > 0e\+00 at N=8$"):
@@ -224,10 +241,37 @@ def test_memo_keeps_the_last_size_only():
     np.testing.assert_array_equal(rebuilt.kets, eight.kets)
 
 
-@pytest.mark.parametrize("field", ["kets", "ketkets", "q_norms"])
+@pytest.mark.parametrize("field", ["kets", "q_norms"])
 def test_system_arrays_are_read_only(field):
     array = getattr(biorthogonal_system(4), field)
     with pytest.raises(ValueError, match="read-only"):
         array[0] = 1.0
     with pytest.raises(ValueError, match="read-only"):
         array *= 2.0
+
+
+def test_ketkets_are_formed_anew_from_the_kets():
+    system = biorthogonal_system(4)
+    assert "ketkets" not in {field.name for field in dataclasses.fields(system)}
+    expected = build_metric_Q(4)[:, None] * system.kets
+    ketkets = system.ketkets
+    np.testing.assert_array_equal(ketkets, expected, strict=True)
+    ketkets[0] = 1.0
+    ketkets *= 2.0
+    np.testing.assert_array_equal(system.ketkets, expected, strict=True)
+
+
+@pytest.mark.parametrize("N", [1, 2, 64])
+def test_hamiltonian_bands_derive_from_its_size(N):
+    H = LatticeHamiltonian(N)
+    assert H.dimension == N
+    up = np.array([(k + 1) / (2 * k + 1) for k in range(N - 1)], dtype=float)
+    down = np.array([(k + 1) / (2 * k + 3) for k in range(N - 1)], dtype=float)
+    np.testing.assert_array_equal(H.superdiagonal, up, strict=True)
+    np.testing.assert_array_equal(H.subdiagonal, down, strict=True)
+
+
+@pytest.mark.parametrize("bad, rule", [(0, "at least 1"), (2.5, "an integer"), (True, "an integer")])
+def test_hamiltonian_size_is_checked(bad, rule):
+    with pytest.raises(ValueError, match=f"^a size must be {rule}, not {bad!r}$"):
+        LatticeHamiltonian(bad)

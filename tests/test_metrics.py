@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import dense_hamiltonian
@@ -5,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qtlattice import (
+    EvolutionState,
     KappaVector,
     MetricOperator,
     build_hamiltonian,
@@ -78,6 +81,22 @@ def test_random_kappa_family(N, system_cache, rng):
         assert dieudonne_max_residual(theta.matrix, N) <= 1e-11 * np.max(np.abs(theta.matrix))
         recovered = kappa_from_metric(system, theta)
         np.testing.assert_allclose(recovered.values, kappa.values, rtol=1e-10)
+
+
+def test_metric_from_kappa_peaks_at_three_arrays(system_cache):
+    """At N = 256, the product, its symmetrized copy and one temporary of the gate of
+    MetricOperator: about 3 arrays of 8 N^2 bytes (4 while the Q kets formed for the
+    product are held to the end)."""
+    N = 256
+    system = system_cache(N)
+    kappa = exceptional_kappa(system)
+    tracemalloc.start()
+    try:
+        metric_from_kappa(system, kappa)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 3 * 8 * N**2 <= peak <= 3.2 * 8 * N**2
 
 
 def test_charge_trivial_cases(system_cache):
@@ -488,6 +507,8 @@ def test_sizes_must_be_integers(call, bad):
 def test_numpy_integer_sizes_are_ints():
     assert type(build_hamiltonian(np.int64(4)).dimension) is int
     assert tridiagonal_metric(np.int32(3), 0.1).dimension == 3
+    assert type(KappaVector(np.int64(3), [1.0, 2.0, 3.0]).dimension) is int
+    assert type(EvolutionState(np.int32(2), [1.0, 0.0]).dimension) is int
 
 
 def test_kappa_from_metric_gate_is_1e_10(system_cache):

@@ -18,7 +18,7 @@ from qtlattice import (
     spectral_data,
     tridiagonal_metric,
 )
-from qtlattice.observables import ObservableSpectralData
+from qtlattice.observables import ObservableSpectralData, OverlapPair
 
 
 def Q_metric(N):
@@ -162,11 +162,12 @@ def test_spectral_reconstruction(rng):
         assert np.max(np.abs(reconstruction - Lam)) <= 1e-10 * max(1, np.abs(Lam).max())
 
 
-def _identity_spectral_data(N, shifts):
+def _identity_spectral_data(shifts):
     """Hand-built spectral data for diag(shifts): standard basis eigensystem."""
+    N = len(shifts)
     basis = np.eye(N, dtype=complex)
     return ObservableSpectralData(
-        N, np.asarray(shifts, dtype=complex), basis, basis, np.ones(N, dtype=complex)
+        np.asarray(shifts, dtype=complex), basis, basis, np.ones(N, dtype=complex)
     )
 
 
@@ -175,11 +176,25 @@ def test_overlap_identity_observable(system_cache):
     # supplied by hand; M must come out diagonal and Hermitian
     system = system_cache(3)
     kappa = KappaVector(3, np.array([1.0, 2.0, 3.0]))
-    data = _identity_spectral_data(3, [1.0, 1.0, 1.0])
+    data = _identity_spectral_data([1.0, 1.0, 1.0])
     pair = overlap_matrices(system, kappa, data)
     expected = np.diag(1.0 / (kappa.values * system.q_norms))
     np.testing.assert_allclose(pair.M, expected, atol=1e-12)
     assert criterion_product_hermitian(pair)
+
+
+def test_spectral_data_of_another_size_is_a_dimension_mismatch(system_cache):
+    # its dimension is the number of its eigenvalues, so it cannot disagree with its arrays
+    data = ObservableSpectralData(np.ones(2), np.eye(2), np.eye(2), np.ones(2))
+    assert data.dimension == 2
+    system = system_cache(3)
+    with pytest.raises(ValueError, match="^dimension mismatch$"):
+        overlap_matrices(system, exceptional_kappa(system), data)
+
+
+def test_overlap_pair_derives_its_residual():
+    assert OverlapPair(np.array([[1.0, 2.0], [0.5, 3.0]])).hermiticity_residual == 1.5
+    assert OverlapPair(np.array([[1.0, 2.0j], [-2.0j, 3.0]])).hermiticity_residual == 0.0
 
 
 def test_overlap_hamiltonian_is_observable(system_cache):
