@@ -59,7 +59,7 @@ def propagator(H: LatticeHamiltonian, t: float) -> np.ndarray:
 
 
 def _norms(theta: MetricOperator, v: np.ndarray) -> tuple[float, float]:
-    """(Re v^H Theta v, Re v^H v): the squared Theta-norm and Dirac norm of v.
+    """(x^T Theta x + y^T Theta y, x^T x + y^T y), v = x + iy: its squared Theta- and Dirac norm.
 
     The one positivity gate of every norm path: ValueError unless theta is
     labelled positive-definite and of the size of v, and both norms are finite
@@ -69,8 +69,9 @@ def _norms(theta: MetricOperator, v: np.ndarray) -> tuple[float, float]:
         raise ValueError("theta must be positive-definite to define a norm")
     if v.shape != (theta.dimension,):
         raise ValueError("dimension mismatch between theta and the state")
+    x, y = v.real, v.imag
     with np.errstate(over="ignore", invalid="ignore"):
-        norms = float(np.real(v.conj() @ theta.matrix @ v)), float(np.real(v.conj() @ v))
+        norms = float(x @ theta.matrix @ x + y @ theta.matrix @ y), float(x @ x + y @ y)
     if not all(0.0 < norm < np.inf for norm in norms):  # False for NaN
         raise ValueError("the norms of the state are not finite and positive")
     return norms
@@ -89,24 +90,24 @@ def norm_trajectory(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Theta-norm and Dirac norm of exp(-i H t) psi0 at each t of t_grid.
 
-    psi0 is expanded once in the eigenbasis of `system`; each time step is
-    then a phase twist of the coefficients.  A grid that is not 1-D, real and
-    finite raises ValueError, and so do a system, Theta and psi0 of different
-    sizes and every Theta or norm that `theta_norm` rejects, on an empty grid
-    too: there psi0 itself goes through the gate.
+    psi0 is expanded once in the eigenbasis of `system`, as S^T (q psi0) / n; each
+    step is a phase twist w of the coefficients and the state S Re w + i S Im w, so
+    no real N x N array is cast to complex.  A grid that is not 1-D, real and finite
+    raises ValueError, and so do a system, Theta and psi0 of different sizes and
+    every Theta or norm that `theta_norm` rejects, psi0's first (an empty grid too).
     """
     if not (system.dimension == theta.dimension == psi0.dimension):
         raise ValueError("dimension mismatch between the system, theta and the state")
     t_grid = _as_real(t_grid, "the time grid", 1)
     amplitudes = np.asarray(psi0.amplitudes, dtype=complex)
-    if not len(t_grid):
-        _norms(theta, amplitudes)
+    _norms(theta, amplitudes)
     norms = np.empty((2, len(t_grid)))
     with np.errstate(over="ignore", invalid="ignore"):  # huge amplitudes: _norms raises
-        coefficients = (system.ketkets.T @ amplitudes) / system.q_norms
+        kets, weighted = system.kets, build_metric_Q(system.dimension) * amplitudes
+        coefficients = (kets.T @ weighted.real + 1j * (kets.T @ weighted.imag)) / system.q_norms
         for i, t in enumerate(t_grid):
-            v = system.kets @ (np.exp(-1j * system.eigenvalues.roots * t) * coefficients)
-            norms[:, i] = _norms(theta, v)
+            w = np.exp(-1j * system.eigenvalues.roots * t) * coefficients
+            norms[:, i] = _norms(theta, kets @ w.real + 1j * (kets @ w.imag))
     return norms[0], norms[1]
 
 

@@ -16,25 +16,26 @@ dense Theta(alpha) or a stack of them, and `_none_below_threshold` its
 positive-definiteness test; `horizons` uses these too.  Each entry point reads
 its real input once through `_size._as_real`; a `MetricOperator` its matrix when built.
 
-Definiteness comes from one of two paths, chosen by the band structure of Theta.
-A Theta with no nonzero entry off its three central diagonals (the slice, Q) is
-classified in O(N) by Sturm counts (`sturm_count`, the LDL^T pivot kernel of
-the `tridiagonal` module that also certifies the Legendre roots): by
-Sylvester's law of inertia the number of negative pivots of Theta - sigma I
-is the number of eigenvalues below sigma, and counts at sigma = +thr and
--thr give the three labels.  Any other Theta (the kappa family) is labelled by
-one Cholesky factorization of Theta - thr I with an eigenvalue tie-break.
+Definiteness is one rule, thr = 1e-12 max|Theta| (`_pivot_threshold`): no
+eigenvalue below +thr is positive-definite; none below -thr, or thr = 0,
+singular; otherwise indefinite.  A Theta with no nonzero entry off its three
+central diagonals (the slice, Q) counts its eigenvalues below +-thr in O(N) by
+Sturm counts (`sturm_count`, the LDL^T pivot kernel that also certifies the
+Legendre roots, read by Sylvester's law of inertia).  Any other Theta (the kappa
+family) asks by Cholesky of Theta - thr I and, where that fails, of Theta + thr I:
+each factor exists exactly when no eigenvalue lies below the shift.
 
-Error model of the threshold thr = 1e-12 max|Theta| (`_pivot_threshold`, both
-paths): the computed pivots are the exact pivots of a matrix with the same
-diagonal and off-diagonal entries perturbed by relative errors of at most
-2.5 eps (Kahan; Demmel, Applied Numerical Linear Algebra, lemma 5.4).  Each
-count is thus exact for eigenvalues moved by at most 5 eps max|Theta| (about
-1.1e-15 max|Theta|), three orders of magnitude inside thr, and a label can
-differ from exact arithmetic only for an eigenvalue that close to +thr or
--thr.  thr has no floor, so c Theta has the label of Theta for every c > 0.
-Where thr = 0 (a zero Theta, or one below about 1e-312, where thr
-underflows), both paths read singular unless positive-definite.
+Error model of thr.  The computed Sturm pivots are the exact pivots of a matrix
+whose entries carry relative errors of at most 2.5 eps (Kahan; Demmel, Applied
+Numerical Linear Algebra, lemma 5.4): each count is exact for eigenvalues moved
+by at most 5 eps max|Theta|, three orders of magnitude inside thr.  A Cholesky
+factorization that completes is exact for a matrix within O(N^2 eps ||Theta||_2)
+of the shifted Theta, and one completes where every eigenvalue exceeds the shift
+by a bound of that order (Higham, Accuracy and Stability of Numerical
+Algorithms, 2nd ed., ch. 10).  So on either path a label can differ from exact
+arithmetic only for an eigenvalue that close to +-thr.  thr has no floor, so
+c Theta has the label of Theta for every c > 0; where it underflows to 0 (a zero
+Theta, or one below about 1e-312), both paths read singular unless positive-definite.
 """
 
 from __future__ import annotations
@@ -144,12 +145,10 @@ def _none_below_threshold(diagonal, offdiagonal) -> np.ndarray:
 
 
 def tridiagonal_definiteness(diagonal, offdiagonal) -> np.ndarray:
-    """Definiteness labels of symmetric tridiagonal matrices from Sturm counts.
-
-    No eigenvalue below +thr: positive-definite; none below -thr, or thr = 0
-    (where the counts at +-0 would take the zero pivots of a zero Theta as
-    negative): singular; otherwise indefinite.  thr = 1e-12 max|Theta|.
-    Batched like `sturm_count`; returns a string array of the batch shape.
+    """Definiteness labels of symmetric tridiagonal matrices by the one rule of
+    `classify_definiteness`, from Sturm counts at +-thr (at thr = 0 the counts would
+    take the zero pivots of a zero Theta as negative).  Batched like `sturm_count`;
+    returns a string array of the batch shape.
     """
     threshold = _pivot_threshold(diagonal, offdiagonal)
     singular = (sturm_count(diagonal, offdiagonal, -threshold) == 0) | (threshold == 0)
@@ -161,9 +160,10 @@ def tridiagonal_definiteness(diagonal, offdiagonal) -> np.ndarray:
 
 
 def classify_definiteness(matrix: np.ndarray) -> str:
-    """Label a matrix that passed the `MetricOperator` gate: with no nonzero entry off its three
-    central diagonals, in O(N) by `tridiagonal_definiteness` of its diagonal and lower band (the
-    triangle that Cholesky reads); any other by `_cholesky_definiteness`."""
+    """Label a matrix that passed the `MetricOperator` gate, thr = 1e-12 max|Theta|: no eigenvalue
+    below +thr is positive-definite; none below -thr, or thr = 0, singular; else indefinite.  With
+    no nonzero entry off its three central diagonals, by `tridiagonal_definiteness` of its diagonal
+    and lower band (the triangle that Cholesky reads); any other by `_cholesky_definiteness`."""
     band = [np.diagonal(matrix, k) for k in (-1, 0, 1)]
     if np.count_nonzero(matrix) == sum(map(np.count_nonzero, band)):
         return str(tridiagonal_definiteness(band[1], band[0]))
@@ -171,20 +171,18 @@ def classify_definiteness(matrix: np.ndarray) -> str:
 
 
 def _cholesky_definiteness(matrix: np.ndarray) -> str:
-    """Positive-definite when the Cholesky factorization of Theta - thr I succeeds,
-    thr = 1e-12 max|Theta| (`_pivot_threshold`); otherwise the smallest eigenvalue breaks
-    the tie: within thr of zero, or any eigenvalue where thr = 0, is singular, below it
-    indefinite."""
+    """The rule of `classify_definiteness` by Cholesky of Theta - thr I, then of Theta + thr I,
+    each formed in one copy of Theta (at thr = 0 the second repeats the first)."""
     threshold = _pivot_threshold(matrix)
-    try:
-        np.linalg.cholesky(matrix - threshold * np.eye(len(matrix)))
-        return "positive-definite"
-    except np.linalg.LinAlgError:
-        pass
-    smallest = np.linalg.eigvalsh(matrix)[0]
-    if abs(smallest) <= threshold or not threshold:
-        return "singular"
-    return "positive-definite" if smallest > 0 else "indefinite"
+    for shift, label in ((-threshold, "positive-definite"), (threshold, "singular")):
+        shifted = matrix.copy()
+        shifted.flat[:: len(matrix) + 1] += shift
+        try:
+            np.linalg.cholesky(shifted)
+        except np.linalg.LinAlgError:
+            continue
+        return label
+    return "indefinite" if threshold else "singular"
 
 
 def metric_from_kappa(system: BiorthogonalSystem, kappa: KappaVector) -> MetricOperator:

@@ -83,7 +83,8 @@ def observable_from_hermitian(K: np.ndarray, theta: MetricOperator) -> np.ndarra
     _require_symmetric(K, "K")
     if K.shape != theta.matrix.shape:
         raise ValueError("dimension mismatch between K and theta")
-    if 1.0 / np.linalg.cond(theta.matrix) < 1e-13:
+    magnitudes = np.abs(np.linalg.eigvalsh(theta.matrix))  # Theta is symmetric: cond = max/min
+    if not magnitudes.min() > 1e-13 * magnitudes.max():
         raise ValueError("theta is numerically singular")
     Lambda = np.linalg.solve(theta.matrix, K)
     _require_finite(Lambda, "Theta^{-1} K")

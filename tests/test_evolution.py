@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -130,6 +132,28 @@ def test_norm_trajectory_starts_at_the_state_norms():
     assert theta_norms[0] == pytest.approx(theta_norm(theta, psi0), rel=1e-13)
     assert dirac_norms[0] == pytest.approx(5.25, rel=1e-13)
     np.testing.assert_allclose(theta_norms, theta_norms[0], rtol=1e-12)
+
+
+def test_norm_trajectory_holds_vectors_only(system_cache, rng):
+    """At N = 256 the trajectory peaks below half an array of 8 N^2 bytes: it casts no real
+    N x N array to complex and forms no Q kets (3.0 arrays while it did).  Its norms equal
+    those of the propagated state, v^H Theta v and v^H v in complex arithmetic."""
+    N = 256
+    system, theta = system_cache(N), Q_metric(N)
+    psi0 = EvolutionState(N, rng.normal(size=N) + 1j * rng.normal(size=N))
+    t_grid = np.linspace(0.0, 2.0, 5)
+    tracemalloc.start()
+    try:
+        theta_norms, dirac_norms = norm_trajectory(system, theta, psi0, t_grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * 8 * N**2
+    H = build_hamiltonian(N)
+    for i, t in enumerate(t_grid):
+        v = propagator(H, t) @ psi0.amplitudes
+        assert theta_norms[i] == pytest.approx(np.real(v.conj() @ theta.matrix @ v), rel=1e-10)
+        assert dirac_norms[i] == pytest.approx(np.real(v.conj() @ v), rel=1e-10)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

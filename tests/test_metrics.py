@@ -280,6 +280,26 @@ def test_zero_metric_reads_singular_on_both_paths():
     assert classify_definiteness(np.full((3, 3), -1e-315)) == "singular"
 
 
+def test_dense_labels_run_no_eigensolver(monkeypatch):
+    """ones - 2I, ones and ones + I (spectra {1, -2, -2}, {3, 0, 0}, {4, 1, 1}) take the
+    Cholesky path: two factorizations, at -thr and +thr, for the indefinite and the singular
+    one, and one for the positive-definite one."""
+
+    def no_eigensolver(*args, **kwargs):
+        raise AssertionError("an eigensolver ran")
+
+    for name in ("eigvalsh", "eigh", "eigvals", "eig"):
+        monkeypatch.setattr(np.linalg, name, no_eigensolver)
+    cholesky, calls = np.linalg.cholesky, []
+    monkeypatch.setattr(np.linalg, "cholesky", lambda matrix: calls.append(1) or cholesky(matrix))
+    ones = np.ones((3, 3))
+    cases = [(-2.0, "indefinite", 2), (0.0, "singular", 2), (1.0, "positive-definite", 1)]
+    for shift, label, factorizations in cases:
+        calls.clear()
+        assert MetricOperator(ones + shift * np.eye(3)).definiteness == label
+        assert len(calls) == factorizations
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     values=st.lists(

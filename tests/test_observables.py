@@ -62,10 +62,30 @@ def test_observable_from_hermitian_rejects_singular():
     theta = MetricOperator(np.zeros((2, 2)))
     with pytest.raises(ValueError, match="theta is numerically singular"):
         observable_from_hermitian(np.eye(2), theta)
-    # a NaN or inf Theta is named as such when it is built, so it never reaches the SVD
+    # a NaN or inf Theta is named as such when it is built, so it never reaches the gate
     for entry in (np.nan, np.inf):
         with pytest.raises(ValueError, match="theta is not finite"):
             MetricOperator(np.diag([entry, 1.0]))
+
+
+def test_conditioning_gate_reads_symmetric_eigenvalues(monkeypatch, system_cache, rng):
+    """Theta is symmetric, so its 2-norm condition number is max|lambda| / min|lambda| of
+    eigvalsh: no SVD (numpy's cond) runs.  The gate rejects unless min|lambda| > 1e-13 max|lambda|."""
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("numpy.linalg.cond ran")
+
+    monkeypatch.setattr(np.linalg, "cond", no_svd)
+    system = system_cache(8)
+    theta = metric_from_kappa(system, KappaVector(8, rng.uniform(0.5, 2.0, 8)))
+    K = rng.normal(size=(8, 8))
+    assert dieudonne_residual(observable_from_hermitian(K + K.T, theta), theta) <= 1e-12
+    with pytest.raises(ValueError, match="theta is numerically singular"):
+        observable_from_hermitian(np.eye(2), MetricOperator(np.zeros((2, 2))))
+    observable_from_hermitian(np.eye(2), MetricOperator(np.diag([1.0, 1.01e-13])))
+    for smallest in (0.99e-13, -0.99e-13):
+        with pytest.raises(ValueError, match="theta is numerically singular"):
+            observable_from_hermitian(np.eye(2), MetricOperator(np.diag([1.0, smallest])))
 
 
 def test_observable_from_hermitian_names_a_size_mismatch():
