@@ -69,7 +69,7 @@ def _norms(theta: MetricOperator, v: np.ndarray) -> tuple[float, float]:
         raise ValueError("theta must be positive-definite to define a norm")
     if v.shape != (theta.dimension,):
         raise ValueError("dimension mismatch between theta and the state")
-    x, y = v.real, v.imag
+    x, y = v.real.astype(float, copy=False), v.imag.astype(float, copy=False)  # no integer wrap
     with np.errstate(over="ignore", invalid="ignore"):
         norms = float(x @ theta.matrix @ x + y @ theta.matrix @ y), float(x @ x + y @ y)
     if not all(0.0 < norm < np.inf for norm in norms):  # False for NaN

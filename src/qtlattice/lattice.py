@@ -106,8 +106,8 @@ def biorthogonal_system(N: int) -> BiorthogonalSystem:
 
     The kets come from one recurrence over all roots of P_N.  Gates: the eigen
     residual max|H kets - kets E| (from the two bands of H) is at most
-    EIGEN_RESIDUAL_TOL, and kets^T Q kets is diagonal to 1e-12 of max q_norm.
-    Both checks share one N x N work buffer.
+    EIGEN_RESIDUAL_TOL, and the Gram kets^T Q kets, formed as W^T W with W = sqrt(Q) kets (one
+    `syrk`), is diagonal to 1e-12 of max q_norm.  Both checks share one N x N work buffer.
 
     The system is built once per size: the last one is kept, and a call with
     the same N returns it again (a new N replaces it).  So its kets and q_norms
@@ -130,7 +130,8 @@ def _build_system(N: int) -> BiorthogonalSystem:
     residual = np.abs(buffer, out=buffer).max()
     if residual > EIGEN_RESIDUAL_TOL:
         raise RuntimeError(f"eigen residual {residual:.3e} > {EIGEN_RESIDUAL_TOL:.0e} at N={N}")
-    gram = np.matmul(kets.T, ketkets, out=buffer)
+    W = np.divide(ketkets, np.sqrt(build_metric_Q(N))[:, None], out=ketkets)
+    gram = np.matmul(W.T, W, out=buffer)
     np.fill_diagonal(gram, 0.0)
     off, gate = np.abs(gram, out=gram).max(), 1e-12 * np.max(q_norms)
     if off > gate:

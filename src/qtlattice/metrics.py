@@ -188,17 +188,16 @@ def _cholesky_definiteness(matrix: np.ndarray) -> str:
 def metric_from_kappa(system: BiorthogonalSystem, kappa: KappaVector) -> MetricOperator:
     """Theta = sum_j (Q psi_j) kappa_j (Q psi_j)^T; ValueError unless every kappa_j is positive.
 
-    Positive-definite in exact arithmetic, but weights of very different sizes can read singular.
+    Formed as B B^T, B = Q S diag(sqrt kappa): one `syrk`, exactly symmetric.  Positive-definite
+    in exact arithmetic, but weights of very different sizes can read singular.
     """
     if kappa.dimension != system.dimension:
         raise ValueError("kappa dimension does not match system")
     if np.any(kappa.values <= 0):
         raise ValueError("kappa must be strictly positive")
-    ketkets = system.ketkets
     with np.errstate(over="ignore"):  # inf entries fail the gate of MetricOperator
-        matrix = (ketkets * kappa.values[None, :]) @ ketkets.T
-        del ketkets  # not held through the symmetrization and the gate of MetricOperator
-        matrix = 0.5 * (matrix + matrix.T)
+        matrix = system.ketkets * np.sqrt(kappa.values)  # B, dropped once B B^T is formed
+        matrix = matrix @ matrix.T
     return MetricOperator(matrix, "kappa-family")
 
 

@@ -7,8 +7,8 @@ of certified observables (Theta^{-1} K for symmetric K), and the
 overlap-matrix reformulation: with kets renormalized to unit Q-norm, the
 product M = U V of the two overlap matrices is Hermitian exactly when the
 residual test passes.  The eigensystem of a candidate comes from numpy
-alone: one `eig` for its eigenvalues and right vectors, and the rows of the
-inverse of the right-vector matrix for its left vectors.
+alone, in real arithmetic for a real candidate: one `eig` for its eigenvalues
+and right vectors, and the rows of the inverse of their matrix for its left ones.
 """
 
 from __future__ import annotations
@@ -29,10 +29,10 @@ DEFAULT_CRITERION_TOL = 1e-10
 class ObservableSpectralData:
     """Left/right eigensystem of a candidate observable; `dimension` is the number of eigenvalues.
 
-    right_vectors[:, j] and left_vectors[:, j] (eigenvectors of the
-    transpose, Lambda^T l = lambda l) share eigenvalue eigenvalues[j];
-    pairing_norms[j] is the unconjugated overlap left_j . right_j, so the
-    spectral reconstruction reads Lambda = sum_j right_j (lambda_j / pairing_j) left_j^T.
+    right_vectors[:, j] and left_vectors[:, j] (eigenvectors of the transpose, Lambda^T l =
+    lambda l) share eigenvalue eigenvalues[j], all float64 for a real Lambda with a real spectrum
+    (numpy's `eig`), else complex; pairing_norms[j] is the unconjugated overlap left_j . right_j,
+    so the spectral reconstruction reads Lambda = sum_j right_j (lambda_j / pairing_j) left_j^T.
     """
 
     dimension: int = field(init=False)
@@ -96,9 +96,9 @@ def spectral_data(Lambda: np.ndarray) -> ObservableSpectralData:
 
     Requires a simple spectrum: every gap between two eigenvalues must exceed
     GAP_TOL max|Lambda|, so the verdict does not change when Lambda is
-    rescaled (a zero Lambda is degenerate).  One `np.linalg.eig`
-    gives the eigenvalues and right vectors R, sorted by real, then imaginary
-    part.  Lambda R = R diag(lambda) gives R^{-1} Lambda = diag(lambda) R^{-1}:
+    rescaled (a zero Lambda is degenerate).  One `np.linalg.eig` in double precision, real
+    (`dgeev`) for a real Lambda, gives the eigenvalues and right vectors R, sorted by real,
+    then imaginary part.  Lambda R = R diag(lambda) gives R^{-1} Lambda = diag(lambda) R^{-1}:
     row j of R^{-1}, transposed, is an eigenvector of Lambda^T for lambda_j,
     so both sets belong to the same eigenvalues by construction.  The left
     vectors are scaled to unit 2-norm, as `geev` scales its own.
@@ -122,7 +122,7 @@ def spectral_data(Lambda: np.ndarray) -> ObservableSpectralData:
     Lambda = np.asarray(Lambda)
     _require_square(Lambda, "Lambda")
     _require_finite(Lambda, "Lambda")
-    Lambda = Lambda.astype(complex)
+    Lambda = Lambda.astype(complex if Lambda.dtype.kind == "c" else float, copy=False)
     N = Lambda.shape[0]
     eigenvalues, right = np.linalg.eig(Lambda)
     order = np.lexsort((eigenvalues.imag, eigenvalues.real))

@@ -70,6 +70,17 @@ def test_theta_norm_values():
     assert theta_norm(identity, EvolutionState(2, np.array([0.6, 0.8]))) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize(
+    "amplitudes, expected",
+    [([2**32, 0], 2.0**63), (np.array([16, 0], dtype=np.uint8), 128.0)],
+    ids=["int64", "uint8"],
+)
+def test_norms_of_an_integer_state_do_not_wrap(amplitudes, expected):
+    """The Dirac norm 2^64 of int64 [2^32, 0], and 256 of uint8 [16, 0], is formed in floats."""
+    state = EvolutionState(2, np.array(amplitudes))
+    assert theta_norm(tridiagonal_metric(2, 0.1), state) == expected
+
+
 def test_theta_norm_rejects_indefinite():
     indefinite = MetricOperator(np.diag([1.0, -1.0]), "x")
     with pytest.raises(ValueError, match="positive-definite"):

@@ -84,9 +84,8 @@ def test_random_kappa_family(N, system_cache, rng):
 
 
 def test_metric_from_kappa_peaks_at_three_arrays(system_cache):
-    """At N = 256, the product, its symmetrized copy and one temporary of the gate of
-    MetricOperator: about 3 arrays of 8 N^2 bytes (4 while the Q kets formed for the
-    product are held to the end)."""
+    """At N = 256, the product B B^T and two temporaries of the gate of MetricOperator:
+    about 3 arrays of 8 N^2 bytes (4 while the scaled Q kets B are held to the end)."""
     N = 256
     system = system_cache(N)
     kappa = exceptional_kappa(system)
@@ -97,6 +96,15 @@ def test_metric_from_kappa_peaks_at_three_arrays(system_cache):
     finally:
         tracemalloc.stop()
     assert 3 * 8 * N**2 <= peak <= 3.2 * 8 * N**2
+
+
+@pytest.mark.parametrize("N", [5, 64, 256])
+def test_kappa_metric_is_exactly_symmetric(N, system_cache, rng):
+    """Theta = B B^T is one symmetric product: equal to its transpose bit for bit, with no
+    symmetrization pass."""
+    system = system_cache(N)
+    theta = metric_from_kappa(system, KappaVector(N, rng.uniform(0.5, 2.0, N) / system.q_norms))
+    np.testing.assert_array_equal(theta.matrix, theta.matrix.T)
 
 
 def test_charge_trivial_cases(system_cache):

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -142,19 +143,68 @@ def test_spectral_data_left_vectors_are_transpose_eigenvectors(rng):
 
 
 @pytest.mark.parametrize("N", [2, 8, 64])
-@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("kind", ["real", "real-spectrum", "complex"])
 def test_spectral_data_is_scipy_geev_bitwise(N, kind, rng):
-    """Eigenvalues and right vectors are those of scipy.linalg.eig bit for bit;
-    the left vectors (rows of R^{-1}) are scipy's conjugated ones up to a phase."""
-    Lam = rng.normal(size=(N, N)) + (1j * rng.normal(size=(N, N)) if kind == "complex" else 0)
+    """Eigenvalues and right vectors are those of scipy.linalg.eig of the same Lambda bit
+    for bit, real where numpy's real eig finds a real spectrum; the left vectors (rows of
+    R^{-1}) are scipy's conjugated ones up to a phase."""
+    Lam = rng.normal(size=(N, N))
+    if kind == "real-spectrum":  # P^{-1} K with P > 0 and K symmetric, like Theta^{-1} K
+        Lam = np.linalg.solve(Lam @ Lam.T + N * np.eye(N), Lam + Lam.T)
+    elif kind == "complex":
+        Lam = Lam + 1j * rng.normal(size=(N, N))
     data = spectral_data(Lam)
-    values, left, right = scipy.linalg.eig(Lam.astype(complex), left=True, right=True)
+    values, left, right = scipy.linalg.eig(Lam, left=True, right=True)
+    if kind == "real-spectrum" or data.eigenvalues.dtype == np.float64:
+        assert not np.any(values.imag) and not np.any(right.imag)
+        values, right = values.real, right.real
     order = np.lexsort((values.imag, values.real))
     np.testing.assert_array_equal(data.eigenvalues, values[order], strict=True)
     np.testing.assert_array_equal(data.right_vectors, right[:, order], strict=True)
     np.testing.assert_allclose(np.linalg.norm(data.left_vectors, axis=0), 1.0, rtol=1e-14)
     phases = np.einsum("ij,ij->j", left[:, order], data.left_vectors)
     np.testing.assert_allclose(np.abs(phases), 1.0, rtol=1e-10)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32, np.float16, np.int64])
+def test_real_spectrum_stays_real(dtype):
+    """A real Lambda goes to numpy's real eig in double precision (numpy's linalg would return
+    float32 for float32 and reject float16): a real spectrum comes back in float64 arrays."""
+    data = spectral_data(np.diag([1, 2]).astype(dtype))
+    for array in (data.eigenvalues, data.right_vectors, data.left_vectors, data.pairing_norms):
+        assert array.dtype == np.float64
+    np.testing.assert_array_equal(data.eigenvalues, [1.0, 2.0])
+
+
+def test_complex_pair_of_a_real_matrix_is_exactly_conjugate():
+    data = spectral_data(np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    assert data.eigenvalues.dtype == np.complex128
+    np.testing.assert_array_equal(data.eigenvalues, data.eigenvalues[::-1].conj())
+    np.testing.assert_array_equal(data.right_vectors, data.right_vectors[:, ::-1].conj())
+    np.testing.assert_allclose(data.eigenvalues, [-1j, 1j], atol=1e-15)
+
+
+def test_real_spectrum_peaks(system_cache, rng):
+    """N = 256, Lambda = Theta^{-1} K: spectral_data peaks at about 4.0 arrays of 8 N^2 bytes
+    and overlap_matrices at 7.0, in real arithmetic (9.0 and 12.3 with Lambda cast to complex)."""
+    N = 256
+    system = system_cache(N)
+    kappa = KappaVector(N, rng.uniform(0.5, 2.0, N) / system.q_norms)
+    K = rng.normal(size=(N, N))
+    Lam = observable_from_hermitian(K + K.T, metric_from_kappa(system, kappa))
+    data, spectral_peak = _traced_peak(lambda: spectral_data(Lam))
+    _, overlap_peak = _traced_peak(lambda: overlap_matrices(system, kappa, data))
+    assert spectral_peak <= 5 * 8 * N**2
+    assert overlap_peak <= 8 * 8 * N**2
+
+
+def _traced_peak(call):
+    """call() and the peak of the memory that tracemalloc traced while it ran, in bytes."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_spectral_data_rejects_degenerate():
