@@ -38,10 +38,10 @@ class EvolutionState:
 def propagator(H: LatticeHamiltonian, t: float) -> np.ndarray:
     """exp(-i H t) via the spectral decomposition of H, at one real and finite t.
 
-    The eigensystem comes from `biorthogonal_system`, which is built once per
-    size, so repeated calls at one N share it.  S and S^{-1} are real, so the
-    real and imaginary parts are two real products, S diag(cos Et) S^{-1} and
-    S diag(-sin Et) S^{-1}, written into one complex array.
+    The eigensystem comes from `biorthogonal_system`, built once per size, so
+    calls at one N share it.  With S^{-1} = diag(1/n) S^T Q, the real and
+    imaginary parts are S diag(f/n) S^T Q for f = cos Et and -sin Et: one real
+    product each, into its half of U, then scaled by q.  No S^{-1} is formed.
     """
     t = _as_real(t, "t", 0)
     N = H.dimension
@@ -49,12 +49,10 @@ def propagator(H: LatticeHamiltonian, t: float) -> np.ndarray:
         return np.eye(N, dtype=complex)
     system = biorthogonal_system(N)
     Et = system.eigenvalues.roots * t
-    # S^{-1} = diag(1/n_j) S^T Q, i.e. rows are (Q kets)^T / n_j
-    S_inv = system.kets.T * build_metric_Q(N)
-    S_inv /= system.q_norms[:, None]
     U = np.empty((N, N), dtype=complex)
-    U.real = (system.kets * np.cos(Et)[None, :]) @ S_inv
-    U.imag = (system.kets * -np.sin(Et)[None, :]) @ S_inv
+    for part, f in ((U.real, np.cos(Et)), (U.imag, -np.sin(Et))):
+        np.matmul(system.kets * (f / system.q_norms), system.kets.T, out=part)
+        part *= build_metric_Q(N)
     return U
 
 

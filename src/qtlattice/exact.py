@@ -1,16 +1,16 @@
 """Exact-arithmetic verification of the model's algebraic identities.
 
-Small-N ground truth on `fractions.Fraction`, with matrices as lists of rows
-and polynomials as coefficient lists from the constant term up: the
-intertwining relation for the diagonal metric, the unique tridiagonal
-couplings and the exceptional-weights identity modulo P_N.  The published
-factorial closed form for the diagonal metric fails the intertwining
-relation from the third site on; the recursion-derived n + 1/2 is consistent.
+Small-N ground truth on `fractions.Fraction` (matrices as lists of rows,
+polynomials as coefficient lists from the constant term up): the intertwining
+relation for the diagonal metric, the unique tridiagonal couplings and the
+exceptional-weights identity (Christoffel-Darboux).  The published factorial
+diagonal fails the intertwining relation from the third site on; n + 1/2 holds.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from math import factorial
 
 from ._size import _require_size
@@ -108,47 +108,32 @@ def exact_tridiagonal_solve(N: int) -> list[Fraction]:
     return _gauss_jordan([*rows, t0_is_1], N - 1)
 
 
-def _times_modulo(a: list, b: list, m: list) -> list[Fraction]:
-    """The remainder of a * b modulo m, as deg(m) coefficients."""
-    d, r = len(m) - 1, [Fraction(0)] * max(len(a) + len(b) - 1, len(m) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            r[i + j] += x * y
-    for top in range(len(r) - 1, d - 1, -1):
-        factor = r[top] / m[d]
-        for i in range(d + 1):
-            r[top - d + i] -= factor * m[i]
-    return r[:d]
-
-
 def exact_exceptional_identity(N: int) -> bool:
     """Verify sum_j psi_j psi_j^T Q / n_j = I exactly, q from `rational_metric_Q`.
 
-    Entry (a, b) is the sum over roots E of P_N of P_a(E) P_b(E) q_b / n(E),
-    n(E) = sum_c q_c P_c(E)^2.  The summand is reduced modulo P_N, where 1/n
-    is solved for by `_gauss_jordan`; the sum over roots of the remainder
-    is a combination of power sums from Newton's identities.  Its cost grows
-    about as N^5, so N is bounded like the other checks.
+    The identity reads S D^{-1} S^T Q = I, with S the kets and D = diag(n_j).  S is
+    invertible, as the roots of P_N are distinct, so it holds iff S^T Q S is diagonal:
+    iff K(x, y) = sum_{c<N} q_c P_c(x) P_c(y) vanishes at every pair of distinct roots,
+    iff (x - y) K lies in the ideal of P_N(x) and P_N(y) (radical: P_N is squarefree).
+    Only x K and y K reach degree N, so the normal form of (x - y) K modulo that ideal
+    is (x - y) K - c (P_N(x) P_{N-1}(y) - P_{N-1}(x) P_N(y)), c = q_{N-1} lc(P_{N-1}) /
+    lc(P_N) with lc the leading coefficient; the identity holds iff it is zero.  For
+    q = n + 1/2 this is Christoffel-Darboux (Szego, Orthogonal Polynomials, 3.2).
     """
     if not 1 <= _require_size(N) <= INTERTWINING_N_MAX:
         raise ValueError(f"N must be in [1, {INTERTWINING_N_MAX}]")
-    P = [[Fraction(1)], [Fraction(0), Fraction(1)]]
+    P, q = [[Fraction(1)], [Fraction(0), Fraction(1)]], rational_metric_Q(N)
     for k in range(1, N):  # (k+1) P_{k+1} = (2k+1) x P_k - k P_{k-1}
         P.append([((2 * k + 1) * x - k * y) / (k + 1)
                   for x, y in zip([0, *P[k]], [*P[k - 1], 0, 0])])
-    p_N, q = P[N], rational_metric_Q(N)
-    squares = [_times_modulo(P[c], P[c], p_N) for c in range(N)]
-    norm = [sum(q[c] * squares[c][i] for c in range(N)) for i in range(N)]
-    columns = [_times_modulo([0] * k + [1], norm, p_N) for k in range(N)]  # x^k n modulo P_N
-    inverse = _gauss_jordan([[*row, Fraction(i == 0)] for i, row in enumerate(zip(*columns))], N)
-    monic, sums = [c / p_N[N] for c in reversed(p_N)], [Fraction(N)]
-    for k in range(1, N):  # sums[k] = sum of E^k; monic[i] is the coefficient of x^(N - i)
-        sums.append(-k * monic[k] - sum(monic[i] * sums[k - i] for i in range(1, k)))
-    for a in range(N):
-        weighted = _times_modulo(P[a], inverse, p_N)
-        for b in range(a, N):
-            remainder = _times_modulo(weighted, P[b], p_N)
-            # entry (b, a) is this one times q_a / q_b: one triangle suffices
-            if q[b] * sum(c * s for c, s in zip(remainder, sums)) != (1 if a == b else 0):
-                return False
-    return True
+    c = q[N - 1] * P[N - 1][-1] / P[N][-1]
+    F = [[Fraction(0)] * (N + 1) for _ in range(N + 1)]  # F[i][j]: the coefficient of x^i y^j
+    for k in range(N):  # (x - y) K
+        for (i, a), (j, b) in product(enumerate(P[k]), repeat=2):
+            F[i + 1][j] += q[k] * a * b
+            F[i][j + 1] -= q[k] * a * b
+    # minus c (P_N(x) P_{N-1}(y) - P_{N-1}(x) P_N(y))
+    for (i, a), (j, b) in product(enumerate(P[N]), enumerate(P[N - 1])):
+        F[i][j] -= c * a * b
+        F[j][i] += c * a * b
+    return not any(any(row) for row in F)

@@ -13,6 +13,7 @@ and right vectors, and the rows of the inverse of their matrix for its left ones
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,7 +54,8 @@ class OverlapPair:
     hermiticity_residual: float = field(init=False)
 
     def __post_init__(self):
-        residual = float(np.max(np.abs(self.M - self.M.conj().T)))
+        with np.errstate(over="ignore"):  # entries near the float range: an infinite residual
+            residual = float(np.max(np.abs(self.M - self.M.conj().T)))
         object.__setattr__(self, "hermiticity_residual", residual)
 
 
@@ -61,20 +63,21 @@ def dieudonne_residual(Lambda: np.ndarray, theta: MetricOperator) -> float:
     """max|Lambda^dagger Theta - Theta Lambda| / (max|Theta| max|Lambda|).
 
     ValueError unless Lambda is of the shape of Theta and finite (complex ones
-    too), and the residual is finite.  The scale has no floor, so the residual, and
-    a verdict drawn from it, is the same up to rounding when Theta or Lambda
-    is rescaled.  A zero residual is 0, also for a zero Theta or Lambda.
+    too).  The scale has no floor, so the residual and its verdict are the same up to
+    rounding when Theta or Lambda is rescaled: where max|Theta| max|Lambda| leaves
+    [2^-500, 2^500], both are first scaled by exact powers of two, so no product over-
+    or underflows.  A zero residual is 0, also for a zero Theta or Lambda.
     """
-    Lambda = np.asarray(Lambda)
-    if Lambda.shape != theta.matrix.shape:
+    Lambda, matrix = np.asarray(Lambda), theta.matrix
+    if Lambda.shape != matrix.shape:
         raise ValueError("dimension mismatch between Lambda and theta")
     _require_finite(Lambda, "Lambda")
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow: an inf or NaN residual
-        residual = Lambda.conj().T @ theta.matrix - theta.matrix @ Lambda
-        scale = np.max(np.abs(theta.matrix)) * np.max(np.abs(Lambda))
-        residual = _relative_max(residual, scale)
-    _require_finite(residual, "the Dieudonne residual")
-    return residual
+    largest = [float(np.max(np.abs(A))) for A in (matrix, Lambda)]
+    exponents = [math.frexp(min(x, np.finfo(float).max))[1] for x in largest]  # |z| may be inf
+    if not -500 <= sum(exponents) <= 500:
+        matrix, Lambda = (A * math.ldexp(1.0, -e) for A, e in zip((matrix, Lambda), exponents))
+        largest = [float(np.max(np.abs(A))) for A in (matrix, Lambda)]
+    return _relative_max(Lambda.conj().T @ matrix - matrix @ Lambda, largest[0] * largest[1])
 
 
 def observable_from_hermitian(K: np.ndarray, theta: MetricOperator) -> np.ndarray:
@@ -130,7 +133,8 @@ def spectral_data(Lambda: np.ndarray) -> ObservableSpectralData:
     left = np.linalg.inv(right).T
     left /= np.linalg.norm(left, axis=0)
     if N > 1:
-        gaps = np.abs(eigenvalues[:, None] - eigenvalues[None, :])
+        with np.errstate(over="ignore"):  # an infinite gap is not degenerate
+            gaps = np.abs(eigenvalues[:, None] - eigenvalues[None, :])
         np.fill_diagonal(gaps, np.inf)
         if gaps.min() <= GAP_TOL * np.max(np.abs(Lambda)):
             raise ValueError("spectrum is degenerate or near-degenerate")
@@ -150,24 +154,24 @@ def overlap_matrices(
 ) -> OverlapPair:
     """Build the product M = U V of the two overlap matrices for the Hermiticity criterion.
 
-    Kets are renormalized internally to unit Q-norm; the weights are
-    rescaled in step (kappa_j -> kappa_j n_j) so the metric they encode is
-    unchanged.  U pairs renormalized kets with left vectors of Lambda,
-    V pairs right vectors of Lambda with renormalized ketkets, and
-    M = U V is Hermitian iff Lambda passes the residual test against the
-    kappa-family metric.
+    With kets at unit Q-norm and weights rescaled in step (kappa_j -> kappa_j n_j),
+    U = S^T L with rows divided by kappa n^{3/2} and V = R^T (Q S) with rows times
+    lambda / pairing and columns divided by sqrt(n): each diagonal is applied as a
+    vector, so no normalized ket copy is formed.  M = U V is Hermitian iff Lambda
+    passes the residual test against the kappa-family metric.  Weights that make M
+    not finite (a zero or tiny one) are a ValueError.
     """
     if not (system.dimension == kappa.dimension == data.dimension):
         raise ValueError("dimension mismatch")
-    norms = np.sqrt(system.q_norms)
-    kets_hat = system.kets / norms[None, :]
-    ketkets_hat = system.ketkets / norms[None, :]
-    weights = kappa.values * system.q_norms
-    U = (kets_hat.T @ data.left_vectors) / weights[:, None]
-    V = ((data.eigenvalues / data.pairing_norms)[:, None]) * (
-        data.right_vectors.T @ ketkets_hat
-    )
-    return OverlapPair(U @ V)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # the gate below
+        U = system.kets.T @ data.left_vectors
+        U /= (kappa.values * system.q_norms**1.5)[:, None]
+        scale = data.eigenvalues / data.pairing_norms  # complex over real vectors too
+        V = (data.right_vectors.T @ system.ketkets) * scale[:, None]
+        V /= np.sqrt(system.q_norms)
+        M = U @ V
+    _require_finite(M, "the overlap product")
+    return OverlapPair(M)
 
 
 def criterion_product_hermitian(
@@ -175,7 +179,10 @@ def criterion_product_hermitian(
 ) -> bool:
     """True iff the overlap product is Hermitian within tolerance.
 
-    The gate is max|M - M^H| <= tol max|M|, relative to the product itself,
-    so the verdict does not change when Lambda is rescaled.
+    The gate is max|M - M^H| <= tol max|M|, relative to M itself, so the verdict does not
+    change when Lambda is rescaled.  tol is one finite real > 0, as `--tol-criterion`.
     """
+    tol = float(_as_real(tol, "tol", 0))
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, not {tol}")
     return pair.hermiticity_residual <= tol * float(np.max(np.abs(pair.M)))

@@ -2,11 +2,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import dense_hamiltonian
 
 from qtlattice import (
     EvolutionState,
     KappaVector,
     MetricOperator,
+    RootSet,
     build_hamiltonian,
     build_metric_Q,
     lattice,
@@ -55,6 +57,34 @@ def test_group_property(N):
     np.testing.assert_allclose(
         propagator(H, t1) @ propagator(H, t2), propagator(H, t1 + t2), atol=1e-11
     )
+
+
+def test_propagator_forms_no_inverse_matrix(monkeypatch):
+    """At N = 1024 (scipy's roots, as cold roots_P takes seconds) the propagator peaks at U,
+    2 arrays of 8 N^2 bytes, plus one real temporary: S diag(f/n) S^T Q is one product per
+    part, with no S^{-1} (5.0 while it formed one).  U maps each ket to its phase-twisted self."""
+    roots_legendre = pytest.importorskip("scipy.special").roots_legendre
+    monkeypatch.setattr(lattice, "roots_P", lambda N: RootSet(roots_legendre(N)[0]))
+    N, t = 1024, 0.3
+    system = biorthogonal_system(N)
+    tracemalloc.start()
+    try:
+        U = propagator(build_hamiltonian(N), t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.2 * 8 * N**2
+    kets = system.kets[:, ::97]
+    phases = np.exp(-1j * system.eigenvalues.roots[::97] * t)
+    np.testing.assert_allclose(U @ kets, kets * phases, rtol=0, atol=1e-11 * np.abs(kets).max())
+
+
+@pytest.mark.parametrize("N", [3, 64])
+def test_propagator_matches_expm(N):
+    expm = pytest.importorskip("scipy.linalg").expm
+    for t in (0.3, 2.7):
+        U = propagator(build_hamiltonian(N), t)
+        np.testing.assert_allclose(U, expm(-1j * t * dense_hamiltonian(N)), rtol=0, atol=1e-12)
 
 
 def test_time_reversal_conjugation():

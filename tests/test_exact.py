@@ -95,6 +95,26 @@ def test_exceptional_identity_fails_for_the_factorial_diagonal(monkeypatch):
     assert not exact_exceptional_identity(3)
 
 
+_METRICS = {
+    "n + 1/2": rational_metric_Q,
+    "2 (n + 1/2)": lambda N: [2 * q for q in rational_metric_Q(N)],
+    "factorial": factorial_diagonal,
+    "one": lambda N: [Fraction(1)] * N,
+    "last entry * 1001/1000": lambda N: [*rational_metric_Q(N)[:-1],
+                                         rational_metric_Q(N)[-1] * Fraction(1001, 1000)],
+}
+
+
+@pytest.mark.parametrize(
+    "metric, holds_up_to",
+    [("n + 1/2", 8), ("2 (n + 1/2)", 8), ("factorial", 2), ("one", 1), ("last entry * 1001/1000", 1)],
+)
+def test_exceptional_identity_verdicts(monkeypatch, metric, holds_up_to):
+    """The identity holds at N iff q is a multiple of n + 1/2 on its first N sites."""
+    monkeypatch.setattr(exact, "rational_metric_Q", _METRICS[metric])
+    assert [exact_exceptional_identity(N) for N in range(1, 9)] == [N <= holds_up_to for N in range(1, 9)]
+
+
 def test_rational_hamiltonian_matches_float():
     exact_H = rational_hamiltonian(4)
     dense = dense_hamiltonian(4)
@@ -115,7 +135,7 @@ def test_cost_guards():
         exact_intertwining_check(13)
     with pytest.raises(ValueError):
         exact_tridiagonal_solve(1)
-    # about N^5: 4.6 s at N = 32
+    # O(N^3) exact operations: 7 ms at N = 12
     with pytest.raises(ValueError, match=r"\[1, 12\]"):
         exact_exceptional_identity(13)
 

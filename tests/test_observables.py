@@ -186,7 +186,8 @@ def test_complex_pair_of_a_real_matrix_is_exactly_conjugate():
 
 def test_real_spectrum_peaks(system_cache, rng):
     """N = 256, Lambda = Theta^{-1} K: spectral_data peaks at about 4.0 arrays of 8 N^2 bytes
-    and overlap_matrices at 7.0, in real arithmetic (9.0 and 12.3 with Lambda cast to complex)."""
+    and overlap_matrices at 5.0, in real arithmetic (9.0 and 12.3 with Lambda cast to complex;
+    overlap_matrices read 7.0 while it formed unit-norm copies of the kets and Q kets)."""
     N = 256
     system = system_cache(N)
     kappa = KappaVector(N, rng.uniform(0.5, 2.0, N) / system.q_norms)
@@ -195,7 +196,20 @@ def test_real_spectrum_peaks(system_cache, rng):
     data, spectral_peak = _traced_peak(lambda: spectral_data(Lam))
     _, overlap_peak = _traced_peak(lambda: overlap_matrices(system, kappa, data))
     assert spectral_peak <= 5 * 8 * N**2
-    assert overlap_peak <= 8 * 8 * N**2
+    assert overlap_peak <= 5.5 * 8 * N**2
+
+
+def test_complex_spectrum_overlap_peak(system_cache, rng):
+    """N = 256, a normal Lambda with a complex spectrum: overlap_matrices peaks at about
+    10.3 arrays of 8 N^2 bytes for a complex M of 2 (12.3 with unit-norm ket copies)."""
+    N = 256
+    system = system_cache(N)
+    kappa = KappaVector(N, rng.uniform(0.5, 2.0, N) / system.q_norms)
+    O = np.linalg.qr(rng.normal(size=(N, N)))[0]
+    data = spectral_data((O * (np.arange(N) + 1j * rng.uniform(-1, 1, N))) @ O.T)
+    assert data.eigenvalues.dtype == np.complex128
+    _, peak = _traced_peak(lambda: overlap_matrices(system, kappa, data))
+    assert peak <= 10.5 * 8 * N**2
 
 
 def _traced_peak(call):
@@ -253,6 +267,17 @@ def test_overlap_identity_observable(system_cache):
     assert criterion_product_hermitian(pair)
 
 
+def test_overlap_of_complex_eigenvalues_over_real_vectors(system_cache):
+    """diag(1, 2, 3 + i) has the real standard basis for eigenvectors: its hand-built data
+    give the product of the same data with the vectors cast to complex."""
+    system = system_cache(3)
+    kappa = KappaVector(3, np.array([1.0, 2.0, 3.0]))
+    eigenvalues, basis = np.array([1.0, 2.0, 3.0 + 1.0j]), np.eye(3)
+    real = overlap_matrices(system, kappa, ObservableSpectralData(eigenvalues, basis, basis, np.ones(3)))
+    cast = overlap_matrices(system, kappa, _identity_spectral_data(eigenvalues))
+    np.testing.assert_allclose(real.M, cast.M, rtol=1e-15, atol=0)
+
+
 def test_spectral_data_of_another_size_is_a_dimension_mismatch(system_cache):
     # its dimension is the number of its eigenvalues, so it cannot disagree with its arrays
     data = ObservableSpectralData(np.ones(2), np.eye(2), np.eye(2), np.ones(2))
@@ -260,6 +285,34 @@ def test_spectral_data_of_another_size_is_a_dimension_mismatch(system_cache):
     system = system_cache(3)
     with pytest.raises(ValueError, match="^dimension mismatch$"):
         overlap_matrices(system, exceptional_kappa(system), data)
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, np.array([1e-3, 1e-3]), "1e-3", 1e-3j, 0.0, -1e-3])
+def test_criterion_tolerance_is_one_positive_finite_number(tol):
+    """As `--tol-criterion`: an infinite tol no longer reads any product as Hermitian."""
+    pair = OverlapPair(np.array([[1.0, 2.0], [0.5, 3.0]]))
+    assert criterion_product_hermitian(pair, 1.0) and not criterion_product_hermitian(pair, 0.1)
+    with pytest.raises(ValueError, match="^tol "):
+        criterion_product_hermitian(pair, tol)
+
+
+@pytest.mark.parametrize("weights", [[0.0, 1.0, 1.0], [1e-320, 1.0, 1.0]])
+def test_a_non_finite_overlap_product_is_a_value_error(weights, system_cache):
+    """A zero weight divides by zero and a subnormal one overflows: no warning, no inf M."""
+    system, data = system_cache(3), spectral_data(np.diag([1.0, 2.0, 3.0]))
+    with pytest.raises(ValueError, match="^the overlap product is not finite"):
+        overlap_matrices(system, KappaVector(3, weights), data)
+    pair = overlap_matrices(system, KappaVector(3, [-1.0, 1.0, 1.0]), data)
+    assert np.isfinite(pair.M).all()
+
+
+def test_no_overflow_warning_at_the_top_of_the_float_range():
+    """An infinite gap is not degenerate, and an infinite asymmetry fails the criterion."""
+    data = spectral_data(np.diag([1e308, -1e308]))
+    np.testing.assert_array_equal(data.eigenvalues, [-1e308, 1e308])
+    pair = OverlapPair(np.array([[1e308, -1e308], [1e308, 1e308]]))
+    assert pair.hermiticity_residual == np.inf
+    assert not criterion_product_hermitian(pair)
 
 
 def test_overlap_pair_derives_its_residual():
@@ -340,6 +393,22 @@ def test_dieudonne_verdict_scale_invariant(system_cache, rng):
                 assert (residual <= 1e-10) == observable
             if not observable:
                 np.testing.assert_allclose(residuals, dieudonne_residual(bad, theta), rtol=1e-12)
+
+
+@pytest.mark.parametrize("scale", [1e-170, 1e-150, 1.0, 1e150, 1e160])
+def test_dieudonne_residual_is_scale_free_across_the_float_range(scale):
+    """Lambda and Theta far from 1 are scaled by powers of two first: the products neither
+    underflow (a false 0 at 1e-170) nor overflow (no residual at 1e160)."""
+    Lam, theta = scale * np.array([[0.0, 1.0], [2.0, 0.0]]), MetricOperator(scale * np.eye(2))
+    assert dieudonne_residual(Lam, theta) == 0.5
+    assert dieudonne_residual(Lam, MetricOperator(np.eye(2))) == 0.5
+    assert dieudonne_residual(np.array([[0.0, 1.0], [2.0, 0.0]]), theta) == 0.5
+
+
+def test_dieudonne_residual_of_a_complex_entry_beyond_the_float_range():
+    """|z| of a finite complex entry may overflow to inf; the scaling still applies."""
+    Lam = np.array([[1.5e308 + 1.5e308j, 0.0], [0.0, 1.0]])
+    assert dieudonne_residual(Lam, MetricOperator(np.eye(2))) == pytest.approx(np.sqrt(2), rel=1e-15)
 
 
 @pytest.mark.parametrize("K", [np.ones(3), np.ones((3, 1)), np.ones((1, 3, 3)), 1.0])
