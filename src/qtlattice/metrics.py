@@ -13,8 +13,9 @@ kappa_j = (1 + 2 alpha E_j)/n_j, its charge is C = I + 2 alpha H, and it is
 positive-definite exactly for |alpha| < 1/(2 max E_j) (see `horizons`).
 `_slice` gives its q = `build_metric_Q(N)` and alpha t, `_slice_matrix` the
 dense Theta(alpha) or a stack of them, and `_none_below_threshold` its
-positive-definiteness test; `horizons` uses these too.  Each entry point reads
-its real input once through `_size._as_real`; a `MetricOperator` its matrix when built.
+positive-definiteness test; `horizons` uses these too.  Each entry point reads its real input
+once through `_size._as_real`; a `MetricOperator` its matrix when built, and its symmetry by
+`_asymmetry`, max|M - M^H|: the one Hermiticity residual of the package.
 
 Definiteness is one rule, thr = 1e-12 max|Theta| (`_pivot_threshold`): no
 eigenvalue below +thr is positive-definite; none below -thr, or thr = 0,
@@ -123,13 +124,20 @@ def _require_square(matrix: np.ndarray, what: str = "matrix") -> None:
         raise ValueError(f"expected a nonempty square {what}, not one of shape {matrix.shape}")
 
 
-def _require_symmetric(matrix: np.ndarray, what: str = "matrix") -> None:
-    """Raise, naming `what`, unless M is nonempty, square and max|M - M^T| <= 1e-12 max|M|
-    (no floor)."""
-    _require_square(matrix, what)
-    with np.errstate(over="ignore"):  # M - M^T may overflow to inf, which fails the gate
-        asymmetry = _relative_max(matrix - matrix.T, np.max(np.abs(matrix)))
-    if asymmetry > SYMMETRY_TOL:
+def _asymmetry(M: np.ndarray, scale=1.0) -> float:
+    """max|M - M^H| / scale by 64-row blocks of the upper triangle (|a - conj b| = |b - conj a|),
+    no N x N temporary: 0 for a zero difference (any scale), inf for an overflow, NaN for a NaN."""
+    top = np.float64(0.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # np.maximum: Python's max drops a NaN
+        for i in range(0, len(M), 64):
+            top = np.maximum(top, np.abs(M[i : i + 64, i:] - M[i:, i : i + 64].conj().T).max())
+        return float(top / scale) if top else 0.0
+
+
+def _require_symmetric(M: np.ndarray, what: str = "matrix") -> None:
+    """ValueError naming `what` unless M is nonempty, square and `_asymmetry(M) <= 1e-12 max|M|`."""
+    _require_square(M, what)
+    if _asymmetry(M, max(M.max(), -M.min())) > SYMMETRY_TOL:
         raise ValueError(f"{what} is not symmetric within tolerance")
 
 
@@ -223,32 +231,21 @@ def charge_operator(q: np.ndarray, theta: MetricOperator) -> ChargeOperator:
     return ChargeOperator(charge)
 
 
-def _relative_max(residual: np.ndarray, scale) -> float:
-    """max|residual| / scale, and 0 for a zero residual (whose scale may be 0)."""
-    largest = np.max(np.abs(residual))
-    return float(largest / scale) if largest else 0.0
-
-
 def _hamiltonian_residual(H: LatticeHamiltonian, theta: MetricOperator) -> float:
     """`observables.dieudonne_residual` of the dense H against theta, from the two bands of H.
 
-    (H^T Theta)_{ij} = u_{i-1} Theta_{i-1,j} + l_i Theta_{i+1,j} and
-    (Theta H)_{ij} = Theta_{i,j-1} u_{j-1} + Theta_{i,j+1} l_j, with u and l
-    the super- and subdiagonal of H: O(N^2) in place of two dense products.
-    ValueError unless Theta is of the size of H; an overflow gives an inf or
-    NaN residual, which no `<=` gate passes.
+    `_asymmetry` of (Theta H)_{ij} = Theta_{i,j-1} u_{j-1} + Theta_{i,j+1} l_j, with u and l the
+    super- and subdiagonal of H: two band products, O(N^2) in place of a dense product.  ValueError
+    unless Theta is of the size of H; an overflow reads inf or NaN, which no `<=` gate passes.
     """
     if theta.dimension != H.dimension:
         raise ValueError("dimension mismatch between H and theta")
     matrix, up, down = theta.matrix, H.superdiagonal, H.subdiagonal
-    residual = np.zeros_like(matrix)
+    product = np.zeros_like(matrix)
     with np.errstate(invalid="ignore", over="ignore"):
-        residual[1:] += up[:, None] * matrix[:-1]
-        residual[:-1] += down[:, None] * matrix[1:]
-        residual[:, 1:] -= matrix[:, :-1] * up
-        residual[:, :-1] -= matrix[:, 1:] * down
-        scale = np.max(np.abs(matrix)) * np.abs(np.r_[up, down]).max(initial=0.0)
-        return _relative_max(residual, scale)
+        np.multiply(matrix[:, :-1], up, out=product[:, 1:])
+        product[:, :-1] += matrix[:, 1:] * down
+    return _asymmetry(product, np.max(np.abs(matrix)) * np.abs(np.r_[up, down]).max(initial=0.0))
 
 
 def kappa_from_metric(system: BiorthogonalSystem, theta: MetricOperator) -> KappaVector:

@@ -1,14 +1,14 @@
 """Observability of candidate operators in the physical inner product.
 
-An operator Lambda is an observable with respect to a metric Theta when
-Lambda^dagger Theta = Theta Lambda.  This module provides the direct
-residual test (`dieudonne_residual`), a constructor
-of certified observables (Theta^{-1} K for symmetric K), and the
-overlap-matrix reformulation: with kets renormalized to unit Q-norm, the
-product M = U V of the two overlap matrices is Hermitian exactly when the
-residual test passes.  The eigensystem of a candidate comes from numpy
-alone, in real arithmetic for a real candidate: one `eig` for its eigenvalues
-and right vectors, and the rows of the inverse of their matrix for its left ones.
+An operator Lambda is an observable with respect to a metric Theta when Lambda^dagger Theta =
+Theta Lambda: for a symmetric Theta, when Theta Lambda is Hermitian.  The residual test
+(`dieudonne_residual`) reads that from one product by `metrics._asymmetry`, max|M - M^H|.  This
+module also gives a constructor of certified observables (Theta^{-1} K for symmetric K), and the
+overlap-matrix reformulation: with kets renormalized to unit Q-norm, the product M = U V of the
+two overlap matrices is Hermitian (`OverlapPair`, by the same residual) exactly when the residual
+test passes.  The eigensystem of a candidate comes from numpy alone, in real arithmetic for a real
+candidate: one `eig` for its eigenvalues and right vectors, and the rows of the inverse of their
+matrix for its left ones.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from ._size import _as_real, _require_finite
 from .lattice import BiorthogonalSystem
-from .metrics import KappaVector, MetricOperator, _relative_max, _require_square, _require_symmetric
+from .metrics import KappaVector, MetricOperator, _asymmetry, _require_square, _require_symmetric
 
 GAP_TOL = 1e-10
 DEFAULT_CRITERION_TOL = 1e-10
@@ -48,36 +48,45 @@ class ObservableSpectralData:
 
 @dataclass(frozen=True, eq=False)
 class OverlapPair:
-    """The product M = U V of the two overlap matrices, and its asymmetry max|M - M^H|."""
+    """The product M = U V of the two overlap matrices, and its `_asymmetry` max|M - M^H|; M must
+    be a nonempty, square and finite matrix of numbers (complex too), else a ValueError naming M."""
 
     M: np.ndarray
     hermiticity_residual: float = field(init=False)
 
     def __post_init__(self):
-        with np.errstate(over="ignore"):  # entries near the float range: an infinite residual
-            residual = float(np.max(np.abs(self.M - self.M.conj().T)))
-        object.__setattr__(self, "hermiticity_residual", residual)
+        object.__setattr__(self, "M", _as_square(self.M, "M"))
+        object.__setattr__(self, "hermiticity_residual", _asymmetry(self.M))
+
+
+def _as_square(value, what: str) -> np.ndarray:
+    """value as a nonempty, square, finite float or complex matrix, else ValueError naming what."""
+    matrix = np.asarray(value)
+    _require_square(matrix, what)
+    _require_finite(matrix, what)
+    return matrix.astype(complex if matrix.dtype.kind == "c" else float, copy=False)
 
 
 def dieudonne_residual(Lambda: np.ndarray, theta: MetricOperator) -> float:
-    """max|Lambda^dagger Theta - Theta Lambda| / (max|Theta| max|Lambda|).
+    """max|Lambda^dagger Theta - Theta Lambda| / (max|Theta| max|Lambda|), read from the one
+    product Theta Lambda as its `_asymmetry`: exact for a symmetric Theta, and within
+    2 N a max|Lambda| (unscaled) where `MetricOperator` allows asymmetry a <= 1e-12 max|Theta|.
 
-    ValueError unless Lambda is of the shape of Theta and finite (complex ones
-    too).  The scale has no floor, so the residual and its verdict are the same up to
-    rounding when Theta or Lambda is rescaled: where max|Theta| max|Lambda| leaves
-    [2^-500, 2^500], both are first scaled by exact powers of two, so no product over-
-    or underflows.  A zero residual is 0, also for a zero Theta or Lambda.
+    ValueError unless Lambda is a finite matrix (complex too) of the shape of Theta.  The scale
+    has no floor, so the residual and its verdict are the same up to rounding when Theta or Lambda
+    is rescaled: where max|Theta| max|Lambda| leaves [2^-500, 2^500], both are first scaled by
+    exact powers of two, so no product over- or underflows.  A zero residual is 0, also for a zero
+    Theta or Lambda.
     """
-    Lambda, matrix = np.asarray(Lambda), theta.matrix
+    Lambda, matrix = _as_square(Lambda, "Lambda"), theta.matrix
     if Lambda.shape != matrix.shape:
         raise ValueError("dimension mismatch between Lambda and theta")
-    _require_finite(Lambda, "Lambda")
     largest = [float(np.max(np.abs(A))) for A in (matrix, Lambda)]
     exponents = [math.frexp(min(x, np.finfo(float).max))[1] for x in largest]  # |z| may be inf
     if not -500 <= sum(exponents) <= 500:
         matrix, Lambda = (A * math.ldexp(1.0, -e) for A, e in zip((matrix, Lambda), exponents))
         largest = [float(np.max(np.abs(A))) for A in (matrix, Lambda)]
-    return _relative_max(Lambda.conj().T @ matrix - matrix @ Lambda, largest[0] * largest[1])
+    return _asymmetry(matrix @ Lambda, largest[0] * largest[1])
 
 
 def observable_from_hermitian(K: np.ndarray, theta: MetricOperator) -> np.ndarray:
@@ -106,26 +115,20 @@ def spectral_data(Lambda: np.ndarray) -> ObservableSpectralData:
     so both sets belong to the same eigenvalues by construction.  The left
     vectors are scaled to unit 2-norm, as `geev` scales its own.
 
-    The one gate is on the conditioning of the eigenvectors.  With unit
-    vectors, kappa_j = 1/|pairing_j| is the condition number of lambda_j: its
-    rounding error is about eps kappa_j max|Lambda|, and it enters the
-    reconstruction through an eigenprojector right_j left_j^T / pairing_j of
-    norm kappa_j.  The reconstruction error is modelled as
+    The one gate is on the conditioning of the eigenvectors.  With unit vectors, kappa_j =
+    1/|pairing_j| is the condition number of lambda_j: its rounding error is about
+    eps kappa_j max|Lambda|, and it enters the reconstruction through an eigenprojector
+    right_j left_j^T / pairing_j of norm kappa_j.  The reconstruction error is modelled as
     N eps kappa^2 max|Lambda| with kappa = max_j kappa_j, which is at least
-    eps cond(R) kappa max|Lambda| because cond(R) <= N kappa.  The model must
-    not exceed 1e-10 max|Lambda| max(1, N/64): a fixed relative 1e-10 up to
-    N = 64, then growing as the model's floor N eps max|Lambda| does.  With
-    max|Lambda| cancelled, the gate (and its error message) reads
-    N eps kappa^2 <= 1e-10 max(1, N/64), the same for c Lambda as for Lambda.
-    So the verdict is a property of the input, not of how one product rounds.
-    Lambda must be a nonempty, square and finite matrix of numbers (complex
-    ones too, not text); each failure, that check and a singular R
-    (`LinAlgError`) included, is a `ValueError`.
+    eps cond(R) kappa max|Lambda| because cond(R) <= N kappa.  The model must not exceed
+    1e-10 max|Lambda| max(1, N/64): a fixed relative 1e-10 up to N = 64, then growing as the
+    model's floor N eps max|Lambda| does.  With max|Lambda| cancelled, the gate (and its error
+    message) reads N eps kappa^2 <= 1e-10 max(1, N/64), the same for c Lambda as for Lambda.
+    So the verdict is a property of the input, not of how one product rounds.  Lambda must be a
+    nonempty, square and finite matrix of numbers (complex ones too, not text), as `OverlapPair`'s
+    M; each failure, that check and a singular R (`LinAlgError`) included, is a `ValueError`.
     """
-    Lambda = np.asarray(Lambda)
-    _require_square(Lambda, "Lambda")
-    _require_finite(Lambda, "Lambda")
-    Lambda = Lambda.astype(complex if Lambda.dtype.kind == "c" else float, copy=False)
+    Lambda = _as_square(Lambda, "Lambda")
     N = Lambda.shape[0]
     eigenvalues, right = np.linalg.eig(Lambda)
     order = np.lexsort((eigenvalues.imag, eigenvalues.real))

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from qtlattice import (
     EvolutionState,
     KappaVector,
     MetricOperator,
+    biorthogonal_system,
     build_hamiltonian,
     build_metric_Q,
     charge_operator,
@@ -84,7 +86,7 @@ def test_random_kappa_family(N, system_cache, rng):
 
 
 def test_metric_from_kappa_peaks_at_three_arrays(system_cache):
-    """At N = 256, the product B B^T and two temporaries of the gate of MetricOperator:
+    """At N = 256, the product B B^T and the shifted copy and factor of its Cholesky label:
     about 3 arrays of 8 N^2 bytes (4 while the scaled Q kets B are held to the end)."""
     N = 256
     system = system_cache(N)
@@ -549,3 +551,57 @@ def test_kappa_from_metric_gate_is_1e_10(system_cache):
     assert 1e-10 < _hamiltonian_residual(build_hamiltonian(3), theta) < 1e-9
     with pytest.raises(ValueError, match="intertwine"):
         kappa_from_metric(system_cache(3), theta)
+
+
+def _peak_arrays(call, N):
+    """The peak of the memory that tracemalloc traced while call() ran, in arrays of 8 N^2 bytes."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / (8 * N**2)
+    finally:
+        tracemalloc.stop()
+
+
+def test_symmetry_gate_forms_no_square_temporary():
+    """N = 1024: the gate reads max|M - M^T| by row blocks and max|M| as max(max M, -min M), so
+    building the slice's Theta holds no N x N array (forming M - M^T and |M| read 2.0)."""
+    N = 1024
+    matrix = tridiagonal_metric(N, 0.3).matrix
+    assert _peak_arrays(lambda: MetricOperator(matrix), N) <= 0.2
+
+
+def test_banded_residual_holds_theta_h_and_one_band_product():
+    """N = 1024: Theta H and the temporary of its second band product, 2 arrays of 8 N^2 bytes."""
+    from qtlattice.metrics import _hamiltonian_residual
+
+    N = 1024
+    theta, H = tridiagonal_metric(N, 0.3), build_hamiltonian(N)
+    assert _peak_arrays(lambda: _hamiltonian_residual(H, theta), N) <= 2.1
+
+
+def test_an_overflowing_residual_fails_every_gate():
+    """Band products of a Theta near the top of the float range overflow, and inf - inf is NaN:
+    a maximum that drops a NaN, such as Python's max, reads 0, so such a Theta passes the
+    intertwining gate and kappa_from_metric overflows.  An overflowing M - M^T is inf.  No
+    RuntimeWarning leaks."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="does not intertwine"):
+            kappa_from_metric(biorthogonal_system(3), MetricOperator(np.full((3, 3), 1.7e308)))
+        with pytest.raises(ValueError, match="^theta is not symmetric"):
+            MetricOperator(np.array([[1e308, -1e308], [1e308, 1e308]]))
+
+
+@pytest.mark.parametrize("N", [3, 130])
+def test_the_blocked_maximum_keeps_a_nan_of_any_block(N):
+    """Theta H overflows to inf at (N-2, N-2), where the asymmetry reads inf - inf = NaN: in the
+    one block at N = 3, in the last of three blocks of 64 rows at N = 130.  The residual is NaN."""
+    from qtlattice.metrics import _hamiltonian_residual
+
+    matrix = np.diag(build_metric_Q(N))
+    matrix[-3:, -3:] = np.finfo(float).max
+    np.fill_diagonal(matrix[-3:, -3:], 1.7e308)  # the shifts of the Cholesky label stay finite
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isnan(_hamiltonian_residual(build_hamiltonian(N), MetricOperator(matrix)))

@@ -186,8 +186,9 @@ def test_complex_pair_of_a_real_matrix_is_exactly_conjugate():
 
 def test_real_spectrum_peaks(system_cache, rng):
     """N = 256, Lambda = Theta^{-1} K: spectral_data peaks at about 4.0 arrays of 8 N^2 bytes
-    and overlap_matrices at 5.0, in real arithmetic (9.0 and 12.3 with Lambda cast to complex;
-    overlap_matrices read 7.0 while it formed unit-norm copies of the kets and Q kets)."""
+    and overlap_matrices at 3.5, in real arithmetic (9.0 and 12.3 with Lambda cast to complex;
+    overlap_matrices read 7.0 while it formed unit-norm copies of the kets and Q kets, and 5.0
+    while OverlapPair formed M - M^H and its modulus)."""
     N = 256
     system = system_cache(N)
     kappa = KappaVector(N, rng.uniform(0.5, 2.0, N) / system.q_norms)
@@ -196,12 +197,13 @@ def test_real_spectrum_peaks(system_cache, rng):
     data, spectral_peak = _traced_peak(lambda: spectral_data(Lam))
     _, overlap_peak = _traced_peak(lambda: overlap_matrices(system, kappa, data))
     assert spectral_peak <= 5 * 8 * N**2
-    assert overlap_peak <= 5.5 * 8 * N**2
+    assert overlap_peak <= 4.0 * 8 * N**2
 
 
 def test_complex_spectrum_overlap_peak(system_cache, rng):
     """N = 256, a normal Lambda with a complex spectrum: overlap_matrices peaks at about
-    10.3 arrays of 8 N^2 bytes for a complex M of 2 (12.3 with unit-norm ket copies)."""
+    7.3 arrays of 8 N^2 bytes for a complex M of 2 (12.3 with unit-norm ket copies, 10.3
+    while OverlapPair formed M - M^H and its modulus)."""
     N = 256
     system = system_cache(N)
     kappa = KappaVector(N, rng.uniform(0.5, 2.0, N) / system.q_norms)
@@ -209,7 +211,7 @@ def test_complex_spectrum_overlap_peak(system_cache, rng):
     data = spectral_data((O * (np.arange(N) + 1j * rng.uniform(-1, 1, N))) @ O.T)
     assert data.eigenvalues.dtype == np.complex128
     _, peak = _traced_peak(lambda: overlap_matrices(system, kappa, data))
-    assert peak <= 10.5 * 8 * N**2
+    assert peak <= 8.0 * 8 * N**2
 
 
 def _traced_peak(call):
@@ -318,6 +320,78 @@ def test_no_overflow_warning_at_the_top_of_the_float_range():
 def test_overlap_pair_derives_its_residual():
     assert OverlapPair(np.array([[1.0, 2.0], [0.5, 3.0]])).hermiticity_residual == 1.5
     assert OverlapPair(np.array([[1.0, 2.0j], [-2.0j, 3.0]])).hermiticity_residual == 0.0
+
+
+@pytest.mark.parametrize(
+    "M, message",
+    [
+        (np.array([1.0, 2.0]), "expected a nonempty square M"),
+        (np.array(3.0), "expected a nonempty square M"),
+        (np.ones((1, 3)), "expected a nonempty square M"),
+        ([[1.0, 2.0, 3.0]], "expected a nonempty square M"),
+        (np.zeros((0, 0)), "expected a nonempty square M"),
+        (np.array([["1", "0"], ["0", "2"]]), "M must be numbers"),
+        (np.array([[1.0, np.nan], [0.0, 2.0]]), "M is not finite"),
+        (np.array([[1.0, 0.0], [np.inf * 1j, 2.0]]), "M is not finite"),
+    ],
+    ids=["vector", "scalar", "1x3", "1x3-list", "empty", "text", "nan", "complex-inf"],
+)
+def test_overlap_pair_checks_its_product(M, message):
+    """M is checked when the pair is built, as a MetricOperator checks its matrix: a vector or a
+    scalar no longer reads residual 0 ("Hermitian"), nor a 1 x 3 M a broadcast 3 x 3 residual."""
+    with pytest.raises(ValueError, match=f"^{message}"):
+        OverlapPair(M)
+
+
+def test_overlap_pair_reads_a_list_and_integers_as_an_array():
+    pair = OverlapPair([[1, 2], [0, 3]])
+    assert pair.M.dtype == np.float64 and pair.hermiticity_residual == 2.0
+    assert criterion_product_hermitian(OverlapPair([[1.0, 2.0j], [-2.0j, 3.0]]))
+
+
+def test_overlap_pair_of_a_complex_product_forms_no_square_temporary(rng):
+    """N = 1024: max|M - M^H| by blocks of 64 rows, about 0.27 arrays of 8 N^2 bytes beside M
+    (forming M - M^H and its modulus read 4.0)."""
+    N = 1024
+    M = rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N))
+    _, peak = _traced_peak(lambda: OverlapPair(M))
+    assert peak <= 0.5 * 8 * N**2
+
+
+@pytest.mark.parametrize("kind, bound", [("real", 1.2), ("complex", 4.1)])
+def test_dieudonne_residual_forms_one_product(kind, bound, rng):
+    """N = 1024: Theta Lambda and the blocks of its asymmetry; a complex Lambda also casts Theta
+    to complex (two products and their difference read 2.0 and 6.0 arrays)."""
+    N = 1024
+    Lam = rng.normal(size=(N, N))
+    if kind == "complex":
+        Lam = Lam + 1j * rng.normal(size=(N, N))
+    theta = tridiagonal_metric(N, 0.3)
+    _, peak = _traced_peak(lambda: dieudonne_residual(Lam, theta))
+    assert peak <= bound * 8 * N**2
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("metric", ["Q", "slice", "kappa"])
+@pytest.mark.parametrize("N", [3, 64, 256])
+def test_one_product_residual_matches_two_products(N, metric, kind, system_cache, rng):
+    """The oracle of the one-product form: max|Lambda^H Theta - Theta Lambda| / (max|Theta|
+    max|Lambda|) from two numpy products.  The forms are equal in exact arithmetic for the exactly
+    symmetric Theta of these three metrics; rounding may differ, within 4 eps of the scale."""
+    if metric == "Q":
+        theta = Q_metric(N)
+    elif metric == "slice":
+        theta = tridiagonal_metric(N, 0.3)
+    else:
+        system = system_cache(N)
+        theta = metric_from_kappa(system, KappaVector(N, rng.uniform(0.5, 2.0, N) / system.q_norms))
+    Lam = rng.normal(size=(N, N))
+    if kind == "complex":
+        Lam = Lam + 1j * rng.normal(size=(N, N))
+    matrix = theta.matrix
+    two = np.max(np.abs(Lam.conj().T @ matrix - matrix @ Lam))
+    expected = two / (np.max(np.abs(matrix)) * np.max(np.abs(Lam)))
+    assert abs(dieudonne_residual(Lam, theta) - expected) <= 4 * np.finfo(float).eps
 
 
 def test_overlap_hamiltonian_is_observable(system_cache):
