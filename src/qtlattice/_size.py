@@ -1,10 +1,10 @@
-"""The one size check and the one real-input gate of every public entry point.
+"""The one module where outside input becomes an array: the size check and one gate per kind.
 
-`exact` runs on the standard library alone, so the size check that it shares
-with the numerical modules must too.  numpy's integer scalars register as
-`numbers.Integral` and pass; bools are rejected.  The array checks import
-numpy when called: `_as_real` for real input (dtype, finiteness, rank), and
-`_require_finite` for input that may be complex, computed values and CLI ranges.
+`exact` runs on the standard library alone, so the size check that it shares with the
+numerical modules must too.  numpy's integer scalars register as `numbers.Integral` and
+pass; bools are rejected.  The array gates import numpy when called and name the argument,
+a ragged nest too: `_as_real` for real input (dtype, finiteness, rank), `_require_finite` for
+numbers that may be complex, computed values and CLI ranges, `_as_square` for a candidate matrix.
 """
 
 from __future__ import annotations
@@ -34,17 +34,32 @@ def _as_real(value, what: str, ndim: int | None = None):
     if ndim is not None and array.ndim != ndim:
         rank = ("one number, not an array", "one-dimensional, not one", "two-dimensional, not one")
         raise ValueError(f"{what} must be {rank[ndim]} of shape {array.shape}")
-    array = array.astype(float, copy=False)
-    _require_finite(array, what)
-    return array
+    return _require_finite(array.astype(float, copy=False), what)
 
 
-def _require_finite(value, what: str) -> None:
-    """Raise, naming `what`, unless value holds numbers (complex ones too) that are all finite."""
+def _require_finite(value, what: str):
+    """value as an array, else a ValueError naming `what`: numbers (complex too), all finite."""
     import numpy as np
 
-    value = np.asarray(value)
+    try:
+        value = np.asarray(value)
+    except ValueError as exc:  # numpy refuses ragged nesting
+        raise ValueError(f"{what} must be numbers, not ragged input") from exc
     if value.dtype.kind not in "biufc":
         raise ValueError(f"{what} must be numbers, not {value.dtype} input")
     if not np.isfinite(value).all():
         raise ValueError(f"{what} is not finite (NaN or inf)")
+    return value
+
+
+def _require_square(matrix, what: str) -> None:
+    """Raise, naming `what`, unless the array is a nonempty square matrix."""
+    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or matrix.size == 0:
+        raise ValueError(f"expected a nonempty square {what}, not one of shape {matrix.shape}")
+
+
+def _as_square(value, what: str):
+    """value as a nonempty, square, finite float or complex matrix, else ValueError naming what."""
+    matrix = _require_finite(value, what)
+    _require_square(matrix, what)
+    return matrix.astype(complex if matrix.dtype.kind == "c" else float, copy=False)

@@ -26,11 +26,10 @@ class EvolutionState:
 
     def __post_init__(self):
         object.__setattr__(self, "dimension", _require_size(self.dimension))
-        amplitudes = np.asarray(self.amplitudes)
+        amplitudes = _require_finite(self.amplitudes, "the state")
         object.__setattr__(self, "amplitudes", amplitudes)
         if amplitudes.shape != (self.dimension,):
             raise ValueError(f"state of dimension {self.dimension} has shape {amplitudes.shape}")
-        _require_finite(amplitudes, "the state")
         if not np.any(amplitudes):
             raise ValueError("state must be nonzero")
 
@@ -97,7 +96,7 @@ def norm_trajectory(
     if not (system.dimension == theta.dimension == psi0.dimension):
         raise ValueError("dimension mismatch between the system, theta and the state")
     t_grid = _as_real(t_grid, "the time grid", 1)
-    amplitudes = np.asarray(psi0.amplitudes, dtype=complex)
+    amplitudes = psi0.amplitudes.astype(complex)
     _norms(theta, amplitudes)
     norms = np.empty((2, len(t_grid)))
     with np.errstate(over="ignore", invalid="ignore"):  # huge amplitudes: _norms raises
@@ -125,7 +124,7 @@ def norm_drift(
     """
     if not _hamiltonian_residual(H, theta) <= INTERTWINING_TOL:
         raise ValueError("theta does not intertwine with H; norm is not conserved")
-    theta0, dirac0 = _norms(theta, np.asarray(psi0.amplitudes, dtype=complex))
+    theta0, dirac0 = _norms(theta, psi0.amplitudes.astype(complex))
     theta_t, dirac_t = norm_trajectory(biorthogonal_system(H.dimension), theta, psi0, t_grid)
     return (
         float(np.max(np.abs(theta_t / theta0 - 1.0), initial=0.0)),

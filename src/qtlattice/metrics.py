@@ -14,8 +14,8 @@ positive-definite exactly for |alpha| < 1/(2 max E_j) (see `horizons`).
 `_slice` gives its q = `build_metric_Q(N)` and alpha t, `_slice_matrix` the
 dense Theta(alpha) or a stack of them, and `_none_below_threshold` its
 positive-definiteness test; `horizons` uses these too.  Each entry point reads its real input
-once through `_size._as_real`; a `MetricOperator` its matrix when built, and its symmetry by
-`_asymmetry`, max|M - M^H|: the one Hermiticity residual of the package.
+once through `_size._as_real`, and Theta (when a `MetricOperator` is built) and K through
+`_as_symmetric`, by `_asymmetry`, max|M - M^H|: the one Hermiticity residual of the package.
 
 Definiteness is one rule, thr = 1e-12 max|Theta| (`_pivot_threshold`): no
 eigenvalue below +thr is positive-definite; none below -thr, or thr = 0,
@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._size import _as_real, _require_finite, _require_size
+from ._size import _as_real, _require_finite, _require_size, _require_square
 from .lattice import BiorthogonalSystem, LatticeHamiltonian, build_metric_Q
 from .tridiagonal import sturm_count
 
@@ -81,8 +81,7 @@ class MetricOperator:
     provenance: str = "external"  # diagonal-Q | kappa-family | tridiagonal-family | external
 
     def __post_init__(self):
-        matrix = _as_real(self.matrix, "theta", 2)
-        _require_symmetric(matrix, "theta")
+        matrix = _as_symmetric(self.matrix, "theta")
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "dimension", len(matrix))
         object.__setattr__(self, "definiteness", classify_definiteness(matrix))
@@ -118,12 +117,6 @@ def _slice_matrix(q: np.ndarray, offdiagonal: np.ndarray) -> np.ndarray:
     return flat.reshape(*batch, N, N)
 
 
-def _require_square(matrix: np.ndarray, what: str = "matrix") -> None:
-    """Raise, naming `what`, unless the array is a nonempty square matrix."""
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or matrix.size == 0:
-        raise ValueError(f"expected a nonempty square {what}, not one of shape {matrix.shape}")
-
-
 def _asymmetry(M: np.ndarray, scale=1.0) -> float:
     """max|M - M^H| / scale by 64-row blocks of the upper triangle (|a - conj b| = |b - conj a|),
     no N x N temporary: 0 for a zero difference (any scale), inf for an overflow, NaN for a NaN."""
@@ -134,11 +127,13 @@ def _asymmetry(M: np.ndarray, scale=1.0) -> float:
         return float(top / scale) if top else 0.0
 
 
-def _require_symmetric(M: np.ndarray, what: str = "matrix") -> None:
-    """ValueError naming `what` unless M is nonempty, square and `_asymmetry(M) <= 1e-12 max|M|`."""
+def _as_symmetric(value, what: str) -> np.ndarray:
+    """The gate of Theta and K: real, finite, nonempty and square, `_asymmetry <= 1e-12 max|M|`."""
+    M = _as_real(value, what, 2)
     _require_square(M, what)
     if _asymmetry(M, max(M.max(), -M.min())) > SYMMETRY_TOL:
         raise ValueError(f"{what} is not symmetric within tolerance")
+    return M
 
 
 def _pivot_threshold(diagonal, offdiagonal=()) -> np.ndarray:
@@ -184,7 +179,8 @@ def _cholesky_definiteness(matrix: np.ndarray) -> str:
     threshold = _pivot_threshold(matrix)
     for shift, label in ((-threshold, "positive-definite"), (threshold, "singular")):
         shifted = matrix.copy()
-        shifted.flat[:: len(matrix) + 1] += shift
+        with np.errstate(over="ignore"):  # a diagonal entry near the float maximum may overflow
+            shifted.flat[:: len(matrix) + 1] += shift
         try:
             np.linalg.cholesky(shifted)
         except np.linalg.LinAlgError:

@@ -8,7 +8,7 @@ overlap-matrix reformulation: with kets renormalized to unit Q-norm, the product
 two overlap matrices is Hermitian (`OverlapPair`, by the same residual) exactly when the residual
 test passes.  The eigensystem of a candidate comes from numpy alone, in real arithmetic for a real
 candidate: one `eig` for its eigenvalues and right vectors, and the rows of the inverse of their
-matrix for its left ones.
+matrix for its left ones.  A candidate Lambda or M passes `_size._as_square`, K `_as_symmetric`.
 """
 
 from __future__ import annotations
@@ -18,9 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._size import _as_real, _require_finite
+from ._size import _as_real, _as_square, _require_finite
 from .lattice import BiorthogonalSystem
-from .metrics import KappaVector, MetricOperator, _asymmetry, _require_square, _require_symmetric
+from .metrics import KappaVector, MetricOperator, _as_symmetric, _asymmetry
 
 GAP_TOL = 1e-10
 DEFAULT_CRITERION_TOL = 1e-10
@@ -59,14 +59,6 @@ class OverlapPair:
         object.__setattr__(self, "hermiticity_residual", _asymmetry(self.M))
 
 
-def _as_square(value, what: str) -> np.ndarray:
-    """value as a nonempty, square, finite float or complex matrix, else ValueError naming what."""
-    matrix = np.asarray(value)
-    _require_square(matrix, what)
-    _require_finite(matrix, what)
-    return matrix.astype(complex if matrix.dtype.kind == "c" else float, copy=False)
-
-
 def dieudonne_residual(Lambda: np.ndarray, theta: MetricOperator) -> float:
     """max|Lambda^dagger Theta - Theta Lambda| / (max|Theta| max|Lambda|), read from the one
     product Theta Lambda as its `_asymmetry`: exact for a symmetric Theta, and within
@@ -91,8 +83,7 @@ def dieudonne_residual(Lambda: np.ndarray, theta: MetricOperator) -> float:
 
 def observable_from_hermitian(K: np.ndarray, theta: MetricOperator) -> np.ndarray:
     """Lambda = Theta^{-1} K for finite symmetric K, an observable for Theta by construction."""
-    K = _as_real(K, "K")
-    _require_symmetric(K, "K")
+    K = _as_symmetric(K, "K")
     if K.shape != theta.matrix.shape:
         raise ValueError("dimension mismatch between K and theta")
     magnitudes = np.abs(np.linalg.eigvalsh(theta.matrix))  # Theta is symmetric: cond = max/min
@@ -166,14 +157,13 @@ def overlap_matrices(
     """
     if not (system.dimension == kappa.dimension == data.dimension):
         raise ValueError("dimension mismatch")
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # the gate below
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # OverlapPair's gate
         U = system.kets.T @ data.left_vectors
         U /= (kappa.values * system.q_norms**1.5)[:, None]
         scale = data.eigenvalues / data.pairing_norms  # complex over real vectors too
         V = (data.right_vectors.T @ system.ketkets) * scale[:, None]
         V /= np.sqrt(system.q_norms)
         M = U @ V
-    _require_finite(M, "the overlap product")
     return OverlapPair(M)
 
 

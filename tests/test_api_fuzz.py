@@ -3,7 +3,8 @@
 Every call either raises ValueError or returns finite values, and no
 non-finite input comes back labelled positive-definite.  Complex, text, NaN
 and inf input, and input of the wrong rank, is a ValueError naming the
-argument wherever the library takes real numbers.
+argument wherever the library takes real numbers, and a ragged nest is one
+wherever it reads an array.
 """
 
 import copy
@@ -17,6 +18,7 @@ from qtlattice import (
     EvolutionState,
     KappaVector,
     MetricOperator,
+    OverlapPair,
     biorthogonal_system,
     build_hamiltonian,
     build_metric_Q,
@@ -29,6 +31,7 @@ from qtlattice import (
     norm_trajectory,
     observable_from_hermitian,
     propagator,
+    spectral_data,
     theta_norm,
     tridiagonal_metric,
 )
@@ -341,14 +344,14 @@ WRONG_RANKS = {
         "q must be one-dimensional", lambda: charge_operator(0.5, tridiagonal_metric(2, 0.1))
     ),
     "hidden_horizon_scan K": (
-        "K has wrong shape", lambda: hidden_horizon_scan(2, [1.0, 0.0], [0.1])
+        "K must be two-dimensional", lambda: hidden_horizon_scan(2, [1.0, 0.0], [0.1])
     ),
     "hidden_horizon_scan grid": (
         "alpha grid must be one-dimensional", lambda: hidden_horizon_scan(2, np.eye(2), [[0.1, 0.2]])
     ),
     "observable_from_hermitian K": (
-        "nonempty square K",
-        lambda: observable_from_hermitian(np.ones((2, 2, 2)), tridiagonal_metric(2, 0.1)),
+        "K must be two-dimensional",
+        lambda: observable_from_hermitian([1.0, 0.0], tridiagonal_metric(2, 0.1)),
     ),
     "norm_trajectory t_grid": (
         "time grid must be one-dimensional",
@@ -373,6 +376,39 @@ def test_a_wrong_rank_is_a_value_error_naming_the_argument(entry):
     message, call = WRONG_RANKS[entry]
     with pytest.raises(ValueError, match=message):
         call()
+
+
+# Every public entry point that reads an array, with that argument a ragged nest.
+RAGGED = [[1.0, 2.0], [3.0]]
+RAGGED_ARGUMENTS = {
+    "MetricOperator matrix": ("theta", MetricOperator),
+    "KappaVector values": ("kappa", lambda x: KappaVector(2, x)),
+    "EvolutionState amplitudes": ("the state", lambda x: EvolutionState(2, x)),
+    "OverlapPair M": ("M", OverlapPair),
+    "spectral_data Lambda": ("Lambda", spectral_data),
+    "dieudonne_residual Lambda": ("Lambda", lambda x: dieudonne_residual(x, tridiagonal_metric(2, 0.1))),
+    "observable_from_hermitian K": (
+        "K", lambda x: observable_from_hermitian(x, tridiagonal_metric(2, 0.1))
+    ),
+    "hidden_horizon_scan K": ("K", lambda x: hidden_horizon_scan(2, x, [0.1])),
+    "hidden_horizon_scan grid": ("alpha grid", lambda x: hidden_horizon_scan(2, np.eye(2), x)),
+    "charge_operator q": ("q", lambda x: charge_operator(x, tridiagonal_metric(2, 0.1))),
+    "norm_trajectory t_grid": (
+        "time grid",
+        lambda x: norm_trajectory(
+            biorthogonal_system(2), tridiagonal_metric(2, 0.1), EvolutionState(2, [1.0, 0.0]), x
+        ),
+    ),
+    "ket E": ("E", lambda x: ket(3, x)),
+}
+
+
+@pytest.mark.parametrize("entry", RAGGED_ARGUMENTS)
+def test_a_ragged_nest_is_a_value_error_naming_the_argument(entry):
+    """Never numpy's "inhomogeneous shape" message, which names neither the argument nor the rule."""
+    name, function = RAGGED_ARGUMENTS[entry]
+    with pytest.raises(ValueError, match=f"{name} must be (real )?numbers, not ragged input"):
+        function(RAGGED)
 
 
 def test_exports_are_defined_in_their_home_module():

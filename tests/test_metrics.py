@@ -290,6 +290,16 @@ def test_zero_metric_reads_singular_on_both_paths():
     assert classify_definiteness(np.full((3, 3), -1e-315)) == "singular"
 
 
+def test_a_diagonal_at_the_top_of_the_float_range_is_labelled_without_a_warning():
+    """Theta -+ thr I overflows on the diagonal where every entry is the float maximum (spectra
+    {3 max, 0, 0} and its negative): the labels are the rule's, and no RuntimeWarning leaks."""
+    top = np.full((3, 3), np.finfo(float).max)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert MetricOperator(top).definiteness == "singular"
+        assert MetricOperator(-top).definiteness == "indefinite"
+
+
 def test_dense_labels_run_no_eigensolver(monkeypatch):
     """ones - 2I, ones and ones + I (spectra {1, -2, -2}, {3, 0, 0}, {4, 1, 1}) take the
     Cholesky path: two factorizations, at -thr and +thr, for the indefinite and the singular
