@@ -1,21 +1,17 @@
 """Positivity horizons of the tridiagonal metric slice and hidden horizons.
 
 The tridiagonal metric Theta(alpha) = Q + alpha T stays positive-definite
-only on a finite interval (-gamma, gamma): as `metrics` derives, T = 2 Q H,
-so Theta(alpha) is positive-definite exactly while every 1 + 2 alpha E_j > 0.
-The spectrum of H (the roots of P_N) is symmetric about 0, so
-gamma = 1/(2 x_max), x_max the largest root of P_N, found by Newton's method
-on the Legendre recurrence (`legendre._largest_root`).  The cross-check
-shares no code with it: a bisection on one O(N) Sturm count of Theta(alpha)
-per step (the LDL^T pivots), O(N log 1/eps) in all; the two must agree
-tightly.  The bisection and the scan take the slice, its dense matrices and
-its Sturm test from `metrics`.
-
-The bisection finds where the smallest eigenvalue of Theta(alpha) crosses
-thr = 1e-12 max|Theta| (see `metrics`), not zero.  That moves its result
-below gamma by thr / |d lambda_min / d alpha|: the cross-check residual is
-about 2e-12 for every N from 2 to 4096, fifty times inside the tolerance
-1e-10.
+only on a finite interval (-gamma, gamma).  As `metrics` derives, T = 2 Q H,
+and J = Q^{1/2} H Q^{-1/2} is the symmetrized Jacobi matrix of the Legendre
+recurrence (`legendre._jacobi`), so Theta(alpha) = Q^{1/2} (I + 2 alpha J) Q^{1/2}
+is congruent to I + 2 alpha J: positive-definite exactly while every
+1 + 2 alpha E_j > 0, E_j the eigenvalues of J, which are the roots of P_N.
+They are symmetric about 0, so gamma = 1/(2 x_max), x_max the largest root,
+found by Newton's method on the Legendre recurrence (`legendre._largest_root`).
+It is certified as `legendre` certifies every root of `roots_P`, by two Sturm
+counts on J that share no code with Newton: count(x_max - delta) = N - 1 and
+count(x_max + delta) = N, delta = `legendre.CROSS_CHECK_TOL` = 1e-12, put
+the largest eigenvalue of J within delta of x_max.
 
 Beyond gamma the metric is inadmissible, and companion observables
 Lambda(alpha) = Theta(alpha)^{-1} K lose spectral reality at their own,
@@ -44,13 +40,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._size import _as_real, _require_size
-from .legendre import _largest_root
-from .metrics import _as_symmetric, _none_below_threshold, _slice, _slice_matrix
-from .metrics import tridiagonal_definiteness
+from .legendre import CROSS_CHECK_TOL, _jacobi, _largest_root
+from .metrics import _as_symmetric, _slice, _slice_matrix, tridiagonal_definiteness
 from .tridiagonal import sturm_count
 
-CROSS_CHECK_TOL = 1e-10
-BISECTION_WIDTH = 1e-12
 REALITY_THRESHOLD = 1e-8
 SINGULAR_RCOND = 1e-12
 # Bytes of Theta(alpha) matrices the scan holds in flight, over all its stacks.
@@ -59,8 +52,9 @@ _SCAN_CHUNK_BYTES = 4 * 2**20
 
 @dataclass(frozen=True)
 class HorizonReport:
-    """gamma at one N.  `bisection_iterations` is 40 at every N: the bracket [0, 1] is halved to
-    1e-12 or less.  `cross_check_residual`, about 2e-12, is the shift by thr, not a disagreement."""
+    """gamma at one N.  `cross_check_residual` is the bound 0.5 delta/(x_max (x_max - delta)) that
+    the Sturm certificate proves on |gamma - 1/(2 lambda_max(J))|: 1.5e-12 at N = 2, 5e-13 as N
+    grows.  `bisection_iterations` is 0: no bisection runs."""
 
     dimension: int
     gamma: float
@@ -87,38 +81,21 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _gamma_bisection(N: int) -> tuple[float, int]:
-    """Bisection on the positive-definiteness of Theta(alpha).
-
-    Each step runs the O(N) pivot recurrence once, at +thr: Theta(alpha) is
-    positive-definite when no eigenvalue lies below it (`metrics`).
-    """
-    q, t = _slice(N, 1.0)
-    iterations = 0
-    lo, hi = 0.0, 1.0  # x_max grows with N, so gamma <= gamma(2) = sqrt(3)/2 < 1
-    while hi - lo > BISECTION_WIDTH:
-        mid = 0.5 * (lo + hi)
-        if _none_below_threshold(q, mid * t):
-            lo = mid
-        else:
-            hi = mid
-        iterations += 1
-    return 0.5 * (lo + hi), iterations
-
-
 def horizon_gamma(N: int) -> HorizonReport:
-    """gamma = 1/(2 x_max) at size N, cross-checked by bisection on Theta(alpha)."""
+    """gamma = 1/(2 x_max) at size N, x_max certified by two scalar Sturm counts on J."""
     N = _require_size(N, 2)
-    gamma = 0.5 / _largest_root(N)
-    gamma_bis, iterations = _gamma_bisection(N)
-    residual = abs(gamma - gamma_bis)
-    if residual > CROSS_CHECK_TOL:
-        raise RuntimeError(f"horizon methods disagree by {residual:.3e} at N={N}")
+    x, jacobi, delta = _largest_root(N), _jacobi(N), CROSS_CHECK_TOL
+    below, through = (sturm_count(*jacobi, x + shift) for shift in (-delta, delta))
+    if (below, through) != (N - 1, N):
+        raise RuntimeError(
+            f"Sturm certificate of the largest root of P_{N} failed: {below} Jacobi eigenvalues "
+            f"below x - {delta:g} and {through} below x + {delta:g}, expected {N - 1} and {N}"
+        )
     return HorizonReport(
         dimension=N,
-        gamma=gamma,
-        cross_check_residual=residual,
-        bisection_iterations=iterations,
+        gamma=0.5 / x,
+        cross_check_residual=0.5 * delta / (x * (x - delta)),
+        bisection_iterations=0,
     )
 
 

@@ -110,24 +110,28 @@ _root_cache: dict[int, np.ndarray] = {1: np.zeros(1)}
 _root_cache[1].setflags(write=False)
 
 
-def _certify_roots(roots: np.ndarray) -> None:
-    """Raise unless the sorted roots match the Jacobi eigenvalues to CROSS_CHECK_TOL.
+def _jacobi(N: int) -> tuple[np.ndarray, np.ndarray]:
+    """Zero diagonal and couplings (k+1)/sqrt((2k+1)(2k+3)) of the symmetrized Jacobi matrix
+    J = Q^{1/2} H Q^{-1/2}, whose eigenvalues are exactly the roots of P_N (Golub & Welsch 1969)."""
+    k = np.arange(N - 1, dtype=float)
+    return np.zeros(N), (k + 1) / np.sqrt((2 * k + 1) * (2 * k + 3))
 
-    The symmetrized Jacobi matrix J of the recurrence has a zero diagonal and
-    couplings (k+1)/sqrt((2k+1)(2k+3)); its eigenvalues are exactly the roots
-    of P_N.  One batched Sturm count on J at the 2N shifts x_j -/+ delta,
+
+def _certify_roots(roots: np.ndarray) -> None:
+    """Raise unless the sorted roots match the eigenvalues of J (`_jacobi`) to CROSS_CHECK_TOL.
+
+    One batched Sturm count on J at the 2N shifts x_j -/+ delta,
     delta = CROSS_CHECK_TOL, certifies root j (0-based) when
     count(x_j - delta) = j and count(x_j + delta) = j + 1: the j-th eigenvalue
     is within delta of x_j, and no other is.  The eigenvalues are separated
     by far more than 2 delta, so this is the sorted match
     max|roots - eig(J)| <= delta, up to the count's own error of about
-    1.1e-15 max|J| < 1.1e-15 (see `tridiagonal.sturm_count`).
+    1.1e-15 max|J| < 1.1e-15 (see `tridiagonal.sturm_count`).  `horizons`
+    certifies the largest root alone by the same two counts, as scalars.
     """
     N = len(roots)
-    k = np.arange(N - 1, dtype=float)
-    couplings = (k + 1) / np.sqrt((2 * k + 1) * (2 * k + 3))
     shifts = np.concatenate((roots - CROSS_CHECK_TOL, roots + CROSS_CHECK_TOL))
-    below, through = np.split(sturm_count(np.zeros(N), couplings, shifts), 2)
+    below, through = np.split(sturm_count(*_jacobi(N), shifts), 2)
     failed = np.flatnonzero((below != np.arange(N)) | (through != np.arange(1, N + 1)))
     if len(failed):
         j = failed[0]

@@ -11,11 +11,11 @@ relation with diagonal part Q and t_0 = 1 (verified exactly in the
 and Theta(alpha) = Q (I + 2 alpha H): the slice is the family member with
 kappa_j = (1 + 2 alpha E_j)/n_j, its charge is C = I + 2 alpha H, and it is
 positive-definite exactly for |alpha| < 1/(2 max E_j) (see `horizons`).
-`_slice` gives its q = `build_metric_Q(N)` and alpha t, `_slice_matrix` the
-dense Theta(alpha) or a stack of them, and `_none_below_threshold` its
-positive-definiteness test; `horizons` uses these too.  Each entry point reads its real input
-once through `_size._as_real`, and Theta (when a `MetricOperator` is built) and K through
-`_as_symmetric`, by `_asymmetry`, max|M - M^H|: the one Hermiticity residual of the package.
+`_slice` gives its q = `build_metric_Q(N)` and alpha t, and `_slice_matrix` the
+dense Theta(alpha) or a stack of them; `horizons` uses these too.  Each entry
+point reads its real input once through `_size._as_real`, and Theta (when a
+`MetricOperator` is built) and K through `_as_symmetric`, by `_asymmetry`,
+max|M - M^H|: the one Hermiticity residual of the package.
 
 Definiteness is one rule, thr = 1e-12 max|Theta| (`_pivot_threshold`): no
 eigenvalue below +thr is positive-definite; none below -thr, or thr = 0,
@@ -142,11 +142,6 @@ def _pivot_threshold(diagonal, offdiagonal=()) -> np.ndarray:
     return PIVOT_TOL * np.abs(offdiagonal).max(axis=0, initial=np.abs(diagonal).max())
 
 
-def _none_below_threshold(diagonal, offdiagonal) -> np.ndarray:
-    """True where no eigenvalue lies below thr: positive-definite, by one Sturm count per matrix."""
-    return sturm_count(diagonal, offdiagonal, _pivot_threshold(diagonal, offdiagonal)) == 0
-
-
 def tridiagonal_definiteness(diagonal, offdiagonal) -> np.ndarray:
     """Definiteness labels of symmetric tridiagonal matrices by the one rule of
     `classify_definiteness`, from Sturm counts at +-thr (at thr = 0 the counts would
@@ -154,12 +149,9 @@ def tridiagonal_definiteness(diagonal, offdiagonal) -> np.ndarray:
     returns a string array of the batch shape.
     """
     threshold = _pivot_threshold(diagonal, offdiagonal)
+    positive = sturm_count(diagonal, offdiagonal, threshold) == 0
     singular = (sturm_count(diagonal, offdiagonal, -threshold) == 0) | (threshold == 0)
-    return np.where(
-        _none_below_threshold(diagonal, offdiagonal),
-        "positive-definite",
-        np.where(singular, "singular", "indefinite"),
-    )
+    return np.where(positive, "positive-definite", np.where(singular, "singular", "indefinite"))
 
 
 def classify_definiteness(matrix: np.ndarray) -> str:

@@ -9,7 +9,9 @@ from qtlattice import (
     spectrum,
     tridiagonal_metric,
 )
+from qtlattice import horizons, legendre, metrics
 from qtlattice.legendre import _largest_root
+from qtlattice.metrics import _slice, tridiagonal_definiteness
 from qtlattice.tridiagonal import sturm_count
 
 
@@ -22,8 +24,51 @@ def test_gamma_report_fields():
     report = horizon_gamma(2)
     # the fields are the keys of `qtlattice horizon`'s JSON
     assert list(vars(report)) == ["dimension", "gamma", "cross_check_residual", "bisection_iterations"]
-    assert report.cross_check_residual <= 1e-10
-    assert report.bisection_iterations > 0
+    # the certificate's bound 0.5 delta/(x (x - delta)), x = 1/sqrt(3), is 1.5e-12 (1 + 1.7e-12)
+    assert report.cross_check_residual == pytest.approx(1.5e-12, rel=1e-11, abs=0)
+    assert report.bisection_iterations == 0
+
+
+@pytest.mark.parametrize("moved", [-2e-12, 2e-12])
+@pytest.mark.parametrize("N", [2, 64, 1024, 4096])
+def test_certificate_rejects_a_largest_root_moved_by_2e_12(N, moved, monkeypatch):
+    """Two Sturm counts on J at x -+ 1e-12 reject a root 2e-12 off; a gate of 1e-10 on gamma
+    would not."""
+    x = _largest_root(N) + moved
+    monkeypatch.setattr(horizons, "_largest_root", lambda n: x)
+    with pytest.raises(RuntimeError, match="Sturm certificate of the largest root"):
+        horizon_gamma(N)
+
+
+@pytest.mark.parametrize("moved", [-5e-13, 5e-13])
+@pytest.mark.parametrize("N", [2, 64, 1024, 4096])
+def test_certificate_passes_a_largest_root_moved_by_5e_13(N, moved, monkeypatch):
+    x = _largest_root(N) + moved
+    monkeypatch.setattr(horizons, "_largest_root", lambda n: x)
+    assert horizon_gamma(N).gamma == 0.5 / x
+
+
+def test_certificate_rejects_gamma_of_one_half(monkeypatch):
+    """At N = 2e5, gamma - 1/2 is about j_{0,1}^2 / (4 N^2) = 3.6e-11, inside a gate of 1e-10 on
+    gamma; x = 1 - 1e-16 (gamma = 1/2 to rounding) lies 7e-11 above the largest eigenvalue of J."""
+    monkeypatch.setattr(horizons, "_largest_root", lambda n: 1.0 - 1e-16)
+    with pytest.raises(RuntimeError, match="Sturm certificate of the largest root"):
+        horizon_gamma(200_000)
+
+
+def test_horizon_is_two_scalar_sturm_counts(monkeypatch):
+    """The one-root certificate runs the scalar loop twice, not the batched loop (0.21 ms
+    against 10.7 ms per count at N = 1024), and nothing else counts."""
+    calls = []
+
+    def counting(diagonal, offdiagonal, shift):
+        calls.append((np.ndim(offdiagonal), np.ndim(shift)))
+        return sturm_count(diagonal, offdiagonal, shift)
+
+    for module in (horizons, legendre, metrics):
+        monkeypatch.setattr(module, "sturm_count", counting)
+    horizon_gamma(64)
+    assert calls == [(1, 0), (1, 0)]
 
 
 def test_gamma_requires_N_at_least_2():
@@ -31,12 +76,15 @@ def test_gamma_requires_N_at_least_2():
         horizon_gamma(1)
 
 
-@pytest.mark.parametrize("N", list(range(2, 17)) + [32, 48, 64])
+@pytest.mark.parametrize("N", list(range(2, 17)) + [32, 48, 64, 256, 1024, 4096])
 def test_gamma_methods_agree_and_straddle(N):
+    """Theta(gamma - 1e-10) is positive-definite and Theta(gamma + 1e-10) is not, by the O(N)
+    labels of the slice (no dense Theta): the physics of the certificate, checked on Theta."""
     report = horizon_gamma(N)
     assert report.cross_check_residual <= 1e-10
-    assert tridiagonal_metric(N, report.gamma - 1e-8).definiteness == "positive-definite"
-    assert tridiagonal_metric(N, report.gamma + 1e-8).definiteness != "positive-definite"
+    inside, outside = (tridiagonal_definiteness(*_slice(N, report.gamma + shift))
+                       for shift in (-1e-10, 1e-10))
+    assert inside == "positive-definite" and outside != "positive-definite"
 
 
 def test_gamma_decreasing_in_N():

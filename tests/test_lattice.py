@@ -164,6 +164,24 @@ def test_q_norms_match_christoffel_darboux(N, system_cache):
     assert abs(np.sum(1 / system.q_norms) - 2) <= 4 * eps
 
 
+@pytest.mark.parametrize("N", [2, 3, 16, 64, 256])
+def test_gauss_legendre_moments(N, system_cache):
+    """sum_k E_k^{2j} / n_k = 2/(2j + 1), the integral of x^{2j} over [-1, 1], for 2j <= 2N - 1:
+    the roots are the Gauss-Legendre nodes and the 1/n_k its weights, checked together in O(N).
+
+    Error model, relative to 2/(2j + 1): a root off by eps moves E^{2j} by 2j eps |E|^{2j-1},
+    (2j + 1) eps of the moment; the power adds 2j eps, each weight a few eps, and the sum of N
+    positive terms at most N eps (Higham, Accuracy and Stability, ch. 4).  Measured: 11 eps at
+    most; q_norms scaled by 1 + 1e-12 read 4500 eps.
+    """
+    system = system_cache(N)
+    j = np.arange(min(20, N))
+    moments = np.sum(system.eigenvalues.roots ** (2 * j[:, None]) / system.q_norms, axis=1)
+    exact = 2 / (2 * j + 1)
+    bound = (4 * j + N + 8) * np.finfo(float).eps * exact
+    assert np.all(np.abs(moments - exact) <= bound)
+
+
 def test_eigen_residual_at_256(system_cache):
     system = system_cache(256)
     H = dense_hamiltonian(256)
