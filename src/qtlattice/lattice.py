@@ -104,10 +104,10 @@ def ket(N: int, E) -> np.ndarray:
 def biorthogonal_system(N: int) -> BiorthogonalSystem:
     """Assemble and validate the full biorthogonal eigensystem at size N.
 
-    The kets come from one recurrence over all roots of P_N.  Gates: the eigen
-    residual max|H kets - kets E| (from the two bands of H) is at most
-    EIGEN_RESIDUAL_TOL, and the Gram kets^T Q kets, formed as W^T W with W = sqrt(Q) kets (one
-    `syrk`), is diagonal to 1e-12 of max q_norm.  Both checks share one N x N work buffer.
+    The kets come from one recurrence over all roots of P_N.  Gates: the eigen residual
+    max|H kets - kets E| (from the two bands of H) is at most EIGEN_RESIDUAL_TOL, and the Gram
+    W^T W = kets^T Q kets, W = sqrt(Q) kets, is diagonal to 1e-12 of max q_norm.  Both are read by
+    64-column blocks, with no N x N work buffer: peak 2.2 arrays of 8 N^2 bytes at N = 1024.
 
     The system is built once per size: the last one is kept, and a call with
     the same N returns it again (a new N replaces it).  So its kets and q_norms
@@ -123,17 +123,17 @@ def _build_system(N: int) -> BiorthogonalSystem:
     kets = ket(N, eigenvalues.roots)
     ketkets = build_metric_Q(N)[:, None] * kets
     q_norms = np.einsum("ij,ij->j", kets, ketkets)
-
-    buffer = kets * eigenvalues.roots[None, :]  # kets E - H kets, band by band
-    buffer[:-1] -= H.superdiagonal[:, None] * kets[1:]
-    buffer[1:] -= H.subdiagonal[:, None] * kets[:-1]
-    residual = np.abs(buffer, out=buffer).max()
+    W = np.divide(ketkets, np.sqrt(build_metric_Q(N))[:, None], out=ketkets)
+    residual, off, gate = 0.0, 0.0, 1e-12 * np.max(q_norms)
+    for c in range(0, N, 64):  # kets E - H kets band by band; rows c.. of W^T W's upper triangle
+        misfit = kets[:, c : c + 64] * eigenvalues.roots[c : c + 64]
+        misfit[:-1] -= H.superdiagonal[:, None] * kets[1:, c : c + 64]
+        misfit[1:] -= H.subdiagonal[:, None] * kets[:-1, c : c + 64]
+        gram = W[:, c : c + 64].T @ W[:, c:]
+        np.fill_diagonal(gram, 0.0)
+        residual, off = np.maximum((residual, off), (np.abs(misfit).max(), np.abs(gram).max()))
     if residual > EIGEN_RESIDUAL_TOL:
         raise RuntimeError(f"eigen residual {residual:.3e} > {EIGEN_RESIDUAL_TOL:.0e} at N={N}")
-    W = np.divide(ketkets, np.sqrt(build_metric_Q(N))[:, None], out=ketkets)
-    gram = np.matmul(W.T, W, out=buffer)
-    np.fill_diagonal(gram, 0.0)
-    off, gate = np.abs(gram, out=gram).max(), 1e-12 * np.max(q_norms)
     if off > gate:
         raise RuntimeError(f"biorthogonality: Gram off-diagonal {off:.3e} > {gate:.3e} at N={N}")
     for array in (kets, q_norms):

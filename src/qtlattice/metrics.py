@@ -17,7 +17,7 @@ point reads its real input once through `_size._as_real`, and Theta (when a
 `MetricOperator` is built) and K through `_as_symmetric`, by `_asymmetry`,
 max|M - M^H|: the one Hermiticity residual of the package.
 
-Definiteness is one rule, thr = 1e-12 max|Theta| (`_pivot_threshold`): no
+Definiteness is one rule, thr = 1e-12 max|Theta| (`_largest`, every gate's scale): no
 eigenvalue below +thr is positive-definite; none below -thr, or thr = 0,
 singular; otherwise indefinite.  A Theta with no nonzero entry off its three
 central diagonals (the slice, Q) counts its eigenvalues below +-thr in O(N) by
@@ -120,35 +120,37 @@ def _slice_matrix(q: np.ndarray, offdiagonal: np.ndarray) -> np.ndarray:
 def _asymmetry(M: np.ndarray, scale=1.0) -> float:
     """max|M - M^H| / scale by 64-row blocks of the upper triangle (|a - conj b| = |b - conj a|),
     no N x N temporary: 0 for a zero difference (any scale), inf for an overflow, NaN for a NaN."""
-    top = np.float64(0.0)
-    with np.errstate(over="ignore", invalid="ignore"):  # np.maximum: Python's max drops a NaN
-        for i in range(0, len(M), 64):
-            top = np.maximum(top, np.abs(M[i : i + 64, i:] - M[i:, i : i + 64].conj().T).max())
+    with np.errstate(over="ignore", invalid="ignore"):  # np.max keeps a NaN, Python's max drops it
+        top = np.max([np.abs(M[i : i + 64, i:] - M[i:, i : i + 64].conj().T).max()
+                      for i in range(0, len(M), 64)])
         return float(top / scale) if top else 0.0
+
+
+def _largest(M: np.ndarray) -> float:
+    """max|M|, the scale of every gate, with no N x N temporary: max(max M, -min M) for a real M,
+    by 64-row blocks as `_asymmetry` for a complex one (inf where a modulus overflows)."""
+    if not np.iscomplexobj(M):
+        return float(max(M.max(), -M.min()))
+    with np.errstate(over="ignore"):
+        return float(np.max([np.abs(M[i : i + 64]).max() for i in range(0, len(M), 64)]))
 
 
 def _as_symmetric(value, what: str) -> np.ndarray:
     """The gate of Theta and K: real, finite, nonempty and square, `_asymmetry <= 1e-12 max|M|`."""
     M = _as_real(value, what, 2)
     _require_square(M, what)
-    if _asymmetry(M, max(M.max(), -M.min())) > SYMMETRY_TOL:
+    if _asymmetry(M, _largest(M)) > SYMMETRY_TOL:
         raise ValueError(f"{what} is not symmetric within tolerance")
     return M
-
-
-def _pivot_threshold(diagonal, offdiagonal=()) -> np.ndarray:
-    """thr = 1e-12 max|Theta| of a dense Theta, or per matrix of a tridiagonal batch
-    given by its diagonal and off-diagonal entries (axis 0, as for `sturm_count`)."""
-    return PIVOT_TOL * np.abs(offdiagonal).max(axis=0, initial=np.abs(diagonal).max())
 
 
 def tridiagonal_definiteness(diagonal, offdiagonal) -> np.ndarray:
     """Definiteness labels of symmetric tridiagonal matrices by the one rule of
     `classify_definiteness`, from Sturm counts at +-thr (at thr = 0 the counts would
     take the zero pivots of a zero Theta as negative).  Batched like `sturm_count`;
-    returns a string array of the batch shape.
+    returns a string array of the batch shape.  thr is 1e-12 max|Theta| per matrix of the batch.
     """
-    threshold = _pivot_threshold(diagonal, offdiagonal)
+    threshold = PIVOT_TOL * np.abs(offdiagonal).max(axis=0, initial=np.abs(diagonal).max())
     positive = sturm_count(diagonal, offdiagonal, threshold) == 0
     singular = (sturm_count(diagonal, offdiagonal, -threshold) == 0) | (threshold == 0)
     return np.where(positive, "positive-definite", np.where(singular, "singular", "indefinite"))
@@ -168,7 +170,7 @@ def classify_definiteness(matrix: np.ndarray) -> str:
 def _cholesky_definiteness(matrix: np.ndarray) -> str:
     """The rule of `classify_definiteness` by Cholesky of Theta - thr I, then of Theta + thr I,
     each formed in one copy of Theta (at thr = 0 the second repeats the first)."""
-    threshold = _pivot_threshold(matrix)
+    threshold = PIVOT_TOL * _largest(matrix)
     for shift, label in ((-threshold, "positive-definite"), (threshold, "singular")):
         shifted = matrix.copy()
         with np.errstate(over="ignore"):  # a diagonal entry near the float maximum may overflow
@@ -223,8 +225,9 @@ def _hamiltonian_residual(H: LatticeHamiltonian, theta: MetricOperator) -> float
     """`observables.dieudonne_residual` of the dense H against theta, from the two bands of H.
 
     `_asymmetry` of (Theta H)_{ij} = Theta_{i,j-1} u_{j-1} + Theta_{i,j+1} l_j, with u and l the
-    super- and subdiagonal of H: two band products, O(N^2) in place of a dense product.  ValueError
-    unless Theta is of the size of H; an overflow reads inf or NaN, which no `<=` gate passes.
+    super- and subdiagonal of H: two band products, O(N^2) in place of a dense product, the second
+    added by 64-row blocks (peak 1.13 arrays of 8 N^2 bytes at N = 1024).  ValueError unless Theta
+    is of the size of H; an overflow reads inf or NaN, which no `<=` gate passes.
     """
     if theta.dimension != H.dimension:
         raise ValueError("dimension mismatch between H and theta")
@@ -232,8 +235,9 @@ def _hamiltonian_residual(H: LatticeHamiltonian, theta: MetricOperator) -> float
     product = np.zeros_like(matrix)
     with np.errstate(invalid="ignore", over="ignore"):
         np.multiply(matrix[:, :-1], up, out=product[:, 1:])
-        product[:, :-1] += matrix[:, 1:] * down
-    return _asymmetry(product, np.max(np.abs(matrix)) * np.abs(np.r_[up, down]).max(initial=0.0))
+        for i in range(0, len(matrix), 64):
+            product[i : i + 64, :-1] += matrix[i : i + 64, 1:] * down
+    return _asymmetry(product, _largest(matrix) * np.abs(np.r_[up, down]).max(initial=0.0))
 
 
 def kappa_from_metric(system: BiorthogonalSystem, theta: MetricOperator) -> KappaVector:

@@ -59,6 +59,27 @@ def test_group_property(N):
     )
 
 
+@pytest.mark.parametrize("N, t", [(16, 1.0), (64, 3.0), (256, 10.0), (256, 0.3)])
+def test_propagator_row_zero_is_rayleighs_plane_wave_expansion(N, t):
+    """exp(-ixt) = sum_n (2n+1) (-i)^n j_n(t) P_n(x) (DLMF 10.60.7), and H is the transpose of
+    multiplication by x in the Legendre basis, so row 0 of exp(-iHt) is (2n+1) (-i)^n j_n(t),
+    up to a truncation that is negligible for n < min(N, 2t + 40).  The oracle shares no code
+    with the eigensystem.
+
+    Error model.  U[0, n] = q_n sum_j (f_j / n_j) P_n(E_j) is a Gauss sum whose terms add up in
+    modulus to at most sqrt(2n+1) (Cauchy-Schwarz, the quadrature being exact for P_n^2).  Each
+    term carries relative rounding of a few eps from f, 1/n_j and the Legendre recurrence, so
+    the error is a small multiple of eps (2n+1): at most 3.0 eps (2n+1) here, 1.3e-15 to 7.0e-15
+    absolute.  The bound 16 eps (2n+1) leaves room for other BLAS summation orders, and is far
+    below what a fault moves: without the q scaling U[0, 0] doubles, and q_norms off by 1e-10
+    move it by 1e-10 |j_0(t)| >= 4.7e-12."""
+    spherical_jn = pytest.importorskip("scipy.special").spherical_jn
+    n = np.arange(min(N, int(2 * t + 40)))
+    row = propagator(build_hamiltonian(N), t)[0, : len(n)]
+    expected = (2 * n + 1) * (-1j) ** n * spherical_jn(n, t)
+    assert np.all(np.abs(row - expected) <= 16 * np.finfo(float).eps * (2 * n + 1))
+
+
 def test_propagator_forms_no_inverse_matrix(monkeypatch):
     """At N = 1024 (scipy's roots, as cold roots_P takes seconds) the propagator peaks at U,
     2 arrays of 8 N^2 bytes, plus one real temporary: S diag(f/n) S^T Q is one product per

@@ -590,6 +590,38 @@ def test_banded_residual_holds_theta_h_and_one_band_product():
     assert _peak_arrays(lambda: _hamiltonian_residual(H, theta), N) <= 2.1
 
 
+def test_banded_residual_adds_its_second_band_product_by_row_blocks():
+    """N = 256: Theta H and 64-row blocks of the second band product and of the asymmetry, 1.50
+    arrays of 8 N^2 bytes (2.25 with that product and |Theta| formed whole).  The residual is
+    bit for bit the one of the whole band products."""
+    from qtlattice.metrics import _hamiltonian_residual
+
+    N = 256
+    theta, H = tridiagonal_metric(N, 0.3), build_hamiltonian(N)
+    assert _peak_arrays(lambda: _hamiltonian_residual(H, theta), N) <= 1.6
+    product = np.zeros((N, N))
+    product[:, 1:] = theta.matrix[:, :-1] * H.superdiagonal
+    product[:, :-1] += theta.matrix[:, 1:] * H.subdiagonal
+    expected = np.max(np.abs(product - product.T)) / np.max(np.abs(theta.matrix))
+    assert _hamiltonian_residual(H, theta) == expected  # max|H| = H[0, 1] = 1
+
+
+@pytest.mark.parametrize("N", [1, 63, 64, 65, 130])
+def test_largest_is_the_blocked_max_abs(N, rng):
+    """_largest is max|M| bit for bit, by max(max M, -min M) for a real M and by 64-row blocks
+    for a complex one, its largest entry in the last block or not; a finite complex entry whose
+    modulus overflows reads inf."""
+    from qtlattice.metrics import _largest
+
+    for M in (rng.normal(size=(N, N)), rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N))):
+        assert _largest(M) == np.max(np.abs(M))
+        M[-1, 0] = -10.0
+        assert _largest(M) == np.max(np.abs(M)) == 10.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _largest(np.full((N, N), 1.5e308 + 1.5e308j)) == np.inf
+
+
 def test_an_overflowing_residual_fails_every_gate():
     """Band products of a Theta near the top of the float range overflow, and inf - inf is NaN:
     a maximum that drops a NaN, such as Python's max, reads 0, so such a Theta passes the

@@ -317,6 +317,25 @@ def test_no_overflow_warning_at_the_top_of_the_float_range():
     assert not criterion_product_hermitian(pair)
 
 
+@pytest.mark.parametrize("a", [1.0, 2.0**1000, 1.5e308])
+def test_criterion_verdict_is_scale_free_at_the_top_of_the_float_range(a):
+    """M = [[0, a + ai], [-a + ai, 0]] has max|M - M^H| = 2 sqrt(2) a against max|M| = sqrt(2) a:
+    not Hermitian at any a.  At a = 1.5e308 both moduli overflow, and inf <= tol inf read True;
+    M is judged scaled by a power of two.  A Hermitian M of that size stays Hermitian."""
+    pair = OverlapPair(np.array([[0.0, a + a * 1j], [-a + a * 1j, 0.0]]))
+    assert not criterion_product_hermitian(pair)
+    assert criterion_product_hermitian(OverlapPair(a * np.array([[1.0, 1 + 1j], [1 - 1j, 0.5]])))
+
+
+def test_criterion_forms_no_square_temporary(rng):
+    """N = 1024, complex M: max|M| is read by 64-row blocks, 0.06 arrays of 8 N^2 bytes (1.00
+    while |M| was formed whole)."""
+    N = 1024
+    pair = OverlapPair(rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N)))
+    _, peak = _traced_peak(lambda: criterion_product_hermitian(pair))
+    assert peak <= 0.1 * 8 * N**2
+
+
 def test_overlap_pair_derives_its_residual():
     assert OverlapPair(np.array([[1.0, 2.0], [0.5, 3.0]])).hermiticity_residual == 1.5
     assert OverlapPair(np.array([[1.0, 2.0j], [-2.0j, 3.0]])).hermiticity_residual == 0.0
