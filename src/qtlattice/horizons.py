@@ -119,14 +119,21 @@ def hidden_horizon_scan(N: int, K: np.ndarray, alpha_grid: np.ndarray) -> Realit
     A crossing is max_imag > 1e-8 max|K|, with no floor: Lambda(alpha) scales
     with K, so c K crosses where K does for every c > 0; a zero K scans real.
 
-    Only the indefinite points that are not skipped are solved and diagonalized, in the stacks
-    of the module docstring: w = min(usable CPUs, 4 MB / (8 N^2)) threads run stacks of at most
-    4 MB / (w 8 N^2) matrices, their number a multiple of w but at most the number of points.
-    Each stack writes its own entries of max_imag; an exception in one is raised here.  The
-    positive-definite ones get max_imag = 0 exactly, without an eigensolve: with Theta > 0,
-    Lambda is similar to the symmetric Theta^{-1/2} K Theta^{-1/2}, so its spectrum is real.
-    The label is exact here: it means no eigenvalue below thr = 1e-12 max|Theta| by a count
-    that errs by at most about 1.1e-15 max|Theta| (see `metrics`), so lambda_min(Theta) > 0.
+    Only the indefinite points that are not skipped are solved and
+    diagonalized, with the same LAPACK calls on the same Theta(alpha) entries
+    as one point at a time, so the outputs do not depend on the stacking.
+    With w = min(CPUs the process may run on, 4 MB / (8 N^2)) workers, the
+    points are split evenly into stacks of at most 4 MB / (w 8 N^2)
+    matrices each, their number rounded up to a multiple of w but not above
+    the number of points, and a pool of w threads runs them; points that
+    fit in one stack run inline, without a pool.  Each stack writes
+    its own entries of max_imag, and an exception in one is raised here.
+    A multithreaded BLAS may oversubscribe the cores.  The positive-definite
+    ones get max_imag = 0 exactly, without an eigensolve: with Theta > 0,
+    Lambda is similar to the symmetric Theta^{-1/2} K Theta^{-1/2}, so its
+    spectrum is real.  The label is exact here: it means no eigenvalue below
+    thr = 1e-12 max|Theta| by a count that errs by at most about
+    1.1e-15 max|Theta| (see `metrics`), so lambda_min(Theta) > 0.
     """
     N = _require_size(N, 2)
     K = _as_symmetric(K, "K")

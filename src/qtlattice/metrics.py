@@ -17,7 +17,7 @@ point reads its real input once through `_size._as_real`, and Theta (when a
 `MetricOperator` is built) and K through `_as_symmetric`, by `_asymmetry`,
 max|M - M^H|: the one Hermiticity residual of the package.
 
-Definiteness is one rule, thr = 1e-12 max|Theta| (`_largest`, every gate's scale): no
+Definiteness is one rule, thr = 1e-12 max|Theta| (`_largest`): no
 eigenvalue below +thr is positive-definite; none below -thr, or thr = 0,
 singular; otherwise indefinite.  A Theta with no nonzero entry off its three
 central diagonals (the slice, Q) counts its eigenvalues below +-thr in O(N) by
@@ -120,9 +120,10 @@ def _slice_matrix(q: np.ndarray, offdiagonal: np.ndarray) -> np.ndarray:
 def _asymmetry(M: np.ndarray, scale=1.0) -> float:
     """max|M - M^H| / scale by 64-row blocks of the upper triangle (|a - conj b| = |b - conj a|),
     no N x N temporary: 0 for a zero difference (any scale), inf for an overflow, NaN for a NaN."""
-    with np.errstate(over="ignore", invalid="ignore"):  # np.max keeps a NaN, Python's max drops it
-        top = np.max([np.abs(M[i : i + 64, i:] - M[i:, i : i + 64].conj().T).max()
-                      for i in range(0, len(M), 64)])
+    top = np.float64(0.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # np.maximum: Python's max drops a NaN
+        for i in range(0, len(M), 64):
+            top = np.maximum(top, np.abs(M[i : i + 64, i:] - M[i:, i : i + 64].conj().T).max())
         return float(top / scale) if top else 0.0
 
 
@@ -131,8 +132,11 @@ def _largest(M: np.ndarray) -> float:
     by 64-row blocks as `_asymmetry` for a complex one (inf where a modulus overflows)."""
     if not np.iscomplexobj(M):
         return float(max(M.max(), -M.min()))
+    top = np.float64(0.0)
     with np.errstate(over="ignore"):
-        return float(np.max([np.abs(M[i : i + 64]).max() for i in range(0, len(M), 64)]))
+        for i in range(0, len(M), 64):
+            top = np.maximum(top, np.abs(M[i : i + 64]).max())
+    return float(top)
 
 
 def _as_symmetric(value, what: str) -> np.ndarray:

@@ -77,8 +77,7 @@ def dieudonne_residual(Lambda: np.ndarray, theta: MetricOperator) -> float:
     exponents = [math.frexp(min(x, np.finfo(float).max))[1] for x in largest]  # |z| may be inf
     if not -500 <= sum(exponents) <= 500:
         matrix, Lambda = (A * math.ldexp(1.0, -e) for A, e in zip((matrix, Lambda), exponents))
-        largest = [math.ldexp(x, -e) if x < math.inf else _largest(A)  # exact; inf |z|: re-read
-                   for A, x, e in zip((matrix, Lambda), largest, exponents)]
+        largest = [_largest(A) for A in (matrix, Lambda)]
     return _asymmetry(matrix @ Lambda, largest[0] * largest[1])
 
 
@@ -167,7 +166,9 @@ def overlap_matrices(
     return OverlapPair(M)
 
 
-def criterion_product_hermitian(pair: OverlapPair, tol: float = DEFAULT_CRITERION_TOL) -> bool:
+def criterion_product_hermitian(
+    pair: OverlapPair, tol: float = DEFAULT_CRITERION_TOL
+) -> bool:
     """True iff the overlap product is Hermitian within tolerance.
 
     The gate is max|M - M^H| <= tol max|M|, so c M gets the verdict of M for every c > 0: where
