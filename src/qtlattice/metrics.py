@@ -34,9 +34,11 @@ factorization that completes is exact for a matrix within O(N^2 eps ||Theta||_2)
 of the shifted Theta, and one completes where every eigenvalue exceeds the shift
 by a bound of that order (Higham, Accuracy and Stability of Numerical
 Algorithms, 2nd ed., ch. 10).  So on either path a label can differ from exact
-arithmetic only for an eigenvalue that close to +-thr.  thr has no floor, so
-c Theta has the label of Theta for every c > 0; where it underflows to 0 (a zero
-Theta, or one below about 1e-312), both paths read singular unless positive-definite.
+arithmetic only for an eigenvalue that close to +-thr.  Both models need normal
+arithmetic, so where max|Theta| leaves [2^-250, 2^250] both paths first scale Theta
+by one exact power of two (`_size._rescaled`) and read thr after it.  thr has no
+floor and is 0 only for a zero Theta, which reads singular, so c Theta has the label
+of Theta for every c > 0 at which c Theta is exact, subnormal entries included.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._size import _as_real, _require_finite, _require_size, _require_square
+from ._size import _as_real, _require_finite, _require_size, _require_square, _rescaled
 from .lattice import BiorthogonalSystem, LatticeHamiltonian, build_metric_Q
 from .tridiagonal import sturm_count
 
@@ -152,11 +154,13 @@ def tridiagonal_definiteness(diagonal, offdiagonal) -> np.ndarray:
     """Definiteness labels of symmetric tridiagonal matrices by the one rule of
     `classify_definiteness`, from Sturm counts at +-thr (at thr = 0 the counts would
     take the zero pivots of a zero Theta as negative).  Batched like `sturm_count`;
-    returns a string array of the batch shape.  thr is 1e-12 max|Theta| per matrix of the batch.
+    returns a string array of the batch shape.  thr is 1e-12 max|Theta| per matrix of the batch,
+    read after `_rescaled` scales the whole batch by one power of two (one factor for all).
     """
-    threshold = PIVOT_TOL * np.abs(offdiagonal).max(axis=0, initial=np.abs(diagonal).max())
-    positive = sturm_count(diagonal, offdiagonal, threshold) == 0
-    singular = (sturm_count(diagonal, offdiagonal, -threshold) == 0) | (threshold == 0)
+    largest = np.abs(offdiagonal).max(axis=0, initial=np.abs(diagonal).max())
+    diagonal, offdiagonal, largest = _rescaled(float(largest.max()), diagonal, offdiagonal, largest)
+    positive = sturm_count(diagonal, offdiagonal, PIVOT_TOL * largest) == 0
+    singular = (sturm_count(diagonal, offdiagonal, -PIVOT_TOL * largest) == 0) | (largest == 0)
     return np.where(positive, "positive-definite", np.where(singular, "singular", "indefinite"))
 
 
@@ -173,12 +177,15 @@ def classify_definiteness(matrix: np.ndarray) -> str:
 
 def _cholesky_definiteness(matrix: np.ndarray) -> str:
     """The rule of `classify_definiteness` by Cholesky of Theta - thr I, then of Theta + thr I,
-    each formed in one copy of Theta (at thr = 0 the second repeats the first)."""
-    threshold = PIVOT_TOL * _largest(matrix)
+    each formed in one copy of Theta (at thr = 0 the second repeats the first).  Theta is first
+    scaled by `_rescaled`, and thr read after it, so thr underflows only for a zero Theta, no
+    factor is formed in subnormal arithmetic and no shifted diagonal entry overflows."""
+    largest = _largest(matrix)
+    matrix, largest = _rescaled(largest, matrix, largest)
+    threshold = PIVOT_TOL * largest
     for shift, label in ((-threshold, "positive-definite"), (threshold, "singular")):
         shifted = matrix.copy()
-        with np.errstate(over="ignore"):  # a diagonal entry near the float maximum may overflow
-            shifted.flat[:: len(matrix) + 1] += shift
+        shifted.flat[:: len(matrix) + 1] += shift
         try:
             np.linalg.cholesky(shifted)
         except np.linalg.LinAlgError:

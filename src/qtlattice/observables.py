@@ -13,12 +13,11 @@ matrix for its left ones.  A candidate Lambda or M passes `_size._as_square`, K 
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._size import _as_real, _as_square, _require_finite
+from ._size import _as_real, _as_square, _require_finite, _rescaled
 from .lattice import BiorthogonalSystem
 from .metrics import KappaVector, MetricOperator, _as_symmetric, _asymmetry, _largest
 
@@ -66,19 +65,16 @@ def dieudonne_residual(Lambda: np.ndarray, theta: MetricOperator) -> float:
 
     ValueError unless Lambda is a finite matrix (complex too) of the shape of Theta.  The scale
     has no floor, so the residual and its verdict are the same up to rounding when Theta or Lambda
-    is rescaled: where max|Theta| max|Lambda| leaves [2^-500, 2^500], both are first scaled by
-    exact powers of two, so no product over- or underflows.  A zero residual is 0, also for a zero
-    Theta or Lambda.
+    is rescaled: each whose max |entry| leaves [2^-250, 2^250] (subnormal or a complex modulus
+    that overflowed included) is first scaled by one exact power of two (`_size._rescaled`), so
+    no N-term sum of products over- or underflows, and both maxima are read after it.  A zero
+    residual is 0, also for a zero Theta or Lambda.
     """
     Lambda, matrix = _as_square(Lambda, "Lambda"), theta.matrix
     if Lambda.shape != matrix.shape:
         raise ValueError("dimension mismatch between Lambda and theta")
-    largest = [_largest(A) for A in (matrix, Lambda)]
-    exponents = [math.frexp(min(x, np.finfo(float).max))[1] for x in largest]  # |z| may be inf
-    if not -500 <= sum(exponents) <= 500:
-        matrix, Lambda = (A * math.ldexp(1.0, -e) for A, e in zip((matrix, Lambda), exponents))
-        largest = [_largest(A) for A in (matrix, Lambda)]
-    return _asymmetry(matrix @ Lambda, largest[0] * largest[1])
+    (matrix,), (Lambda,) = (_rescaled(_largest(A), A) for A in (matrix, Lambda))
+    return _asymmetry(matrix @ Lambda, _largest(matrix) * _largest(Lambda))
 
 
 def observable_from_hermitian(K: np.ndarray, theta: MetricOperator) -> np.ndarray:
@@ -99,7 +95,9 @@ def spectral_data(Lambda: np.ndarray) -> ObservableSpectralData:
 
     Requires a simple spectrum: every gap between two eigenvalues must exceed
     GAP_TOL max|Lambda|, so the verdict does not change when Lambda is
-    rescaled (a zero Lambda is degenerate).  One `np.linalg.eig` in double precision, real
+    rescaled (a zero Lambda is degenerate); the gaps are read by 64-row blocks, with no N x N
+    array of them (peak 3.0 arrays of 8 N^2 bytes at N = 256 for a real spectrum, 6.0 for a
+    complex one).  One `np.linalg.eig` in double precision, real
     (`dgeev`) for a real Lambda, gives the eigenvalues and right vectors R, sorted by real,
     then imaginary part.  Lambda R = R diag(lambda) gives R^{-1} Lambda = diag(lambda) R^{-1}:
     row j of R^{-1}, transposed, is an eigenvector of Lambda^T for lambda_j,
@@ -126,10 +124,13 @@ def spectral_data(Lambda: np.ndarray) -> ObservableSpectralData:
     eigenvalues, right = eigenvalues[order], right[:, order]
     left = np.linalg.inv(right).T
     left /= np.linalg.norm(left, axis=0)
+    smallest = np.inf  # N = 1: no gap
     with np.errstate(over="ignore"):  # an infinite gap is not degenerate
-        gaps = np.abs(eigenvalues[:, None] - eigenvalues[None, :])
-    np.fill_diagonal(gaps, np.inf)  # N = 1: no gap, and min is inf
-    if gaps.min() <= GAP_TOL * _largest(Lambda):
+        for i in range(0, N, 64):  # 64 rows of the upper triangle at a time, as `_asymmetry`
+            gaps = np.abs(eigenvalues[i : i + 64, None] - eigenvalues[i:])
+            np.fill_diagonal(gaps, np.inf)
+            smallest = np.minimum(smallest, gaps.min())
+    if smallest <= GAP_TOL * _largest(Lambda):
         raise ValueError("spectrum is degenerate or near-degenerate")
     pairing = np.einsum("ij,ij->j", left, right)
     with np.errstate(divide="ignore", over="ignore"):  # a zero pairing: an infinite estimate
@@ -172,14 +173,16 @@ def criterion_product_hermitian(
     """True iff the overlap product is Hermitian within tolerance.
 
     The gate is max|M - M^H| <= tol max|M|, so c M gets the verdict of M for every c > 0: where
-    max|M| leaves [2^-500, 2^500], M is judged scaled by an exact power of two.  tol is one finite
-    real > 0, as `--tol-criterion`.  Peak: 0.06 arrays of 8 N^2 bytes, complex M, N = 1024.
+    max|M| leaves [2^-250, 2^250] (subnormal or a complex modulus that overflowed included), M is
+    judged scaled by one exact power of two (`_size._rescaled`), so neither M - M^H, |z| nor
+    tol max|M| over- or underflows.  tol is one finite real > 0, as `--tol-criterion`.  Peak:
+    0.06 arrays of 8 N^2 bytes, complex M, N = 1024.
     """
     tol = float(_as_real(tol, "tol", 0))
     if not tol > 0:
         raise ValueError(f"tol must be positive, not {tol}")
     largest = _largest(pair.M)
-    if not 2.0**-500 <= largest <= 2.0**500:  # M - M^H, |z| or tol max|M| may over- or underflow
-        M = pair.M * math.ldexp(1.0, -math.frexp(min(largest, np.finfo(float).max))[1])
-        return _asymmetry(M) <= tol * _largest(M)
-    return pair.hermiticity_residual <= tol * largest
+    (M,) = _rescaled(largest, pair.M)
+    if M is pair.M:  # in the window: the residual read when the pair was built
+        return pair.hermiticity_residual <= tol * largest
+    return _asymmetry(M) <= tol * _largest(M)

@@ -8,14 +8,11 @@ each of its three inputs under its own name, and depends on numpy.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from ._size import _as_real
+from ._size import _as_real, _rescaled
 
 _TINY = float(np.finfo(float).tiny)
-_SCALE_ABOVE = 2.0**500
 
 
 def sturm_count(diagonal, offdiagonal, shift):
@@ -26,14 +23,16 @@ def sturm_count(diagonal, offdiagonal, shift):
     the number of eigenvalues below the shift (Parlett, The Symmetric
     Eigenvalue Problem, ch. 3).  As in LAPACK's dstebz, a zero pivot counts
     as negative and continues as -pivmin, so an eigenvalue at the shift
-    itself may count as below it.  Inputs beyond 2^500 are first scaled by a
-    power of two, which is exact and keeps the squared off-diagonal entries
-    finite.  O(N) per shift.
+    itself may count as below it.  O(N) per shift.
 
     The computed pivots are the exact pivots of a matrix whose entries carry
     relative errors of at most 2.5 eps (Kahan; Demmel, Applied Numerical
     Linear Algebra, lemma 5.4), so each count is exact for eigenvalues moved
-    by at most 5 eps max|T|, about 1.1e-15 max|T|.
+    by at most 5 eps max|T|, about 1.1e-15 max|T|.  The model needs the
+    squared off-diagonal entries and the pivots finite and normal, so inputs
+    whose largest entry (the shift's included) leaves [2^-250, 2^250] are
+    first scaled by one exact power of two (`_size._rescaled`), which leaves
+    the counts as they are: c T below c shift counts as T below the shift.
 
     `offdiagonal` has N - 1 entries along axis 0; any further axes, and the
     shape of `shift`, broadcast to a batch of matrices, whose counts come
@@ -46,9 +45,7 @@ def sturm_count(diagonal, offdiagonal, shift):
     if len(diagonal) < 1 or offdiagonal.shape[:1] != (len(diagonal) - 1,):
         raise ValueError("need N >= 1 diagonal entries and N - 1 off-diagonal entries")
     extent = max(float(np.abs(x).max(initial=0.0)) for x in (diagonal, offdiagonal, shift))
-    if extent > _SCALE_ABOVE:
-        scale = math.ldexp(1.0, -math.frexp(extent)[1])
-        diagonal, offdiagonal, shift = diagonal * scale, offdiagonal * scale, shift * scale
+    diagonal, offdiagonal, shift = _rescaled(extent, diagonal, offdiagonal, shift)
     squared = offdiagonal**2
     zero_pivot = -_TINY * float(squared.max(initial=1.0))  # b^2 / zero_pivot stays finite
     if offdiagonal.ndim == 1 and shift.ndim == 0:

@@ -23,6 +23,7 @@ from qtlattice import (
     build_hamiltonian,
     build_metric_Q,
     charge_operator,
+    criterion_product_hermitian,
     dieudonne_residual,
     hidden_horizon_scan,
     ket,
@@ -237,6 +238,42 @@ def test_observables_of_any_metric(N, data):
     assert observable is None or finite(observable)
     assert residual is None or finite(residual)
     assert charge is None or finite(charge.matrix)
+
+
+# n / 4 for |n| <= 16, and half the sum of two, times 2^k is exact for -1071 <= k <= 1021,
+# complex moduli included
+quarters = st.integers(-16, 16).map(lambda n: n / 4)
+
+
+@SETTINGS
+@given(N=st.integers(3, 6), k=st.integers(-1071, 1021), data=st.data())
+def test_verdicts_are_scale_free_across_the_float_range(N, k, data):
+    """2^k Theta has the label of Theta on the Sturm and on the Cholesky path; 2^k Lambda against
+    Theta, and Lambda against 2^k Theta, the Dieudonne residual of Lambda against Theta; and
+    2^k M the criterion's verdict on M, for k across the whole float range."""
+
+    def draw(shape):
+        size = int(np.prod(shape))
+        return np.reshape(data.draw(st.lists(quarters, min_size=size, max_size=size)), shape)
+
+    c = 2.0**k
+    dense = np.triu(draw((N, N)))
+    dense += np.triu(dense, 1).T
+    dense[0, -1] = dense[-1, 0] = 0.25  # off the three central diagonals: the Cholesky path
+    banded = np.triu(np.tril(dense, 1), -1)  # the Sturm path
+    for theta in (banded, dense):
+        assert MetricOperator(c * theta).definiteness == MetricOperator(theta).definiteness
+    theta = MetricOperator(dense)
+    Lambda = draw((N, N)) + 1j * draw((N, N)) if data.draw(st.booleans()) else draw((N, N))
+    residual = dieudonne_residual(Lambda, theta)
+    assert dieudonne_residual(c * Lambda, theta) == residual
+    assert dieudonne_residual(Lambda, MetricOperator(c * dense)) == residual
+    M = draw((N, N)) + 1j * draw((N, N))
+    if data.draw(st.booleans()):
+        M = (M + M.conj().T) / 2  # Hermitian
+    for tol in (1e-10, 0.5):
+        verdict = criterion_product_hermitian(OverlapPair(M), tol)
+        assert criterion_product_hermitian(OverlapPair(c * M), tol) == verdict
 
 
 @SETTINGS

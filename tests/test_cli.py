@@ -152,6 +152,25 @@ def test_check_observability_negative(capsys, tmp_path):
     assert report["product_hermitian"] is False
 
 
+def test_check_observability_of_a_subnormal_matrix(capsys, tmp_path):
+    """A subnormal max|Lambda| gets a finite power-of-two factor (an OverflowError traceback while
+    the factor was 2^-e unclamped): one report, with the verdicts of the unscaled matrix."""
+    reports = []
+    for scale in (1.0, 1e-310):
+        matrix_file = tmp_path / "k.json"
+        matrix = [[0.0, scale], [2 * scale, 0.0]]
+        matrix_file.write_text(json.dumps({"dimension": 2, "matrix": matrix}))
+        status, out, err = invoke(
+            ["check-observability", "--n", "2", "--k-matrix", str(matrix_file)], capsys
+        )
+        assert (status, err) == (0, "")
+        reports.append(json.loads(out))
+    unscaled, subnormal = reports
+    assert subnormal["dieudonne_residual"] == unscaled["dieudonne_residual"] > 0.1
+    assert subnormal["observable"] is unscaled["observable"] is False
+    assert subnormal["product_hermitian"] is unscaled["product_hermitian"] is False
+
+
 def test_check_observability_reports_on_a_near_defective_matrix(capsys, tmp_path):
     """The Dieudonne verdict needs no eigensystem: an ill-conditioned one only loses the overlap test."""
     # its eigenvalue condition number is 1e6, so the conditioning gate rejects it on any build

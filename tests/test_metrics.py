@@ -21,8 +21,10 @@ from qtlattice import (
     kappa_from_metric,
     metric_from_kappa,
     observable_from_hermitian,
+    roots_P,
     tridiagonal_metric,
 )
+from qtlattice.legendre import _jacobi
 from qtlattice.metrics import _cholesky_definiteness, classify_definiteness, tridiagonal_definiteness
 from qtlattice.tridiagonal import sturm_count
 
@@ -258,7 +260,8 @@ def test_symmetry_gate_is_scale_invariant(rng):
 
 
 def test_definiteness_label_is_scale_invariant():
-    """thr = 1e-12 max|Theta| has no floor, on the dense and on the Sturm path."""
+    """thr = 1e-12 max|Theta| has no floor, on the dense and on the Sturm path.  Below 2^-250 the
+    squared couplings underflowed, and every Sturm label read positive-definite from 1e-170 on."""
     N = 4
     q, t = build_metric_Q(N), np.arange(1.0, N)
     gamma = 0.5 / np.linalg.eigvals(dense_hamiltonian(N)).real.max()
@@ -270,10 +273,19 @@ def test_definiteness_label_is_scale_invariant():
     expected = ["positive-definite", "singular", "indefinite"]
     sturm = tridiagonal_definiteness(q, np.multiply.outer(t, alphas)).tolist()
     assert sturm == ["positive-definite"] * 3 + ["singular"] + ["indefinite"] * 2
-    for scale in (1.0, 1e-6, 1e-12):
+    for scale in (1.0, 1e-6, 1e-12, 1e-170, 1e-200, 1e-300, 1e170, 1e300):
         assert [classify_definiteness(scale * theta) for theta in dense] == expected
         assert tridiagonal_definiteness(scale * q, scale * np.multiply.outer(t, alphas)).tolist() == sturm
         assert [str(tridiagonal_definiteness(scale * q, scale * alpha * t)) for alpha in alphas] == sturm
+
+
+@pytest.mark.parametrize("N, alpha", [(8, 2.0), (64, 1.0)])
+def test_no_tiny_indefinite_banded_theta_is_positive_definite(N, alpha):
+    """Theta(alpha) beyond the horizon is indefinite at every scale (positive-definite from
+    1e-170 on while the squared couplings underflowed)."""
+    theta = tridiagonal_metric(N, alpha).matrix
+    for scale in (1.0, 1e-160, 1e-170, 1e-200, 1e-300, 1e-310, 1e170, 1e300):
+        assert MetricOperator(scale * theta).definiteness == "indefinite"
 
 
 def test_zero_metric_reads_singular_on_both_paths():
@@ -283,11 +295,16 @@ def test_zero_metric_reads_singular_on_both_paths():
     zero = np.zeros((3, 3))
     assert classify_definiteness(zero) == _cholesky_definiteness(zero) == "singular"
     assert MetricOperator(np.zeros((1, 1))).definiteness == "singular"
-    # thr = 1e-12 max|Theta| underflows to 0 here: both paths read singular
+    # 1e-12 max|Theta| would underflow to 0 here; read after the rescale, thr keeps its margin
     tiny = np.array([1e-315, -1e-315])
-    assert str(tridiagonal_definiteness(tiny, np.zeros(1))) == "singular"
-    assert classify_definiteness(np.diag(tiny)) == _cholesky_definiteness(np.diag(tiny)) == "singular"
-    assert classify_definiteness(np.full((3, 3), -1e-315)) == "singular"
+    assert str(tridiagonal_definiteness(tiny, np.zeros(1))) == "indefinite"
+    assert classify_definiteness(np.diag(tiny)) == _cholesky_definiteness(np.diag(tiny)) == "indefinite"
+    assert classify_definiteness(np.full((3, 3), -1e-315)) == "indefinite"
+    # v v^T + w w^T, v = (1, 1, 2), w = (2, 0, 0): singular, and read positive-definite at thr = 0
+    rank_two = 2.0**-1060 * np.array([[5.0, 1.0, 2.0], [1.0, 1.0, 2.0], [2.0, 2.0, 4.0]])
+    assert classify_definiteness(rank_two) == "singular"
+    # the Sturm path: the squared coupling underflowed, and at thr = 0 the zero pivot counts below
+    assert classify_definiteness(np.full((2, 2), 2.0**-1060)) == "singular"
 
 
 def test_a_diagonal_at_the_top_of_the_float_range_is_labelled_without_a_warning():
@@ -438,6 +455,18 @@ def test_sturm_count_huge_entries_exact():
     assert sturm_count([1e200, 3e200], [1e200], 0.0) == 0
     assert sturm_count([1e200, 3e200], [2e200], 0.0) == 1
     assert tridiagonal_metric(3, 1e200).definiteness == "indefinite"
+
+
+@pytest.mark.parametrize("c", [1e-300, 1e-170, 1e300])
+def test_sturm_count_is_scale_free_across_the_float_range(c):
+    """c J below c x counts as J below x, in the scalar and in the batched loop: J of P_16, whose
+    roots are the eigenvalues (16 below 0.5 at c = 1e-170 while the squares underflowed)."""
+    diagonal, offdiagonal = _jacobi(16)
+    shifts = np.array([-0.99, -0.5, 0.0, 0.5, 0.99])
+    expected = [int(np.sum(roots_P(16).roots < x)) for x in shifts]
+    assert expected == [0, 5, 8, 11, 16]
+    assert [sturm_count(c * diagonal, c * offdiagonal, c * x) for x in shifts] == expected
+    assert sturm_count(c * diagonal, c * offdiagonal, c * shifts).tolist() == expected
 
 
 @pytest.mark.parametrize("batched", [False, True], ids=["scalar", "batched"])

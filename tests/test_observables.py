@@ -185,9 +185,10 @@ def test_complex_pair_of_a_real_matrix_is_exactly_conjugate():
 
 
 def test_real_spectrum_peaks(system_cache, rng):
-    """N = 256, Lambda = Theta^{-1} K: spectral_data peaks at about 4.0 arrays of 8 N^2 bytes
+    """N = 256, Lambda = Theta^{-1} K: spectral_data peaks at about 3.0 arrays of 8 N^2 bytes
     and overlap_matrices at 3.5, in real arithmetic (9.0 and 12.3 with Lambda cast to complex;
-    overlap_matrices read 7.0 while it formed unit-norm copies of the kets and Q kets, and 5.0
+    spectral_data read 4.0 while it formed the gaps |lambda_i - lambda_j| as whole N x N arrays,
+    overlap_matrices 7.0 while it formed unit-norm copies of the kets and Q kets, and 5.0
     while OverlapPair formed M - M^H and its modulus)."""
     N = 256
     system = system_cache(N)
@@ -196,20 +197,23 @@ def test_real_spectrum_peaks(system_cache, rng):
     Lam = observable_from_hermitian(K + K.T, metric_from_kappa(system, kappa))
     data, spectral_peak = _traced_peak(lambda: spectral_data(Lam))
     _, overlap_peak = _traced_peak(lambda: overlap_matrices(system, kappa, data))
-    assert spectral_peak <= 5 * 8 * N**2
+    assert spectral_peak <= 3.5 * 8 * N**2
     assert overlap_peak <= 4.0 * 8 * N**2
 
 
 def test_complex_spectrum_overlap_peak(system_cache, rng):
-    """N = 256, a normal Lambda with a complex spectrum: overlap_matrices peaks at about
-    7.3 arrays of 8 N^2 bytes for a complex M of 2 (12.3 with unit-norm ket copies, 10.3
-    while OverlapPair formed M - M^H and its modulus)."""
+    """N = 256, a normal Lambda with a complex spectrum: spectral_data peaks at about 6.0 arrays
+    of 8 N^2 bytes (7.0 with the gaps formed whole), and overlap_matrices at about 7.3 for a
+    complex M of 2 (12.3 with unit-norm ket copies, 10.3 while OverlapPair formed M - M^H and
+    its modulus)."""
     N = 256
     system = system_cache(N)
     kappa = KappaVector(N, rng.uniform(0.5, 2.0, N) / system.q_norms)
     O = np.linalg.qr(rng.normal(size=(N, N)))[0]
-    data = spectral_data((O * (np.arange(N) + 1j * rng.uniform(-1, 1, N))) @ O.T)
+    Lam = (O * (np.arange(N) + 1j * rng.uniform(-1, 1, N))) @ O.T
+    data, spectral_peak = _traced_peak(lambda: spectral_data(Lam))
     assert data.eigenvalues.dtype == np.complex128
+    assert spectral_peak <= 6.5 * 8 * N**2
     _, peak = _traced_peak(lambda: overlap_matrices(system, kappa, data))
     assert peak <= 8.0 * 8 * N**2
 
@@ -226,6 +230,16 @@ def _traced_peak(call):
 def test_spectral_data_rejects_degenerate():
     with pytest.raises(ValueError):
         spectral_data(np.eye(3))
+
+
+def test_gap_gate_reads_pairs_far_apart_in_the_sorted_spectrum():
+    """The gaps are read by 64-row blocks: a near pair sorted 129 places apart is still caught.
+    Sorted by real part, 0 and 2e-18 bracket 128 eigenvalues far off the real axis."""
+    k = np.arange(1, 129)
+    spectrum = np.r_[0.0, k * 1e-20 + 10j * k, 2e-18]
+    with pytest.raises(ValueError, match="degenerate"):
+        spectral_data(np.diag(spectrum))
+    assert spectral_data(np.diag(spectrum[:-1])).dimension == 129
 
 
 @pytest.mark.parametrize("scale", [1e-11, 1e-6, 1.0, 1e6])
@@ -317,11 +331,12 @@ def test_no_overflow_warning_at_the_top_of_the_float_range():
     assert not criterion_product_hermitian(pair)
 
 
-@pytest.mark.parametrize("a", [1.0, 2.0**1000, 1.5e308])
+@pytest.mark.parametrize("a", [1e-320, 1e-310, 1.0, 2.0**1000, 1.5e308])
 def test_criterion_verdict_is_scale_free_at_the_top_of_the_float_range(a):
     """M = [[0, a + ai], [-a + ai, 0]] has max|M - M^H| = 2 sqrt(2) a against max|M| = sqrt(2) a:
     not Hermitian at any a.  At a = 1.5e308 both moduli overflow, and inf <= tol inf read True;
-    M is judged scaled by a power of two.  A Hermitian M of that size stays Hermitian."""
+    M is judged scaled by a power of two.  A Hermitian M of that size stays Hermitian.  At the
+    bottom of the range, 1e-310 and 1e-320, the factor for a subnormal max|M| stays finite."""
     pair = OverlapPair(np.array([[0.0, a + a * 1j], [-a + a * 1j, 0.0]]))
     assert not criterion_product_hermitian(pair)
     assert criterion_product_hermitian(OverlapPair(a * np.array([[1.0, 1 + 1j], [1 - 1j, 0.5]])))
@@ -488,10 +503,11 @@ def test_dieudonne_verdict_scale_invariant(system_cache, rng):
                 np.testing.assert_allclose(residuals, dieudonne_residual(bad, theta), rtol=1e-12)
 
 
-@pytest.mark.parametrize("scale", [1e-170, 1e-150, 1.0, 1e150, 1e160])
+@pytest.mark.parametrize("scale", [1e-320, 1e-310, 1e-170, 1e-150, 1.0, 1e150, 1e160])
 def test_dieudonne_residual_is_scale_free_across_the_float_range(scale):
     """Lambda and Theta far from 1 are scaled by powers of two first: the products neither
-    underflow (a false 0 at 1e-170) nor overflow (no residual at 1e160)."""
+    underflow (a false 0 at 1e-170) nor overflow (no residual at 1e160), and a subnormal
+    maximum gets a finite factor (an OverflowError at 1e-310 and 1e-320)."""
     Lam, theta = scale * np.array([[0.0, 1.0], [2.0, 0.0]]), MetricOperator(scale * np.eye(2))
     assert dieudonne_residual(Lam, theta) == 0.5
     assert dieudonne_residual(Lam, MetricOperator(np.eye(2))) == 0.5
