@@ -300,7 +300,7 @@ def test_zero_metric_reads_singular_on_both_paths():
     assert str(tridiagonal_definiteness(tiny, np.zeros(1))) == "indefinite"
     assert classify_definiteness(np.diag(tiny)) == _cholesky_definiteness(np.diag(tiny)) == "indefinite"
     assert classify_definiteness(np.full((3, 3), -1e-315)) == "indefinite"
-    # v v^T + w w^T, v = (1, 1, 2), w = (2, 0, 0): singular, and read positive-definite at thr = 0
+    # v v^T + w w^T, v = (1, 1, 2), w = (2, 0, 0): singular (positive-definite while thr underflowed)
     rank_two = 2.0**-1060 * np.array([[5.0, 1.0, 2.0], [1.0, 1.0, 2.0], [2.0, 2.0, 4.0]])
     assert classify_definiteness(rank_two) == "singular"
     # the Sturm path: the squared coupling underflowed, and at thr = 0 the zero pivot counts below
