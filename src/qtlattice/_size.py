@@ -5,14 +5,13 @@ numerical modules must too.  numpy's integer scalars register as `numbers.Integr
 pass; bools are rejected.  The array gates import numpy when called and name the argument,
 a ragged nest too: `_as_real` for real input (dtype, finiteness, rank), `_require_finite` for
 numbers that may be complex, computed values and CLI ranges, `_as_square` for a candidate matrix.
-`_rescaled` is the one exact power-of-two rescale behind every scale-free verdict: the Sturm
-counts (`tridiagonal`), both definiteness paths (`metrics`), the Dieudonne residual and the
-overlap criterion (`observables`).
+`_rescaled` is the one exact power-of-two rescale behind every scale-free verdict, one factor
+per matrix: the Sturm counts (`tridiagonal`), both definiteness paths (`metrics`), the Dieudonne
+residual and the overlap criterion (`observables`).
 """
 
 from __future__ import annotations
 
-import math
 import sys
 from numbers import Integral
 
@@ -70,17 +69,20 @@ def _as_square(value, what: str):
     return matrix.astype(complex if matrix.dtype.kind == "c" else float, copy=False)
 
 
-def _rescaled(largest: float, *arrays) -> tuple:
-    """The arrays (real or complex), given `largest`, their max |entry|, times one power of two.
-
-    Untouched where largest is 0 or lies in [2^-250, 2^250]: there squares of entries, LDL^T
+def _rescaled(largest, *arrays) -> tuple:
+    """Each matrix of the arrays (real or complex) times its own power of two, given `largest`, its
+    max |entry|: one number, or an array over the batch axes, which every array holds last.  A
+    matrix is untouched where largest is 0 or in [2^-250, 2^250]: there squares of entries, LDL^T
     pivots, N-term sums of products of two such maxima and 1e-12 of one stay finite and normal.
     Outside it the factor is 2^-e, e the binary exponent of largest clamped to +-1022, so it is
     finite for a subnormal maximum and for an inf one (a complex modulus that overflowed); the
-    scaled maximum lies in [2^-52, 6).  Scaling by a power of two is exact where no entry falls
-    to a subnormal, so every ratio and sign read from the scaled arrays is the unscaled one.
-    """
-    if not largest or 2.0**-250 <= largest <= 2.0**250:
+    scaled maximum lies in [2^-52, 6).  Scaling by a power of two is exact where no entry falls to
+    a subnormal, so every ratio and sign read from the scaled arrays is the unscaled one."""
+    import numpy as np
+
+    outside = (largest > 2.0**250) | ((0 < largest) & (largest < 2.0**-250))
+    if not np.count_nonzero(outside):
         return arrays
-    exponent = max(-1022, min(math.frexp(min(largest, sys.float_info.max))[1], 1022))
-    return tuple(array * math.ldexp(1.0, -exponent) for array in arrays)
+    exponent = np.clip(np.frexp(np.minimum(largest, sys.float_info.max))[1], -1022, 1022)
+    factor = np.where(outside, np.ldexp(1.0, -exponent), 1.0)
+    return tuple(array * factor for array in arrays)

@@ -108,6 +108,28 @@ def exact_tridiagonal_solve(N: int) -> list[Fraction]:
     return _gauss_jordan([*rows, t0_is_1], N - 1)
 
 
+def _negative_pivots(diagonal, squared, shift) -> int:
+    """Eigenvalues below `shift` of the symmetric tridiagonal matrix with `diagonal` and squared
+    couplings `squared` (rationals: Fractions, ints, or floats read exactly), by Sylvester's law
+    of inertia on the LDL^T pivots d_k = a_k - shift - b_{k-1}^2 / d_{k-1} in exact arithmetic.
+
+    The exact counterpart of `tridiagonal.sturm_count`, sharing no code with it.  A zero pivot
+    counts as negative and continues as an infinitesimal -eps, as there: the next pivot is then
+    +infinity where its coupling is nonzero (not counted, and the one after it is a_k - shift),
+    so an eigenvalue at the shift itself counts as below it.
+    """
+    count, pivot, shift = 0, Fraction(1), Fraction(shift)
+    for a, b2 in zip(diagonal, [0, *squared]):
+        if pivot is None:  # after +infinity
+            pivot = Fraction(a) - shift
+        elif pivot == 0:  # after -eps
+            pivot = None if b2 else Fraction(a) - shift
+        else:
+            pivot = Fraction(a) - shift - Fraction(b2) / pivot
+        count += pivot is not None and pivot <= 0
+    return count
+
+
 def exact_exceptional_identity(N: int) -> bool:
     """Verify sum_j psi_j psi_j^T Q / n_j = I exactly, q from `rational_metric_Q`.
 

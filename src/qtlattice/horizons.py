@@ -41,7 +41,7 @@ import numpy as np
 
 from ._size import _as_real, _require_size
 from .legendre import CROSS_CHECK_TOL, _jacobi, _largest_root
-from .metrics import _as_symmetric, _largest, _slice, _slice_matrix, tridiagonal_definiteness
+from .metrics import _as_symmetric, _slice, _slice_matrix, tridiagonal_definiteness
 from .tridiagonal import sturm_count
 
 REALITY_THRESHOLD = 1e-8
@@ -106,7 +106,8 @@ def hidden_horizon_scan(N: int, K: np.ndarray, alpha_grid: np.ndarray) -> Realit
     construction for every alpha; the first grid point where a complex
     eigenvalue appears is the observable's hidden horizon.
 
-    Labels and the singular skip come from Sturm counts over the whole grid.
+    Labels and the singular skip come from Sturm counts over the whole grid,
+    each Theta(alpha) scaled by its own power of two: a point reads as alone.
     A point is skipped (max_imag NaN) when Theta(alpha) has an eigenvalue in
     [-tau, tau], tau = 1e-12 (max q + |alpha| max_n (t_{n-1} + t_n)).  tau
     bounds 1e-12 ||Theta||_inf >= 1e-12 ||Theta||_2 from above, so every
@@ -136,7 +137,7 @@ def hidden_horizon_scan(N: int, K: np.ndarray, alpha_grid: np.ndarray) -> Realit
     1.1e-15 max|Theta| (see `metrics`), so lambda_min(Theta) > 0.
     """
     N = _require_size(N, 2)
-    K = _as_symmetric(K, "K")
+    K, scale = _as_symmetric(K, "K")
     alpha_grid = _as_real(alpha_grid, "the alpha grid", 1)
     if K.shape != (N, N):
         raise ValueError("K has wrong shape")
@@ -146,7 +147,7 @@ def hidden_horizon_scan(N: int, K: np.ndarray, alpha_grid: np.ndarray) -> Realit
     row_couplings = np.max(np.r_[t, 0.0] + np.r_[0.0, t])
     with np.errstate(over="ignore"):  # an infinite tau makes sturm_count raise ValueError
         tau = SINGULAR_RCOND * (np.max(q) + np.abs(alpha_grid) * row_couplings)
-    skip = sturm_count(q, offdiagonal, tau) > sturm_count(q, offdiagonal, -tau)
+    skip = np.greater(*sturm_count(q, offdiagonal, np.multiply.outer((1.0, -1.0), tau)))
     positive = definiteness == "positive-definite"
     max_imag = np.where(positive & ~skip, 0.0, np.nan)
     solved = np.flatnonzero(~positive & ~skip)
@@ -168,7 +169,7 @@ def hidden_horizon_scan(N: int, K: np.ndarray, alpha_grid: np.ndarray) -> Realit
         stacks = min(len(solved), -(-stacks // workers) * workers)
         with ThreadPoolExecutor(workers) as pool:
             list(pool.map(solve_stack, np.array_split(solved, stacks)))
-    crossings = np.flatnonzero(max_imag > REALITY_THRESHOLD * _largest(K))
+    crossings = np.flatnonzero(max_imag > REALITY_THRESHOLD * scale)
     return RealityScan(
         dimension=N,
         alpha_grid=alpha_grid,

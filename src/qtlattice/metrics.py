@@ -35,8 +35,8 @@ of the shifted Theta, and one completes where every eigenvalue exceeds the shift
 by a bound of that order (Higham, Accuracy and Stability of Numerical
 Algorithms, 2nd ed., ch. 10).  So on either path a label can differ from exact
 arithmetic only for an eigenvalue that close to +-thr.  Both models need normal
-arithmetic, so where max|Theta| leaves [2^-250, 2^250] both paths first scale Theta
-by one exact power of two (`_size._rescaled`) and read thr after it.  thr has no
+arithmetic, so where max|Theta| leaves [2^-250, 2^250] both paths first scale each Theta
+by its own exact power of two (`_size._rescaled`) and read thr after it.  thr has no
 floor and is 0 only for a zero Theta, which reads singular, so c Theta has the label
 of Theta for every c > 0 at which c Theta is exact, subnormal entries included.
 """
@@ -83,10 +83,10 @@ class MetricOperator:
     provenance: str = "external"  # diagonal-Q | kappa-family | tridiagonal-family | external
 
     def __post_init__(self):
-        matrix = _as_symmetric(self.matrix, "theta")
+        matrix, largest = _as_symmetric(self.matrix, "theta")
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "dimension", len(matrix))
-        object.__setattr__(self, "definiteness", classify_definiteness(matrix))
+        object.__setattr__(self, "definiteness", classify_definiteness(matrix, largest))
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,46 +141,49 @@ def _largest(M: np.ndarray) -> float:
     return float(top)
 
 
-def _as_symmetric(value, what: str) -> np.ndarray:
-    """The gate of Theta and K: real, finite, nonempty and square, `_asymmetry <= 1e-12 max|M|`."""
+def _as_symmetric(value, what: str) -> tuple[np.ndarray, float]:
+    """Gate of Theta, K: real, finite, nonempty, square, `_asymmetry <= 1e-12 max|M|`; M, max|M|."""
     M = _as_real(value, what, 2)
     _require_square(M, what)
-    if _asymmetry(M, _largest(M)) > SYMMETRY_TOL:
+    if _asymmetry(M, largest := _largest(M)) > SYMMETRY_TOL:
         raise ValueError(f"{what} is not symmetric within tolerance")
-    return M
+    return M, largest
 
 
 def tridiagonal_definiteness(diagonal, offdiagonal) -> np.ndarray:
     """Definiteness labels of symmetric tridiagonal matrices by the one rule of
     `classify_definiteness`, from Sturm counts at +-thr (at thr = 0 the counts would
-    take the zero pivots of a zero Theta as negative).  Batched like `sturm_count`;
-    returns a string array of the batch shape.  thr is 1e-12 max|Theta| per matrix of the batch,
-    read after `_rescaled` scales the whole batch by one power of two (one factor for all).
-    """
+    take the zero pivots of a zero Theta as negative).  One diagonal, batched on the axes of the
+    off-diagonal after the first; returns a string array of the batch shape.  thr is 1e-12
+    max|Theta| read after `_rescaled` scales each matrix by its own power of two, so no label
+    depends on the other matrices of its batch."""
     largest = np.abs(offdiagonal).max(axis=0, initial=np.abs(diagonal).max())
-    diagonal, offdiagonal, largest = _rescaled(float(largest.max()), diagonal, offdiagonal, largest)
-    positive = sturm_count(diagonal, offdiagonal, PIVOT_TOL * largest) == 0
-    singular = (sturm_count(diagonal, offdiagonal, -PIVOT_TOL * largest) == 0) | (largest == 0)
+    column = np.reshape(diagonal, (-1,) + (1,) * np.ndim(largest))  # each factor scales its matrix
+    diagonal, offdiagonal, largest = _rescaled(largest, column, offdiagonal, largest)
+    shifts = np.multiply.outer((1.0, -1.0), PIVOT_TOL * largest)  # +thr and -thr
+    # a batch counts at both in one pass, one matrix at each in turn on Python floats (faster)
+    counts = (sturm_count(diagonal, offdiagonal, shift) for shift in shifts)
+    above, below = sturm_count(diagonal, offdiagonal, shifts) if shifts.ndim > 1 else counts
+    positive, singular = above == 0, (below == 0) | (largest == 0)
     return np.where(positive, "positive-definite", np.where(singular, "singular", "indefinite"))
 
 
-def classify_definiteness(matrix: np.ndarray) -> str:
-    """Label a matrix that passed the `MetricOperator` gate, thr = 1e-12 max|Theta|: no eigenvalue
-    below +thr is positive-definite; none below -thr, or thr = 0, singular; else indefinite.  With
-    no nonzero entry off its three central diagonals, by `tridiagonal_definiteness` of its diagonal
-    and lower band (the triangle that Cholesky reads); any other by `_cholesky_definiteness`."""
+def classify_definiteness(matrix: np.ndarray, largest: float) -> str:
+    """Label a matrix by thr = 1e-12 `largest`, the max|Theta| that `_as_symmetric` returns with
+    it: no eigenvalue below +thr is positive-definite; none below -thr, or thr = 0, singular; else
+    indefinite.  With no nonzero entry off its three central diagonals, by the Sturm counts of
+    `tridiagonal_definiteness` on its diagonal and lower band; any other by Cholesky."""
     band = [np.diagonal(matrix, k) for k in (-1, 0, 1)]
     if np.count_nonzero(matrix) == sum(map(np.count_nonzero, band)):
         return str(tridiagonal_definiteness(band[1], band[0]))
-    return _cholesky_definiteness(matrix)
+    return _cholesky_definiteness(matrix, largest)
 
 
-def _cholesky_definiteness(matrix: np.ndarray) -> str:
+def _cholesky_definiteness(matrix: np.ndarray, largest: float) -> str:
     """The rule of `classify_definiteness` by Cholesky of Theta - thr I, then of Theta + thr I,
     each formed in one copy of Theta (at thr = 0 the second repeats the first).  Theta is first
     scaled by `_rescaled`, and thr read after it, so thr underflows only for a zero Theta, no
     factor is formed in subnormal arithmetic and no shifted diagonal entry overflows."""
-    largest = _largest(matrix)
     matrix, largest = _rescaled(largest, matrix, largest)
     threshold = PIVOT_TOL * largest
     for shift, label in ((-threshold, "positive-definite"), (threshold, "singular")):

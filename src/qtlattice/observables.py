@@ -73,13 +73,15 @@ def dieudonne_residual(Lambda: np.ndarray, theta: MetricOperator) -> float:
     Lambda, matrix = _as_square(Lambda, "Lambda"), theta.matrix
     if Lambda.shape != matrix.shape:
         raise ValueError("dimension mismatch between Lambda and theta")
-    (matrix,), (Lambda,) = (_rescaled(_largest(A), A) for A in (matrix, Lambda))
-    return _asymmetry(matrix @ Lambda, _largest(matrix) * _largest(Lambda))
+    a, b = _largest(matrix), _largest(Lambda)
+    matrix, a = _rescaled(a, matrix, a)  # Theta is real: max|c Theta| = c max|Theta| exactly
+    (scaled,) = _rescaled(b, Lambda)  # a complex modulus may round or overflow: read it again
+    return _asymmetry(matrix @ scaled, a * (b if scaled is Lambda else _largest(scaled)))
 
 
 def observable_from_hermitian(K: np.ndarray, theta: MetricOperator) -> np.ndarray:
     """Lambda = Theta^{-1} K for finite symmetric K, an observable for Theta by construction."""
-    K = _as_symmetric(K, "K")
+    K = _as_symmetric(K, "K")[0]
     if K.shape != theta.matrix.shape:
         raise ValueError("dimension mismatch between K and theta")
     magnitudes = np.abs(np.linalg.eigvalsh(theta.matrix))  # Theta is symmetric: cond = max/min

@@ -36,6 +36,8 @@ from qtlattice import (
     theta_norm,
     tridiagonal_metric,
 )
+from qtlattice.metrics import tridiagonal_definiteness
+from qtlattice.tridiagonal import sturm_count
 
 SPECIAL = [np.nan, np.inf, -np.inf, -1.0, 0.0, 2.5, 1e308, -1e308]
 TEXT = ["0.1", "2", "nan", "x", ""]
@@ -248,9 +250,11 @@ quarters = st.integers(-16, 16).map(lambda n: n / 4)
 @SETTINGS
 @given(N=st.integers(3, 6), k=st.integers(-1071, 1021), data=st.data())
 def test_verdicts_are_scale_free_across_the_float_range(N, k, data):
-    """2^k Theta has the label of Theta on the Sturm and on the Cholesky path; 2^k Lambda against
-    Theta, and Lambda against 2^k Theta, the Dieudonne residual of Lambda against Theta; and
-    2^k M the criterion's verdict on M, for k across the whole float range."""
+    """2^k Theta has the label of Theta on the Sturm and on the Cholesky path; in one batch, a
+    banded Theta beside 2^k Theta has its Sturm counts alone, and Q with its couplings beside Q
+    with them times 2^k its label alone; 2^k Lambda against Theta, and Lambda against 2^k Theta,
+    the Dieudonne residual of Lambda against Theta; and 2^k M the criterion's verdict on M, for
+    k across the whole float range."""
 
     def draw(shape):
         size = int(np.prod(shape))
@@ -263,6 +267,14 @@ def test_verdicts_are_scale_free_across_the_float_range(N, k, data):
     banded = np.triu(np.tril(dense, 1), -1)  # the Sturm path
     for theta in (banded, dense):
         assert MetricOperator(c * theta).definiteness == MetricOperator(theta).definiteness
+    # one batch whose members differ in scale by 2^k: each reads as it does alone
+    diagonal, offdiagonal, shift = np.diagonal(banded), np.diagonal(banded, -1), data.draw(quarters)
+    members = np.stack((offdiagonal, c * offdiagonal), axis=-1)
+    counts = sturm_count(np.stack((diagonal, c * diagonal), -1), members, np.array([shift, c * shift]))
+    assert counts.tolist() == [sturm_count(diagonal, offdiagonal, shift)] * 2
+    q = build_metric_Q(N)  # a positive diagonal, so that the couplings decide the label
+    labels = [str(tridiagonal_definiteness(q, b)) for b in members.T]
+    assert tridiagonal_definiteness(q, members).tolist() == labels
     theta = MetricOperator(dense)
     Lambda = draw((N, N)) + 1j * draw((N, N)) if data.draw(st.booleans()) else draw((N, N))
     residual = dieudonne_residual(Lambda, theta)

@@ -12,9 +12,18 @@ from qtlattice import (
     exact_intertwining_check,
     exact_intertwining_check_factorial,
     exact_tridiagonal_solve,
+    horizon_gamma,
     tridiagonal_metric,
 )
-from qtlattice.exact import _gauss_jordan, factorial_diagonal, rational_hamiltonian, rational_metric_Q
+from qtlattice.exact import (
+    _gauss_jordan,
+    _negative_pivots,
+    factorial_diagonal,
+    rational_hamiltonian,
+    rational_metric_Q,
+)
+from qtlattice.legendre import _jacobi
+from qtlattice.metrics import _slice, tridiagonal_definiteness
 
 
 @pytest.mark.parametrize("N", range(1, 9))
@@ -159,3 +168,50 @@ def test_tridiagonal_couplings_are_twice_QH(N):
 def test_exact_sizes_must_be_positive_integers(call, bad):
     with pytest.raises(ValueError):
         call(bad)
+
+
+def test_negative_pivots_count_the_eigenvalues_below_the_shift():
+    """Zero pivots as in `sturm_count`: counted, then continued as -eps (eigenvalues of the
+    three matrices (1 -+ sqrt 5)/2; in (-1, 0), (0, 1), (2, 3); and 0, 2, 2)."""
+    assert _negative_pivots([0, 1], [1], 0) == 1
+    assert _negative_pivots([1, 1, 0], [1, 1], 0) == 1
+    assert _negative_pivots([1, 1, 2], [1, 0], 0) == 1
+    assert [_negative_pivots([1, 1, 2], [1, 0], s) for s in (-1, 1, 3)] == [0, 1, 3]
+    diagonal, offdiagonal = _jacobi(16)
+    squared = [Fraction(b) ** 2 for b in offdiagonal.tolist()]
+    counts = [_negative_pivots(diagonal.tolist(), squared, x) for x in (-0.99, -0.5, 0.0, 0.5, 0.99)]
+    assert counts == [0, 5, 8, 11, 16]
+
+
+def _exact_label(diagonal, squared, threshold):
+    """The thr rule of `metrics.classify_definiteness` from exact counts at +-thr."""
+    if _negative_pivots(diagonal, squared, threshold) == 0:
+        return "positive-definite"
+    return "singular" if _negative_pivots(diagonal, squared, -threshold) == 0 else "indefinite"
+
+
+@pytest.mark.parametrize("N", [2, 8, 64])
+def test_slice_labels_equal_exact_counts_at_the_threshold(N):
+    """The labels of `tridiagonal_definiteness` equal the rule read from exact LDL^T counts on the
+    same float entries, thr = 1e-12 max|Theta|: at 0, near +-gamma and at +-gamma, alone and in
+    one batch with alpha across the float range.  Each alpha has the same exact label at
+    thr (1 -+ 1e-3), so no label hinges on how thr rounds.  With one power of two for the whole
+    batch, the points near gamma read positive-definite beside 2^1000."""
+    gamma = horizon_gamma(N).gamma
+    near = [sign * gamma * (1 + d) for sign in (1, -1) for d in (-1e-6, -1e-14, 0.0, 1e-14, 1e-6)]
+    extreme = [2.0**1000, -(2.0**-1000), 1e300, -1e300, 1e-300, 3e200, -7e-200]
+    alphas = np.array([0.0, *near, *extreme])
+    q, offdiagonal = _slice(N, alphas)
+    largest = np.maximum(q.max(), np.abs(offdiagonal).max(axis=0))
+    diagonal = rational_metric_Q(N)
+    expected = []
+    for couplings, top in zip(offdiagonal.T.tolist(), largest.tolist()):
+        squared = [Fraction(b) ** 2 for b in couplings]
+        threshold = Fraction(1e-12) * Fraction(top)
+        margins = (Fraction(999, 1000), Fraction(1001, 1000))
+        labels = {_exact_label(diagonal, squared, threshold * margin) for margin in margins}
+        assert len(labels) == 1  # clear of a tie at +-thr
+        expected += labels
+    assert expected[0] == "positive-definite" and set(expected[1:11]) >= {"singular", "indefinite"}
+    assert tridiagonal_definiteness(q, offdiagonal).tolist() == expected
+    assert [str(tridiagonal_definiteness(q, b)) for b in offdiagonal.T] == expected

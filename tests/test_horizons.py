@@ -505,3 +505,44 @@ def test_threaded_scan_under_fast_thread_switching(rng, monkeypatch):
         sys.setswitchinterval(interval)
     assert not np.any(np.isnan(threaded))
     assert threaded.tobytes() == inline.tobytes()
+
+
+def test_an_empty_grid_scans_to_an_empty_scan():
+    """As `norm_trajectory` of an empty time grid: no point, no crossing (the batch-wide maximum
+    of the factor's choice raised numpy's zero-size reduction error)."""
+    scan = hidden_horizon_scan(4, np.eye(4), [])
+    assert scan.alpha_grid.shape == scan.max_imag.shape == (0,)
+    assert (scan.definiteness, scan.first_crossing, scan.skipped_singular) == ([], None, [])
+
+
+def _assert_each_point_reads_as_alone(N, K, grid):
+    """Label, singular skip and max_imag of every point of a scan equal those of its scan alone."""
+    scan = hidden_horizon_scan(N, K, grid)
+    for i, alpha in enumerate(grid):
+        alone = hidden_horizon_scan(N, K, [alpha])
+        assert scan.definiteness[i] == alone.definiteness[0], alpha
+        assert (float(alpha) in scan.skipped_singular) == bool(alone.skipped_singular), alpha
+        np.testing.assert_array_equal(scan.max_imag[i], alone.max_imag[0], err_msg=str(alpha))
+    return scan
+
+
+@pytest.mark.parametrize("N", [8, 64])
+def test_no_point_of_a_mixed_scale_grid_depends_on_the_others(N, rng):
+    """0.3, 0.6, +-2 and 40 alpha of random sign, log-uniform over 1e-300 to 1e300.  With one
+    power of two for the whole grid, 12 labels, 8 skips and 12 max_imag of these 44 differed
+    from the point alone at both N: 0.6 and +-2 read positive-definite, with max_imag 0."""
+    grid = np.r_[0.3, 0.6, 2.0, -2.0, rng.choice([-1.0, 1.0], 40) * 10.0 ** rng.uniform(-300, 300, 40)]
+    K = rng.normal(size=(N, N))
+    scan = _assert_each_point_reads_as_alone(N, K + K.T, grid)
+    assert scan.definiteness[:4] == ["positive-definite", "indefinite", "indefinite", "indefinite"]
+
+
+def test_a_grid_as_long_as_the_matrix_scales_each_point_alone():
+    """8 alpha at N = 8: a factor per matrix applied to the diagonal of length 8 would broadcast
+    along the sites, not the grid, and raise no error.  gamma alone is singular and skipped;
+    beside 1e300 it read positive-definite with max_imag 0, as +-2 did."""
+    gamma = horizon_gamma(8).gamma
+    grid = [2.0, 1e300, 0.3, -1e-300, gamma, -2.0, 0.6, -1e200]
+    scan = _assert_each_point_reads_as_alone(8, np.diag(np.arange(1.0, 9.0)), grid)
+    assert scan.definiteness[:5] == ["indefinite"] * 2 + ["positive-definite"] * 2 + ["singular"]
+    assert gamma in scan.skipped_singular

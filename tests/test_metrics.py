@@ -17,6 +17,7 @@ from qtlattice import (
     charge_operator,
     dieudonne_residual,
     exceptional_kappa,
+    hidden_horizon_scan,
     horizon_gamma,
     kappa_from_metric,
     metric_from_kappa,
@@ -25,8 +26,18 @@ from qtlattice import (
     tridiagonal_metric,
 )
 from qtlattice.legendre import _jacobi
-from qtlattice.metrics import _cholesky_definiteness, classify_definiteness, tridiagonal_definiteness
+from qtlattice.metrics import (
+    _as_symmetric,
+    _cholesky_definiteness,
+    classify_definiteness,
+    tridiagonal_definiteness,
+)
 from qtlattice.tridiagonal import sturm_count
+
+
+def gated(matrix):
+    """Theta and the max|Theta| that its gate read: the arguments of either labelling path."""
+    return _as_symmetric(matrix, "theta")
 
 
 def dieudonne_max_residual(matrix, N):
@@ -225,10 +236,10 @@ def test_slice_stack_holds_the_single_matrices():
 
 
 def test_definiteness_classification():
-    assert classify_definiteness(np.diag([0.5, 1.5])) == "positive-definite"
+    assert classify_definiteness(*gated(np.diag([0.5, 1.5]))) == "positive-definite"
     assert tridiagonal_metric(2, 0.8660254037844386).definiteness == "singular"
     assert tridiagonal_metric(2, 1.0).definiteness == "indefinite"
-    assert classify_definiteness(tridiagonal_metric(2, 0.5).matrix) == "positive-definite"
+    assert classify_definiteness(*gated(tridiagonal_metric(2, 0.5).matrix)) == "positive-definite"
 
 
 def test_metric_operator_rejects_asymmetric():
@@ -274,7 +285,7 @@ def test_definiteness_label_is_scale_invariant():
     sturm = tridiagonal_definiteness(q, np.multiply.outer(t, alphas)).tolist()
     assert sturm == ["positive-definite"] * 3 + ["singular"] + ["indefinite"] * 2
     for scale in (1.0, 1e-6, 1e-12, 1e-170, 1e-200, 1e-300, 1e170, 1e300):
-        assert [classify_definiteness(scale * theta) for theta in dense] == expected
+        assert [classify_definiteness(*gated(scale * theta)) for theta in dense] == expected
         assert tridiagonal_definiteness(scale * q, scale * np.multiply.outer(t, alphas)).tolist() == sturm
         assert [str(tridiagonal_definiteness(scale * q, scale * alpha * t)) for alpha in alphas] == sturm
 
@@ -293,18 +304,19 @@ def test_zero_metric_reads_singular_on_both_paths():
     assert str(tridiagonal_definiteness(np.zeros(3), np.zeros(2))) == "singular"
     assert tridiagonal_definiteness(np.zeros(3), np.zeros((2, 4))).tolist() == ["singular"] * 4
     zero = np.zeros((3, 3))
-    assert classify_definiteness(zero) == _cholesky_definiteness(zero) == "singular"
+    assert classify_definiteness(*gated(zero)) == _cholesky_definiteness(*gated(zero)) == "singular"
     assert MetricOperator(np.zeros((1, 1))).definiteness == "singular"
     # 1e-12 max|Theta| would underflow to 0 here; read after the rescale, thr keeps its margin
     tiny = np.array([1e-315, -1e-315])
     assert str(tridiagonal_definiteness(tiny, np.zeros(1))) == "indefinite"
-    assert classify_definiteness(np.diag(tiny)) == _cholesky_definiteness(np.diag(tiny)) == "indefinite"
-    assert classify_definiteness(np.full((3, 3), -1e-315)) == "indefinite"
+    diagonal = gated(np.diag(tiny))
+    assert classify_definiteness(*diagonal) == _cholesky_definiteness(*diagonal) == "indefinite"
+    assert classify_definiteness(*gated(np.full((3, 3), -1e-315))) == "indefinite"
     # v v^T + w w^T, v = (1, 1, 2), w = (2, 0, 0): singular (positive-definite while thr underflowed)
     rank_two = 2.0**-1060 * np.array([[5.0, 1.0, 2.0], [1.0, 1.0, 2.0], [2.0, 2.0, 4.0]])
-    assert classify_definiteness(rank_two) == "singular"
+    assert classify_definiteness(*gated(rank_two)) == "singular"
     # the Sturm path: the squared coupling underflowed, and at thr = 0 the zero pivot counts below
-    assert classify_definiteness(np.full((2, 2), 2.0**-1060)) == "singular"
+    assert classify_definiteness(*gated(np.full((2, 2), 2.0**-1060))) == "singular"
 
 
 def test_a_diagonal_at_the_top_of_the_float_range_is_labelled_without_a_warning():
@@ -364,7 +376,7 @@ def test_sturm_and_cholesky_paths_agree_on_the_slice(N):
     alphas += [np.nextafter(gamma, 0.0), np.nextafter(gamma, 1.0)]
     for alpha in alphas:
         theta = tridiagonal_metric(N, float(alpha))
-        assert theta.definiteness == _cholesky_definiteness(theta.matrix), alpha
+        assert theta.definiteness == _cholesky_definiteness(*gated(theta.matrix)), alpha
 
 
 def test_sturm_and_cholesky_paths_agree_on_random_band_matrices(rng):
@@ -382,7 +394,8 @@ def test_sturm_and_cholesky_paths_agree_on_random_band_matrices(rng):
             continue  # too close to +-thr for eigvalsh to say which side
         expected = "positive-definite" if smallest > threshold else "indefinite"
         expected = "singular" if abs(smallest) <= threshold else expected
-        assert classify_definiteness(theta) == _cholesky_definiteness(theta) == expected
+        gate = gated(theta)
+        assert classify_definiteness(*gate) == _cholesky_definiteness(*gate) == expected
         labels.append(expected)
     assert len(labels) > 300 and set(labels) == {"positive-definite", "singular", "indefinite"}
 
@@ -467,6 +480,41 @@ def test_sturm_count_is_scale_free_across_the_float_range(c):
     assert expected == [0, 5, 8, 11, 16]
     assert [sturm_count(c * diagonal, c * offdiagonal, c * x) for x in shifts] == expected
     assert sturm_count(c * diagonal, c * offdiagonal, c * shifts).tolist() == expected
+
+
+def test_sturm_count_scales_each_matrix_of_a_batch_by_its_own_power_of_two():
+    """16 copies of a T of size 16 at 2^k, k from -1000 to 1000, in one batch as long as T: the
+    diagonal carries the batch axis, and each copy below 2^k x counts as T below x (one factor
+    for the whole batch would let the squared couplings of the small copies underflow)."""
+    diagonal, offdiagonal = np.arange(16) + 0.5, 0.6 * np.arange(1.0, 16)
+    eigenvalues = np.linalg.eigvalsh(_dense_tridiagonal(diagonal, offdiagonal))
+    shifts = [eigenvalues[0] - 1, *(eigenvalues[1:] + eigenvalues[:-1]) / 2, eigenvalues[-1] + 1]
+    c = 2.0 ** np.linspace(-1000, 1000, 16).round()
+    scaled = [np.multiply.outer(x, c) for x in (diagonal, offdiagonal)]
+    for expected, x in enumerate(shifts):
+        assert sturm_count(diagonal, offdiagonal, x) == expected
+        assert sturm_count(*scaled, c * x).tolist() == [expected] * 16
+
+
+def test_each_maximum_is_read_once(rng, monkeypatch):
+    """`_largest` reads max|Theta| once for a dense `MetricOperator` (its gate and its label),
+    max|Theta| and max|Lambda| once each for a Dieudonne residual at ordinary scale, and max|K|
+    once per scan (its gate and its crossing threshold): 2, 4 and 2 reads before."""
+    from qtlattice import horizons, metrics, observables
+
+    calls, largest = [], metrics._largest
+    for module in (metrics, observables, horizons):
+        if hasattr(module, "_largest"):
+            monkeypatch.setattr(module, "_largest", lambda M: calls.append(M.shape) or largest(M))
+    B = rng.normal(size=(64, 64))
+    theta = MetricOperator(B @ B.T)
+    assert (calls, theta.definiteness) == ([(64, 64)], "positive-definite")
+    calls.clear()
+    dieudonne_residual(rng.normal(size=(64, 64)), theta)
+    assert calls == [(64, 64)] * 2
+    calls.clear()
+    hidden_horizon_scan(8, np.diag(np.arange(1.0, 9.0)), [0.3, 2.0])
+    assert calls == [(8, 8)]
 
 
 @pytest.mark.parametrize("batched", [False, True], ids=["scalar", "batched"])
