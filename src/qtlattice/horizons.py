@@ -3,15 +3,14 @@
 The tridiagonal metric Theta(alpha) = Q + alpha T stays positive-definite
 only on a finite interval (-gamma, gamma).  As `metrics` derives, T = 2 Q H,
 and J = Q^{1/2} H Q^{-1/2} is the symmetrized Jacobi matrix of the Legendre
-recurrence (`legendre._jacobi`), so Theta(alpha) = Q^{1/2} (I + 2 alpha J) Q^{1/2}
+recurrence (built in `legendre`), so Theta(alpha) = Q^{1/2} (I + 2 alpha J) Q^{1/2}
 is congruent to I + 2 alpha J: positive-definite exactly while every
 1 + 2 alpha E_j > 0, E_j the eigenvalues of J, which are the roots of P_N.
 They are symmetric about 0, so gamma = 1/(2 x_max), x_max the largest root,
 found by Newton's method on the Legendre recurrence (`legendre._largest_root`).
-It is certified as `legendre` certifies every root of `roots_P`, by two Sturm
-counts on J that share no code with Newton: count(x_max - delta) = N - 1 and
-count(x_max + delta) = N, delta = `legendre.CROSS_CHECK_TOL` = 1e-12, put
-the largest eigenvalue of J within delta of x_max.
+It is certified as the top root of P_N by the roots' one certificate
+(`legendre._certify_roots`): two Sturm counts on J, which share no code with
+Newton, put the largest eigenvalue of J within 1e-12 of x_max.
 
 Beyond gamma the metric is inadmissible, and companion observables
 Lambda(alpha) = Theta(alpha)^{-1} K lose spectral reality at their own,
@@ -40,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._size import _as_real, _require_size
-from .legendre import CROSS_CHECK_TOL, _jacobi, _largest_root
+from .legendre import CROSS_CHECK_TOL, _certify_roots, _largest_root
 from .metrics import _as_symmetric, _slice, _slice_matrix, tridiagonal_definiteness
 from .tridiagonal import sturm_count
 
@@ -82,15 +81,10 @@ def _usable_cpus() -> int:
 
 
 def horizon_gamma(N: int) -> HorizonReport:
-    """gamma = 1/(2 x_max) at size N, x_max certified by two scalar Sturm counts on J."""
+    """gamma = 1/(2 x_max) at size N, x_max certified as the top root of P_N by `_certify_roots`."""
     N = _require_size(N, 2)
-    x, jacobi, delta = _largest_root(N), _jacobi(N), CROSS_CHECK_TOL
-    below, through = (sturm_count(*jacobi, x + shift) for shift in (-delta, delta))
-    if (below, through) != (N - 1, N):
-        raise RuntimeError(
-            f"Sturm certificate of the largest root of P_{N} failed: {below} Jacobi eigenvalues "
-            f"below x - {delta:g} and {through} below x + {delta:g}, expected {N - 1} and {N}"
-        )
+    x, delta = _largest_root(N), CROSS_CHECK_TOL
+    _certify_roots(np.array([x]), N)
     return HorizonReport(
         dimension=N,
         gamma=0.5 / x,

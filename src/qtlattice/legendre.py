@@ -1,11 +1,11 @@
 """Legendre polynomial evaluation and root finding.
 
-Everything downstream (Hamiltonian spectrum, eigenvectors, metrics) is
-generated by the Legendre three-term recurrence, implemented once here as
-the generator `_legendre_values`.  Roots are found by bracketed Newton and
-certified by Sturm counts on the symmetrized Jacobi matrix of the
-recurrence, whose eigenvalues are exactly the roots.  The certificate uses
-the LDL^T pivot kernel of `tridiagonal` and shares no code with Newton.
+Everything downstream (Hamiltonian spectrum, eigenvectors, metrics) is generated by the
+Legendre three-term recurrence, implemented once here as the generator `_legendre_values`.
+Roots are found by bracketed Newton and certified by Sturm counts on the symmetrized Jacobi
+matrix of the recurrence, whose eigenvalues are exactly the roots: the package's one
+certificate, for `roots_P` and for the horizon's largest root, on the LDL^T pivot kernel of
+`tridiagonal`, which shares no code with Newton.
 """
 
 from __future__ import annotations
@@ -117,28 +117,25 @@ def _jacobi(N: int) -> tuple[np.ndarray, np.ndarray]:
     return np.zeros(N), (k + 1) / np.sqrt((2 * k + 1) * (2 * k + 3))
 
 
-def _certify_roots(roots: np.ndarray) -> None:
-    """Raise unless the sorted roots match the eigenvalues of J (`_jacobi`) to CROSS_CHECK_TOL.
+def _certify_roots(roots: np.ndarray, N: int) -> None:
+    """Raise unless the sorted roots are the top len(roots) eigenvalues of J (`_jacobi(N)`) to
+    CROSS_CHECK_TOL: every root of P_N for `roots_P`, the largest alone for `horizons`.
 
-    One batched Sturm count on J at the 2N shifts x_j -/+ delta,
-    delta = CROSS_CHECK_TOL, certifies root j (0-based) when
-    count(x_j - delta) = j and count(x_j + delta) = j + 1: the j-th eigenvalue
-    is within delta of x_j, and no other is.  The eigenvalues are separated
-    by far more than 2 delta, so this is the sorted match
-    max|roots - eig(J)| <= delta, up to the count's own error of about
-    1.1e-15 max|J| < 1.1e-15 (see `tridiagonal.sturm_count`).  `horizons`
-    certifies the largest root alone by the same two counts, as scalars.
+    Root j (0-based among the N) is certified when the Sturm counts on J at x_j -/+ delta,
+    delta = CROSS_CHECK_TOL, are j and j + 1: the j-th eigenvalue is within delta of x_j, and
+    no other is.  The eigenvalues lie far more than 2 delta apart, so this is the sorted match
+    max|roots - eig(J)| <= delta, up to the count's own error, 1.1e-15 max|J| < 1.1e-15.
     """
-    N = len(roots)
+    expected = np.arange(N - len(roots), N)
     shifts = np.concatenate((roots - CROSS_CHECK_TOL, roots + CROSS_CHECK_TOL))
-    below, through = np.split(sturm_count(*_jacobi(N), shifts), 2)
-    failed = np.flatnonzero((below != np.arange(N)) | (through != np.arange(1, N + 1)))
+    below, through = sturm_count(*_jacobi(N), shifts).reshape(2, -1)
+    failed = np.flatnonzero((below != expected) | (through != expected + 1))
     if len(failed):
-        j = failed[0]
+        i, j = failed[0], expected[failed[0]]
         raise RuntimeError(
             f"Sturm certificate of the roots of P_{N} failed at root {j}: "
-            f"{below[j]} Jacobi eigenvalues below x_{j} - {CROSS_CHECK_TOL:g} and "
-            f"{through[j]} below x_{j} + {CROSS_CHECK_TOL:g}, expected {j} and {j + 1}"
+            f"{below[i]} Jacobi eigenvalues below x_{j} - {CROSS_CHECK_TOL:g} and "
+            f"{through[i]} below x_{j} + {CROSS_CHECK_TOL:g}, expected {j} and {j + 1}"
         )
 
 
@@ -161,5 +158,5 @@ def roots_P(N: int) -> RootSet:
             roots[n // 2] = 0.0
         roots.setflags(write=False)
         _root_cache[n] = roots
-    _certify_roots(roots)
+    _certify_roots(roots, N)
     return RootSet(roots)

@@ -152,7 +152,7 @@ def _as_symmetric(value, what: str) -> tuple[np.ndarray, float]:
 
 def tridiagonal_definiteness(diagonal, offdiagonal) -> np.ndarray:
     """Definiteness labels of symmetric tridiagonal matrices by the one rule of
-    `classify_definiteness`, from Sturm counts at +-thr (at thr = 0 the counts would
+    `classify_definiteness`, from one `sturm_count` call at +-thr (at thr = 0 the counts would
     take the zero pivots of a zero Theta as negative).  One diagonal, batched on the axes of the
     off-diagonal after the first; returns a string array of the batch shape.  thr is 1e-12
     max|Theta| read after `_rescaled` scales each matrix by its own power of two, so no label
@@ -161,9 +161,7 @@ def tridiagonal_definiteness(diagonal, offdiagonal) -> np.ndarray:
     column = np.reshape(diagonal, (-1,) + (1,) * np.ndim(largest))  # each factor scales its matrix
     diagonal, offdiagonal, largest = _rescaled(largest, column, offdiagonal, largest)
     shifts = np.multiply.outer((1.0, -1.0), PIVOT_TOL * largest)  # +thr and -thr
-    # a batch counts at both in one pass, one matrix at each in turn on Python floats (faster)
-    counts = (sturm_count(diagonal, offdiagonal, shift) for shift in shifts)
-    above, below = sturm_count(diagonal, offdiagonal, shifts) if shifts.ndim > 1 else counts
+    above, below = sturm_count(diagonal, offdiagonal, shifts)
     positive, singular = above == 0, (below == 0) | (largest == 0)
     return np.where(positive, "positive-definite", np.where(singular, "singular", "indefinite"))
 

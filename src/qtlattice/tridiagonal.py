@@ -34,8 +34,9 @@ def sturm_count(diagonal, offdiagonal, shift):
 
     `diagonal` and `offdiagonal` have N and N - 1 entries along axis 0; any
     further axes, and the shape of `shift`, broadcast to a batch of matrices,
-    whose counts come back as an integer array of the batch shape.  Without a
-    batch the count runs on Python floats, faster than numpy for one matrix.
+    whose counts come back as an integer array of the batch shape.  One matrix at up to 32
+    shifts runs a loop on Python floats per shift, any other input one numpy loop for the batch:
+    with one BLAS thread they cross at 32 to 48 shifts for N from 64 to 1024.
     """
     diagonal = _as_real(diagonal, "the diagonal")
     offdiagonal = _as_real(offdiagonal, "the off-diagonal")
@@ -45,25 +46,35 @@ def sturm_count(diagonal, offdiagonal, shift):
     extent = np.maximum(np.abs(diagonal).max(axis=0), np.abs(offdiagonal).max(axis=0, initial=0.0))
     extent = np.maximum(extent, np.abs(shift))  # each matrix's largest entry, of the batch shape
     # the batch axes last, after axis 0, so that each matrix's factor scales its own entries
-    diagonal, offdiagonal = (x.reshape(len(x), *(1,) * (extent.ndim + 1 - x.ndim), *x.shape[1:])
-                             for x in (diagonal, offdiagonal))
-    diagonal, offdiagonal, shift = _rescaled(extent, diagonal, offdiagonal, shift)
-    squared = offdiagonal**2
+    bands = (x.reshape(len(x), *(1,) * (extent.ndim + 1 - x.ndim), *x.shape[1:])
+             for x in (diagonal, offdiagonal))
+    rows, couplings, shift = _rescaled(extent, *bands, shift)
+    squared = couplings**2
     zero_pivot = -np.finfo(float).tiny * squared.max(axis=0, initial=1.0)  # b^2 / it stays finite
-    if not extent.ndim:
-        pivot, count, zero_pivot = 1.0, 0, float(zero_pivot)
-        for a, b2 in zip((diagonal - shift).tolist(), [0.0] + squared.tolist()):
-            pivot = a - b2 / (pivot or zero_pivot)
-            if pivot <= 0:
-                count += 1
-        return count
+    if diagonal.ndim == offdiagonal.ndim == 1 and shift.size <= 32:  # one matrix, a few shifts
+        lists = ([x.ravel().tolist()] * shift.size if x.size == len(x)  # one list for all shifts
+                 else (column.tolist() for column in x.reshape(len(x), shift.size).T)
+                 for x in (rows - shift, squared))
+        zero_pivots = zero_pivot.ravel().tolist() * (shift.size // zero_pivot.size)
+        counts = list(map(_float_count, *lists, zero_pivots))  # one shift's lists at a time
+        return np.array(counts, dtype=int).reshape(shift.shape) if shift.ndim else counts[0]
     pivot, count = np.ones(extent.shape), np.zeros(extent.shape, dtype=int)
-    diagonal, squared = (x.ravel().tolist() if x.size == len(x) else x for x in (diagonal, squared))
+    rows, squared = (x.ravel().tolist() if x.size == len(x) else x for x in (rows, squared))
     # A row of one number for the whole batch runs as a Python float, faster.  After a pivot
     # tinier than |zero_pivot| the next one may overflow to an infinity of the right sign, which
     # the next step turns back into a_k.  a_k - shift is formed row by row: no N rows of batch.
     with np.errstate(over="ignore"):
-        for a, b2 in zip(diagonal, [0.0, *squared]):
+        for a, b2 in zip(rows, [0.0, *squared]):
             pivot = (a - shift) - b2 / np.where(pivot == 0, zero_pivot, pivot)
             count += pivot <= 0
+    return count
+
+
+def _float_count(shifted, squared, zero_pivot) -> int:
+    """The negative pivots of one matrix on Python floats, from lists of a_k - shift and b_k^2."""
+    pivot, count = 1.0, 0
+    for a, b2 in zip(shifted, [0.0, *squared]):
+        pivot = a - b2 / (pivot or zero_pivot)
+        if pivot <= 0:
+            count += 1
     return count

@@ -13,6 +13,7 @@ from qtlattice import (
     exact_intertwining_check_factorial,
     exact_tridiagonal_solve,
     horizon_gamma,
+    roots_P,
     tridiagonal_metric,
 )
 from qtlattice.exact import (
@@ -215,3 +216,30 @@ def test_slice_labels_equal_exact_counts_at_the_threshold(N):
     assert expected[0] == "positive-definite" and set(expected[1:11]) >= {"singular", "indefinite"}
     assert tridiagonal_definiteness(q, offdiagonal).tolist() == expected
     assert [str(tridiagonal_definiteness(q, b)) for b in offdiagonal.T] == expected
+
+
+@pytest.mark.parametrize("N", [8, 16, 32, 64])
+def test_roots_lie_within_one_ulp_of_the_exact_eigenvalues_of_J(N):
+    """Exact LDL^T counts on J, squared couplings (k+1)^2/((2k+1)(2k+3)): below the float under
+    root j lie j eigenvalues, and below the float over it j + 1, so the j-th eigenvalue is within
+    one ulp of the root.  The runtime certificate proves 1e-12."""
+    squared = [Fraction((k + 1) ** 2, (2 * k + 1) * (2 * k + 3)) for k in range(N - 1)]
+    neighbours = (np.nextafter(roots_P(N).roots, bound).tolist() for bound in (-np.inf, np.inf))
+    below, above = ([_negative_pivots([0] * N, squared, x) for x in xs] for xs in neighbours)
+    assert below == list(range(N)) and above == list(range(1, N + 1))
+
+
+@pytest.mark.parametrize("N", [2, 3, 12, 64, 256])
+def test_gamma_is_bracketed_by_its_float_neighbours(N):
+    """Theta(alpha), diagonal n + 1/2 and squared couplings (alpha (n + 1))^2, read exactly:
+    positive-definite (no pivot at or below 0) at the float below gamma, and not at the float
+    above it, so gamma is the exact horizon 1/(2 lambda_max(J)) faithfully rounded."""
+    gamma = horizon_gamma(N).gamma
+    diagonal = rational_metric_Q(N)
+
+    def negative_pivots(alpha):
+        alpha = Fraction(alpha)
+        return _negative_pivots(diagonal, [(alpha * (n + 1)) ** 2 for n in range(N - 1)], 0)
+
+    assert negative_pivots(np.nextafter(gamma, 0.0)) == 0
+    assert negative_pivots(np.nextafter(gamma, 1.0)) >= 1

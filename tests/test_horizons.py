@@ -9,7 +9,7 @@ from qtlattice import (
     spectrum,
     tridiagonal_metric,
 )
-from qtlattice import horizons, legendre, metrics
+from qtlattice import horizons, legendre, metrics, tridiagonal
 from qtlattice.legendre import _largest_root
 from qtlattice.metrics import _slice, tridiagonal_definiteness
 from qtlattice.tridiagonal import sturm_count
@@ -36,7 +36,7 @@ def test_certificate_rejects_a_largest_root_moved_by_2e_12(N, moved, monkeypatch
     would not."""
     x = _largest_root(N) + moved
     monkeypatch.setattr(horizons, "_largest_root", lambda n: x)
-    with pytest.raises(RuntimeError, match="Sturm certificate of the largest root"):
+    with pytest.raises(RuntimeError, match=f"the roots of P_{N} failed at root {N - 1}: "):
         horizon_gamma(N)
 
 
@@ -52,23 +52,31 @@ def test_certificate_rejects_gamma_of_one_half(monkeypatch):
     """At N = 2e5, gamma - 1/2 is about j_{0,1}^2 / (4 N^2) = 3.6e-11, inside a gate of 1e-10 on
     gamma; x = 1 - 1e-16 (gamma = 1/2 to rounding) lies 7e-11 above the largest eigenvalue of J."""
     monkeypatch.setattr(horizons, "_largest_root", lambda n: 1.0 - 1e-16)
-    with pytest.raises(RuntimeError, match="Sturm certificate of the largest root"):
+    with pytest.raises(RuntimeError, match="the roots of P_200000 failed at root 199999: "):
         horizon_gamma(200_000)
 
 
 def test_horizon_is_two_scalar_sturm_counts(monkeypatch):
-    """The one-root certificate runs the scalar loop twice, not the batched loop (0.21 ms
-    against 10.7 ms per count at N = 1024), and nothing else counts."""
-    calls = []
+    """The one-root certificate is one `sturm_count` call at two shifts, which runs the
+    Python-float loop twice, not the batched loop (0.31 ms against 5.4 ms for both counts at
+    N = 1024), and nothing else counts."""
+    calls, passes = [], []
+    float_count = tridiagonal._float_count
 
     def counting(diagonal, offdiagonal, shift):
-        calls.append((np.ndim(offdiagonal), np.ndim(shift)))
+        calls.append((np.ndim(offdiagonal), np.shape(shift)))
         return sturm_count(diagonal, offdiagonal, shift)
+
+    def counting_passes(shifted, squared, zero_pivot):
+        passes.append(len(shifted))
+        return float_count(shifted, squared, zero_pivot)
 
     for module in (horizons, legendre, metrics):
         monkeypatch.setattr(module, "sturm_count", counting)
+    monkeypatch.setattr(tridiagonal, "_float_count", counting_passes)
     horizon_gamma(64)
-    assert calls == [(1, 0), (1, 0)]
+    assert calls == [(1, (2,))]
+    assert passes == [64, 64]
 
 
 def test_gamma_requires_N_at_least_2():

@@ -110,7 +110,7 @@ def test_invalid_degree_rejected():
 @pytest.mark.parametrize("N", [1, 64, 1024, 4096])
 def test_sturm_certificate_accepts_roots_and_rejects_a_moved_root(N):
     roots = roots_legendre(N)[0]
-    _certify_roots(roots)
+    _certify_roots(roots, N)
     j = N // 3
     # moved up, one eigenvalue too many lies below x_j - delta; moved down,
     # one too few lies below x_j + delta
@@ -119,7 +119,7 @@ def test_sturm_certificate_accepts_roots_and_rejects_a_moved_root(N):
         moved[j] += step
         message = f"P_{N} failed at root {j}: {count} .* {count} below"
         with pytest.raises(RuntimeError, match=message):
-            _certify_roots(moved)
+            _certify_roots(moved, N)
 
 
 def test_roots_P_certifies_cached_roots_too(monkeypatch):

@@ -32,6 +32,7 @@ from qtlattice.metrics import (
     classify_definiteness,
     tridiagonal_definiteness,
 )
+from qtlattice import tridiagonal
 from qtlattice.tridiagonal import sturm_count
 
 
@@ -494,6 +495,37 @@ def test_sturm_count_scales_each_matrix_of_a_batch_by_its_own_power_of_two():
     for expected, x in enumerate(shifts):
         assert sturm_count(diagonal, offdiagonal, x) == expected
         assert sturm_count(*scaled, c * x).tolist() == [expected] * 16
+
+
+@pytest.mark.parametrize("c", [1e-300, 1.0, 1e300])
+@pytest.mark.parametrize("N", [1, 2, 64])
+def test_sturm_count_of_one_matrix_at_many_shifts_is_the_counts_alone(N, c, monkeypatch):
+    """One matrix at up to 32 shifts runs the Python-float loop once per shift, and at more the
+    batched loop; either way the counts are those of the shifts one at a time, as int arrays of
+    the shifts' shape.  S from 1 to 64, and the 2N shifts x_j -+ 1e-12 of the roots' certificate,
+    on c J of P_N (the diagonal is zero, so J has an eigenvalue at 0 when N is odd)."""
+    passes = []
+    float_count = tridiagonal._float_count
+
+    def counting_passes(*row):
+        passes.append(len(row[0]))
+        return float_count(*row)
+
+    monkeypatch.setattr(tridiagonal, "_float_count", counting_passes)
+    diagonal, offdiagonal = (c * x for x in _jacobi(N))
+    roots = roots_P(N).roots
+    grids = [np.linspace(-1.0, 1.0, S) for S in (1, 2, 31, 32, 33, 64)]
+    for shifts in [*grids, np.concatenate((roots - 1e-12, roots + 1e-12))]:
+        shifts = c * shifts
+        alone = [sturm_count(diagonal, offdiagonal, x) for x in shifts]
+        passes.clear()
+        counts = sturm_count(diagonal, offdiagonal, shifts)
+        assert passes == ([N] * len(shifts) if len(shifts) <= 32 else [])
+        assert counts.dtype == int and counts.tolist() == alone
+    assert alone == list(range(N)) + list(range(1, N + 1))
+    grid = c * np.linspace(-1.0, 1.0, 6).reshape(2, 3)
+    alone = [[sturm_count(diagonal, offdiagonal, x) for x in row] for row in grid]
+    assert sturm_count(diagonal, offdiagonal, grid).tolist() == alone
 
 
 def test_each_maximum_is_read_once(rng, monkeypatch):
