@@ -6,8 +6,8 @@ pass; bools are rejected.  The array gates import numpy when called and name the
 a ragged nest too: `_as_real` for real input (dtype, finiteness, rank), `_require_finite` for
 numbers that may be complex, computed values and CLI ranges, `_as_square` for a candidate matrix.
 `_rescaled` is the one exact power-of-two rescale behind every scale-free verdict, one factor
-per matrix: the Sturm counts (`tridiagonal`), both definiteness paths (`metrics`), the Dieudonne
-residual and the overlap criterion (`observables`).
+per matrix: the Sturm counts (`tridiagonal`), the definiteness label (`metrics`, once for either
+path), the Dieudonne residual and the overlap criterion (`observables`).
 """
 
 from __future__ import annotations

@@ -14,10 +14,10 @@ Newton, put the largest eigenvalue of J within 1e-12 of x_max.
 
 Beyond gamma the metric is inadmissible, and companion observables
 Lambda(alpha) = Theta(alpha)^{-1} K lose spectral reality at their own,
-generally larger, "hidden" horizon.  A reality scan diagonalizes Lambda only
-where Theta(alpha) is indefinite: where the Sturm count labels it
-positive-definite, Lambda is quasi-Hermitian and its spectrum is real, so
-the largest imaginary part there is exactly zero.
+generally larger, "hidden" horizon.  A reality scan labels its grid by one
+pass of Sturm counts and diagonalizes Lambda only where Theta(alpha) is
+indefinite: where it is positive-definite, Lambda is quasi-Hermitian and its
+spectrum is real, so the largest imaginary part there is exactly zero.
 
 The indefinite points are solved and diagonalized in stacks on a thread
 pool, one worker per CPU the process may run on (`os.sched_getaffinity`,
@@ -38,9 +38,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._size import _as_real, _require_size
+from ._size import _as_real, _require_finite, _require_size
 from .legendre import CROSS_CHECK_TOL, _certify_roots, _largest_root
-from .metrics import _as_symmetric, _slice, _slice_matrix, tridiagonal_definiteness
+from .metrics import PIVOT_TOL, _as_symmetric, _label, _slice, _slice_matrix
 from .tridiagonal import sturm_count
 
 REALITY_THRESHOLD = 1e-8
@@ -100,10 +100,13 @@ def hidden_horizon_scan(N: int, K: np.ndarray, alpha_grid: np.ndarray) -> Realit
     construction for every alpha; the first grid point where a complex
     eigenvalue appears is the observable's hidden horizon.
 
-    Labels and the singular skip come from Sturm counts over the whole grid,
-    each Theta(alpha) scaled by its own power of two: a point reads as alone.
+    Labels (the rule of `metrics._label`) and the singular skip come from one
+    `sturm_count` call at (thr, -thr, tau, -tau) per point, each Theta(alpha)
+    scaled by its own power of two: a point reads as alone.  thr is read before
+    that rescale, exactly, as max|Theta| >= max q = N - 1/2 keeps it normal.
     A point is skipped (max_imag NaN) when Theta(alpha) has an eigenvalue in
-    [-tau, tau], tau = 1e-12 (max q + |alpha| max_n (t_{n-1} + t_n)).  tau
+    [-tau, tau], tau = 1e-12 (max q + |alpha| max_n (t_{n-1} + t_n)), a max of
+    2N - 3; a ValueError names the alpha grid where tau overflows.  tau
     bounds 1e-12 ||Theta||_inf >= 1e-12 ||Theta||_2 from above, so every
     point with reciprocal condition number below 1e-12 is skipped, and
     tau >= thr = 1e-12 max|Theta| of the labels (max q >= max|diag Theta| and
@@ -135,14 +138,14 @@ def hidden_horizon_scan(N: int, K: np.ndarray, alpha_grid: np.ndarray) -> Realit
     alpha_grid = _as_real(alpha_grid, "the alpha grid", 1)
     if K.shape != (N, N):
         raise ValueError("K has wrong shape")
-    q, t = _slice(N, 1.0)
-    offdiagonal = _slice(N, alpha_grid)[1]
-    definiteness = tridiagonal_definiteness(q, offdiagonal)
-    row_couplings = np.max(np.r_[t, 0.0] + np.r_[0.0, t])
-    with np.errstate(over="ignore"):  # an infinite tau makes sturm_count raise ValueError
-        tau = SINGULAR_RCOND * (np.max(q) + np.abs(alpha_grid) * row_couplings)
-    skip = np.greater(*sturm_count(q, offdiagonal, np.multiply.outer((1.0, -1.0), tau)))
-    positive = definiteness == "positive-definite"
+    q, offdiagonal = _slice(N, alpha_grid)
+    magnitude = np.abs(alpha_grid)  # q[-1] = max q; max|alpha t| = (N - 1)|alpha|
+    threshold = PIVOT_TOL * np.maximum(q[-1], magnitude * (N - 1))
+    with np.errstate(over="ignore"):
+        tau = SINGULAR_RCOND * (q[-1] + magnitude * (2 * N - 3))
+    _require_finite(tau, "the singular tolerance of the alpha grid")
+    above, below, *near = sturm_count(q, offdiagonal, np.stack((threshold, -threshold, tau, -tau)))
+    positive, skip = above == 0, np.greater(*near)
     max_imag = np.where(positive & ~skip, 0.0, np.nan)
     solved = np.flatnonzero(~positive & ~skip)
 
@@ -168,7 +171,7 @@ def hidden_horizon_scan(N: int, K: np.ndarray, alpha_grid: np.ndarray) -> Realit
         dimension=N,
         alpha_grid=alpha_grid,
         max_imag=max_imag,
-        definiteness=definiteness.tolist(),
+        definiteness=_label(positive, below == 0).tolist(),  # thr > 0 here
         first_crossing=float(alpha_grid[crossings[0]]) if len(crossings) else None,
         skipped_singular=alpha_grid[skip].tolist(),
     )

@@ -19,12 +19,13 @@ max|M - M^H|: the one Hermiticity residual of the package.
 
 Definiteness is one rule, thr = 1e-12 max|Theta| (`_largest`): no
 eigenvalue below +thr is positive-definite; none below -thr, or thr = 0,
-singular; otherwise indefinite.  A Theta with no nonzero entry off its three
-central diagonals (the slice, Q) counts its eigenvalues below +-thr in O(N) by
-Sturm counts (`sturm_count`, the LDL^T pivot kernel that also certifies the
-Legendre roots, read by Sylvester's law of inertia).  Any other Theta (the kappa
-family) asks by Cholesky of Theta - thr I and, where that fails, of Theta + thr I:
-each factor exists exactly when no eigenvalue lies below the shift.
+singular; otherwise indefinite (`_label`, for one matrix and for a scan's grid).
+A Theta with no nonzero entry off its three central diagonals (the slice, Q)
+counts its eigenvalues below +-thr in O(N) by Sturm counts (`sturm_count`, the
+LDL^T pivot kernel that also certifies the Legendre roots, read by Sylvester's
+law of inertia).  Any other Theta (the kappa family) asks by Cholesky of
+Theta - thr I and, where that fails, of Theta + thr I (`_factors`): each factor
+exists exactly when no eigenvalue lies below the shift.
 
 Error model of thr.  The computed Sturm pivots are the exact pivots of a matrix
 whose entries carry relative errors of at most 2.5 eps (Kahan; Demmel, Applied
@@ -35,9 +36,9 @@ of the shifted Theta, and one completes where every eigenvalue exceeds the shift
 by a bound of that order (Higham, Accuracy and Stability of Numerical
 Algorithms, 2nd ed., ch. 10).  So on either path a label can differ from exact
 arithmetic only for an eigenvalue that close to +-thr.  Both models need normal
-arithmetic, so where max|Theta| leaves [2^-250, 2^250] both paths first scale each Theta
-by its own exact power of two (`_size._rescaled`) and read thr after it.  thr has no
-floor and is 0 only for a zero Theta, which reads singular, so c Theta has the label
+arithmetic, so where max|Theta| leaves [2^-250, 2^250] either path first scales its
+bands or Theta by one exact power of two (`_size._rescaled`) and reads thr after it.  thr
+has no floor and is 0 only for a zero Theta, which reads singular, so c Theta has the label
 of Theta for every c > 0 at which c Theta is exact, subnormal entries included.
 """
 
@@ -150,49 +151,40 @@ def _as_symmetric(value, what: str) -> tuple[np.ndarray, float]:
     return M, largest
 
 
-def tridiagonal_definiteness(diagonal, offdiagonal) -> np.ndarray:
-    """Definiteness labels of symmetric tridiagonal matrices by the one rule of
-    `classify_definiteness`, from one `sturm_count` call at +-thr (at thr = 0 the counts would
-    take the zero pivots of a zero Theta as negative).  One diagonal, batched on the axes of the
-    off-diagonal after the first; returns a string array of the batch shape.  thr is 1e-12
-    max|Theta| read after `_rescaled` scales each matrix by its own power of two, so no label
-    depends on the other matrices of its batch."""
-    largest = np.abs(offdiagonal).max(axis=0, initial=np.abs(diagonal).max())
-    column = np.reshape(diagonal, (-1,) + (1,) * np.ndim(largest))  # each factor scales its matrix
-    diagonal, offdiagonal, largest = _rescaled(largest, column, offdiagonal, largest)
-    shifts = np.multiply.outer((1.0, -1.0), PIVOT_TOL * largest)  # +thr and -thr
-    above, below = sturm_count(diagonal, offdiagonal, shifts)
-    positive, singular = above == 0, (below == 0) | (largest == 0)
-    return np.where(positive, "positive-definite", np.where(singular, "singular", "indefinite"))
-
-
 def classify_definiteness(matrix: np.ndarray, largest: float) -> str:
-    """Label a matrix by thr = 1e-12 `largest`, the max|Theta| that `_as_symmetric` returns with
-    it: no eigenvalue below +thr is positive-definite; none below -thr, or thr = 0, singular; else
-    indefinite.  With no nonzero entry off its three central diagonals, by the Sturm counts of
-    `tridiagonal_definiteness` on its diagonal and lower band; any other by Cholesky."""
-    band = [np.diagonal(matrix, k) for k in (-1, 0, 1)]
-    if np.count_nonzero(matrix) == sum(map(np.count_nonzero, band)):
-        return str(tridiagonal_definiteness(band[1], band[0]))
-    return _cholesky_definiteness(matrix, largest)
-
-
-def _cholesky_definiteness(matrix: np.ndarray, largest: float) -> str:
-    """The rule of `classify_definiteness` by Cholesky of Theta - thr I, then of Theta + thr I,
-    each formed in one copy of Theta (at thr = 0 the second repeats the first).  Theta is first
-    scaled by `_rescaled`, and thr read after it, so thr underflows only for a zero Theta, no
-    factor is formed in subnormal arithmetic and no shifted diagonal entry overflows."""
-    matrix, largest = _rescaled(largest, matrix, largest)
+    """The label by the rule of `_label` at thr = 1e-12 `largest`, the max|Theta| (upper band
+    included) that `_as_symmetric` returns with it.  With no nonzero entry off its three central
+    diagonals, by `sturm_count` of its diagonal and lower band at +-thr; any other by `_factors`
+    at -thr, then +thr.  The bands or Theta are scaled by `_rescaled` once, and thr read after."""
+    band = [matrix.diagonal(k) for k in (-1, 0, 1)]
+    banded = np.count_nonzero(matrix) == sum(map(np.count_nonzero, band))
+    *arrays, largest = _rescaled(largest, *((band[1], band[0]) if banded else (matrix,)), largest)
     threshold = PIVOT_TOL * largest
-    for shift, label in ((-threshold, "positive-definite"), (threshold, "singular")):
-        shifted = matrix.copy()
-        shifted.flat[:: len(matrix) + 1] += shift
-        try:
-            np.linalg.cholesky(shifted)
-        except np.linalg.LinAlgError:
-            continue
-        return label
-    return "indefinite" if threshold else "singular"
+    if banded:  # thr = 0 only here, for a zero Theta, whose zero pivots the counts take as negative
+        above, below = sturm_count(*arrays, (threshold, -threshold))
+        return _label(above == 0, below == 0 or not threshold)
+    positive = _factors(arrays[0], -threshold)
+    return _label(positive, positive or _factors(arrays[0], threshold))
+
+
+def _factors(matrix: np.ndarray, shift: float) -> bool:
+    """Whether Cholesky factors Theta + shift I (one copy of Theta): no eigenvalue <= -shift."""
+    shifted = matrix.copy()
+    shifted.flat[:: len(matrix) + 1] += shift
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _label(positive, singular):
+    """The rule's three labels from its two facts: no eigenvalue below +thr is positive-definite;
+    else none below -thr, or thr = 0, singular; else indefinite.  Bools give one str, boolean
+    arrays over a grid a string array of their shape."""
+    if isinstance(positive, np.ndarray):
+        return np.where(positive, "positive-definite", np.where(singular, "singular", "indefinite"))
+    return "positive-definite" if positive else "singular" if singular else "indefinite"
 
 
 def metric_from_kappa(system: BiorthogonalSystem, kappa: KappaVector) -> MetricOperator:

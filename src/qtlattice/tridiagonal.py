@@ -1,7 +1,8 @@
 """Inertia of symmetric tridiagonal matrices by LDL^T pivot counts.
 
-The one O(N) kernel behind the Legendre root certificate (`legendre`) and the
-definiteness labels of the tridiagonal metric family (`metrics`).  It sits at
+The one O(N) kernel behind the Legendre root certificate (`legendre`), the
+definiteness label of a banded metric (`metrics`) and a scan's labels and
+singular skip, one call per scan (`horizons`).  It sits at
 the bottom of the import graph, above `_size`, whose gate `_as_real` checks
 each of its three inputs under its own name, and depends on numpy.
 """

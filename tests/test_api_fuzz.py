@@ -36,7 +36,6 @@ from qtlattice import (
     theta_norm,
     tridiagonal_metric,
 )
-from qtlattice.metrics import tridiagonal_definiteness
 from qtlattice.tridiagonal import sturm_count
 
 SPECIAL = [np.nan, np.inf, -np.inf, -1.0, 0.0, 2.5, 1e308, -1e308]
@@ -251,8 +250,8 @@ quarters = st.integers(-16, 16).map(lambda n: n / 4)
 @given(N=st.integers(3, 6), k=st.integers(-1071, 1021), data=st.data())
 def test_verdicts_are_scale_free_across_the_float_range(N, k, data):
     """2^k Theta has the label of Theta on the Sturm and on the Cholesky path; in one batch, a
-    banded Theta beside 2^k Theta has its Sturm counts alone, and Q with its couplings beside Q
-    with them times 2^k its label alone; 2^k Lambda against Theta, and Lambda against 2^k Theta,
+    banded Theta beside 2^k Theta has its Sturm counts alone, and in one scan Theta(alpha) beside
+    Theta(2^k alpha) its label alone; 2^k Lambda against Theta, and Lambda against 2^k Theta,
     the Dieudonne residual of Lambda against Theta; and 2^k M the criterion's verdict on M, for
     k across the whole float range."""
 
@@ -272,9 +271,10 @@ def test_verdicts_are_scale_free_across_the_float_range(N, k, data):
     members = np.stack((offdiagonal, c * offdiagonal), axis=-1)
     counts = sturm_count(np.stack((diagonal, c * diagonal), -1), members, np.array([shift, c * shift]))
     assert counts.tolist() == [sturm_count(diagonal, offdiagonal, shift)] * 2
-    q = build_metric_Q(N)  # a positive diagonal, so that the couplings decide the label
-    labels = [str(tridiagonal_definiteness(q, b)) for b in members.T]
-    assert tridiagonal_definiteness(q, members).tolist() == labels
+    # |alpha| <= 1/4 keeps alpha t and the scan's singular tolerance finite at every k
+    alphas = np.array([1.0, c]) * data.draw(quarters) / 16
+    labels = [tridiagonal_metric(N, alpha).definiteness for alpha in alphas]
+    assert hidden_horizon_scan(N, np.eye(N), alphas).definiteness == labels
     theta = MetricOperator(dense)
     Lambda = draw((N, N)) + 1j * draw((N, N)) if data.draw(st.booleans()) else draw((N, N))
     residual = dieudonne_residual(Lambda, theta)
@@ -342,6 +342,13 @@ def test_overflow_is_a_value_error_without_a_warning(case):
     """Finite inputs whose products overflow (or underflow to a zero norm)."""
     with pytest.raises(ValueError):
         HUGE[case]()
+
+
+def test_an_overflowing_scan_tolerance_names_the_alpha_grid():
+    """alpha t = 1.5e308 is finite, but tau = 1e-12 (7/2 + 5 |alpha|) overflows: the error names
+    the argument that was given, not the shift of a Sturm count."""
+    with pytest.raises(ValueError, match="alpha grid"):
+        hidden_horizon_scan(4, np.eye(4), [5e307])
 
 
 # Each entry point that takes real numbers, with one entry of the named argument replaced.

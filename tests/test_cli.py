@@ -363,6 +363,14 @@ def test_evolve_infinite_t_max_prints_only_the_error():
     assert result.stderr.splitlines() == ["error: --t-max is not finite (NaN or inf)"]
 
 
+def test_scan_overflow_names_the_alpha_grid(capsys):
+    """alpha t is finite at 5e307 and N = 4, but the scan's singular tolerance overflows."""
+    argv = ["scan", "--n", "4", "--alpha-min", "0", "--alpha-max", "5e307", "--alpha-steps", "3"]
+    status, out, err = invoke(argv, capsys)
+    assert (status, out) == (1, "")
+    assert err == "error: the singular tolerance of the alpha grid is not finite (NaN or inf)\n"
+
+
 def test_failed_command_leaves_out_file_untouched(capsys, tmp_path):
     out_file = tmp_path / "theta.json"
     out_file.write_text('{"kept": true}\n')

@@ -12,6 +12,7 @@ from qtlattice import (
     exact_intertwining_check,
     exact_intertwining_check_factorial,
     exact_tridiagonal_solve,
+    hidden_horizon_scan,
     horizon_gamma,
     roots_P,
     tridiagonal_metric,
@@ -24,7 +25,7 @@ from qtlattice.exact import (
     rational_metric_Q,
 )
 from qtlattice.legendre import _jacobi
-from qtlattice.metrics import _slice, tridiagonal_definiteness
+from qtlattice.metrics import _slice
 
 
 @pytest.mark.parametrize("N", range(1, 9))
@@ -193,11 +194,11 @@ def _exact_label(diagonal, squared, threshold):
 
 @pytest.mark.parametrize("N", [2, 8, 64])
 def test_slice_labels_equal_exact_counts_at_the_threshold(N):
-    """The labels of `tridiagonal_definiteness` equal the rule read from exact LDL^T counts on the
-    same float entries, thr = 1e-12 max|Theta|: at 0, near +-gamma and at +-gamma, alone and in
-    one batch with alpha across the float range.  Each alpha has the same exact label at
-    thr (1 -+ 1e-3), so no label hinges on how thr rounds.  With one power of two for the whole
-    batch, the points near gamma read positive-definite beside 2^1000."""
+    """The labels of the slice, alone (`tridiagonal_metric`) and in one scan with alpha across the
+    float range, equal the rule read from exact LDL^T counts on the same float entries,
+    thr = 1e-12 max|Theta|: at 0, near +-gamma and at +-gamma.  Each alpha has the same exact
+    label at thr (1 -+ 1e-3), so no label hinges on how thr rounds.  With one power of two for
+    the whole batch, the points near gamma read positive-definite beside 2^1000."""
     gamma = horizon_gamma(N).gamma
     near = [sign * gamma * (1 + d) for sign in (1, -1) for d in (-1e-6, -1e-14, 0.0, 1e-14, 1e-6)]
     extreme = [2.0**1000, -(2.0**-1000), 1e300, -1e300, 1e-300, 3e200, -7e-200]
@@ -214,8 +215,8 @@ def test_slice_labels_equal_exact_counts_at_the_threshold(N):
         assert len(labels) == 1  # clear of a tie at +-thr
         expected += labels
     assert expected[0] == "positive-definite" and set(expected[1:11]) >= {"singular", "indefinite"}
-    assert tridiagonal_definiteness(q, offdiagonal).tolist() == expected
-    assert [str(tridiagonal_definiteness(q, b)) for b in offdiagonal.T] == expected
+    assert hidden_horizon_scan(N, np.eye(N), alphas).definiteness == expected
+    assert [tridiagonal_metric(N, alpha).definiteness for alpha in alphas] == expected
 
 
 @pytest.mark.parametrize("N", [8, 16, 32, 64])

@@ -11,7 +11,6 @@ from qtlattice import (
 )
 from qtlattice import horizons, legendre, metrics, tridiagonal
 from qtlattice.legendre import _largest_root
-from qtlattice.metrics import _slice, tridiagonal_definiteness
 from qtlattice.tridiagonal import sturm_count
 
 
@@ -79,6 +78,23 @@ def test_horizon_is_two_scalar_sturm_counts(monkeypatch):
     assert passes == [64, 64]
 
 
+def test_a_scan_is_one_sturm_count(monkeypatch):
+    """A scan's labels and its singular skip come from one `sturm_count` call, at
+    (thr, -thr, tau, -tau) for each point of the grid, and nothing else counts."""
+    calls = []
+
+    def counting(diagonal, offdiagonal, shift):
+        calls.append(np.shape(shift))
+        return sturm_count(diagonal, offdiagonal, shift)
+
+    for module in (horizons, legendre, metrics):
+        monkeypatch.setattr(module, "sturm_count", counting)
+    grid = np.linspace(-2.0, 2.0, 9)
+    scan = hidden_horizon_scan(8, np.eye(8), grid)
+    assert calls == [(4, 9)]
+    assert len(scan.definiteness) == 9
+
+
 def test_gamma_requires_N_at_least_2():
     with pytest.raises(ValueError):
         horizon_gamma(1)
@@ -86,11 +102,12 @@ def test_gamma_requires_N_at_least_2():
 
 @pytest.mark.parametrize("N", list(range(2, 17)) + [32, 48, 64, 256, 1024, 4096])
 def test_gamma_methods_agree_and_straddle(N):
-    """Theta(gamma - 1e-10) is positive-definite and Theta(gamma + 1e-10) is not, by the O(N)
-    labels of the slice (no dense Theta): the physics of the certificate, checked on Theta."""
+    """Theta(gamma - 1e-10) is positive-definite and Theta(gamma + 1e-10) is not, by the labels
+    of the slice (at N = 4096 two dense Theta of 128 MB, 0.7 s): the physics of the certificate,
+    checked on Theta."""
     report = horizon_gamma(N)
     assert report.cross_check_residual <= 1e-10
-    inside, outside = (tridiagonal_definiteness(*_slice(N, report.gamma + shift))
+    inside, outside = (tridiagonal_metric(N, report.gamma + shift).definiteness
                        for shift in (-1e-10, 1e-10))
     assert inside == "positive-definite" and outside != "positive-definite"
 

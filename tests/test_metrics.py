@@ -26,19 +26,32 @@ from qtlattice import (
     tridiagonal_metric,
 )
 from qtlattice.legendre import _jacobi
-from qtlattice.metrics import (
-    _as_symmetric,
-    _cholesky_definiteness,
-    classify_definiteness,
-    tridiagonal_definiteness,
-)
+from qtlattice.metrics import _as_symmetric, classify_definiteness
 from qtlattice import tridiagonal
 from qtlattice.tridiagonal import sturm_count
 
 
 def gated(matrix):
-    """Theta and the max|Theta| that its gate read: the arguments of either labelling path."""
+    """Theta and the max|Theta| that its gate read: the arguments of `classify_definiteness`."""
     return _as_symmetric(matrix, "theta")
+
+
+def off_band(theta):
+    """Theta beside the block m [[1, 1/2], [1/2, 1]], m = max|Theta|, its rows and columns in the
+    order (b, theta_0, b, theta_1, ...): the block's coupling sits two places off the diagonal, so
+    `classify_definiteness` asks by Cholesky.  The label is that of Theta by the rule: max|M| = m
+    keeps thr, and the block's eigenvalues m/2 and 3m/2 lie above +thr."""
+    N, m = len(theta), np.abs(theta).max()
+    rows, block = [1, *range(3, N + 2)], [0, 2]
+    matrix = np.zeros((N + 2, N + 2))
+    matrix[np.ix_(rows, rows)] = theta
+    matrix[np.ix_(block, block)] = m * np.array([[1.0, 0.5], [0.5, 1.0]])
+    return matrix
+
+
+def slice_labels(N, alphas):
+    """The labels of Theta(alpha) over a grid, from one scan; a zero K spares its eigensolves."""
+    return hidden_horizon_scan(N, np.zeros((N, N)), np.asarray(alphas, dtype=float)).definiteness
 
 
 def dieudonne_max_residual(matrix, N):
@@ -283,12 +296,12 @@ def test_definiteness_label_is_scale_invariant():
     dense = [reflection @ np.diag(spectrum) @ reflection for spectrum in spectra]
     assert all(theta[0, 2] for theta in dense)  # off the band: the Cholesky path
     expected = ["positive-definite", "singular", "indefinite"]
-    sturm = tridiagonal_definiteness(q, np.multiply.outer(t, alphas)).tolist()
+    sturm = slice_labels(N, alphas)
     assert sturm == ["positive-definite"] * 3 + ["singular"] + ["indefinite"] * 2
     for scale in (1.0, 1e-6, 1e-12, 1e-170, 1e-200, 1e-300, 1e170, 1e300):
         assert [classify_definiteness(*gated(scale * theta)) for theta in dense] == expected
-        assert tridiagonal_definiteness(scale * q, scale * np.multiply.outer(t, alphas)).tolist() == sturm
-        assert [str(tridiagonal_definiteness(scale * q, scale * alpha * t)) for alpha in alphas] == sturm
+        banded = [_dense_tridiagonal(scale * q, scale * alpha * t) for alpha in alphas]
+        assert [MetricOperator(theta).definiteness for theta in banded] == sturm
 
 
 @pytest.mark.parametrize("N, alpha", [(8, 2.0), (64, 1.0)])
@@ -301,17 +314,14 @@ def test_no_tiny_indefinite_banded_theta_is_positive_definite(N, alpha):
 
 
 def test_zero_metric_reads_singular_on_both_paths():
-    # thr = 0: the Sturm counts at +-0 count every zero pivot as negative
-    assert str(tridiagonal_definiteness(np.zeros(3), np.zeros(2))) == "singular"
-    assert tridiagonal_definiteness(np.zeros(3), np.zeros((2, 4))).tolist() == ["singular"] * 4
-    zero = np.zeros((3, 3))
-    assert classify_definiteness(*gated(zero)) == _cholesky_definiteness(*gated(zero)) == "singular"
+    # thr = 0, on the Sturm path alone (a zero Theta is banded): the counts at +-0 count every
+    # zero pivot as negative
+    assert classify_definiteness(*gated(np.zeros((3, 3)))) == "singular"
     assert MetricOperator(np.zeros((1, 1))).definiteness == "singular"
     # 1e-12 max|Theta| would underflow to 0 here; read after the rescale, thr keeps its margin
-    tiny = np.array([1e-315, -1e-315])
-    assert str(tridiagonal_definiteness(tiny, np.zeros(1))) == "indefinite"
-    diagonal = gated(np.diag(tiny))
-    assert classify_definiteness(*diagonal) == _cholesky_definiteness(*diagonal) == "indefinite"
+    tiny = np.diag([1e-315, -1e-315])
+    assert classify_definiteness(*gated(tiny)) == "indefinite"
+    assert classify_definiteness(*gated(off_band(tiny))) == "indefinite"
     assert classify_definiteness(*gated(np.full((3, 3), -1e-315))) == "indefinite"
     # v v^T + w w^T, v = (1, 1, 2), w = (2, 0, 0): singular (positive-definite while thr underflowed)
     rank_two = 2.0**-1060 * np.array([[5.0, 1.0, 2.0], [1.0, 1.0, 2.0], [2.0, 2.0, 4.0]])
@@ -377,7 +387,7 @@ def test_sturm_and_cholesky_paths_agree_on_the_slice(N):
     alphas += [np.nextafter(gamma, 0.0), np.nextafter(gamma, 1.0)]
     for alpha in alphas:
         theta = tridiagonal_metric(N, float(alpha))
-        assert theta.definiteness == _cholesky_definiteness(*gated(theta.matrix)), alpha
+        assert theta.definiteness == classify_definiteness(*gated(off_band(theta.matrix))), alpha
 
 
 def test_sturm_and_cholesky_paths_agree_on_random_band_matrices(rng):
@@ -395,8 +405,8 @@ def test_sturm_and_cholesky_paths_agree_on_random_band_matrices(rng):
             continue  # too close to +-thr for eigvalsh to say which side
         expected = "positive-definite" if smallest > threshold else "indefinite"
         expected = "singular" if abs(smallest) <= threshold else expected
-        gate = gated(theta)
-        assert classify_definiteness(*gate) == _cholesky_definiteness(*gate) == expected
+        cholesky = classify_definiteness(*gated(off_band(theta)))
+        assert classify_definiteness(*gated(theta)) == cholesky == expected
         labels.append(expected)
     assert len(labels) > 300 and set(labels) == {"positive-definite", "singular", "indefinite"}
 
@@ -423,9 +433,10 @@ def test_sturm_labels_match_dense_eigvalsh(N, rng):
             expected.append("positive-definite")
         else:
             expected.append("singular" if smallest >= -threshold else "indefinite")
-    scalar = [str(tridiagonal_definiteness(q, alpha * t)) for alpha in alphas]
-    batched = tridiagonal_definiteness(q, np.multiply.outer(t, alphas)).tolist()
-    assert scalar == batched == expected
+    alone = [MetricOperator(_dense_tridiagonal(q, alpha * t)).definiteness for alpha in alphas]
+    assert alone == expected
+    if N >= 2:
+        assert slice_labels(N, alphas) == expected
     if N >= 2:
         assert expected[2:] == ["positive-definite", "indefinite"]
 
