@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._size import _as_real, _require_finite, _require_size
+from ._size import _as_real, _require_finite, _require_size, _rescaled
 from .legendre import CROSS_CHECK_TOL, _certify_roots, _largest_root
 from .metrics import PIVOT_TOL, _as_symmetric, _label, _slice, _slice_matrix
 from .tridiagonal import sturm_count
@@ -101,8 +101,10 @@ def hidden_horizon_scan(N: int, K: np.ndarray, alpha_grid: np.ndarray) -> Realit
     eigenvalue appears is the observable's hidden horizon.
 
     Labels (the rule of `metrics._label`) and the singular skip come from one
-    `sturm_count` call at (thr, -thr, tau, -tau) per point, each Theta(alpha)
-    scaled by its own power of two: a point reads as alone.  thr is read before
+    `sturm_count` call at (thr, -thr, tau, -tau) per point.  The scan first
+    scales each Theta(alpha) and its shifts by its own power of two, one
+    `_size._rescaled` call from max|Theta(alpha)| = max(N - 1/2, (N - 1)|alpha|),
+    the maximum that thr reads too: a point reads as alone.  thr is read before
     that rescale, exactly, as max|Theta| >= max q = N - 1/2 keeps it normal.
     A point is skipped (max_imag NaN) when Theta(alpha) has an eigenvalue in
     [-tau, tau], tau = 1e-12 (max q + |alpha| max_n (t_{n-1} + t_n)), a max of
@@ -140,11 +142,13 @@ def hidden_horizon_scan(N: int, K: np.ndarray, alpha_grid: np.ndarray) -> Realit
         raise ValueError("K has wrong shape")
     q, offdiagonal = _slice(N, alpha_grid)
     magnitude = np.abs(alpha_grid)  # q[-1] = max q; max|alpha t| = (N - 1)|alpha|
-    threshold = PIVOT_TOL * np.maximum(q[-1], magnitude * (N - 1))
+    largest = np.maximum(q[-1], magnitude * (N - 1))
+    threshold = PIVOT_TOL * largest
     with np.errstate(over="ignore"):
         tau = SINGULAR_RCOND * (q[-1] + magnitude * (2 * N - 3))
     _require_finite(tau, "the singular tolerance of the alpha grid")
-    above, below, *near = sturm_count(q, offdiagonal, np.stack((threshold, -threshold, tau, -tau)))
+    shifts = np.stack((threshold, -threshold, tau, -tau))
+    above, below, *near = sturm_count(*_rescaled(largest, q[:, None], offdiagonal, shifts))
     positive, skip = above == 0, np.greater(*near)
     max_imag = np.where(positive & ~skip, 0.0, np.nan)
     solved = np.flatnonzero(~positive & ~skip)

@@ -124,7 +124,9 @@ def _certify_roots(roots: np.ndarray, N: int) -> None:
     Root j (0-based among the N) is certified when the Sturm counts on J at x_j -/+ delta,
     delta = CROSS_CHECK_TOL, are j and j + 1: the j-th eigenvalue is within delta of x_j, and
     no other is.  The eigenvalues lie far more than 2 delta apart, so this is the sorted match
-    max|roots - eig(J)| <= delta, up to the count's own error, 1.1e-15 max|J| < 1.1e-15.
+    max|roots - eig(J)| <= delta, up to the count's own error, 1.1e-15 max|J| < 1.1e-15.  J and
+    the shifts need no rescale: J's couplings lie in [0.5, 0.58] and the shifts' moduli between
+    1e-12 and 1 + 1e-12, inside the [2^-250, 2^250] that `sturm_count` asks of its input.
     """
     expected = np.arange(N - len(roots), N)
     shifts = np.concatenate((roots - CROSS_CHECK_TOL, roots + CROSS_CHECK_TOL))

@@ -161,7 +161,7 @@ def classify_definiteness(matrix: np.ndarray, largest: float) -> str:
     *arrays, largest = _rescaled(largest, *((band[1], band[0]) if banded else (matrix,)), largest)
     threshold = PIVOT_TOL * largest
     if banded:  # thr = 0 only here, for a zero Theta, whose zero pivots the counts take as negative
-        above, below = sturm_count(*arrays, (threshold, -threshold))
+        above, below = sturm_count(*arrays, np.array((threshold, -threshold)))
         return _label(above == 0, below == 0 or not threshold)
     positive = _factors(arrays[0], -threshold)
     return _label(positive, positive or _factors(arrays[0], threshold))

@@ -2,20 +2,21 @@
 
 The one O(N) kernel behind the Legendre root certificate (`legendre`), the
 definiteness label of a banded metric (`metrics`) and a scan's labels and
-singular skip, one call per scan (`horizons`).  It sits at
-the bottom of the import graph, above `_size`, whose gate `_as_real` checks
-each of its three inputs under its own name, and depends on numpy.
+singular skip, one call per scan (`horizons`).  It takes the float arrays
+that those callers built and depends on numpy alone: it checks nothing and
+rescales nothing.  Its error model needs each matrix's largest entry, its
+shifts' included, in [2^-250, 2^250] (or zero), and the callers see to it:
+the label and the scan scale each matrix by its own power of two
+(`_size._rescaled`), and J and the certificate's shifts lie there as built.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ._size import _as_real, _rescaled
 
-
-def sturm_count(diagonal, offdiagonal, shift):
-    """Number of eigenvalues below `shift` of a symmetric tridiagonal matrix.
+def sturm_count(diagonal, offdiagonal, shifts):
+    """Number of eigenvalues below each shift of a symmetric tridiagonal matrix.
 
     The LDL^T pivots of T - shift I follow d_k = (a_k - shift) - b_{k-1}^2 /
     d_{k-1}; by Sylvester's law of inertia the number of negative pivots is
@@ -28,45 +29,35 @@ def sturm_count(diagonal, offdiagonal, shift):
     relative errors of at most 2.5 eps (Kahan; Demmel, Applied Numerical
     Linear Algebra, lemma 5.4), so each count is exact for eigenvalues moved
     by at most 5 eps max|T|, about 1.1e-15 max|T|.  The model needs the
-    squared off-diagonal entries and the pivots finite and normal, so each
-    matrix whose largest entry (its shift's included) leaves [2^-250, 2^250]
-    is first scaled by its own power of two (`_size._rescaled`), which leaves
-    the counts as they are: c T below c shift counts as T below the shift.
+    squared off-diagonal entries and the pivots finite and normal: the
+    caller's precondition is that each matrix's largest entry, its shifts'
+    included, is 0 or lies in [2^-250, 2^250].  The caller scales a matrix
+    outside by its own power of two (`_size._rescaled`), which leaves the
+    counts as they are: c T below c shift counts as T below the shift.
 
-    `diagonal` and `offdiagonal` have N and N - 1 entries along axis 0; any
-    further axes, and the shape of `shift`, broadcast to a batch of matrices,
-    whose counts come back as an integer array of the batch shape.  One matrix at up to 32
-    shifts runs a loop on Python floats per shift, any other input one numpy loop for the batch:
-    with one BLAS thread they cross at 32 to 48 shifts for N from 64 to 1024.
+    Float arrays: `diagonal` of shape (N,) or (N, G), `offdiagonal` (N - 1,)
+    or (N - 1, G), `shifts` (S,) or (S, G), for one matrix or a batch of G
+    (a batch axis of length 1 broadcasts); the counts come back as an int
+    array of the shape of `shifts`.  One matrix at up to 48 shifts of shape
+    (S,) runs a loop on Python floats per shift (about 0.11 us per row and
+    shift), any other input one numpy loop for the batch (about 5.7 us per
+    row): with one BLAS thread they cross at 44 to 58 shifts for N from 16
+    to 1024.
     """
-    diagonal = _as_real(diagonal, "the diagonal")
-    offdiagonal = _as_real(offdiagonal, "the off-diagonal")
-    shift = _as_real(shift, "the shift")
-    if not diagonal.ndim or len(diagonal) < 1 or offdiagonal.shape[:1] != (len(diagonal) - 1,):
-        raise ValueError("need N >= 1 diagonal entries and N - 1 off-diagonal entries")
-    extent = np.maximum(np.abs(diagonal).max(axis=0), np.abs(offdiagonal).max(axis=0, initial=0.0))
-    extent = np.maximum(extent, np.abs(shift))  # each matrix's largest entry, of the batch shape
-    # the batch axes last, after axis 0, so that each matrix's factor scales its own entries
-    bands = (x.reshape(len(x), *(1,) * (extent.ndim + 1 - x.ndim), *x.shape[1:])
-             for x in (diagonal, offdiagonal))
-    rows, couplings, shift = _rescaled(extent, *bands, shift)
-    squared = couplings**2
-    zero_pivot = -np.finfo(float).tiny * squared.max(axis=0, initial=1.0)  # b^2 / it stays finite
-    if diagonal.ndim == offdiagonal.ndim == 1 and shift.size <= 32:  # one matrix, a few shifts
-        lists = ([x.ravel().tolist()] * shift.size if x.size == len(x)  # one list for all shifts
-                 else (column.tolist() for column in x.reshape(len(x), shift.size).T)
-                 for x in (rows - shift, squared))
-        zero_pivots = zero_pivot.ravel().tolist() * (shift.size // zero_pivot.size)
-        counts = list(map(_float_count, *lists, zero_pivots))  # one shift's lists at a time
-        return np.array(counts, dtype=int).reshape(shift.shape) if shift.ndim else counts[0]
-    pivot, count = np.ones(extent.shape), np.zeros(extent.shape, dtype=int)
-    rows, squared = (x.ravel().tolist() if x.size == len(x) else x for x in (rows, squared))
+    squared = offdiagonal**2
+    # b^2 / it stays finite; an array, not a numpy scalar, is the faster operand of np.where
+    zero_pivot = -np.finfo(float).tiny * squared.max(axis=0, initial=1.0, keepdims=True)
+    if diagonal.ndim == offdiagonal.ndim == shifts.ndim == 1 and len(shifts) <= 48:  # a few shifts
+        rows, squared = (diagonal - shifts[:, None]).tolist(), squared.tolist()
+        return np.array([_float_count(row, squared, zero_pivot.item()) for row in rows], dtype=int)
+    pivot, count = np.ones(shifts.shape), np.zeros(shifts.shape, dtype=int)
+    rows, squared = (x.ravel().tolist() if x.size == len(x) else x for x in (diagonal, squared))
     # A row of one number for the whole batch runs as a Python float, faster.  After a pivot
     # tinier than |zero_pivot| the next one may overflow to an infinity of the right sign, which
     # the next step turns back into a_k.  a_k - shift is formed row by row: no N rows of batch.
     with np.errstate(over="ignore"):
         for a, b2 in zip(rows, [0.0, *squared]):
-            pivot = (a - shift) - b2 / np.where(pivot == 0, zero_pivot, pivot)
+            pivot = (a - shifts) - b2 / np.where(pivot == 0, zero_pivot, pivot)
             count += pivot <= 0
     return count
 

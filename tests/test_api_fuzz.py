@@ -36,6 +36,7 @@ from qtlattice import (
     theta_norm,
     tridiagonal_metric,
 )
+from qtlattice._size import _rescaled
 from qtlattice.tridiagonal import sturm_count
 
 SPECIAL = [np.nan, np.inf, -np.inf, -1.0, 0.0, 2.5, 1e308, -1e308]
@@ -250,7 +251,8 @@ quarters = st.integers(-16, 16).map(lambda n: n / 4)
 @given(N=st.integers(3, 6), k=st.integers(-1071, 1021), data=st.data())
 def test_verdicts_are_scale_free_across_the_float_range(N, k, data):
     """2^k Theta has the label of Theta on the Sturm and on the Cholesky path; in one batch, a
-    banded Theta beside 2^k Theta has its Sturm counts alone, and in one scan Theta(alpha) beside
+    banded Theta beside 2^k Theta has its Sturm counts alone once each is rescaled by its own
+    power of two, as the callers do, and in one scan Theta(alpha) beside
     Theta(2^k alpha) its label alone; 2^k Lambda against Theta, and Lambda against 2^k Theta,
     the Dieudonne residual of Lambda against Theta; and 2^k M the criterion's verdict on M, for
     k across the whole float range."""
@@ -267,10 +269,11 @@ def test_verdicts_are_scale_free_across_the_float_range(N, k, data):
     for theta in (banded, dense):
         assert MetricOperator(c * theta).definiteness == MetricOperator(theta).definiteness
     # one batch whose members differ in scale by 2^k: each reads as it does alone
-    diagonal, offdiagonal, shift = np.diagonal(banded), np.diagonal(banded, -1), data.draw(quarters)
-    members = np.stack((offdiagonal, c * offdiagonal), axis=-1)
-    counts = sturm_count(np.stack((diagonal, c * diagonal), -1), members, np.array([shift, c * shift]))
-    assert counts.tolist() == [sturm_count(diagonal, offdiagonal, shift)] * 2
+    # behind the callers' rescale, each member times its own power of two
+    bands = np.diagonal(banded), np.diagonal(banded, -1), np.array([data.draw(quarters)])
+    members = [np.stack((x, c * x), axis=-1) for x in bands]
+    counts = sturm_count(*_rescaled(np.abs(np.concatenate(members)).max(axis=0), *members))
+    assert counts.tolist() == [sturm_count(*bands).tolist() * 2]
     # |alpha| <= 1/4 keeps alpha t and the scan's singular tolerance finite at every k
     alphas = np.array([1.0, c]) * data.draw(quarters) / 16
     labels = [tridiagonal_metric(N, alpha).definiteness for alpha in alphas]

@@ -95,6 +95,17 @@ def test_a_scan_is_one_sturm_count(monkeypatch):
     assert len(scan.definiteness) == 9
 
 
+def test_a_scan_rescales_each_point_for_its_skip():
+    """Theta(alpha) = Q + alpha T at N = 3 keeps an eigenvalue near 0.9 as |alpha| grows (T has
+    eigenvalues 0 and +-sqrt 5), so tau = 1e-12 (5/2 + 3|alpha|) skips alpha = 1e50 and +-1e200
+    but not 1e10.  At 1e200 the squared couplings would overflow: the scan scales each point by
+    its own power of two before its one Sturm count."""
+    grid = np.array([0.3, 1e10, 1e50, 1e200, -1e200])
+    scan = hidden_horizon_scan(3, np.eye(3), grid)
+    assert scan.skipped_singular == [1e50, 1e200, -1e200]
+    assert scan.definiteness == [tridiagonal_metric(3, alpha).definiteness for alpha in grid]
+
+
 def test_gamma_requires_N_at_least_2():
     with pytest.raises(ValueError):
         horizon_gamma(1)
@@ -364,13 +375,12 @@ def test_positive_definite_point_near_singular_is_skipped(N):
     shift = np.mean(thr_and_tau(hi))
     for _ in range(200):  # lambda_min(Theta(lo)) stays above the shift
         mid = 0.5 * (lo + hi)
-        if sturm_count(q, mid * t, shift) == 0:
+        if sturm_count(q, mid * t, np.array([shift])).item() == 0:
             lo = mid
         else:
             hi = mid
     alpha = lo
-    thr, tau = thr_and_tau(alpha)
-    assert sturm_count(q, alpha * t, thr) == 0 and sturm_count(q, alpha * t, tau) == 1
+    assert sturm_count(q, alpha * t, np.array(thr_and_tau(alpha))).tolist() == [0, 1]
     scan = hidden_horizon_scan(N, np.eye(N), np.array([alpha]))
     assert scan.definiteness == ["positive-definite"]
     assert scan.skipped_singular == [alpha]

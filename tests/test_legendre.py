@@ -122,6 +122,45 @@ def test_sturm_certificate_accepts_roots_and_rejects_a_moved_root(N):
             _certify_roots(moved, N)
 
 
+def _certificate_inputs(monkeypatch, certify):
+    """The arguments of the one `sturm_count` call that `certify()` makes."""
+    calls = []
+    count = legendre.sturm_count
+    monkeypatch.setattr(legendre, "sturm_count", lambda *arrays: calls.append(arrays) or count(*arrays))
+    certify()
+    (arrays,) = calls
+    return arrays
+
+
+def _in_kernel_window(arrays) -> bool:
+    """Every nonzero modulus in [2^-250, 2^250], where `sturm_count` needs no rescale."""
+    moduli = np.abs(np.concatenate(arrays))
+    moduli = moduli[moduli > 0]
+    return bool(np.all((2.0**-250 <= moduli) & (moduli <= 2.0**250)))
+
+
+@pytest.mark.parametrize("N", [1, 2, 64, 4096])
+def test_certificate_inputs_lie_in_the_kernel_window(N, monkeypatch):
+    """`sturm_count` rescales nothing, so the certificate relies on J and its shifts x_j -+ 1e-12
+    lying in the kernel's window as built: J's couplings in [0.5, 0.58] and the shifts' moduli
+    from 1e-12 (the root 0 of odd N) to 1 + 1e-12.  The roots of `roots_P` up to N = 64; at
+    N = 4096 scipy's, where the cold ladder would take minutes."""
+    if N <= 64:
+        arrays = _certificate_inputs(monkeypatch, lambda: roots_P(N))
+    else:
+        arrays = _certificate_inputs(monkeypatch, lambda: _certify_roots(roots_legendre(N)[0], N))
+    assert [len(x) for x in arrays] == [N, N - 1, 2 * N]
+    assert _in_kernel_window(arrays)
+
+
+def test_top_root_certificate_inputs_lie_in_the_kernel_window(monkeypatch):
+    """The same for the largest root alone, at the N = 2e5 of the horizon's gamma = 1/2 test."""
+    N = 200_000
+    arrays = _certificate_inputs(monkeypatch, lambda: _certify_roots(np.array([_largest_root(N)]), N))
+    assert [len(x) for x in arrays] == [N, N - 1, 2]
+    assert _in_kernel_window(arrays)
+
+
 def test_roots_P_certifies_cached_roots_too(monkeypatch):
     roots_P(3)
     monkeypatch.setattr(legendre, "sturm_count", lambda d, b, shifts: np.zeros(len(shifts), int))

@@ -28,6 +28,7 @@ from qtlattice import (
 from qtlattice.legendre import _jacobi
 from qtlattice.metrics import _as_symmetric, classify_definiteness
 from qtlattice import tridiagonal
+from qtlattice._size import _rescaled
 from qtlattice.tridiagonal import sturm_count
 
 
@@ -47,6 +48,15 @@ def off_band(theta):
     matrix[np.ix_(rows, rows)] = theta
     matrix[np.ix_(block, block)] = m * np.array([[1.0, 0.5], [0.5, 1.0]])
     return matrix
+
+
+def scaled_count(diagonal, offdiagonal, shifts):
+    """`sturm_count` behind the rescale that its callers make: each matrix (the last axis of
+    two-dimensional bands) times its own power of two, read from its largest entry, its shifts'
+    included."""
+    axis = 0 if offdiagonal.ndim == 2 else None
+    extent = np.maximum.reduce([np.abs(x).max(axis=axis, initial=0.0) for x in (diagonal, offdiagonal, shifts)])
+    return sturm_count(*_rescaled(extent, diagonal, offdiagonal, shifts))
 
 
 def slice_labels(N, alphas):
@@ -452,19 +462,24 @@ _entries = st.one_of(st.integers(-3, 3).map(float), st.floats(-4.0, 4.0))
 )
 def test_sturm_count_matches_eigvalsh(diagonal, offdiagonal, shifts):
     N = len(diagonal)
-    offdiagonal = offdiagonal[: N - 1]
+    diagonal, offdiagonal = np.array(diagonal), np.array(offdiagonal[: N - 1])
     eigenvalues = np.linalg.eigvalsh(_dense_tridiagonal(diagonal, offdiagonal))
     shifts = [s for s in shifts if np.min(np.abs(eigenvalues - s)) > 1e-9]
     expected = [int(np.sum(eigenvalues < s)) for s in shifts]
-    assert [sturm_count(diagonal, offdiagonal, s) for s in shifts] == expected
+    assert [sturm_count(diagonal, offdiagonal, np.array([s])).item() for s in shifts] == expected
     assert sturm_count(diagonal, offdiagonal, np.array(shifts)).tolist() == expected
 
 
 @pytest.mark.parametrize("batched", [False, True])
 def test_sturm_count_zero_pivots(batched):
+    """The zero-pivot rule at the shift 0, in the Python-float loop (one matrix) and in the
+    batched loop (a batch of one, the bands as columns)."""
+
     def count(diagonal, offdiagonal):
-        shift = np.zeros(1) if batched else 0.0
-        return int(np.squeeze(sturm_count(diagonal, offdiagonal, shift)))
+        bands = (np.array(diagonal), np.array(offdiagonal))
+        if batched:
+            bands = tuple(x[:, None] for x in bands)
+        return sturm_count(*bands, np.zeros((1, 1) if batched else 1)).item()
 
     # d_0 = 0 continues as -pivmin; eigenvalues (1 -+ sqrt 5)/2
     assert count([0.0, 1.0], [1.0]) == 1
@@ -476,45 +491,52 @@ def test_sturm_count_zero_pivots(batched):
 
 
 def test_sturm_count_huge_entries_exact():
-    # squares of 1e200 overflow; the power-of-two scaling keeps the count exact
-    assert sturm_count([1e200, 3e200], [1e200], 0.0) == 0
-    assert sturm_count([1e200, 3e200], [2e200], 0.0) == 1
+    # squares of 1e200 overflow; the callers' power-of-two scaling keeps the count exact
+    diagonal, shift = np.array([1e200, 3e200]), np.zeros(1)
+    assert sturm_count(*_rescaled(3e200, diagonal, np.array([1e200]), shift)).tolist() == [0]
+    assert sturm_count(*_rescaled(3e200, diagonal, np.array([2e200]), shift)).tolist() == [1]
+    assert MetricOperator(np.array([[1e200, 1e200], [1e200, 3e200]])).definiteness == "positive-definite"
+    assert MetricOperator(np.array([[1e200, 2e200], [2e200, 3e200]])).definiteness == "indefinite"
     assert tridiagonal_metric(3, 1e200).definiteness == "indefinite"
 
 
 @pytest.mark.parametrize("c", [1e-300, 1e-170, 1e300])
 def test_sturm_count_is_scale_free_across_the_float_range(c):
-    """c J below c x counts as J below x, in the scalar and in the batched loop: J of P_16, whose
-    roots are the eigenvalues (16 below 0.5 at c = 1e-170 while the squares underflowed)."""
+    """c J below c x counts as J below x behind the callers' rescale, at one shift and at five:
+    J of P_16, whose roots are the eigenvalues (16 below 0.5 at c = 1e-170 while the squares
+    underflowed)."""
     diagonal, offdiagonal = _jacobi(16)
     shifts = np.array([-0.99, -0.5, 0.0, 0.5, 0.99])
     expected = [int(np.sum(roots_P(16).roots < x)) for x in shifts]
     assert expected == [0, 5, 8, 11, 16]
-    assert [sturm_count(c * diagonal, c * offdiagonal, c * x) for x in shifts] == expected
-    assert sturm_count(c * diagonal, c * offdiagonal, c * shifts).tolist() == expected
+    bands = c * diagonal, c * offdiagonal
+    assert [scaled_count(*bands, np.array([c * x])).item() for x in shifts] == expected
+    assert scaled_count(*bands, c * shifts).tolist() == expected
 
 
 def test_sturm_count_scales_each_matrix_of_a_batch_by_its_own_power_of_two():
-    """16 copies of a T of size 16 at 2^k, k from -1000 to 1000, in one batch as long as T: the
-    diagonal carries the batch axis, and each copy below 2^k x counts as T below x (one factor
-    for the whole batch would let the squared couplings of the small copies underflow)."""
+    """16 copies of a T of size 16 at 2^k, k from -1000 to 1000, in one batch as long as T behind
+    the callers' rescale: the diagonal carries the batch axis, and each copy below 2^k x counts
+    as T below x (one factor for the whole batch would let the squared couplings of the small
+    copies underflow)."""
     diagonal, offdiagonal = np.arange(16) + 0.5, 0.6 * np.arange(1.0, 16)
     eigenvalues = np.linalg.eigvalsh(_dense_tridiagonal(diagonal, offdiagonal))
     shifts = [eigenvalues[0] - 1, *(eigenvalues[1:] + eigenvalues[:-1]) / 2, eigenvalues[-1] + 1]
     c = 2.0 ** np.linspace(-1000, 1000, 16).round()
     scaled = [np.multiply.outer(x, c) for x in (diagonal, offdiagonal)]
     for expected, x in enumerate(shifts):
-        assert sturm_count(diagonal, offdiagonal, x) == expected
-        assert sturm_count(*scaled, c * x).tolist() == [expected] * 16
+        assert sturm_count(diagonal, offdiagonal, np.array([x])).tolist() == [expected]
+        assert scaled_count(*scaled, (c * x)[None]).tolist() == [[expected] * 16]
 
 
 @pytest.mark.parametrize("c", [1e-300, 1.0, 1e300])
 @pytest.mark.parametrize("N", [1, 2, 64])
 def test_sturm_count_of_one_matrix_at_many_shifts_is_the_counts_alone(N, c, monkeypatch):
-    """One matrix at up to 32 shifts runs the Python-float loop once per shift, and at more the
+    """One matrix at up to 48 shifts runs the Python-float loop once per shift, and at more the
     batched loop; either way the counts are those of the shifts one at a time, as int arrays of
     the shifts' shape.  S from 1 to 64, and the 2N shifts x_j -+ 1e-12 of the roots' certificate,
-    on c J of P_N (the diagonal is zero, so J has an eigenvalue at 0 when N is odd)."""
+    on c J of P_N (the diagonal is zero, so J has an eigenvalue at 0 when N is odd); at c = 1e-300
+    and 1e300 behind the callers' rescale."""
     passes = []
     float_count = tridiagonal._float_count
 
@@ -523,20 +545,21 @@ def test_sturm_count_of_one_matrix_at_many_shifts_is_the_counts_alone(N, c, monk
         return float_count(*row)
 
     monkeypatch.setattr(tridiagonal, "_float_count", counting_passes)
+    count = sturm_count if c == 1.0 else scaled_count
     diagonal, offdiagonal = (c * x for x in _jacobi(N))
     roots = roots_P(N).roots
-    grids = [np.linspace(-1.0, 1.0, S) for S in (1, 2, 31, 32, 33, 64)]
+    grids = [np.linspace(-1.0, 1.0, S) for S in (1, 2, 31, 32, 33, 47, 48, 49, 64)]
     for shifts in [*grids, np.concatenate((roots - 1e-12, roots + 1e-12))]:
         shifts = c * shifts
-        alone = [sturm_count(diagonal, offdiagonal, x) for x in shifts]
+        alone = [count(diagonal, offdiagonal, np.array([x])).item() for x in shifts]
         passes.clear()
-        counts = sturm_count(diagonal, offdiagonal, shifts)
-        assert passes == ([N] * len(shifts) if len(shifts) <= 32 else [])
+        counts = count(diagonal, offdiagonal, shifts)
+        assert passes == ([N] * len(shifts) if len(shifts) <= 48 else [])
         assert counts.dtype == int and counts.tolist() == alone
     assert alone == list(range(N)) + list(range(1, N + 1))
     grid = c * np.linspace(-1.0, 1.0, 6).reshape(2, 3)
-    alone = [[sturm_count(diagonal, offdiagonal, x) for x in row] for row in grid]
-    assert sturm_count(diagonal, offdiagonal, grid).tolist() == alone
+    alone = [[count(diagonal, offdiagonal, np.array([x])).item() for x in row] for row in grid]
+    assert count(diagonal, offdiagonal, grid).tolist() == alone
 
 
 def test_each_maximum_is_read_once(rng, monkeypatch):
@@ -560,32 +583,36 @@ def test_each_maximum_is_read_once(rng, monkeypatch):
     assert calls == [(8, 8)]
 
 
-@pytest.mark.parametrize("batched", [False, True], ids=["scalar", "batched"])
-@pytest.mark.parametrize(
-    "diagonal, offdiagonal, shift, what",
-    [
-        (np.array(["-1", "2"]), ["0.5"], "0", "the diagonal"),
-        (np.array([1 + 5j, 2]), [0.5], 0.0, "the diagonal"),
-        (np.array([-1.0, 2.0], dtype=object), [0.5], 0.0, "the diagonal"),
-        ([1.0, 2.0], [[0.5], [0.5, 0.5]], 0.0, "the off-diagonal"),
-        ([1.0, 2.0], [0.5], "0", "the shift"),
-        ([1.0, 2.0], [0.5], 1j, "the shift"),
-    ],
-    ids=["text", "complex", "object", "ragged", "text-shift", "complex-shift"],
-)
-def test_sturm_count_takes_real_numbers_only(diagonal, offdiagonal, shift, what, batched):
-    with pytest.raises(ValueError, match=f"^{what} must be real numbers"):
-        sturm_count(diagonal, offdiagonal, np.full(2, shift) if batched else shift)
+def test_each_verdict_rescales_once(rng, monkeypatch):
+    """`_size._rescaled` runs once for a banded label, once for a dense one and once per scan, at
+    ordinary and at huge scale, and never for the roots or the horizon: `sturm_count` rescales
+    nothing, and J and the certificate's shifts lie in its window as built (before, a banded label
+    rescaled twice and a root certificate once)."""
+    from qtlattice import _size, horizons, legendre, metrics, observables
+
+    calls, rescaled = [], _size._rescaled
+    for module in (_size, tridiagonal, legendre, metrics, horizons, observables):
+        if hasattr(module, "_rescaled"):
+            monkeypatch.setattr(module, "_rescaled", lambda *a: calls.append(len(a)) or rescaled(*a))
+    banded, B = tridiagonal_metric(64, 0.3).matrix, rng.normal(size=(16, 16))
+    verdicts = {
+        "banded label": lambda c: MetricOperator(c * banded),
+        "dense label": lambda c: MetricOperator(c * (B @ B.T)),
+        "scan": lambda c: hidden_horizon_scan(8, np.eye(8), c * np.linspace(-1.0, 1.0, 9)),
+    }
+    for name, verdict in verdicts.items():
+        for c in (1.0, 1e200):
+            calls.clear()
+            verdict(c)
+            assert len(calls) == 1, (name, c)
+    for name, run in {"roots": lambda: roots_P(64), "horizon": lambda: horizon_gamma(64)}.items():
+        calls.clear()
+        run()
+        assert calls == [], name
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_input_is_a_domain_error(bad, system_cache):
-    with pytest.raises(ValueError, match="is not finite"):
-        sturm_count([1.0, bad], [0.5], 0.0)
-    with pytest.raises(ValueError, match="is not finite"):
-        sturm_count([1.0, 2.0], [bad], 0.0)
-    with pytest.raises(ValueError, match="is not finite"):
-        sturm_count([1.0, 2.0], [0.5], np.array([0.0, bad]))
     with pytest.raises(ValueError, match="theta is not finite"):
         MetricOperator(np.array([[1.0, bad], [bad, 1.0]]))
     with pytest.raises(ValueError):
