@@ -55,8 +55,8 @@ def scaled_count(diagonal, offdiagonal, shifts):
     two-dimensional bands) times its own power of two, read from its largest entry, its shifts'
     included."""
     axis = 0 if offdiagonal.ndim == 2 else None
-    extent = np.maximum.reduce([np.abs(x).max(axis=axis, initial=0.0) for x in (diagonal, offdiagonal, shifts)])
-    return sturm_count(*_rescaled(extent, diagonal, offdiagonal, shifts))
+    maxima = [np.abs(x).max(axis=axis, initial=0.0) for x in (diagonal, offdiagonal, shifts)]
+    return sturm_count(*_rescaled(np.maximum.reduce(maxima), diagonal, offdiagonal, shifts))
 
 
 def slice_labels(N, alphas):
