@@ -583,6 +583,46 @@ def test_each_maximum_is_read_once(rng, monkeypatch):
     assert calls == [(8, 8)]
 
 
+@pytest.mark.parametrize("batched", [False, True], ids=["scalar", "batched"])
+@pytest.mark.parametrize(
+    "theta, alpha",
+    [
+        (np.array([["-1", "0.5"], ["0.5", "2"]]), np.array(["-1", "2"])),
+        (np.array([[1 + 5j, 0.5], [0.5, 2]]), np.array([1 + 5j, 2])),
+        (np.array([[-1.0, 0.5], [0.5, 2.0]], dtype=object), np.array([-1.0, 2.0], dtype=object)),
+        ([[1.0, [0.5]], [[0.5, 0.5], 2.0]], [[0.5], [0.5, 0.5]]),
+        (None, "0"),
+        (None, 1j),
+    ],
+    ids=["text", "complex", "object", "ragged", "text-shift", "complex-shift"],
+)
+def test_sturm_count_takes_real_numbers_only(theta, alpha, batched, monkeypatch):
+    """`sturm_count` checks nothing, so the roads to it do: each refuses, naming the argument and
+    before any count, the text, complex, object and ragged bands and the text and complex shifts
+    that the kernel once refused itself.  One matrix (scalar) reaches the kernel as the banded
+    label of Theta, or of Theta(alpha), whose alpha sets the off-diagonal and the shifts +-thr; a
+    batch as a scan, whose alpha grid sets each point's off-diagonal and shifts.  The same roads
+    with real input do reach it."""
+    from qtlattice import horizons, metrics
+
+    calls = []
+    for module in (metrics, horizons):
+        count = module.sturm_count
+        monkeypatch.setattr(module, "sturm_count", lambda *a, count=count: calls.append(a) or count(*a))
+    if batched:
+        run, what = (lambda grid: hidden_horizon_scan(2, np.eye(2), grid)), "the alpha grid"
+        bad, real = np.full(2, alpha) if theta is None else alpha, np.array([-1.0, 2.0])
+    elif theta is None:
+        run, what, bad, real = (lambda a: tridiagonal_metric(2, a)), "alpha", alpha, 0.0
+    else:
+        run, what, bad, real = MetricOperator, "theta", theta, np.array([[-1.0, 0.5], [0.5, 2.0]])
+    with pytest.raises(ValueError, match=f"^{what} must be real numbers"):
+        run(bad)
+    assert calls == []
+    run(real)
+    assert len(calls) == 1
+
+
 def test_each_verdict_rescales_once(rng, monkeypatch):
     """`_size._rescaled` runs once for a banded label, once for a dense one and once per scan, at
     ordinary and at huge scale, and never for the roots or the horizon: `sturm_count` rescales
