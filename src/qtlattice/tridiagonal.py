@@ -38,16 +38,16 @@ def sturm_count(diagonal, offdiagonal, shifts):
     Float arrays: `diagonal` of shape (N,) or (N, G), `offdiagonal` (N - 1,)
     or (N - 1, G), `shifts` (S,) or (S, G), for one matrix or a batch of G
     (a batch axis of length 1 broadcasts); the counts come back as an int
-    array of the shape of `shifts`.  One matrix at up to 48 shifts of shape
+    array of the shape of `shifts`.  One matrix at up to 32 shifts of shape
     (S,) runs a loop on Python floats per shift (about 0.11 us per row and
     shift), any other input one numpy loop for the batch (about 5.7 us per
     row): with one BLAS thread they cross at 44 to 58 shifts for N from 16
-    to 1024.
+    to 1024, above the rule's 32.
     """
     squared = offdiagonal**2
     # b^2 / it stays finite; an array, not a numpy scalar, is the faster operand of np.where
     zero_pivot = -np.finfo(float).tiny * squared.max(axis=0, initial=1.0, keepdims=True)
-    if diagonal.ndim == offdiagonal.ndim == shifts.ndim == 1 and len(shifts) <= 48:  # a few shifts
+    if diagonal.ndim == offdiagonal.ndim == shifts.ndim == 1 and len(shifts) <= 32:  # a few shifts
         rows, squared = (diagonal - shifts[:, None]).tolist(), squared.tolist()
         return np.array([_float_count(row, squared, zero_pivot.item()) for row in rows], dtype=int)
     pivot, count = np.ones(shifts.shape), np.zeros(shifts.shape, dtype=int)

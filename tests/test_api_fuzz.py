@@ -1,13 +1,14 @@
 """Hypothesis fuzz over the public API: the counterpart of the CLI fuzz.
 
 Every call either raises ValueError or returns finite values, and no
-non-finite input comes back labelled positive-definite.  Complex, text, NaN
-and inf input, and input of the wrong rank, is a ValueError naming the
-argument wherever the library takes real numbers, and a ragged nest is one
-wherever it reads an array.
+non-finite input comes back labelled positive-definite.  Complex, text,
+object, NaN and inf input, and input of the wrong rank, is a ValueError
+naming the argument wherever the library takes real numbers, and a ragged
+nest is one wherever it reads an array.
 """
 
 import copy
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -376,10 +377,13 @@ REAL_ARGUMENTS = {
 }
 
 
-@pytest.mark.parametrize("value", [0.1 + 2j, 0.1 + 0j, "0.1"], ids=["complex", "zero-imag", "text"])
+@pytest.mark.parametrize(
+    "value", [0.1 + 2j, 0.1 + 0j, "0.1", Decimal("0.1")], ids=["complex", "zero-imag", "text", "object"]
+)
 @pytest.mark.parametrize("entry", REAL_ARGUMENTS)
 def test_complex_and_text_are_a_value_error_naming_the_argument(entry, value):
-    """Never the real part (with only numpy's ComplexWarning) and never text parsed as a number."""
+    """Never the real part (with only numpy's ComplexWarning), never text parsed as a number and
+    never an object array (a Decimal) converted entry by entry."""
     name, function = REAL_ARGUMENTS[entry]
     with pytest.raises(ValueError, match=f"{name} must be real numbers"):
         function(value)
