@@ -6,10 +6,8 @@ pass; bools are rejected.  The array gates import numpy when called and name the
 a ragged nest too: `_as_real` for real input (dtype, finiteness, rank), `_require_finite` for
 numbers that may be complex, computed values and CLI ranges, `_as_square` for a candidate matrix.
 `_rescaled` is the one exact power-of-two rescale behind every scale-free verdict, one factor
-per matrix and one call per verdict: the definiteness label (`metrics`, once for either path),
-the reality scan (`horizons`, once, a factor per point), the Dieudonne residual and the overlap
-criterion (`observables`).  The Sturm kernel (`tridiagonal`) rescales nothing: the label and the
-scan hand it bands so scaled.
+per matrix and one call per input whose scale a verdict reads.  The Sturm kernel (`tridiagonal`)
+rescales nothing: its callers hand it bands so scaled.
 """
 
 from __future__ import annotations

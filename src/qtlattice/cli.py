@@ -19,10 +19,13 @@ import math
 import sys
 
 from . import evolution, exact, horizons, lattice, metrics, observables
-from ._size import _as_real, _require_finite
+from ._size import _as_real, _require_finite, _require_size
 
 USAGE_ERROR = 2
 DOMAIN_ERROR = 1
+# Options whose value is a number.  Before Python 3.14, argparse reads a negative number such
+# as -1e-3, -1E5, -inf or -nan as an option name, but always reads "--alpha=-1e-3" as a value.
+_NUMBER_OPTIONS = {"--alpha", "--alpha-min", "--alpha-max", "--t-max", "--tol-criterion"}
 
 
 def _dump_json(obj, stream) -> None:
@@ -102,7 +105,11 @@ def _load_matrix(path: str, N: int):
     if not isinstance(payload, dict) or "matrix" not in payload:
         raise ValueError(f'{path} is not a JSON object with a "matrix" key')
     matrix = _as_real(payload["matrix"], f"the matrix in {path}", 2)
-    if payload.get("dimension") != N or matrix.shape != (N, N):
+    try:
+        dimension = _require_size(payload.get("dimension"))
+    except ValueError as exc:
+        raise ValueError(f"the dimension in {path}: {exc}") from None
+    if dimension != N or matrix.shape != (N, N):
         raise ValueError(f"the matrix in {path} does not have dimension {N}")
     return matrix
 
@@ -243,6 +250,10 @@ def _cmd_verify(args, out):
 def run(argv: list[str]) -> int:
     """Dispatch a CLI invocation; returns the process exit status."""
     parser = _build_parser()
+    argv = list(argv)
+    for i in reversed(range(len(argv) - 1)):  # the token after a number option is its value
+        if argv[i] in _NUMBER_OPTIONS:
+            argv[i : i + 2] = [f"{argv[i]}={argv[i + 1]}"]
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

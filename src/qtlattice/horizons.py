@@ -65,7 +65,6 @@ class HorizonReport:
 class RealityScan:
     """Largest imaginary eigenvalue part of a companion observable per alpha."""
 
-    dimension: int
     alpha_grid: np.ndarray
     max_imag: np.ndarray
     definiteness: list[str]
@@ -118,6 +117,10 @@ def hidden_horizon_scan(N: int, K: np.ndarray, alpha_grid: np.ndarray) -> Realit
 
     A crossing is max_imag > 1e-8 max|K|, with no floor: Lambda(alpha) scales
     with K, so c K crosses where K does for every c > 0; a zero K scans real.
+    K is solved scaled by its own power of two (`_size._rescaled`, one call
+    for K), so Theta(alpha)^{-1} K neither overflows nor loses digits to
+    subnormals; crossings are read in those units, and max_imag is reported
+    times the inverse factor, exact where it stays normal.
 
     Only the indefinite points that are not skipped are solved and
     diagonalized, with the same LAPACK calls on the same Theta(alpha) entries
@@ -140,6 +143,7 @@ def hidden_horizon_scan(N: int, K: np.ndarray, alpha_grid: np.ndarray) -> Realit
     alpha_grid = _as_real(alpha_grid, "the alpha grid", 1)
     if K.shape != (N, N):
         raise ValueError("K has wrong shape")
+    K, unit = _rescaled(scale, K, 1.0)  # K times unit, its own power of two
     q, offdiagonal = _slice(N, alpha_grid)
     magnitude = np.abs(alpha_grid)  # q[-1] = max q; max|alpha t| = (N - 1)|alpha|
     largest = np.maximum(q[-1], magnitude * (N - 1))
@@ -170,11 +174,10 @@ def hidden_horizon_scan(N: int, K: np.ndarray, alpha_grid: np.ndarray) -> Realit
         stacks = min(len(solved), -(-stacks // workers) * workers)
         with ThreadPoolExecutor(workers) as pool:
             list(pool.map(solve_stack, np.array_split(solved, stacks)))
-    crossings = np.flatnonzero(max_imag > REALITY_THRESHOLD * scale)
+    crossings = np.flatnonzero(max_imag > REALITY_THRESHOLD * (scale * unit))
     return RealityScan(
-        dimension=N,
         alpha_grid=alpha_grid,
-        max_imag=max_imag,
+        max_imag=max_imag / unit,
         definiteness=_label(positive, below == 0).tolist(),  # thr > 0 here
         first_crossing=float(alpha_grid[crossings[0]]) if len(crossings) else None,
         skipped_singular=alpha_grid[skip].tolist(),

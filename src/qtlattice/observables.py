@@ -27,7 +27,7 @@ DEFAULT_CRITERION_TOL = 1e-10
 
 @dataclass(frozen=True, eq=False)
 class ObservableSpectralData:
-    """Left/right eigensystem of a candidate observable; `dimension` is the number of eigenvalues.
+    """Left/right eigensystem of a candidate observable.
 
     right_vectors[:, j] and left_vectors[:, j] (eigenvectors of the transpose, Lambda^T l =
     lambda l) share eigenvalue eigenvalues[j], all float64 for a real Lambda with a real spectrum
@@ -35,14 +35,10 @@ class ObservableSpectralData:
     so the spectral reconstruction reads Lambda = sum_j right_j (lambda_j / pairing_j) left_j^T.
     """
 
-    dimension: int = field(init=False)
     eigenvalues: np.ndarray
     right_vectors: np.ndarray
     left_vectors: np.ndarray
     pairing_norms: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "dimension", len(self.eigenvalues))
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,7 +153,7 @@ def overlap_matrices(
     passes the residual test against the kappa-family metric.  Weights that make M
     not finite (a zero or tiny one) are a ValueError.
     """
-    if not (system.dimension == kappa.dimension == data.dimension):
+    if not (system.dimension == kappa.dimension == len(data.eigenvalues)):
         raise ValueError("dimension mismatch")
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # OverlapPair's gate
         U = system.kets.T @ data.left_vectors

@@ -69,12 +69,15 @@ def test_metric_kappa_exceptional(capsys):
      (["--kappa", "exceptional"], "kappa-family")],
 )
 def test_metric_json_keys_and_the_label_of_diagonal_q(argv, provenance, capsys):
-    """The diagonal Q is labelled by the classifier too, and the keys keep their order."""
+    """The diagonal Q is labelled by the classifier too, and the keys of the metric and of its
+    charge keep their order."""
     status, out, _ = invoke(["metric", "--n", "4", "--require-positive", *argv], capsys)
     payload = json.loads(out)
     assert status == 0 and list(payload) == ["dimension", "matrix", "definiteness", "provenance"]
     assert (payload["dimension"], payload["definiteness"]) == (4, "positive-definite")
     assert payload["provenance"] == provenance
+    status, out, _ = invoke(["charge", "--n", "4", *argv], capsys)
+    assert status == 0 and list(json.loads(out)) == ["dimension", "matrix"]
 
 
 def test_charge_exceptional_is_identity(capsys):
@@ -263,6 +266,39 @@ def test_non_finite_alpha_is_a_domain_error(capsys):
     )
     assert (status, out) == (1, "")
     assert "finite" in err
+
+
+@pytest.mark.parametrize("value, status", [("-1e-3", 0), ("-1E5", 0), ("-inf", 1), ("-nan", 1)])
+@pytest.mark.parametrize(
+    "argv",
+    ["metric --n 2 --alpha {}", "charge --n 2 --alpha {}",
+     "scan --n 2 --alpha-min {} --alpha-max 1 --alpha-steps 3",
+     "scan --n 2 --alpha-min -1 --alpha-max {} --alpha-steps 3", "evolve --n 2 --t-max {}"],
+    ids=["metric", "charge", "alpha-min", "alpha-max", "t-max"],
+)
+def test_a_negative_number_is_the_value_of_its_option(argv, value, status, capsys):
+    """argparse before Python 3.14 takes -1e-3, -1E5, -inf and -nan for option names (exit 2):
+    each is read as the number it spells, and one that is not finite is a domain error."""
+    code, out, err = invoke(argv.format(value).split(), capsys)
+    if status:
+        assert (code, out) == (1, "") and "not finite" in err
+    else:
+        assert (code, err) == (0, "") and out
+
+
+@pytest.mark.parametrize("dimension, N", [("true", 1), ("2.0", 2)])
+def test_matrix_file_dimension_must_be_an_integer(dimension, N, capsys, tmp_path):
+    """A bool or a float dimension is no size, though it compares equal to one."""
+    matrix_file = tmp_path / "k.json"
+    matrix_file.write_text(f'{{"dimension": {dimension}, "matrix": {np.eye(N).tolist()}}}')
+    for argv in (
+        ["check-observability", "--n", str(N), "--k-matrix", str(matrix_file)],
+        ["scan", "--n", str(N), "--alpha-min", "0", "--alpha-max", "1", "--alpha-steps", "3",
+         "--k-matrix", str(matrix_file)],
+    ):
+        status, out, err = invoke(argv, capsys)
+        assert (status, out) == (1, "")
+        assert err.startswith(f"error: the dimension in {matrix_file}: a size must be an integer")
 
 
 def test_non_finite_matrix_file_is_a_domain_error(capsys, tmp_path):
@@ -612,7 +648,7 @@ def test_tolerance_outside_check_observability_is_a_usage_error(subcommand, caps
     assert "unrecognized arguments: --tol-criterion" in err
 
 
-@pytest.mark.parametrize("value", ["abc", "nan", "inf", "0", "-1e-3"])
+@pytest.mark.parametrize("value", ["abc", "nan", "inf", "0", "-1e-3", "-1E5", "-inf", "-nan"])
 def test_tol_criterion_must_be_positive_and_finite(value, capsys, tmp_path):
     matrix_file = tmp_path / "eye.json"
     matrix_file.write_text(json.dumps({"dimension": 2, "matrix": np.eye(2).tolist()}))

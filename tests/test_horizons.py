@@ -581,3 +581,24 @@ def test_a_grid_as_long_as_the_matrix_scales_each_point_alone():
     scan = _assert_each_point_reads_as_alone(8, np.diag(np.arange(1.0, 9.0)), grid)
     assert scan.definiteness[:5] == ["indefinite"] * 2 + ["positive-definite"] * 2 + ["singular"]
     assert gamma in scan.skipped_singular
+
+
+@pytest.mark.parametrize("N", [2, 6])
+def test_a_scan_of_c_K_reads_as_the_scan_of_K(N, rng):
+    """K is solved at its own power of two, so c K crosses where K does across the float range:
+    at c = 1e306 and 1e307 the unscaled Theta(alpha)^{-1} c K overflowed and numpy's solve raised.
+    K = diag(1, -1) at N = 2 loses reality beyond |alpha| = 1; a random symmetric K at N = 6."""
+    B = rng.normal(size=(N, N))
+    K = np.diag([1.0, -1.0]) if N == 2 else B + B.T
+    grid = np.linspace(-2.0, 2.0, 40)
+    scan = hidden_horizon_scan(N, K, grid)
+    assert scan.first_crossing is not None
+    for c in (1e-320, 1e-300, 1e300, 1e306, 1e307):
+        scaled = hidden_horizon_scan(N, c * K, grid)
+        assert scaled.definiteness == scan.definiteness, c
+        assert scaled.skipped_singular == scan.skipped_singular, c
+        assert scaled.first_crossing == scan.first_crossing, c
+        with np.errstate(over="ignore"):
+            product = np.abs(c * scan.max_imag)
+        normal = (np.finfo(float).tiny <= product) & (product < np.inf)  # not 0, NaN or inf
+        np.testing.assert_allclose(scaled.max_imag[normal] / c, scan.max_imag[normal], rtol=1e-13)

@@ -584,10 +584,11 @@ def test_each_maximum_is_read_once(rng, monkeypatch):
 
 
 def test_each_verdict_rescales_once(rng, monkeypatch):
-    """`_size._rescaled` runs once for a banded label, once for a dense one and once per scan, at
-    ordinary and at huge scale, and never for the roots or the horizon: `sturm_count` rescales
-    nothing, and J and the certificate's shifts lie in its window as built (before, a banded label
-    rescaled twice and a root certificate once)."""
+    """`_size._rescaled` runs once per input whose scale a verdict reads, at ordinary and at huge
+    scale: once for a banded label and once for a dense one, twice for a scan (its Theta(alpha)
+    bands and its K), and never for the roots or the horizon: `sturm_count` rescales nothing, and
+    J and the certificate's shifts lie in its window as built (before, a banded label rescaled
+    twice and a root certificate once)."""
     from qtlattice import _size, horizons, legendre, metrics, observables
 
     calls, rescaled = [], _size._rescaled
@@ -596,15 +597,15 @@ def test_each_verdict_rescales_once(rng, monkeypatch):
             monkeypatch.setattr(module, "_rescaled", lambda *a: calls.append(len(a)) or rescaled(*a))
     banded, B = tridiagonal_metric(64, 0.3).matrix, rng.normal(size=(16, 16))
     verdicts = {
-        "banded label": lambda c: MetricOperator(c * banded),
-        "dense label": lambda c: MetricOperator(c * (B @ B.T)),
-        "scan": lambda c: hidden_horizon_scan(8, np.eye(8), c * np.linspace(-1.0, 1.0, 9)),
+        "banded label": (1, lambda c: MetricOperator(c * banded)),
+        "dense label": (1, lambda c: MetricOperator(c * (B @ B.T))),
+        "scan": (2, lambda c: hidden_horizon_scan(8, np.eye(8), c * np.linspace(-1.0, 1.0, 9))),
     }
-    for name, verdict in verdicts.items():
+    for name, (inputs, verdict) in verdicts.items():
         for c in (1.0, 1e200):
             calls.clear()
             verdict(c)
-            assert len(calls) == 1, (name, c)
+            assert len(calls) == inputs, (name, c)
     for name, run in {"roots": lambda: roots_P(64), "horizon": lambda: horizon_gamma(64)}.items():
         calls.clear()
         run()
